@@ -11,6 +11,8 @@ import math
 import pathlib
 from fractions import Fraction as F
 
+import numpy as np
+
 from abcdwaves import ParameterSet, build_s43, build_s411, build_s412, \
     build_s421, build_s422, complete_k, ode_residual
 from abcdwaves.cli import write_csv, write_svg
@@ -43,9 +45,8 @@ def main():
         sol = make(p)
         rel = ode_residual(sol, p, 512).relative
         period = 4 * complete_k(sol.m) / sol.lam
-        xs = [3 * period * i / 600 for i in range(601)]
-        etas = [sol.eval_eta(x) for x in xs]
-        ws = [sol.eval_w(x) for x in xs]
+        xs = 3 * period * np.arange(601) / 600
+        etas, ws = sol.eval_eta(xs), sol.eval_w(xs)
         write_csv(HERE / f"{name}.csv", zip(xs, etas, ws))
         write_svg(HERE / f"{name}.svg", xs, etas, ws,
                   title=f"{name}: {label} (residual {rel:.1e})")

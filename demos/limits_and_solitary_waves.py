@@ -17,6 +17,8 @@ for the inert third-derivative coefficient.
 import pathlib
 from fractions import Fraction as F
 
+import numpy as np
+
 from abcdwaves import (ParameterSet, bbm_reduction_check, build_s43, m1_limit,
                        limit_consistency, ode_residual)
 from abcdwaves.cli import write_csv, write_svg
@@ -56,9 +58,9 @@ def main():
         terms = [f"{v:+.4g} sech^{r}" for r, v in enumerate(sol.j) if v]
         print(f"   {label:15s} eta = {' '.join(terms)}   residual {rel:.1e}")
         span = 16.0 / sol.lam
-        xs = [-span / 2 + span * i / 500 for i in range(501)]
+        xs = -span / 2 + span * np.arange(501) / 500
         write_svg(HERE / f"solitary_{family.replace('.', '_')}.svg", xs,
-                  [sol.eval_eta(x) for x in xs], [sol.eval_w(x) for x in xs],
+                  sol.eval_eta(xs), sol.eval_w(xs),
                   title=f"solitary limit of {family}")
 
     print("\nBBM single-equation reduction at eta = -1:")
@@ -70,10 +72,9 @@ def main():
     sol1 = build_s43(2, 1, 1, 1)
     rep = bbm_reduction_check(sol1, 2)
     print(f"   m = 1 sech^2 solitary wave:   residual {rep.relative:.2e}")
-    xs = [i / 25.0 for i in range(-125, 126)]
+    xs = np.arange(-125, 126) / 25.0
     write_csv(HERE / "bbm_solitary.csv",
-              zip(xs, (sol1.eval_eta(x) for x in xs),
-                  (sol1.eval_w(x) for x in xs)))
+              zip(xs, sol1.eval_eta(xs), sol1.eval_w(xs)))
 
 
 if __name__ == "__main__":

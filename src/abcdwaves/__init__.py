@@ -19,7 +19,8 @@ Subpackages by role:
 
 __version__ = "0.1.0"
 
-from .elliptic import JacobiPoint, complete_k, cn_power_derivative, jacobi_eval
+from .elliptic import (JacobiPoint, complete_k, cn_power_derivative,
+                       eval_cn_series, jacobi_eval)
 from .errors import (AbcdWavesError, ChainBrokenError, ConstraintError,
                      DomainError, FactorizationError, UnderdeterminedError,
                      UsageError)
@@ -27,12 +28,12 @@ from .families import (Branch, ParameterSet, SolutionParams, build_family,
                        build_s43, build_s411, build_s412, build_s421,
                        build_s422, check_physical_constraint, m1_limit)
 from .cnexpr import (CnExpression, CoefficientSystem, build_coefficient_system,
-                     cn_series, differentiate, multiply)
+                     cn_series)
 from .ratpoly import RationalPoly
 from .reduction import AnsatzShape, classify_ansatz, verify_termination
 from .solver import (BranchSet, HSystemNumeric, NewtonOptions, NewtonResult,
-                     multistart, pin_and_square, promote_root,
-                     reproduce_nonexistence, solve_newton)
+                     build_named_system, multistart, pin_and_square,
+                     promote_root, reproduce_nonexistence, solve_newton)
 from .verifier import (ConvergenceTable, ResidualReport, bbm_reduction_check,
                        limit_consistency, ode_residual, periodicity_check)
 

@@ -16,18 +16,18 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 # lets "-8/3" pass as an option value rather than being read as a flag
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from . import __version__
-from .cnexpr import build_coefficient_system
-from .elliptic import complete_k
 from .errors import AbcdWavesError, ConstraintError, DomainError, UsageError
 from .families import (FAMILY_SET_LABELS, ParameterSet, SolutionParams,
                        build_family, check_physical_constraint)
 from .reduction import classify_ansatz, verify_termination
-from .solver import (NewtonOptions, multistart, pin_and_square,
-                     reproduce_nonexistence, solve_newton)
+from .solver import (SYSTEMS, NewtonOptions, build_named_system, multistart,
+                     pin_and_square, reproduce_nonexistence, solve_newton)
 from .verifier import limit_consistency, ode_residual, periodicity_check
 
 EXIT_OK = 0
@@ -166,15 +166,10 @@ def cmd_family(args) -> int:
         sol = build_family(tag, args.d, args.lam, args.sigma, args.m)
 
     report = ode_residual(sol, p, args.samples)
-    if sol.m < 1.0:
-        period = 4.0 * complete_k(sol.m) / sol.lam
-        span = args.periods * period
-    else:
-        span = 24.0 / sol.lam
+    span = args.periods * report.period if sol.m < 1.0 else 24.0 / sol.lam
     n_rows = max(args.samples, 2)
-    xs = [span * i / (n_rows - 1) for i in range(n_rows)]
-    etas = [sol.eval_eta(x) for x in xs]
-    ws = [sol.eval_w(x) for x in xs]
+    xs = span * np.arange(n_rows) / (n_rows - 1)
+    etas, ws = sol.eval_eta(xs), sol.eval_w(xs)
 
     out = args.out or f"family_{args.set.replace('.', '_')}"
     payload = {
@@ -193,15 +188,14 @@ def cmd_family(args) -> int:
 
 
 def _load_solution(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "solution" in payload:
-        sol = SolutionParams.from_dict(payload["solution"])
-        cfg = payload.get("run_config", {})
-    else:
-        sol = SolutionParams.from_dict(payload)
-        cfg = {}
-    return sol, cfg
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read solution file: {exc}") from None
+    if isinstance(payload, dict) and "solution" in payload:
+        return SolutionParams.from_dict(payload["solution"]), payload.get("run_config", {})
+    return SolutionParams.from_dict(payload), {}
 
 
 def cmd_verify(args) -> int:
@@ -232,32 +226,18 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_SYSTEMS = {
-    "coeffs1": dict(n_eta=2, n_w=2, params=None),
-    "coeffs2": dict(n_eta=4, n_w=2, params={"c": 0}),
-    "coeffs2red": dict(n_eta=4, n_w=2, params={"c": 0},
-                       extra_pins={"j1": 0, "j3": 0, "k1": 0}),
-}
-
-
 def cmd_solve(args) -> int:
-    entry = _SYSTEMS[args.system]
-    params = dict(entry["params"] or {})
-    for name in "abcd":
-        val = getattr(args, name)
-        if name in params and Fraction(val) != Fraction(params[name]):
-            raise DomainError(f"system {args.system} fixes {name} = {params[name]}")
-        params.setdefault(name, val)
-    system = build_coefficient_system(entry["n_eta"], entry["n_w"], params=params)
-
-    pins = dict(entry.get("extra_pins", {}))
-    if args.pin:
-        for chunk in args.pin.split(","):
-            key, _, val = chunk.partition("=")
-            key = key.strip()
-            if key == "lambda":
-                key = "lam"
+    system, pins = build_named_system(
+        args.system, {name: getattr(args, name) for name in "abcd"})
+    for chunk in args.pin.split(",") if args.pin else ():
+        key, sep, val = chunk.partition("=")
+        if not sep:
+            raise UsageError(f"--pin entry {chunk!r} is not var=value")
+        key = "lam" if key.strip() == "lambda" else key.strip()
+        try:
             pins[key] = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--pin value {val!r} of {key} is not a rational") from None
     sysn = pin_and_square(system, pins)
 
     if args.seed_from:
@@ -411,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     cla.set_defaults(func=cmd_classify)
 
     sol = sub.add_parser("solve", help="multistart rediscovery of branches")
-    sol.add_argument("--system", choices=sorted(_SYSTEMS), default="coeffs1")
+    sol.add_argument("--system", choices=sorted(SYSTEMS), default="coeffs1")
     _add_abcd(sol)
     sol.add_argument("--pin", default="",
                      help="comma list var=value (rationals), e.g. m=3/4,lambda=1")

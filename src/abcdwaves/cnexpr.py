@@ -196,14 +196,6 @@ def cn_series(n: int, which: str) -> CnExpression:
     )
 
 
-def differentiate(e: CnExpression) -> CnExpression:
-    return e.differentiate()
-
-
-def multiply(e1: CnExpression, e2: CnExpression) -> CnExpression:
-    return e1 * e2
-
-
 @dataclass(frozen=True)
 class CoefficientSystem:
     """Polynomial equations h[p, q] = 0 from the traveling-wave residual.
@@ -333,8 +325,6 @@ __all__ = [
     "CoefficientSystem",
     "build_coefficient_system",
     "cn_series",
-    "differentiate",
-    "multiply",
     "poly_from_terms",
     "var_sort_key",
 ]

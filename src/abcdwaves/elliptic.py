@@ -11,7 +11,8 @@ conversion ``parameter = m**2`` exactly once at the boundary.
 Evaluation is by the arithmetic-geometric mean (AGM) with the descending
 amplitude recursion (DLMF 22.20(ii)); the degenerate ends use the closed
 forms cn(v, 0) = cos v and cn(v, 1) = sech v.  All functions are pure and
-safe for concurrent use.
+safe for concurrent use.  The kernel and the cn-series evaluator take a
+float or a numpy array of arguments, so a whole sample grid is one call.
 """
 
 from __future__ import annotations
@@ -19,25 +20,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError, UsageError
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 64
 
+Real = Union[float, np.ndarray]
+
 
 @dataclass(frozen=True)
 class JacobiPoint:
     """Values of (sn, cn, dn) at elliptic argument ``v`` and modulus ``m``.
 
-    Satisfies sn^2 + cn^2 = 1 and dn^2 = 1 - m^2 + m^2 cn^2 to rounding.
+    ``v``, ``sn``, ``cn`` and ``dn`` are floats for one argument and arrays
+    of one shape for an array of arguments.  Satisfies sn^2 + cn^2 = 1 and
+    dn^2 = 1 - m^2 + m^2 cn^2 to rounding.
     """
 
-    v: float
+    v: Real
     m: float
-    sn: float
-    cn: float
-    dn: float
+    sn: Real
+    cn: Real
+    dn: Real
 
 
 def _check_modulus(m: float, *, allow_one: bool) -> float:
@@ -77,79 +85,92 @@ def complete_k(m: float) -> float:
     return math.pi / (2.0 * a_seq[-1])
 
 
-def jacobi_eval(v: float, m: float) -> JacobiPoint:
+def jacobi_eval(v: Real, m: float) -> JacobiPoint:
     """Evaluate (sn, cn, dn) at (v, m) with the modulus convention.
 
-    The argument is first reduced modulo the period 4K(m) (for 0 < m < 1),
-    then the descending AGM amplitude recursion is applied.  m = 0 and
-    m = 1 use the trigonometric / hyperbolic closed forms.
+    ``v`` is a float or a numpy array of arguments, every one finite
+    (DomainError otherwise); the returned point holds floats for a scalar
+    ``v`` and arrays of the shape of ``v`` for an array.  The argument is
+    first reduced modulo the period 4K(m) (for 0 < m < 1), then the
+    descending AGM amplitude recursion is applied.  m = 0 and m = 1 use
+    the trigonometric / hyperbolic closed forms.
     """
-    v = float(v)
-    if not math.isfinite(v):
+    x = np.asarray(v, dtype=float)
+    if not np.isfinite(x).all():
         raise DomainError(f"elliptic argument v={v!r} must be finite")
     m = _check_modulus(m, allow_one=True)
 
     if m == 0.0:
-        return JacobiPoint(v, m, math.sin(v), math.cos(v), 1.0)
-    if m == 1.0:
-        sech = 1.0 / math.cosh(v)
-        return JacobiPoint(v, m, math.tanh(v), sech, sech)
+        sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
+    elif m == 1.0:
+        with np.errstate(over="ignore"):    # cosh overflows past |v| ~ 710: sech = 0
+            sech = 1.0 / np.cosh(x)
+        sn, cn, dn = np.tanh(x), sech, sech
+    else:
+        # Reduce into [-2K, 2K]; cn/sn/dn are 4K-periodic so this is exact
+        # up to rounding of the reduction itself.
+        period = 4.0 * complete_k(m)
+        a_seq, c_seq = _agm_tables(m)
+        n = len(a_seq) - 1
+        phi = (2.0 ** n) * a_seq[n] * (x - period * np.rint(x / period))
+        for i in range(n, 0, -1):
+            s = np.minimum(np.maximum(c_seq[i] / a_seq[i] * np.sin(phi), -1.0), 1.0)
+            phi = 0.5 * (phi + np.arcsin(s))
+        sn, cn = np.sin(phi), np.cos(phi)
+        msn = m * sn
+        dn = np.sqrt(np.maximum(1.0 - msn * msn, 0.0))
 
-    # Reduce into [-2K, 2K]; cn/sn/dn are 4K-periodic so this is exact up
-    # to rounding of the reduction itself.
-    period = 4.0 * complete_k(m)
-    v_red = v - period * round(v / period)
-
-    a_seq, c_seq = _agm_tables(m)
-    n = len(a_seq) - 1
-    phi = (2.0 ** n) * a_seq[n] * v_red
-    for i in range(n, 0, -1):
-        s = c_seq[i] / a_seq[i] * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
-
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(1.0 - (m * sn) ** 2, 0.0))
-    return JacobiPoint(v, m, sn, cn, dn)
+    if x.ndim == 0:
+        return JacobiPoint(float(x), m, float(sn), float(cn), float(dn))
+    return JacobiPoint(x, m, sn, cn, dn)
 
 
-def _cn_power_derivative_at(pt: JacobiPoint, r: int, order: int, lam: float) -> float:
-    """Derivative of cn^r(lam*xi, m) given the Jacobi point at v = lam*xi.
+def eval_cn_series(coeffs: Sequence[float], pt: JacobiPoint, lam: float,
+                   order: int = 0) -> Real:
+    """d^order/dxi^order of sum_r coeffs[r] cn^r(lam*xi, m), by closed formula.
 
-    Uses the closed-form reduction of d^k/dxi^k cn^r to cn powers with an
-    sn*dn prefactor for odd k.  Coefficients that vanish are skipped so no
-    negative cn power is ever formed.
+    ``pt`` is the Jacobi point at v = lam*xi, scalar or array; the result
+    has its shape.  ``order`` is 0 (the series itself), 1, 2 or 3; orders
+    1 and 3 carry the sn*dn prefactor, order 2 is a pure cn polynomial.
     """
-    cn, sn, dn, m = pt.cn, pt.sn, pt.dn, pt.m
-    msq = m * m
-    if order == 1:
-        return -r * lam * cn ** (r - 1) * sn * dn
-    if order == 2:
-        total = (r + 1) * msq * cn ** (r + 2) + r * (1.0 - 2.0 * msq) * cn ** r
-        if r >= 2:
-            total += (r - 1) * (msq - 1.0) * cn ** (r - 2)
-        return -r * lam * lam * total
-    if order == 3:
-        total = (r + 1) * (r + 2) * msq * cn ** (r + 1)
-        total += r * r * (1.0 - 2.0 * msq) * cn ** (r - 1)
-        if r >= 3:
-            total += (r - 1) * (r - 2) * (msq - 1.0) * cn ** (r - 3)
-        return r * lam ** 3 * sn * dn * total
-    raise UsageError(f"derivative order must be 1, 2 or 3, got {order!r}")
+    if order not in (0, 1, 2, 3):
+        raise UsageError(f"derivative order must be 0, 1, 2 or 3, got {order!r}")
+    cn, sn, dn, msq = pt.cn, pt.sn, pt.dn, pt.m * pt.m
+    # cn^q by repeated multiplication; the negative powers named below only
+    # enter terms with a zero factor, so they are stored as 0
+    cnp = {-3: 0.0, -2: 0.0, -1: 0.0, 0: 1.0}
+    for q in range(1, len(coeffs) + 2):
+        cnp[q] = cnp[q - 1] * cn
+    total = np.zeros(np.shape(cn))
+    for r, coef in enumerate(coeffs):
+        if not coef:
+            continue
+        if order == 0:
+            term = cnp[r]
+        elif order == 1:
+            term = -r * lam * cnp[r - 1] * sn * dn
+        elif order == 2:
+            term = -r * lam * lam * ((r + 1) * msq * cnp[r + 2]
+                                     + r * (1.0 - 2.0 * msq) * cnp[r]
+                                     + (r - 1) * (msq - 1.0) * cnp[r - 2])
+        else:
+            term = r * lam ** 3 * sn * dn * ((r + 1) * (r + 2) * msq * cnp[r + 1]
+                                             + r * r * (1.0 - 2.0 * msq) * cnp[r - 1]
+                                             + (r - 1) * (r - 2) * (msq - 1.0) * cnp[r - 3])
+        total = total + coef * term
+    return total if total.ndim else float(total)
 
 
-def cn_power_derivative(r: int, order: int, lam: float, m: float, xi: float) -> float:
+def cn_power_derivative(r: int, order: int, lam: float, m: float, xi: Real) -> Real:
     """d^order/dxi^order of cn^r(lam*xi, m), by closed formula.
 
     ``order`` must be 1, 2 or 3 (UsageError otherwise); ``r`` must be a
-    positive integer.  Orders 1 and 3 carry the sn*dn prefactor; order 2
-    is a pure cn polynomial.
+    positive integer.  ``xi`` is a float or a numpy array.
     """
     r = int(r)
     if r < 1:
         raise UsageError(f"cn power r must be >= 1, got {r!r}")
     if order not in (1, 2, 3):
         raise UsageError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    pt = jacobi_eval(lam * xi, m)
-    return _cn_power_derivative_at(pt, r, order, float(lam))
+    lam = float(lam)
+    return eval_cn_series((0.0,) * r + (1.0,), jacobi_eval(lam * xi, m), lam, order)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .elliptic import jacobi_eval
+from .elliptic import Real, eval_cn_series, jacobi_eval
 from .errors import ConstraintError, DomainError, UsageError
 
 Rational = Union[int, float, Fraction]
@@ -118,13 +118,13 @@ class SolutionParams:
     branch: Branch = field(default_factory=Branch)
     origin: Optional[str] = None
 
-    def eval_eta(self, xi: float) -> float:
-        pt = jacobi_eval(self.lam * xi, self.m)
-        return sum(jr * pt.cn ** r for r, jr in enumerate(self.j) if jr)
+    def eval_eta(self, xi: Real) -> Real:
+        """eta at ``xi``, a float or a numpy array."""
+        return eval_cn_series(self.j, jacobi_eval(self.lam * xi, self.m), self.lam)
 
-    def eval_w(self, xi: float) -> float:
-        pt = jacobi_eval(self.lam * xi, self.m)
-        return sum(kr * pt.cn ** r for r, kr in enumerate(self.k) if kr)
+    def eval_w(self, xi: Real) -> Real:
+        """w at ``xi``, a float or a numpy array."""
+        return eval_cn_series(self.k, jacobi_eval(self.lam * xi, self.m), self.lam)
 
     def coefficient_map(self) -> dict[str, float]:
         out = {f"j{r}": v for r, v in enumerate(self.j)}
@@ -149,14 +149,29 @@ class SolutionParams:
 
     @staticmethod
     def from_dict(data: dict) -> "SolutionParams":
-        branch = Branch(**(data.get("branch") or {}))
-        j = list(data["j"]) + [0.0] * (5 - len(data["j"]))
-        k = list(data["k"]) + [0.0] * (3 - len(data["k"]))
-        return SolutionParams(
-            tuple(j[:5]), tuple(k[:3]),
-            float(data["lambda"]), float(data["m"]), float(data["sigma"]),
-            data["family_tag"], branch, data.get("origin"),
-        )
+        """Inverse of ``to_dict``, padding short ``j``/``k`` lists with zeros.
+
+        UsageError for a missing key, a nonzero coefficient beyond j4 or k2,
+        a non-finite value or lam <= 0.
+        """
+        if not isinstance(data, dict):
+            raise UsageError("stored solution must be a JSON object")
+        missing = [key for key in ("j", "k", "lambda", "m", "sigma", "family_tag")
+                   if key not in data]
+        if missing:
+            raise UsageError(f"stored solution lacks {', '.join(missing)}")
+        try:
+            j, k = ([float(v) for v in data[key]] + [0.0] * 5 for key in "jk")
+            lam, m, sigma = (float(data[key]) for key in ("lambda", "m", "sigma"))
+            branch = Branch(**(data.get("branch") or {}))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"malformed stored solution: {exc}") from None
+        if any(j[5:]) or any(k[3:]):
+            raise UsageError("stored solution has a nonzero coefficient beyond j4 or k2")
+        if not all(map(math.isfinite, (*j, *k, lam, m, sigma))) or lam <= 0:
+            raise UsageError("stored solution needs finite values and lambda > 0")
+        return SolutionParams(tuple(j[:5]), tuple(k[:3]), lam, m, sigma,
+                              data["family_tag"], branch, data.get("origin"))
 
 
 def _require_m(m: Rational) -> Fraction:

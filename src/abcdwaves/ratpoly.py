@@ -248,15 +248,6 @@ class RationalPoly:
             total += value
         return total
 
-    def eval_exact(self, subs: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for mono, coef in self.terms.items():
-            value = coef
-            for name, exp in mono:
-                value *= Fraction(subs[name]) ** exp
-            total += value
-        return total
-
     # -- canonical text --------------------------------------------------
     @staticmethod
     def _mono_sort_key(mono: Monomial):

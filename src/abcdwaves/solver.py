@@ -112,13 +112,41 @@ class HSystemNumeric:
         return np.array([float(values[u]) for u in self.unknowns])
 
 
+# name: (eta degree, w degree, the (a, b, c, d) values the system fixes,
+# the series coefficients it pins)
+SYSTEMS = {
+    "coeffs1": (2, 2, {}, {}),
+    "coeffs2": (4, 2, {"c": 0}, {}),
+    "coeffs2red": (4, 2, {"c": 0}, {"j1": 0, "j3": 0, "k1": 0}),
+}
+
+
+def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
+                       ) -> tuple[CoefficientSystem, dict[str, Number]]:
+    """The coefficient system registered as ``name`` and the pins it imposes.
+
+    ``params`` substitutes values of a, b, c, d on top of those the system
+    fixes; contradicting a fixed value raises DomainError.
+    """
+    n_eta, n_w, fixed, pins = SYSTEMS[name]
+    merged = dict(fixed)
+    for key, val in (params or {}).items():
+        if Fraction(val) != Fraction(merged.setdefault(key, val)):
+            raise DomainError(f"system {name} fixes {key} = {merged[key]}")
+    return build_coefficient_system(n_eta, n_w, params=merged), dict(pins)
+
+
 def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSystemNumeric:
     """Substitute pinned values exactly and drop identically-zero equations.
 
-    Raises UnderdeterminedError when fewer equations than unknowns remain
-    (the caller must pin enough variables), and rejects pins violating
-    lam > 0, m in (0, 1], sigma != 0.
+    Raises UsageError for a pin that is not a variable of the system,
+    UnderdeterminedError when fewer equations than unknowns remain (the
+    caller must pin enough variables), and rejects pins violating lam > 0,
+    m in (0, 1], sigma != 0.
     """
+    unknown = sorted(set(pins) - system.variables())
+    if unknown:
+        raise UsageError(f"pins {unknown} are not variables of the system")
     exact = {name: Fraction(v) for name, v in pins.items()}
     if "lam" in exact and exact["lam"] <= 0:
         raise DomainError("pinned lam must be > 0")
@@ -484,7 +512,7 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     if abs(value) < delta:
         raise UsageError(f"|value| = {abs(value)} must be >= delta = {delta}")
     sigma_free = constrained == "k1"
-    system = build_coefficient_system(4, 2, params={"c": 0})
+    system, _ = build_named_system("coeffs2")
     report = NonexistenceReport(constrained, float(value), float(delta),
                                 sigma_free, n_starts, seed)
     for i, point in enumerate(grid):

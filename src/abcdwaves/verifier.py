@@ -2,8 +2,9 @@
 
 ``ode_residual`` evaluates the two moving-frame equations directly through
 the elliptic kernel (closed-form cn-power derivatives, never numerical
-differentiation and never the symbolic engine), so a bug in the family
-formulas or the solver cannot cancel against a bug in the algebra.
+differentiation and never the symbolic engine), one array call per sample
+grid, so a bug in the family formulas or the solver cannot cancel against
+a bug in the algebra.
 Residuals are reported relative to the largest individual term magnitude:
 coefficient sizes vary over orders of magnitude between parameter sets.
 """
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .elliptic import _cn_power_derivative_at, complete_k, jacobi_eval
+import numpy as np
+
+from .elliptic import complete_k, eval_cn_series, jacobi_eval
 from .errors import DomainError, UsageError
 from .families import (
     ParameterSet,
@@ -52,37 +55,17 @@ class ResidualReport:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _sample_points(s: SolutionParams, n_samples: int) -> tuple[list[float], Optional[float]]:
+def _sample_points(s: SolutionParams, n_samples: int) -> tuple[np.ndarray, Optional[float]]:
     """One full period for m < 1 plus its quarter points; a wide window at m = 1."""
     if s.m < 1.0:
         quarter = complete_k(s.m) / s.lam
         period = 4.0 * quarter
-        xs = [period * i / n_samples for i in range(n_samples)]
-        xs.extend(quarter * i for i in range(4))
+        xs = np.concatenate((period * np.arange(n_samples) / n_samples,
+                             quarter * np.arange(4)))
         return xs, period
     half_width = 12.0 / s.lam
-    xs = [-half_width + 2.0 * half_width * i / (n_samples - 1) for i in range(n_samples)]
-    xs.append(0.0)
-    return xs, None
-
-
-def _profile_terms(s: SolutionParams, xi: float):
-    """eta, w and their first/third xi-derivatives at one point."""
-    pt = jacobi_eval(s.lam * xi, s.m)
-    eta = w = d1_eta = d1_w = d3_eta = d3_w = 0.0
-    for r, jr in enumerate(s.j):
-        if jr:
-            eta += jr * pt.cn ** r
-            if r >= 1:
-                d1_eta += jr * _cn_power_derivative_at(pt, r, 1, s.lam)
-                d3_eta += jr * _cn_power_derivative_at(pt, r, 3, s.lam)
-    for r, kr in enumerate(s.k):
-        if kr:
-            w += kr * pt.cn ** r
-            if r >= 1:
-                d1_w += kr * _cn_power_derivative_at(pt, r, 1, s.lam)
-                d3_w += kr * _cn_power_derivative_at(pt, r, 3, s.lam)
-    return eta, w, d1_eta, d1_w, d3_eta, d3_w
+    xs = -half_width + 2.0 * half_width * np.arange(n_samples) / (n_samples - 1)
+    return np.append(xs, 0.0), None
 
 
 def ode_residual(s: SolutionParams, p: ParameterSet, n_samples: int = 1024) -> ResidualReport:
@@ -97,28 +80,15 @@ def ode_residual(s: SolutionParams, p: ParameterSet, n_samples: int = 1024) -> R
     a, b, c, d = (float(p.a), float(p.b), float(p.c), float(p.d))
     sig = s.sigma
     xs, period = _sample_points(s, n_samples)
+    pt = jacobi_eval(s.lam * xs, s.m)
+    eta, d1_eta, d3_eta = (eval_cn_series(s.j, pt, s.lam, k) for k in (0, 1, 3))
+    w, d1_w, d3_w = (eval_cn_series(s.k, pt, s.lam, k) for k in (0, 1, 3))
 
-    max1 = max2 = scale = 0.0
-    for xi in xs:
-        eta, w, d1_eta, d1_w, d3_eta, d3_w = _profile_terms(s, xi)
-        terms1 = (
-            -sig * d1_eta,
-            d1_w,
-            d1_eta * w + eta * d1_w,
-            a * d3_w,
-            b * sig * d3_eta,
-        )
-        terms2 = (
-            -sig * d1_w,
-            d1_eta,
-            w * d1_w,
-            c * d3_eta,
-            d * sig * d3_w,
-        )
-        max1 = max(max1, abs(sum(terms1)))
-        max2 = max(max2, abs(sum(terms2)))
-        scale = max(scale, *(abs(t) for t in terms1), *(abs(t) for t in terms2))
-
+    terms1 = (-sig * d1_eta, d1_w, d1_eta * w + eta * d1_w, a * d3_w, b * sig * d3_eta)
+    terms2 = (-sig * d1_w, d1_eta, w * d1_w, c * d3_eta, d * sig * d3_w)
+    max1 = float(np.max(np.abs(sum(terms1))))
+    max2 = float(np.max(np.abs(sum(terms2))))
+    scale = float(max(np.max(np.abs(t)) for t in terms1 + terms2))
     relative = max(max1, max2) / scale if scale > 0.0 else 0.0
     return ResidualReport(max1, max2, scale, relative, len(xs), period)
 
@@ -145,15 +115,13 @@ def periodicity_check(s: SolutionParams, n_points: int = 128) -> PeriodicityRepo
     if s.m >= 1.0:
         raise DomainError("no finite period at m = 1")
     period = 4.0 * complete_k(s.m) / s.lam
-    defect = half_defect = amplitude = 0.0
-    for i in range(n_points):
-        xi = period * i / n_points
-        eta0, w0 = s.eval_eta(xi), s.eval_w(xi)
-        eta1, w1 = s.eval_eta(xi + period), s.eval_w(xi + period)
-        eta_h, w_h = s.eval_eta(xi + 0.5 * period), s.eval_w(xi + 0.5 * period)
-        defect = max(defect, abs(eta1 - eta0) + abs(w1 - w0))
-        half_defect = max(half_defect, abs(eta_h - eta0) + abs(w_h - w0))
-        amplitude = max(amplitude, abs(eta0), abs(w0))
+    xs = period * np.arange(n_points) / n_points
+    eta0, w0 = s.eval_eta(xs), s.eval_w(xs)
+    eta1, w1 = s.eval_eta(xs + period), s.eval_w(xs + period)
+    eta_h, w_h = s.eval_eta(xs + 0.5 * period), s.eval_w(xs + 0.5 * period)
+    defect = float(np.max(np.abs(eta1 - eta0) + np.abs(w1 - w0), initial=0.0))
+    half_defect = float(np.max(np.abs(eta_h - eta0) + np.abs(w_h - w0), initial=0.0))
+    amplitude = float(np.max(np.maximum(np.abs(eta0), np.abs(w0)), initial=0.0))
     half_period = half_defect <= 1e-9 * max(1.0, amplitude)
     return PeriodicityReport(defect, period, half_period, half_defect)
 

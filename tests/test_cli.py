@@ -69,6 +69,55 @@ def test_family_verify_round_trip(tmp_path, capsys):
     assert data["periodicity"]["defect"] <= 1e-9
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda sol: sol.pop("k"), "lacks k"),
+    (lambda sol: sol["j"].append(0.5), "beyond j4"),
+    (lambda sol: sol["k"].extend([0.0, -2.0]), "beyond j4 or k2"),
+    (lambda sol: sol.update(sigma=float("nan")), "finite"),
+    (lambda sol: sol.update({"lambda": 0.0}), "lambda > 0"),
+], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda"])
+def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
+    # a family run's output, edited into a malformed stored solution
+    out = tmp_path / "bad"
+    run_cli(["family", "--set", "4.2.1", "--a", "1", "--b", "-1", "--d", "1/3",
+             "--lambda", "1/2", "--sigma", "-2", "--m", "1/2",
+             "--out", str(out), "--samples", "128"], capsys)
+    payload = json.loads((tmp_path / "bad.json").read_text())
+    edit(payload["solution"])
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    code, _, stderr = run_cli(["verify", "--input", str(out) + ".json"], capsys)
+    assert code == 2
+    assert message in stderr
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file"), ("not json", "Expecting value"),
+    ("[1, 2]", "JSON object"), ('{"solution": 5}', "JSON object"),
+], ids=["missing-file", "not-json", "list", "solution-not-object"])
+def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    code, _, stderr = run_cli(["verify", "--input", str(path)], capsys)
+    assert code == 2
+    assert message in stderr
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--pin", "m=1/2,lamda=1,sigma=1"], "lamda"),
+    (["--pin", "m=1/2,"], "''"),
+    (["--pin", "m=1/2,lambda,sigma=1"], "'lambda'"),
+    (["--pin", "m=1/2,lambda=one,sigma=1"], "'one'"),
+    (["--system", "coeffs2", "--c", "1", "--pin", "m=1/2,lambda=1,sigma=1"],
+     "system coeffs2 fixes c = 0"),
+], ids=["unknown-pin", "trailing-comma", "no-equals", "bad-value", "fixed-c"])
+def test_solve_rejects_malformed_input_exit_2(capsys, extra, message):
+    code, _, stderr = run_cli(["solve", "--a", "1", "--b", "-8/3", "--c", "1",
+                               "--d", "1", "--starts", "10", *extra], capsys)
+    assert code == 2
+    assert message in stderr
+
+
 def test_solve_seeded_from_family_output(tmp_path, capsys):
     out = tmp_path / "seed"
     run_cli(["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",

@@ -39,13 +39,6 @@ def test_derivative_of_constant_is_zero():
     assert const.differentiate().is_zero()
 
 
-def test_functional_forms_delegate():
-    from abcdwaves.cnexpr import differentiate, multiply
-    cn = CnExpression.from_even([0, 1])
-    assert differentiate(cn) == cn.differentiate()
-    assert multiply(cn, cn) == cn * cn
-
-
 @pytest.mark.parametrize("r", range(1, 7))
 def test_second_derivative_closed_form(r):
     # applying the first-derivative rule twice must reproduce

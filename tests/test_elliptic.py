@@ -57,9 +57,13 @@ def test_jacobi_hyperbolic_limit():
 
 
 def test_jacobi_identities_on_grid():
+    vs = np.linspace(-10.0, 10.0, 81)
     for m in M_GRID:
-        for v in np.linspace(-10.0, 10.0, 81):
+        grid = jacobi_eval(vs, m)
+        for i, v in enumerate(vs):
             pt = jacobi_eval(v, m)
+            # one array call equals the scalar calls, bit for bit
+            assert (grid.sn[i], grid.cn[i], grid.dn[i]) == (pt.sn, pt.cn, pt.dn)
             assert abs(pt.sn ** 2 + pt.cn ** 2 - 1.0) <= 1e-13
             assert abs(pt.dn ** 2 - (1.0 - m * m + (m * pt.cn) ** 2)) <= 1e-13
             assert abs(pt.sn) <= 1.0 + 1e-15
@@ -97,6 +101,11 @@ def test_non_finite_argument():
         jacobi_eval(float("nan"), 0.5)
     with pytest.raises(DomainError):
         jacobi_eval(float("inf"), 0.5)
+    for m in (0.0, 0.5, 1.0):
+        with pytest.raises(DomainError):
+            jacobi_eval(np.array([0.0, 1.0, -np.inf]), m)
+        with pytest.raises(DomainError):
+            jacobi_eval(np.array([[0.3], [np.nan]]), m)
 
 
 # -- closed-form cn-power derivatives ------------------------------------
@@ -148,8 +157,11 @@ def test_third_derivative_vs_sech_closed_form():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_derivatives_vs_finite_differences(r, order):
     lam, m = 1.3, 0.6
-    for xi in [0.0, 0.31, 1.7]:
+    xis = [0.0, 0.31, 1.7]
+    on_grid = cn_power_derivative(r, order, lam, m, np.array(xis))
+    for xi, got_array in zip(xis, on_grid):
         got = cn_power_derivative(r, order, lam, m, xi)
+        assert got == got_array
         h = {1: 1e-5, 2: 1e-4, 3: 2e-3}[order]
         ref = central_diff(lambda x: cn_pow(r, lam, m, x), xi, order, h)
         assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))

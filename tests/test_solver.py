@@ -71,6 +71,10 @@ def test_pin_validation(quadratic_system):
         pin_and_square(quadratic_system, {"m": 2})
     with pytest.raises(DomainError):
         pin_and_square(quadratic_system, {"sigma": 0})
+    # a misspelt name is not silently ignored
+    with pytest.raises(UsageError, match="lamda"):
+        pin_and_square(quadratic_system, {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
+                                          "m": F(1, 2), "lamda": 1, "sigma": 1})
 
 
 def test_underdetermined_rejected(quadratic_system):

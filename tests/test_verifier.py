@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from abcdwaves.elliptic import cn_power_derivative, complete_k, jacobi_eval
 from abcdwaves.errors import DomainError, UsageError
 from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
-                                build_s43, build_s411, build_s412, build_s422)
+                                build_s43, build_s411, build_s412, build_s421,
+                                build_s422)
 from abcdwaves.verifier import (bbm_reduction_check, limit_consistency,
                                 ode_residual, periodicity_check)
 
@@ -26,6 +28,51 @@ def test_sample_count_validation():
     p = ParameterSet.make(0, 0, 1, 1)
     with pytest.raises(UsageError):
         ode_residual(make_constant(1, 1), p, 32)
+
+
+def loop_residual(sol, p, n_samples):
+    """Per-point reference for ode_residual at m < 1: scalar kernel calls,
+    libm powers and running maxima, as before the grid was vectorized."""
+    a, b, c, d = (float(v) for v in (p.a, p.b, p.c, p.d))
+    quarter = complete_k(sol.m) / sol.lam
+    xs = [4.0 * quarter * i / n_samples for i in range(n_samples)]
+    xs += [quarter * i for i in range(4)]
+    max1 = max2 = scale = 0.0
+    for xi in xs:
+        cn = jacobi_eval(sol.lam * xi, sol.m).cn
+
+        def series(coeffs, order):
+            return sum(cr * (cn_power_derivative(r, order, sol.lam, sol.m, xi)
+                             if order else cn ** r)
+                       for r, cr in enumerate(coeffs) if cr and (r or not order))
+
+        eta, d1_eta, d3_eta = (series(sol.j, k) for k in (0, 1, 3))
+        w, d1_w, d3_w = (series(sol.k, k) for k in (0, 1, 3))
+        terms1 = (-sol.sigma * d1_eta, d1_w, d1_eta * w + eta * d1_w, a * d3_w,
+                  b * sol.sigma * d3_eta)
+        terms2 = (-sol.sigma * d1_w, d1_eta, w * d1_w, c * d3_eta,
+                  d * sol.sigma * d3_w)
+        max1 = max(max1, abs(sum(terms1)))
+        max2 = max(max2, abs(sum(terms2)))
+        scale = max(scale, *map(abs, terms1 + terms2))
+    return max1, max2, scale
+
+
+@pytest.mark.parametrize("key", ["s411_b", "s421_a"])
+def test_residual_matches_per_point_loop(reference_cases, key):
+    case = reference_cases[key]
+    if key == "s411_b":
+        sol = build_s411(case["p"], case["m"], case["tau1"], case["tau2"])
+    else:
+        sol = build_s421(case["p"], case["lam"], case["sigma"], case["m"])
+    sol = SolutionParams(sol.j, sol.k, sol.lam, sol.m, sol.sigma * 1.01,
+                         sol.family_tag)   # detuned: residuals well above rounding
+    report = ode_residual(sol, case["p"], 128)
+    max1, max2, scale = loop_residual(sol, case["p"], 128)
+    assert report.scale == pytest.approx(scale, rel=1e-13)
+    assert report.max_abs_eq1 == pytest.approx(max1, rel=1e-12)
+    assert report.max_abs_eq2 == pytest.approx(max2, rel=1e-12)
+    assert report.relative > 1e-4
 
 
 def test_report_serialization(reference_cases):
