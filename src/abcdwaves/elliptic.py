@@ -28,6 +28,10 @@ from .errors import DomainError, UsageError
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 64
+# The 4K reduction keeps an absolute accuracy of only about |v| * 1e-15
+# (cn(1e16, 0.5) has no correct digit, cn(1e12, 0.5) is off by 6e-6), so
+# arguments beyond this many periods are refused rather than answered.
+_MAX_PERIODS = 2.0 ** 16
 
 Real = Union[float, np.ndarray]
 
@@ -92,7 +96,8 @@ def jacobi_eval(v: Real, m: float) -> JacobiPoint:
     (DomainError otherwise); the returned point holds floats for a scalar
     ``v`` and arrays of the shape of ``v`` for an array.  The argument is
     first reduced modulo the period 4K(m) (for 0 < m < 1), then the
-    descending AGM amplitude recursion is applied.  m = 0 and m = 1 use
+    descending AGM amplitude recursion is applied; for 0 < m < 1 an
+    argument beyond 2**16 periods raises DomainError.  m = 0 and m = 1 use
     the trigonometric / hyperbolic closed forms.
     """
     x = np.asarray(v, dtype=float)
@@ -110,6 +115,9 @@ def jacobi_eval(v: Real, m: float) -> JacobiPoint:
         # Reduce into [-2K, 2K]; cn/sn/dn are 4K-periodic so this is exact
         # up to rounding of the reduction itself.
         period = 4.0 * complete_k(m)
+        if np.max(np.abs(x), initial=0.0) > _MAX_PERIODS * period:
+            raise DomainError(f"elliptic argument beyond {_MAX_PERIODS:.0f} periods "
+                              f"4K(m) = {period!r}: the reduction loses accuracy")
         a_seq, c_seq = _agm_tables(m)
         n = len(a_seq) - 1
         phi = (2.0 ** n) * a_seq[n] * (x - period * np.rint(x / period))

@@ -17,6 +17,8 @@ the returned BranchSet is reproducible bit-for-bit.
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -30,10 +32,13 @@ from .ratpoly import RationalPoly, var_sort_key
 
 Number = Union[int, float, Fraction]
 
+logger = logging.getLogger(__name__)
+
 _ZERO_TOL = 1e-8          # zero-pattern threshold for root classification
 _DEDUP_REL = 1e-6
 _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
+_EVAL_ROWS = 512
 
 
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
@@ -65,6 +70,11 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
 
 
 def _eval_compiled(compiled, X):
+    # the (rows, terms, unknowns) gather below is the largest allocation of
+    # a multistart; rows are independent, so blocks of them give the same values
+    if X.shape[0] > _EVAL_ROWS:
+        return np.concatenate([_eval_compiled(compiled, X[i:i + _EVAL_ROWS])
+                               for i in range(0, X.shape[0], _EVAL_ROWS)])
     coeffs, expts, offsets, e_max = compiled
     # power table + gather: integer powers via repeated multiplication beat
     # float pow by an order of magnitude on these small exponents
@@ -361,20 +371,27 @@ def _classify_pattern(values: Mapping[str, float]) -> str:
 
 
 def _dedup(roots: list[tuple[np.ndarray, float, int]]):
+    """Merge roots within the dedup tolerance into [x, hinf, hits, seed index].
+
+    Each sorted root joins the first kept representative it matches and
+    replaces it when its hinf is lower, so later roots meet the replacement.
+    The representatives sit in one array, compared with a root all at once.
+    """
     roots = sorted(roots, key=lambda t: tuple(np.round(t[0], 12)))
     kept: list[list] = []
+    reps = np.empty((len(roots), roots[0][0].size if roots else 0))
     for x, hinf, seed_idx in roots:
-        merged = False
-        for entry in kept:
-            y = entry[0]
-            tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
-            if np.all(np.abs(x - y) <= tol):
-                entry[2] += 1
-                if hinf < entry[1]:
-                    entry[0], entry[1] = x, hinf
-                merged = True
-                break
-        if not merged:
+        y = reps[:len(kept)]
+        tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
+        match = np.flatnonzero(np.all(np.abs(x - y) <= tol, axis=1))
+        if match.size:
+            entry = kept[match[0]]
+            entry[2] += 1
+            if hinf < entry[1]:
+                entry[0], entry[1] = x, hinf
+                reps[match[0]] = x
+        else:
+            reps[len(kept)] = x
             kept.append([x, hinf, 1, seed_idx])
     return kept
 
@@ -401,21 +418,30 @@ def multistart(sysn: HSystemNumeric, n_starts: int,
     signs = rng.choice([-1.0, 1.0], size=(n_starts, sysn.n_unknowns))
     X0 = mags * signs
 
+    t0 = time.perf_counter()
     X, conv, _ = _newton_batch(sysn, X0, opts)
     found = []
     conv_idx = np.flatnonzero(conv)
     if conv_idx.size:
         hinf_all = np.max(np.abs(sysn.residual(X[conv_idx])), axis=1)
         found = [(X[i], float(h), int(i)) for i, h in zip(conv_idx, hinf_all)]
+    t1 = time.perf_counter()
+    kept = _dedup(found)
+    t2 = time.perf_counter()
 
     records = []
     pinned_f = {k: float(v) for k, v in sysn.pinned.items()}
-    for x, hinf, hits, seed_idx in _dedup(found):
+    for x, hinf, hits, seed_idx in kept:
         values = {u: float(v) for u, v in zip(sysn.unknowns, x)}
         pattern_ctx = {**pinned_f, **values}
         records.append(RootRecord(values, _classify_pattern(pattern_ctx),
                                   hinf, hits, seed_idx))
-    return BranchSet(records, pinned_f, n_starts, len(found), seed_rng)
+    branch_set = BranchSet(records, pinned_f, n_starts, len(found), seed_rng)
+    logger.debug("multistart: %d starts, %d converged, %d kept, %d non-trivial; "
+                 "newton %.3f s, dedup %.3f s, classify %.3f s",
+                 n_starts, len(found), len(records), len(branch_set.nontrivial()),
+                 t1 - t0, t2 - t1, time.perf_counter() - t2)
+    return branch_set
 
 
 def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionParams:

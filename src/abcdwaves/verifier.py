@@ -116,9 +116,14 @@ def periodicity_check(s: SolutionParams, n_points: int = 128) -> PeriodicityRepo
         raise DomainError("no finite period at m = 1")
     period = 4.0 * complete_k(s.m) / s.lam
     xs = period * np.arange(n_points) / n_points
-    eta0, w0 = s.eval_eta(xs), s.eval_w(xs)
-    eta1, w1 = s.eval_eta(xs + period), s.eval_w(xs + period)
-    eta_h, w_h = s.eval_eta(xs + 0.5 * period), s.eval_w(xs + 0.5 * period)
+
+    def profiles(grid):
+        pt = jacobi_eval(s.lam * grid, s.m)
+        return eval_cn_series(s.j, pt, s.lam), eval_cn_series(s.k, pt, s.lam)
+
+    eta0, w0 = profiles(xs)
+    eta1, w1 = profiles(xs + period)
+    eta_h, w_h = profiles(xs + 0.5 * period)
     defect = float(np.max(np.abs(eta1 - eta0) + np.abs(w1 - w0), initial=0.0))
     half_defect = float(np.max(np.abs(eta_h - eta0) + np.abs(w_h - w0), initial=0.0))
     amplitude = float(np.max(np.maximum(np.abs(eta0), np.abs(w0)), initial=0.0))

@@ -56,6 +56,16 @@ def test_family_m_zero_exits_2(tmp_path, capsys, monkeypatch):
     assert "m = 0" in stderr
 
 
+def test_family_huge_span_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run_cli([
+        "family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",
+        "--sigma", "1", "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+        "--periods", "1e12", "--samples", "128"], capsys)
+    assert code == 2
+    assert "error:" in stderr and "periods" in stderr
+
+
 def test_family_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "rt"
     run_cli(["family", "--set", "4.2.1", "--a", "1", "--b", "-1", "--d", "1/3",

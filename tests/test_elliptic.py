@@ -108,6 +108,22 @@ def test_non_finite_argument():
             jacobi_eval(np.array([[0.3], [np.nan]]), m)
 
 
+def test_huge_argument_refused():
+    # the 4K reduction keeps ~|v|*1e-15 absolute accuracy: refused past
+    # 2**16 periods, accurate just below
+    mp = pytest.importorskip("mpmath")
+    with pytest.raises(DomainError, match="periods"):
+        jacobi_eval(1e16, 0.5)
+    with pytest.raises(DomainError, match="periods"):
+        jacobi_eval(np.array([0.0, -1e12]), 0.5)
+    below = 2.0 ** 16 * 4.0 * complete_k(0.5) * (1.0 - 1e-9)
+    with mp.workdps(60):
+        ref = float(mp.ellipfun("cn", mp.mpf(below), m=mp.mpf(0.5) ** 2))
+    assert abs(jacobi_eval(below, 0.5).cn - ref) <= 1e-11
+    assert abs(jacobi_eval(1e16, 0.0).cn - math.cos(1e16)) <= 1e-12
+    assert jacobi_eval(1e16, 1.0).cn == 0.0
+
+
 # -- closed-form cn-power derivatives ------------------------------------
 
 def cn_pow(r, lam, m, xi):

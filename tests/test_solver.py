@@ -1,9 +1,11 @@
+import logging
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from abcdwaves import solver
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
 from abcdwaves.families import ParameterSet, build_s412, build_s421
@@ -83,6 +85,15 @@ def test_underdetermined_rejected(quadratic_system):
     with pytest.raises(UnderdeterminedError) as err:
         pin_and_square(quadratic_system, {})
     assert err.value.deficit == 5
+
+
+def test_batch_evaluation_matches_single_rows(reference_pinning):
+    # batches above solver._EVAL_ROWS are evaluated in row blocks
+    X = np.random.default_rng(3).uniform(-10.0, 10.0, (1100, reference_pinning.n_unknowns))
+    H, J = reference_pinning.residual(X), reference_pinning.jacobian(X)
+    for i in (0, 511, 512, 1099):
+        assert H[i].tobytes() == reference_pinning.residual(X[i]).tobytes()
+        assert J[i].tobytes() == reference_pinning.jacobian(X[i]).tobytes()
 
 
 # -- Newton ------------------------------------------------------------------
@@ -166,6 +177,90 @@ def test_multistart_empty_when_invalid(quadratic_system):
 def test_multistart_validates_n_starts(reference_pinning):
     with pytest.raises(UsageError):
         multistart(reference_pinning, 0)
+
+
+def test_multistart_logs_counts(reference_pinning, caplog):
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
+        branch_set = multistart(reference_pinning, 120, seed_rng=3)
+    (record,) = [r for r in caplog.records if r.name == "abcdwaves.solver"]
+    assert record.levelno == logging.DEBUG
+    assert record.args[:4] == (120, branch_set.n_converged, len(branch_set.roots),
+                               len(branch_set.nontrivial()))
+    assert all(t >= 0.0 for t in record.args[4:])
+
+
+# -- dedup ---------------------------------------------------------------------
+
+def _dedup_reference(roots):
+    """The pairwise loop: each sorted root against each kept root in turn."""
+    roots = sorted(roots, key=lambda t: tuple(np.round(t[0], 12)))
+    kept = []
+    for x, hinf, seed_idx in roots:
+        merged = False
+        for entry in kept:
+            y = entry[0]
+            tol = np.maximum(solver._DEDUP_ABS,
+                             solver._DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
+            if np.all(np.abs(x - y) <= tol):
+                entry[2] += 1
+                if hinf < entry[1]:
+                    entry[0], entry[1] = x, hinf
+                merged = True
+                break
+        if not merged:
+            kept.append([x, hinf, 1, seed_idx])
+    return kept
+
+
+def assert_same_dedup(roots):
+    got, ref = solver._dedup(list(roots)), _dedup_reference(list(roots))
+    assert len(got) == len(ref)
+    for (x, hinf, hits, idx), (rx, rhinf, rhits, ridx) in zip(got, ref):
+        assert x.tobytes() == rx.tobytes()
+        assert (hinf, hits, idx) == (rhinf, rhits, ridx)
+    return got
+
+
+def test_dedup_empty():
+    assert assert_same_dedup([]) == []
+
+
+def test_dedup_absolute_floor_at_zero():
+    roots = [(np.array([0.0, 1.0]), 1e-13, 0),
+             (np.array([5e-10, 1.0]), 1e-14, 1),     # within the 1e-9 floor
+             (np.array([2e-9, 1.0]), 1e-13, 2),      # beyond it
+             (np.array([-0.0, 0.0]), 1e-13, 3),
+             (np.array([0.0, -8e-10]), 1e-13, 4)]
+    kept = assert_same_dedup(roots)
+    assert [(e[2], e[3]) for e in kept] == [(2, 4), (2, 0), (1, 2)]
+
+
+def test_dedup_replacement_and_first_match():
+    roots = [(np.array([1.0, 0.0]), 1e-12, 0),
+             (np.array([1.0 + 0.9e-6, 0.0]), 1e-14, 1),   # better hinf: replaces
+             (np.array([1.0 + 1.8e-6, 0.0]), 1e-13, 2),   # matches the replacement only
+             (np.array([0.0, 5.0 + 7.5e-6]), 1e-13, 3),
+             (np.array([1e-10, 5.0]), 1e-13, 4),
+             (np.array([2e-10, 5.0 + 3.75e-6]), 1e-13, 5)]   # matches both rows above
+    kept = assert_same_dedup(roots)
+    assert [(e[0][0], e[1], e[2], e[3]) for e in kept] == [
+        (0.0, 1e-13, 2, 3), (1e-10, 1e-13, 1, 4), (1.0 + 0.9e-6, 1e-14, 3, 0)]
+
+
+def test_dedup_matches_reference_on_multistart_roots(reference_pinning, monkeypatch):
+    seen, dedup = [], solver._dedup
+
+    def spy(roots):
+        seen.append(list(roots))
+        return dedup(roots)
+
+    monkeypatch.setattr(solver, "_dedup", spy)
+    multistart(reference_pinning, 300, seed_rng=11)
+    monkeypatch.undo()
+    (roots,) = seen
+    assert len(roots) > 100
+    kept = assert_same_dedup(roots)
+    assert sum(e[2] for e in kept) == len(roots)
 
 
 # -- non-existence sweeps ------------------------------------------------------
