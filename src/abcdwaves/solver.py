@@ -9,6 +9,12 @@ redundancy) take Gauss-Newton steps through the pseudoinverse and a root
 is accepted only at ||h||_inf <= tol, so consistency of the redundant
 equations is verified rather than assumed.
 
+The batched engine behind multistart tries the steps 1, 1/2, ... down to
+max(min_step, 2**-30); a row that accepts none of them stops as
+"stalled" at its last iterate.  Every row ends with one stop reason:
+converged, overflow (non-finite, or escaped past 1e7), stalled, or budget
+(max_iter spent).
+
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
 the returned BranchSet is reproducible bit-for-bit.
@@ -39,6 +45,8 @@ _DEDUP_REL = 1e-6
 _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
+_STALL_FLOOR = 2.0 ** -30   # smallest line-search step of the batch engine
+_STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 
 
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
@@ -249,19 +257,58 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
                         "iteration budget exhausted")
 
 
-def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray,
-                  opts: NewtonOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
+                 armijo: float, floor: float) -> np.ndarray:
+    """Backtracking Armijo search along dx for every row of Xa.
+
+    A row takes the first of alpha = 1, 1/2, ... down to ``floor`` whose
+    residual is finite with ||h||^2 <= (1 - armijo * alpha) * base.  After
+    alpha = 1 the rows still searching try the smaller steps in blocks of
+    2, 4, 8, ... steps, one evaluation per block; the candidates and the
+    test are those of a one-step-at-a-time search, so every row gets the
+    same alpha.  Returns alpha per row, 0 where no step was accepted.
+    """
+    steps = [1.0]
+    while steps[-1] * 0.5 >= floor:
+        steps.append(steps[-1] * 0.5)
+    alpha = np.zeros(Xa.shape[0])
+    pending = np.arange(Xa.shape[0])
+    start, size = 0, 1
+    while pending.size and start < len(steps):
+        block = np.array(steps[start:start + size])
+        Xc = (Xa[pending, None, :] + block[:, None] * dx[pending, None, :]
+              ).reshape(-1, Xa.shape[1])
+        with np.errstate(all="ignore"):
+            Hc = _eval_compiled(compiled, Xc)
+        good = np.isfinite(Hc).all(axis=1)
+        thresh = ((1 - armijo * block) * base[pending, None]).ravel()
+        dec = np.zeros_like(good)
+        dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= thresh[good]
+        dec = dec.reshape(pending.size, block.size)
+        hit = dec.any(axis=1)
+        alpha[pending[hit]] = block[dec.argmax(axis=1)[hit]]
+        pending = pending[~hit]
+        start, size = start + size, 2 * size
+    return alpha
+
+
+def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, converged_mask, iterations).  Rows stop moving once they
-    converge, overflow, or their line search collapses.
+    Returns (X, reason, iterations, hinf): the final iterates, each row's
+    stop reason from _STOP_REASONS, its accepted Newton steps and its
+    ||h||_inf at the final iterate.  A row stops moving once it converges,
+    overflows or escapes, or its line search accepts no step down to
+    max(opts.min_step, _STALL_FLOOR) (stalled: it keeps its last iterate).
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
-    converged = np.zeros(B, dtype=bool)
+    reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
     escape = 1e7      # iterates this large never return to figure-scale roots
+    floor = max(opts.min_step, _STALL_FLOOR)
     for _ in range(opts.max_iter):
         if not active.any():
             break
@@ -274,9 +321,10 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray,
                                        axis=1), np.inf)
         just_conv = finite & (hinf <= opts.tol)
         idx_active = np.flatnonzero(active)
-        converged[idx_active[just_conv]] = True
+        reason[idx_active[just_conv]] = "converged"
         active[idx_active[just_conv]] = False
         active[idx_active[~finite]] = False
+        reason[idx_active[~finite]] = "overflow"
         keep = finite & ~just_conv
         if not keep.any():
             continue
@@ -287,35 +335,20 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray,
         with np.errstate(all="ignore"):
             dx = -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), H)
         base = np.einsum("bi,bi->b", H, H)
-        alpha = np.ones(Xa.shape[0])
-        settled = np.zeros(Xa.shape[0], dtype=bool)
-        pending = np.arange(Xa.shape[0])
-        for _ls in range(50):
-            Xc = Xa[pending] + alpha[pending, None] * dx[pending]
-            with np.errstate(all="ignore"):
-                Hc = _eval_compiled(sysn._f, Xc)
-            good = np.isfinite(Hc).all(axis=1)
-            dec = np.zeros_like(good)
-            dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= \
-                (1 - opts.armijo * alpha[pending][good]) * base[pending][good]
-            settled[pending[dec]] = True
-            pending = pending[~dec]
-            if pending.size == 0:
-                break
-            alpha[pending] *= 0.5
-            if alpha[pending].max(initial=0.0) < opts.min_step:
-                break
-        X[idx[settled]] = (Xa + alpha[:, None] * dx)[settled]
+        alpha = _line_search(sysn._f, Xa, dx, base, opts.armijo, floor)
+        settled = alpha > 0
+        X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
         iters[idx[settled]] += 1
-        active[idx[~settled]] = False   # line search collapse: drop the row
+        active[idx[~settled]] = False
+        reason[idx[~settled]] = "stalled"
     # final convergence sweep (a row may land exactly on a root on its
     # last accepted step)
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
         hinf = np.max(np.abs(H), axis=1)
-    converged |= np.isfinite(np.asarray(hinf)) & (hinf <= opts.tol) & \
-        np.isfinite(X).all(axis=1)
-    return X, converged, iters
+    done = np.isfinite(hinf) & (hinf <= opts.tol) & np.isfinite(X).all(axis=1)
+    reason[done] = "converged"
+    return X, reason, iters, hinf
 
 
 @dataclass
@@ -419,12 +452,9 @@ def multistart(sysn: HSystemNumeric, n_starts: int,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, conv, _ = _newton_batch(sysn, X0, opts)
-    found = []
-    conv_idx = np.flatnonzero(conv)
-    if conv_idx.size:
-        hinf_all = np.max(np.abs(sysn.residual(X[conv_idx])), axis=1)
-        found = [(X[i], float(h), int(i)) for i, h in zip(conv_idx, hinf_all)]
+    X, reason, _, hinf_all = _newton_batch(sysn, X0, opts)
+    conv = reason == "converged"
+    found = [(X[i], float(hinf_all[i]), int(i)) for i in np.flatnonzero(conv)]
     t1 = time.perf_counter()
     kept = _dedup(found)
     t2 = time.perf_counter()
@@ -437,9 +467,12 @@ def multistart(sysn: HSystemNumeric, n_starts: int,
         records.append(RootRecord(values, _classify_pattern(pattern_ctx),
                                   hinf, hits, seed_idx))
     branch_set = BranchSet(records, pinned_f, n_starts, len(found), seed_rng)
-    logger.debug("multistart: %d starts, %d converged, %d kept, %d non-trivial; "
-                 "newton %.3f s, dedup %.3f s, classify %.3f s",
-                 n_starts, len(found), len(records), len(branch_set.nontrivial()),
+    logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
+                 "%d budget), %d kept, %d non-trivial; residual floor of the "
+                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s",
+                 n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
+                 len(records), len(branch_set.nontrivial()),
+                 float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
                  t1 - t0, t2 - t1, time.perf_counter() - t2)
     return branch_set
 

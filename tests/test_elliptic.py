@@ -150,10 +150,12 @@ def test_second_derivative_vs_finite_difference():
     # float64 cancellation (~4e-6 otherwise); mpmath takes the parameter
     # convention, hence m**2
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    f = lambda x: mp.ellipfun("cn", x, m=mp.mpf(0.5) ** 2) ** 2
-    h, x0 = mp.mpf("1e-5"), mp.mpf("0.7")
-    ref = float((f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h ** 2)
+    dps = mp.mp.dps
+    with mp.workdps(40):
+        f = lambda x: mp.ellipfun("cn", x, m=mp.mpf(0.5) ** 2) ** 2
+        h, x0 = mp.mpf("1e-5"), mp.mpf("0.7")
+        ref = float((f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h ** 2)
+    assert mp.mp.dps == dps
     got = cn_power_derivative(2, 2, 1.0, 0.5, 0.7)
     assert abs(got - ref) < 1e-6
 

@@ -9,6 +9,7 @@ from abcdwaves import solver
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
 from abcdwaves.families import ParameterSet, build_s412, build_s421
+from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.solver import (multistart, pin_and_square, promote_root,
                               reproduce_nonexistence, solve_newton)
 from abcdwaves.verifier import ode_residual
@@ -179,14 +180,129 @@ def test_multistart_validates_n_starts(reference_pinning):
         multistart(reference_pinning, 0)
 
 
-def test_multistart_logs_counts(reference_pinning, caplog):
+def test_multistart_logs_counts(caplog, monkeypatch):
+    # a criterion-6 point: j1 = 1/10 pinned, no root exists
+    system, _ = solver.build_named_system("coeffs2")
+    sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
+    seen, newton = [], solver._newton_batch
+
+    def spy(*args):
+        seen.append(newton(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "_newton_batch", spy)
     with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
-        branch_set = multistart(reference_pinning, 120, seed_rng=3)
+        branch_set = multistart(sysn, 120, seed_rng=0,
+                                opts=solver.NewtonOptions(max_iter=80))
     (record,) = [r for r in caplog.records if r.name == "abcdwaves.solver"]
     assert record.levelno == logging.DEBUG
-    assert record.args[:4] == (120, branch_set.n_converged, len(branch_set.roots),
+    ((_, reason, _, hinf),) = seen
+    counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
+    assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
+    assert counts[2] > 100 and counts[3] > 0          # stalled, budget
+    assert record.args[:7] == (120, *counts, len(branch_set.roots),
                                len(branch_set.nontrivial()))
-    assert all(t >= 0.0 for t in record.args[4:])
+    # the residual floor of the unconverged starts sits just below j1 = 1/10
+    assert record.args[7] == np.nanmin(hinf[reason != "converged"])
+    assert 0.09 < record.args[7] < 0.1
+    assert all(t >= 0.0 for t in record.args[8:])
+
+
+def test_newton_batch_stop_reasons(reference_pinning):
+    X0 = np.random.default_rng(4).uniform(-10.0, 10.0,
+                                          (200, reference_pinning.n_unknowns))
+    X0[0, 0] = np.inf
+    _, reason, iters, hinf = solver._newton_batch(reference_pinning, X0,
+                                                  solver.NewtonOptions(max_iter=5))
+    assert set(reason) <= set(solver._STOP_REASONS)
+    assert reason[0] == "overflow" and iters[0] == 0
+    conv = reason == "converged"
+    assert np.all(hinf[conv] <= 1e-12) and not np.any(hinf[~conv] <= 1e-12)
+    assert {"converged", "budget"} <= set(reason)
+    assert np.all(iters <= 5)
+
+
+def test_inconsistent_system_stalls():
+    # h = [x - 1, x + 1]: Gauss-Newton lands on x = 0, where ||h||^2 = 2 is
+    # the minimum, and no step down to the floor decreases it
+    x = RationalPoly.var("x")
+    sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], [(0, 0), (1, 0)], {})
+    X0 = np.random.default_rng(0).uniform(-10.0, 10.0, (50, 1))
+    X, reason, iters, hinf = solver._newton_batch(sysn, X0, solver.NewtonOptions())
+    assert list(reason) == ["stalled"] * 50
+    assert np.all(iters <= 2) and np.all(np.abs(X) < 1e-8) and np.allclose(hinf, 1.0)
+    branch_set = multistart(sysn, 50, seed_rng=0)
+    assert branch_set.n_converged == 0 and branch_set.roots == []
+
+
+# -- line search ---------------------------------------------------------------
+
+def _line_search_reference(compiled, Xa, dx, base, armijo, min_step):
+    """The sequential loop: every pending row tries alpha, then alpha / 2."""
+    alpha = np.ones(Xa.shape[0])
+    settled = np.zeros(Xa.shape[0], dtype=bool)
+    pending = np.arange(Xa.shape[0])
+    for _ls in range(50):
+        Xc = Xa[pending] + alpha[pending, None] * dx[pending]
+        with np.errstate(all="ignore"):
+            Hc = solver._eval_compiled(compiled, Xc)
+        good = np.isfinite(Hc).all(axis=1)
+        dec = np.zeros_like(good)
+        dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= \
+            (1 - armijo * alpha[pending][good]) * base[pending][good]
+        settled[pending[dec]] = True
+        pending = pending[~dec]
+        if pending.size == 0:
+            break
+        alpha[pending] *= 0.5
+        if alpha[pending].max(initial=0.0) < min_step:
+            break
+    return alpha, settled
+
+
+def _search_batch(sysn, rows=800, seed=5):
+    # random directions over eight decades, a base a little above ||h||^2
+    # (so steps shrink until the first-order change fits under it), and
+    # rows whose candidates overflow or are NaN
+    rng = np.random.default_rng(seed)
+    Xa = rng.uniform(-3.0, 3.0, (rows, sysn.n_unknowns))
+    dx = rng.standard_normal(Xa.shape) * 10.0 ** rng.uniform(-2.0, 6.0, (rows, 1))
+    dx[:20] *= 1e200
+    dx[20:30, 0] = np.nan
+    H = sysn.residual(Xa)
+    base = np.einsum("bi,bi->b", H, H) * (1 + 10.0 ** rng.uniform(-12.0, 0.0, rows))
+    return Xa, dx, base
+
+
+@pytest.mark.parametrize("floor", [solver._STALL_FLOOR, 1e-3])
+def test_line_search_matches_reference(reference_pinning, floor):
+    Xa, dx, base = _search_batch(reference_pinning)
+    f = reference_pinning._f
+    alpha = solver._line_search(f, Xa, dx, base, 1e-4, floor)
+    ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, floor)
+    assert np.array_equal(alpha > 0, ref_settled)
+    assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
+    # the batch covers every block, the floor and non-finite candidates
+    steps = -np.log2(alpha[alpha > 0])
+    assert set(steps) == set(range(int(-np.log2(floor)) + 1))
+    assert (~ref_settled).sum() >= 30
+    with np.errstate(all="ignore"):
+        H1 = reference_pinning.residual(Xa[:30] + dx[:30])
+    assert not np.isfinite(H1).all(axis=1).any()
+
+
+def test_line_search_stops_at_floor(reference_pinning):
+    # against the search down to NewtonOptions.min_step, rows that need a
+    # step below the floor stall and every other row takes the same step
+    Xa, dx, base = _search_batch(reference_pinning, seed=6)
+    f = reference_pinning._f
+    alpha = solver._line_search(f, Xa, dx, base, 1e-4, solver._STALL_FLOOR)
+    deep_alpha, deep_settled = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
+    past = deep_settled & (deep_alpha < solver._STALL_FLOOR)
+    assert past.sum() >= 10
+    assert np.array_equal(alpha > 0, deep_settled & ~past)
+    assert alpha[alpha > 0].tobytes() == deep_alpha[alpha > 0].tobytes()
 
 
 # -- dedup ---------------------------------------------------------------------
