@@ -10,10 +10,11 @@ is accepted only at ||h||_inf <= tol, so consistency of the redundant
 equations is verified rather than assumed.
 
 The batched engine behind multistart tries the steps 1, 1/2, ... down to
-max(min_step, 2**-30); a row that accepts none of them stops as
-"stalled" at its last iterate.  Every row ends with one stop reason:
-converged, overflow (non-finite, or escaped past 1e7), stalled, or budget
-(max_iter spent).
+min_step, as solve_newton does, but below 2**-30 only while the step
+still moves x by more than 2**-40 of max(||x||_inf, 1); a row that
+accepts none of them stops as "stalled" at its last iterate.  Every row
+ends with one stop reason: converged, overflow (non-finite, or escaped
+past 1e7), stalled, or budget (max_iter spent).
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -45,7 +46,8 @@ _DEDUP_REL = 1e-6
 _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
-_STALL_FLOOR = 2.0 ** -30   # smallest line-search step of the batch engine
+_STALL_FLOOR = 2.0 ** -30   # batch line search: below this step factor ...
+_STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
 _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 
 
@@ -190,6 +192,12 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
 
 @dataclass(frozen=True)
 class NewtonOptions:
+    """Settings of solve_newton and of the batched engine behind multistart.
+
+    min_step is the smallest line-search step factor of both.  The batched
+    engine also stops a row whose steps below _STALL_FLOOR no longer move
+    x (see _newton_batch); solve_newton has no such exit.
+    """
     max_iter: int = 200
     tol: float = 1e-12
     cond_max: float = 1e14
@@ -258,24 +266,26 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
 
 
 def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
-                 armijo: float, floor: float) -> np.ndarray:
+                 armijo: float, floor: np.ndarray) -> np.ndarray:
     """Backtracking Armijo search along dx for every row of Xa.
 
-    A row takes the first of alpha = 1, 1/2, ... down to ``floor`` whose
-    residual is finite with ||h||^2 <= (1 - armijo * alpha) * base.  After
-    alpha = 1 the rows still searching try the smaller steps in blocks of
-    2, 4, 8, ... steps, one evaluation per block; the candidates and the
-    test are those of a one-step-at-a-time search, so every row gets the
-    same alpha.  Returns alpha per row, 0 where no step was accepted.
+    A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
+    below its own ``floor``) whose residual is finite with
+    ||h||^2 <= (1 - armijo * alpha) * base.  After alpha = 1 the rows
+    still searching try the smaller steps in blocks of 2, 4, 8, ...
+    steps, one evaluation per block; the candidates and the test are
+    those of a one-step-at-a-time search, so every row gets the same
+    alpha.  Returns alpha per row, 0 where no step was accepted.
     """
-    steps = [1.0]
-    while steps[-1] * 0.5 >= floor:
-        steps.append(steps[-1] * 0.5)
+    n_steps = 1
+    while n_steps < 50 and 0.5 ** n_steps >= floor.min():
+        n_steps += 1
+    steps = 0.5 ** np.arange(n_steps)
     alpha = np.zeros(Xa.shape[0])
     pending = np.arange(Xa.shape[0])
     start, size = 0, 1
-    while pending.size and start < len(steps):
-        block = np.array(steps[start:start + size])
+    while pending.size and start < n_steps:
+        block = steps[start:start + size]
         Xc = (Xa[pending, None, :] + block[:, None] * dx[pending, None, :]
               ).reshape(-1, Xa.shape[1])
         with np.errstate(all="ignore"):
@@ -284,10 +294,10 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
         thresh = ((1 - armijo * block) * base[pending, None]).ravel()
         dec = np.zeros_like(good)
         dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= thresh[good]
-        dec = dec.reshape(pending.size, block.size)
+        dec = dec.reshape(pending.size, block.size) & (block >= floor[pending, None])
         hit = dec.any(axis=1)
         alpha[pending[hit]] = block[dec.argmax(axis=1)[hit]]
-        pending = pending[~hit]
+        pending = pending[~hit & (block[-1] * 0.5 >= floor[pending])]
         start, size = start + size, 2 * size
     return alpha
 
@@ -299,8 +309,11 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions
     Returns (X, reason, iterations, hinf): the final iterates, each row's
     stop reason from _STOP_REASONS, its accepted Newton steps and its
     ||h||_inf at the final iterate.  A row stops moving once it converges,
-    overflows or escapes, or its line search accepts no step down to
-    max(opts.min_step, _STALL_FLOOR) (stalled: it keeps its last iterate).
+    overflows or escapes, or its line search accepts no step (stalled: it
+    keeps its last iterate).  The search goes down to opts.min_step, but
+    below _STALL_FLOOR only while alpha * ||dx||_inf exceeds _STALL_MOVE *
+    max(||x||_inf, 1): a row crawling at steps that barely move x stops
+    instead of spending the iteration budget.
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
@@ -308,7 +321,6 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
     escape = 1e7      # iterates this large never return to figure-scale roots
-    floor = max(opts.min_step, _STALL_FLOOR)
     for _ in range(opts.max_iter):
         if not active.any():
             break
@@ -334,7 +346,10 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions
                                                 sysn.n_unknowns)
         with np.errstate(all="ignore"):
             dx = -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), H)
+            move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
+                / np.abs(dx).max(axis=1)
         base = np.einsum("bi,bi->b", H, H)
+        floor = np.maximum(opts.min_step, np.fmin(_STALL_FLOOR, move))
         alpha = _line_search(sysn._f, Xa, dx, base, opts.armijo, floor)
         settled = alpha > 0
         X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]

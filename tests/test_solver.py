@@ -180,11 +180,7 @@ def test_multistart_validates_n_starts(reference_pinning):
         multistart(reference_pinning, 0)
 
 
-def test_multistart_logs_counts(caplog, monkeypatch):
-    # a criterion-6 point: j1 = 1/10 pinned, no root exists
-    system, _ = solver.build_named_system("coeffs2")
-    sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
-                                   "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
+def _spy_newton(monkeypatch):
     seen, newton = [], solver._newton_batch
 
     def spy(*args):
@@ -192,21 +188,48 @@ def test_multistart_logs_counts(caplog, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(solver, "_newton_batch", spy)
+    return seen
+
+
+def _multistart_record(caplog, *args, **kwargs):
     with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
-        branch_set = multistart(sysn, 120, seed_rng=0,
-                                opts=solver.NewtonOptions(max_iter=80))
+        branch_set = multistart(*args, **kwargs)
     (record,) = [r for r in caplog.records if r.name == "abcdwaves.solver"]
     assert record.levelno == logging.DEBUG
+    assert all(t >= 0.0 for t in record.args[8:])
+    return branch_set, record
+
+
+def test_multistart_logs_counts(reference_pinning, caplog, monkeypatch):
+    seen = _spy_newton(monkeypatch)
+    branch_set, record = _multistart_record(caplog, reference_pinning, 120,
+                                            seed_rng=3)
+    ((_, reason, _, _),) = seen
+    counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
+    assert record.args[:7] == (120, *counts, len(branch_set.roots),
+                               len(branch_set.nontrivial()))
+    assert record.args[1] == branch_set.n_converged > 0
+    assert len(branch_set.roots) > len(branch_set.nontrivial()) > 0
+    # every start converges, so no unconverged residual floor
+    assert record.args[1] == 120 and record.args[7] == np.inf
+
+
+def test_multistart_logs_stop_reasons(caplog, monkeypatch):
+    # a criterion-6 point: j1 = 1/10 pinned, no root exists
+    system, _ = solver.build_named_system("coeffs2")
+    sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
+    seen = _spy_newton(monkeypatch)
+    branch_set, record = _multistart_record(
+        caplog, sysn, 120, seed_rng=0, opts=solver.NewtonOptions(max_iter=80))
     ((_, reason, _, hinf),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
     assert counts[2] > 100 and counts[3] > 0          # stalled, budget
-    assert record.args[:7] == (120, *counts, len(branch_set.roots),
-                               len(branch_set.nontrivial()))
+    assert record.args[:7] == (120, *counts, 0, 0)
     # the residual floor of the unconverged starts sits just below j1 = 1/10
     assert record.args[7] == np.nanmin(hinf[reason != "converged"])
     assert 0.09 < record.args[7] < 0.1
-    assert all(t >= 0.0 for t in record.args[8:])
 
 
 def test_newton_batch_stop_reasons(reference_pinning):
@@ -234,6 +257,23 @@ def test_inconsistent_system_stalls():
     assert np.all(iters <= 2) and np.all(np.abs(X) < 1e-8) and np.allclose(hinf, 1.0)
     branch_set = multistart(sysn, 50, seed_rng=0)
     assert branch_set.n_converged == 0 and branch_set.roots == []
+
+
+def test_stall_exit_keeps_long_steps(quadratic_system, monkeypatch):
+    # coeffs1 with lam and sigma free: near the rank-deficient continuum
+    # some rows take Gauss-Newton steps of 1e5-1e8 at factors far below
+    # 2**-30 that still move x, and converge later; the stall exit keeps
+    # them, so multistart matches the search down to min_step
+    sysn = pin_and_square(quadratic_system,
+                          {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, "m": F(1, 2)})
+    got = multistart(sysn, 300, seed_rng=5)
+    monkeypatch.setattr(solver, "_STALL_FLOOR", 0.0)
+    deep = multistart(sysn, 300, seed_rng=5)
+    assert got.to_json() == deep.to_json()
+    # a floor on the step factor alone loses some of them
+    monkeypatch.setattr(solver, "_STALL_FLOOR", 2.0 ** -30)
+    monkeypatch.setattr(solver, "_STALL_MOVE", np.inf)
+    assert multistart(sysn, 300, seed_rng=5).n_converged < got.n_converged
 
 
 # -- line search ---------------------------------------------------------------
@@ -275,32 +315,36 @@ def _search_batch(sysn, rows=800, seed=5):
     return Xa, dx, base
 
 
-@pytest.mark.parametrize("floor", [solver._STALL_FLOOR, 1e-3])
-def test_line_search_matches_reference(reference_pinning, floor):
+@pytest.mark.parametrize("min_step", [1e-14, 1e-3, 0.0])
+def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
+    floor = np.full(Xa.shape[0], min_step)
     alpha = solver._line_search(f, Xa, dx, base, 1e-4, floor)
-    ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, floor)
+    ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
     assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
-    # the batch covers every block, the floor and non-finite candidates
+    # every step down to the floor (at most 50, so every block) is taken
+    # by some row, and the batch has non-finite candidates
     steps = -np.log2(alpha[alpha > 0])
-    assert set(steps) == set(range(int(-np.log2(floor)) + 1))
+    assert set(steps) == {k for k in range(50) if 2.0 ** -k >= min_step}
     assert (~ref_settled).sum() >= 30
     with np.errstate(all="ignore"):
         H1 = reference_pinning.residual(Xa[:30] + dx[:30])
     assert not np.isfinite(H1).all(axis=1).any()
 
 
-def test_line_search_stops_at_floor(reference_pinning):
-    # against the search down to NewtonOptions.min_step, rows that need a
-    # step below the floor stall and every other row takes the same step
+def test_line_search_stops_at_row_floor(reference_pinning):
+    # against the search down to NewtonOptions.min_step, a row stops at
+    # its own floor: rows that need a smaller step stall, every other row
+    # takes the same step
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
-    alpha = solver._line_search(f, Xa, dx, base, 1e-4, solver._STALL_FLOOR)
+    floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
+    alpha = solver._line_search(f, Xa, dx, base, 1e-4, floor)
     deep_alpha, deep_settled = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
-    past = deep_settled & (deep_alpha < solver._STALL_FLOOR)
-    assert past.sum() >= 10
+    past = deep_settled & (deep_alpha < floor)
+    assert past.sum() >= 50 and (deep_settled & ~past).sum() >= 300
     assert np.array_equal(alpha > 0, deep_settled & ~past)
     assert alpha[alpha > 0].tobytes() == deep_alpha[alpha > 0].tobytes()
 
