@@ -200,12 +200,16 @@ def _load_solution(path):
 
 def cmd_verify(args) -> int:
     sol, cfg = _load_solution(args.input)
-    p = ParameterSet.make(
-        args.a if args.a is not None else Fraction(cfg.get("a", 0)),
-        args.b if args.b is not None else Fraction(cfg.get("b", 0)),
-        args.c if args.c is not None else Fraction(cfg.get("c", 0)),
-        args.d if args.d is not None else Fraction(cfg.get("d", 0)),
-    )
+    if not isinstance(cfg, dict):
+        raise UsageError("run_config must be a JSON object")
+    coeffs = []
+    for name in "abcd":
+        flag = getattr(args, name)
+        try:
+            coeffs.append(Fraction(cfg.get(name, 0) if flag is None else flag))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise UsageError(f"run_config {name} = {cfg[name]!r} is not a rational") from None
+    p = ParameterSet.make(*coeffs)
     report = ode_residual(sol, p, args.samples)
     out = {"run_config": _echo_config(args, "verify"), "residual": report.to_dict()}
     if sol.m < 1.0:
@@ -239,6 +243,7 @@ def cmd_solve(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--pin value {val!r} of {key} is not a rational") from None
     sysn = pin_and_square(system, pins)
+    opts = NewtonOptions(max_iter=args.max_iter)
 
     if args.seed_from:
         sol, _ = _load_solution(args.seed_from)
@@ -246,7 +251,7 @@ def cmd_solve(args) -> int:
         missing = [u for u in sysn.unknowns if u not in seed_map]
         if missing:
             raise UsageError(f"seed file does not cover unknowns {missing}")
-        result = solve_newton(sysn, sysn.vector_from_map(seed_map))
+        result = solve_newton(sysn, sysn.vector_from_map(seed_map), opts)
         out = {
             "run_config": _echo_config(args, "solve"),
             "unknowns": sysn.unknowns,
@@ -261,8 +266,7 @@ def cmd_solve(args) -> int:
                 fh.write(_dumps(out, indent=2))
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
-    branch_set = multistart(sysn, args.starts, seed_rng=args.seed,
-                            opts=NewtonOptions(max_iter=args.max_iter))
+    branch_set = multistart(sysn, args.starts, seed_rng=args.seed, opts=opts)
     out = {"run_config": _echo_config(args, "solve"), "unknowns": sysn.unknowns,
            "branches": branch_set.to_dict()}
     nontrivial = branch_set.nontrivial()

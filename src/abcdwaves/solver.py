@@ -9,12 +9,14 @@ redundancy) take Gauss-Newton steps through the pseudoinverse and a root
 is accepted only at ||h||_inf <= tol, so consistency of the redundant
 equations is verified rather than assumed.
 
-The batched engine behind multistart tries the steps 1, 1/2, ... down to
-min_step, as solve_newton does, but below 2**-30 only while the step
-still moves x by more than 2**-40 of max(||x||_inf, 1); a row that
-accepts none of them stops as "stalled" at its last iterate.  Every row
-ends with one stop reason: converged, overflow (non-finite, or escaped
-past 1e7), stalled, or budget (max_iter spent).
+One batched engine serves multistart and solve_newton (a one-row batch).
+It tries the steps 1, 1/2, ... down to min_step, but below 2**-30 only
+while the step still moves x by more than 2**-40 of max(||x||_inf, 1); a
+row that accepts none of them stops as "stalled" at its last iterate.
+Every row ends with one stop reason: converged, overflow (non-finite, or
+escaped past 1e7), stalled, or budget (max_iter spent).  Rank-deficient
+Jacobians (continua of roots) need no special case: the pseudoinverse
+step is the minimum-norm Gauss-Newton step.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -192,28 +194,23 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Settings of solve_newton and of the batched engine behind multistart.
+    """Settings of the one Newton engine, _newton_batch.
 
-    min_step is the smallest line-search step factor of both.  The batched
-    engine also stops a row whose steps below _STALL_FLOOR no longer move
-    x (see _newton_batch); solve_newton has no such exit.
+    min_step is the smallest line-search step factor; below _STALL_FLOOR a
+    row also needs a step that still moves x (see _newton_batch).
     """
     max_iter: int = 200
     tol: float = 1e-12
-    cond_max: float = 1e14
     armijo: float = 1e-4
     min_step: float = 1e-14
 
 
 @dataclass
 class NewtonResult:
-    status: str                      # converged | diverged | singular
+    status: str                      # one of _STOP_REASONS
     x: np.ndarray
     iterations: int
     hinf: float
-    history: list[float]
-    trajectory: list[np.ndarray]
-    message: str = ""
 
     @property
     def converged(self) -> bool:
@@ -222,47 +219,13 @@ class NewtonResult:
 
 def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
                  opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
-    """Damped Newton from one seed; see the module docstring for the rules."""
-    x = np.asarray(seed, dtype=float).copy()
+    """Damped Newton from one seed: row 0 of a one-row _newton_batch."""
+    x = np.asarray(seed, dtype=float)
     if x.shape != (sysn.n_unknowns,):
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
-    history: list[float] = []
-    trajectory = [x.copy()]
-    for it in range(opts.max_iter):
-        h = sysn.residual(x[None, :])[0]
-        hinf = float(np.max(np.abs(h))) if h.size else 0.0
-        history.append(hinf)
-        if not np.isfinite(hinf):
-            return NewtonResult("diverged", x, it, hinf, history, trajectory,
-                                "residual overflow")
-        if hinf <= opts.tol:
-            return NewtonResult("converged", x, it, hinf, history, trajectory)
-        J = sysn.jacobian(x[None, :])[0]
-        svals = np.linalg.svd(J, compute_uv=False)
-        if svals[-1] == 0.0 or svals[0] / svals[-1] > opts.cond_max:
-            return NewtonResult("singular", x, it, hinf, history, trajectory,
-                                f"condition estimate {svals[0] / max(svals[-1], 1e-300):.3e}")
-        dx = -np.linalg.pinv(J, rcond=1e-14) @ h
-        base = float(h @ h)
-        alpha = 1.0
-        while alpha >= opts.min_step:
-            hc = sysn.residual((x + alpha * dx)[None, :])[0]
-            if np.all(np.isfinite(hc)) and float(hc @ hc) <= (1 - opts.armijo * alpha) * base:
-                break
-            alpha *= 0.5
-        else:
-            return NewtonResult("diverged", x, it, hinf, history, trajectory,
-                                "line search step collapse")
-        x = x + alpha * dx
-        trajectory.append(x.copy())
-    h = sysn.residual(x[None, :])[0]
-    hinf = float(np.max(np.abs(h)))
-    history.append(hinf)
-    if hinf <= opts.tol:
-        return NewtonResult("converged", x, opts.max_iter, hinf, history, trajectory)
-    return NewtonResult("diverged", x, opts.max_iter, hinf, history, trajectory,
-                        "iteration budget exhausted")
+    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], opts)
+    return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
 def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,

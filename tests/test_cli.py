@@ -80,12 +80,16 @@ def test_family_verify_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda sol: sol.pop("k"), "lacks k"),
-    (lambda sol: sol["j"].append(0.5), "beyond j4"),
-    (lambda sol: sol["k"].extend([0.0, -2.0]), "beyond j4 or k2"),
-    (lambda sol: sol.update(sigma=float("nan")), "finite"),
-    (lambda sol: sol.update({"lambda": 0.0}), "lambda > 0"),
-], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda"])
+    (lambda out: out["solution"].pop("k"), "lacks k"),
+    (lambda out: out["solution"]["j"].append(0.5), "beyond j4"),
+    (lambda out: out["solution"]["k"].extend([0.0, -2.0]), "beyond j4 or k2"),
+    (lambda out: out["solution"].update(sigma=float("nan")), "finite"),
+    (lambda out: out["solution"].update({"lambda": 0.0}), "lambda > 0"),
+    (lambda out: out["run_config"].update(a="one"), "run_config a = 'one'"),
+    (lambda out: out["run_config"].update(d=[1, 3]), "run_config d = [1, 3]"),
+    (lambda out: out.update(run_config=["a", 1]), "run_config must be a JSON object"),
+], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda",
+        "non-rational-a", "list-d", "list-run-config"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
     # a family run's output, edited into a malformed stored solution
     out = tmp_path / "bad"
@@ -93,7 +97,7 @@ def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
              "--lambda", "1/2", "--sigma", "-2", "--m", "1/2",
              "--out", str(out), "--samples", "128"], capsys)
     payload = json.loads((tmp_path / "bad.json").read_text())
-    edit(payload["solution"])
+    edit(payload)
     (tmp_path / "bad.json").write_text(json.dumps(payload))
     code, _, stderr = run_cli(["verify", "--input", str(out) + ".json"], capsys)
     assert code == 2
@@ -142,6 +146,49 @@ def test_solve_seeded_from_family_output(tmp_path, capsys):
     data = json.loads(stdout)
     assert data["status"] == "converged"
     assert data["iterations"] <= 2
+
+
+def _perturbed_family_seed(tmp_path, capsys):
+    # the S412 reference wave with every stored value moved by 3-5%
+    out = tmp_path / "wave"
+    run_cli(["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",
+             "--sigma", "1", "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+             "--sign", "top", "--out", str(out), "--samples", "128"], capsys)
+    payload = json.loads((tmp_path / "wave.json").read_text())
+    sol = payload["solution"]
+    sol["j"] = [v * 1.04 for v in sol["j"]]
+    sol["k"] = [v * 0.97 for v in sol["k"]]
+    sol["lambda"] *= 1.03
+    sol["sigma"] *= 0.95
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(payload))
+    return str(seed)
+
+
+def test_solve_seed_from_honours_max_iter(tmp_path, capsys):
+    seed = _perturbed_family_seed(tmp_path, capsys)
+    code, stdout, _ = run_cli([
+        "solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+        "--seed-from", seed, "--max-iter", "1"], capsys)
+    data = json.loads(stdout)
+    assert data["run_config"]["max_iter"] == 1
+    assert data["status"] != "converged" and data["iterations"] <= 1
+    assert code == 3
+
+
+def test_solve_seed_from_with_lam_sigma_free(tmp_path, capsys):
+    # lam and sigma free: the solutions form a continuum, the Jacobian is
+    # rank-deficient at every root, and the Gauss-Newton step still converges
+    seed = _perturbed_family_seed(tmp_path, capsys)
+    code, stdout, _ = run_cli([
+        "solve", "--system", "coeffs1", "--pin", "m=0.70710678",
+        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+        "--seed-from", seed], capsys)
+    data = json.loads(stdout)
+    assert data["unknowns"][:2] == ["lam", "sigma"]
+    assert data["status"] == "converged" and data["hinf"] <= 1e-12
+    assert code == 0
 
 
 def test_classify_output(capsys):

@@ -115,7 +115,7 @@ def test_perturbed_seed_returns_to_root(reference_pinning, closed_forms):
 
 def test_zero_seed_is_classified(reference_pinning):
     result = solve_newton(reference_pinning, np.zeros(6))
-    assert result.status in ("converged", "diverged", "singular")
+    assert result.status in solver._STOP_REASONS
     if result.converged:
         values = dict(zip(reference_pinning.unknowns, result.x))
         assert abs(values["j2"]) < 1e-8 and abs(values["k2"]) < 1e-8
@@ -125,7 +125,11 @@ def test_quadratic_convergence_signature(reference_pinning, closed_forms):
     root = seed_vector(reference_pinning, closed_forms["top"])
     result = solve_newton(reference_pinning, root * 1.02)
     assert result.converged
-    errs = [np.max(np.abs(x - root)) for x in result.trajectory]
+    # the engine is deterministic: iterate k is the result of a k-step budget
+    iterates = [solve_newton(reference_pinning, root * 1.02,
+                             solver.NewtonOptions(max_iter=k)).x
+                for k in range(result.iterations + 1)]
+    errs = [np.max(np.abs(x - root)) for x in iterates]
     errs = [e for e in errs if e > 1e-14]
     ratios = [errs[i + 1] / errs[i] ** 2 for i in range(len(errs) - 1)]
     assert ratios[-3:], "need at least a few iterations"
@@ -135,6 +139,26 @@ def test_quadratic_convergence_signature(reference_pinning, closed_forms):
 def test_seed_shape_validation(reference_pinning):
     with pytest.raises(UsageError):
         solve_newton(reference_pinning, np.zeros(4))
+
+
+@pytest.mark.parametrize("pins", [
+    {"m": math.sqrt(0.5), "lam": 1, "sigma": 1},
+    {"m": F(1, 2)},             # lam and sigma free: rank-deficient at every root
+], ids=["reference", "lam-sigma-free"])
+def test_solve_newton_is_one_batch_row(quadratic_system, pins):
+    sysn = pin_and_square(quadratic_system,
+                          {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, **pins})
+    rng = np.random.default_rng(12)
+    X0 = 10.0 ** rng.uniform(-3.0, 1.0, (200, sysn.n_unknowns)) \
+        * rng.choice([-1.0, 1.0], (200, sysn.n_unknowns))
+    X0[0, 0] = np.inf
+    X, reason, iters, hinf = solver._newton_batch(sysn, X0, solver.NewtonOptions())
+    for i, x0 in enumerate(X0):
+        result = solve_newton(sysn, x0)
+        assert (result.status, result.iterations) == (reason[i], iters[i])
+        assert result.x.tobytes() == X[i].tobytes()
+        assert np.float64(result.hinf).tobytes() == hinf[i].tobytes()
+    assert {"converged", "overflow"} <= set(reason)
 
 
 # -- multistart --------------------------------------------------------------
