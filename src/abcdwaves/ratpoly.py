@@ -6,6 +6,11 @@ variable order, so structural equality of two polynomials is dictionary
 equality.  Zero coefficients are never stored.  All arithmetic is exact
 (``fractions.Fraction``); nothing here touches floating point except the
 explicit ``eval_float`` hook.
+
+The public constructor normalises whatever it is given.  The operations
+build dicts that are canonical by construction (their monomials come from
+``_mono_mul`` or are subsequences of canonical ones) and store them through
+``RationalPoly._of`` without a second pass.
 """
 
 from __future__ import annotations
@@ -30,12 +35,44 @@ def var_sort_key(name: str) -> tuple[int, int, str]:
     return (3, 0, name)
 
 
+def _pair_key(pair: tuple[str, int]):
+    return var_sort_key(pair[0])
+
+
 def _make_monomial(pairs: Iterable[tuple[str, int]]) -> Monomial:
     merged: dict[str, int] = {}
     for name, exp in pairs:
         if exp:
             merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted(((n, e) for n, e in merged.items() if e), key=lambda p: var_sort_key(p[0])))
+    return tuple(sorted(((n, e) for n, e in merged.items() if e), key=_pair_key))
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two canonical monomials, canonical."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    merged = dict(m1)
+    for name, exp in m2:
+        merged[name] = merged.get(name, 0) + exp
+    if len(merged) == len(m1):
+        # no new variable: the merged dict keeps m1's canonical order
+        return tuple(merged.items())
+    return tuple(sorted(merged.items(), key=_pair_key))
+
+
+def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, coef: Fraction) -> None:
+    """out += coef * mono, dropping the monomial when it cancels."""
+    old = out.get(mono)
+    if old is None:
+        out[mono] = coef
+        return
+    new = old + coef
+    if new:
+        out[mono] = new
+    else:
+        del out[mono]
 
 
 class RationalPoly:
@@ -50,19 +87,22 @@ class RationalPoly:
                 coef = Fraction(coef)
                 if coef == 0:
                     continue
-                mono = _make_monomial(mono)
-                total = cleaned.get(mono, Fraction(0)) + coef
-                if total:
-                    cleaned[mono] = total
-                else:
-                    cleaned.pop(mono, None)
-        object.__setattr__(self, "terms", cleaned)
+                _accumulate(cleaned, _make_monomial(mono), coef)
+        self.terms = cleaned
+
+    @staticmethod
+    def _of(terms: dict[Monomial, Fraction]) -> "RationalPoly":
+        """Store a dict that is already canonical: sorted monomials without
+        zero exponents, nonzero Fraction coefficients.  Takes ownership."""
+        poly = object.__new__(RationalPoly)
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(value: Scalar) -> "RationalPoly":
         value = Fraction(value)
-        return RationalPoly({(): value} if value else {})
+        return RationalPoly._of({(): value} if value else {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "RationalPoly":
@@ -78,11 +118,6 @@ class RationalPoly:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -113,17 +148,13 @@ class RationalPoly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            new = terms.get(mono, Fraction(0)) + coef
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return RationalPoly(terms)
+            _accumulate(terms, mono, coef)
+        return RationalPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly({mono: -coef for mono, coef in self.terms.items()})
+        return RationalPoly._of({mono: -coef for mono, coef in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -141,13 +172,8 @@ class RationalPoly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _make_monomial(list(m1) + list(m2))
-                new = out.get(mono, Fraction(0)) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return RationalPoly(out)
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
+        return RationalPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -174,47 +200,58 @@ class RationalPoly:
 
     # -- structure operations ------------------------------------------
     def substitute(self, subs: Mapping[str, Union[Scalar, "RationalPoly"]]) -> "RationalPoly":
-        """Replace variables by exact scalars or polynomials."""
-        result = RationalPoly.const(0)
+        """Replace variables by exact scalars or polynomials.
+
+        Scalars scale the coefficient (a zero drops the term) and the
+        factors left alone stay a canonical subsequence; only polynomial
+        replacements are multiplied out.  Terms are summed into one dict
+        in the order the term-by-term sum would visit them.
+        """
+        scalars: dict[str, Fraction] = {}
+        polys: dict[str, RationalPoly] = {}
+        for name, repl in subs.items():
+            if isinstance(repl, RationalPoly):
+                polys[name] = repl
+            else:
+                scalars[name] = repl if type(repl) is Fraction else Fraction(repl)
+        out: dict[Monomial, Fraction] = {}
         for mono, coef in self.terms.items():
-            term = RationalPoly.const(coef)
+            kept = []
+            factor = None
             for name, exp in mono:
-                if name in subs:
-                    repl = subs[name]
-                    if not isinstance(repl, RationalPoly):
-                        repl = RationalPoly.const(repl)
-                    term = term * repl ** exp
+                if name in scalars:
+                    value = scalars[name]
+                    if not value:
+                        break
+                    coef = coef * value ** exp
+                elif name in polys:
+                    power = polys[name] ** exp
+                    factor = power if factor is None else factor * power
                 else:
-                    term = term * RationalPoly.var(name, exp)
-            result = result + term
-        return result
+                    kept.append((name, exp))
+            else:
+                kept = mono if len(kept) == len(mono) else tuple(kept)
+                if factor is None:
+                    _accumulate(out, kept, coef)
+                else:
+                    for m, c in factor.terms.items():
+                        _accumulate(out, _mono_mul(m, kept), coef * c)
+        return RationalPoly._of(out)
 
     def divide_by_var(self, name: str) -> "RationalPoly":
         """Exact division by a single variable; every term must contain it."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            entry = dict(mono)
-            if entry.get(name, 0) < 1:
-                raise ValueError(f"term {mono} not divisible by {name}")
-            entry[name] -= 1
-            out[_make_monomial(entry.items())] = coef
-        return RationalPoly(out)
+        return self.divide_by_monomial(((name, 1),))
 
     def derivative(self, name: str) -> "RationalPoly":
         out: dict[Monomial, Fraction] = {}
         for mono, coef in self.terms.items():
-            entry = dict(mono)
-            exp = entry.get(name, 0)
-            if not exp:
-                continue
-            entry[name] = exp - 1
-            key = _make_monomial(entry.items())
-            new = out.get(key, Fraction(0)) + coef * exp
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return RationalPoly(out)
+            for i, (n, exp) in enumerate(mono):
+                if n == name:
+                    lowered = ((n, exp - 1),) if exp > 1 else ()
+                    # d/dx is injective on the terms that contain x
+                    out[mono[:i] + lowered + mono[i + 1:]] = coef * exp
+                    break
+        return RationalPoly._of(out)
 
     def monomial_gcd(self) -> Monomial:
         """Largest monomial dividing every term (the content monomial)."""
@@ -232,11 +269,20 @@ class RationalPoly:
         return _make_monomial(common.items())
 
     def divide_by_monomial(self, mono: Monomial) -> "RationalPoly":
-        out = self
-        for name, exp in mono:
-            for _ in range(exp):
-                out = out.divide_by_var(name)
-        return out
+        """Exact division by a monomial that divides every term."""
+        out: dict[Monomial, Fraction] = {}
+        for term, coef in self.terms.items():
+            entry = dict(term)
+            for name, exp in mono:
+                left = entry.get(name, 0) - exp
+                if left < 0:
+                    raise ValueError(f"term {term} not divisible by {name}")
+                if left:
+                    entry[name] = left
+                else:
+                    entry.pop(name, None)
+            out[tuple(entry.items())] = coef
+        return RationalPoly._of(out)
 
     # -- numeric evaluation ---------------------------------------------
     def eval_float(self, subs: Mapping[str, float]) -> float:

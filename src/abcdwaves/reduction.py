@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,8 +34,14 @@ from .errors import ChainBrokenError, UsageError
 from .families import ParameterSet
 from .ratpoly import Monomial, RationalPoly
 
+logger = logging.getLogger(__name__)
+
 # lam > 0 and m > 0 always; c joins when the c != 0 case is in force
 _POSITIVE_VARS = frozenset({"lam", "m"})
+# Largest series degree verify_termination accepts: both symbolic cases at
+# n = 3..N_MAX take under 20 s on a 2-core box, a third of the criterion-5
+# budget.  The branch count doubles every second degree, and so does the time.
+N_MAX = 23
 
 
 class AnsatzShape(enum.Enum):
@@ -351,10 +359,13 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
 
     Either pass ``p`` (exact rationals; the shape is classified and the
     numeric values are substituted) or ``case`` in {"c_nonzero", "c_zero"}
-    for the fully symbolic runs with generic coefficients.
+    for the fully symbolic runs with generic coefficients.  Degrees run
+    from 3 to N_MAX.  Each degree leaves one DEBUG record on this module's
+    logger: n, the branch and event counts and the seconds it took.
     """
-    if not 3 <= n_min <= n_max <= 8:
-        raise UsageError("termination degrees must satisfy 3 <= n_min <= n_max <= 8")
+    if not 3 <= n_min <= n_max <= N_MAX:
+        raise UsageError(
+            f"termination degrees must satisfy 3 <= n_min <= n_max <= {N_MAX}")
     if (p is None) == (case is None):
         raise UsageError("pass exactly one of p or case")
 
@@ -377,6 +388,7 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
             "mislabel -- the c = 0 reading is used here")
 
     for n in range(n_min, n_max + 1):
+        t0 = time.perf_counter()
         system = build_coefficient_system(n, n, params=params)
         chain = _Chain(dict(system.nonzero()), extra_allowed, [], {})
         branches = _run_chain(chain, n, shape)
@@ -393,4 +405,7 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
             expected = (min(shape.max_eta_degree, n), min(shape.max_w_degree, n))
             ok = ok and realized == expected
         report.results.append(DegreeResult(n, branches, realized, ok))
+        logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s",
+                     label, n, len(branches), sum(len(b.events) for b in branches),
+                     time.perf_counter() - t0)
     return report

@@ -14,9 +14,10 @@ It tries the steps 1, 1/2, ... down to min_step, but below 2**-30 only
 while the step still moves x by more than 2**-40 of max(||x||_inf, 1); a
 row that accepts none of them stops as "stalled" at its last iterate.
 Every row ends with one stop reason: converged, overflow (non-finite, or
-escaped past 1e7), stalled, or budget (max_iter spent).  Rank-deficient
-Jacobians (continua of roots) need no special case: the pseudoinverse
-step is the minimum-norm Gauss-Newton step.
+escaped past 1e7; solve_newton's radius is 1e7 * max(1, ||seed||_inf)),
+stalled, or budget (max_iter spent).  Rank-deficient Jacobians (continua
+of roots) need no special case: the pseudoinverse step is the
+minimum-norm Gauss-Newton step.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -50,6 +51,8 @@ _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
 _STALL_FLOOR = 2.0 ** -30   # batch line search: below this step factor ...
 _STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
+_ESCAPE = 1e7               # multistart iterates this large never return to
+                            # figure-scale roots
 _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 
 
@@ -219,12 +222,17 @@ class NewtonResult:
 
 def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
                  opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
-    """Damped Newton from one seed: row 0 of a one-row _newton_batch."""
+    """Damped Newton from one seed: row 0 of a one-row _newton_batch.
+
+    The escape radius scales with the seed, 1e7 * max(1, ||seed||_inf),
+    so a seed at any scale starts inside it.
+    """
     x = np.asarray(seed, dtype=float)
     if x.shape != (sysn.n_unknowns,):
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
-    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], opts)
+    escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
+    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], opts, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
@@ -240,8 +248,8 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
     those of a one-step-at-a-time search, so every row gets the same
     alpha.  Returns alpha per row, 0 where no step was accepted.
     """
-    n_steps = 1
-    while n_steps < 50 and 0.5 ** n_steps >= floor.min():
+    n_steps, lowest = 1, floor.min()
+    while n_steps < 50 and 0.5 ** n_steps >= lowest:
         n_steps += 1
     steps = 0.5 ** np.arange(n_steps)
     alpha = np.zeros(Xa.shape[0])
@@ -265,25 +273,25 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
     return alpha
 
 
-def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions
+def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
+                  escape: float = _ESCAPE
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized damped Newton over all rows of X0.
 
     Returns (X, reason, iterations, hinf): the final iterates, each row's
     stop reason from _STOP_REASONS, its accepted Newton steps and its
     ||h||_inf at the final iterate.  A row stops moving once it converges,
-    overflows or escapes, or its line search accepts no step (stalled: it
-    keeps its last iterate).  The search goes down to opts.min_step, but
-    below _STALL_FLOOR only while alpha * ||dx||_inf exceeds _STALL_MOVE *
-    max(||x||_inf, 1): a row crawling at steps that barely move x stops
-    instead of spending the iteration budget.
+    overflows or escapes (||x||_inf >= escape), or its line search accepts
+    no step (stalled: it keeps its last iterate).  The search goes down to
+    opts.min_step, but below _STALL_FLOOR only while alpha * ||dx||_inf
+    exceeds _STALL_MOVE * max(||x||_inf, 1): a row crawling at steps that
+    barely move x stops instead of spending the iteration budget.
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
-    escape = 1e7      # iterates this large never return to figure-scale roots
     for _ in range(opts.max_iter):
         if not active.any():
             break

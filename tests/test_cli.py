@@ -191,6 +191,31 @@ def test_solve_seed_from_with_lam_sigma_free(tmp_path, capsys):
     assert code == 0
 
 
+def test_solve_seed_from_far_out_seed_converges(tmp_path, capsys):
+    # the S412 reference wave with every j and k scaled by 1e8: the seed lies
+    # beyond multistart's 1e7 escape radius, but solve_newton's radius scales
+    # with the seed, so Newton walks back to the root
+    out = tmp_path / "wave"
+    run_cli(["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",
+             "--sigma", "1", "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+             "--sign", "top", "--out", str(out), "--samples", "128"], capsys)
+    payload = json.loads((tmp_path / "wave.json").read_text())
+    sol = payload["solution"]
+    sol["j"] = [v * 1e8 for v in sol["j"]]
+    sol["k"] = [v * 1e8 for v in sol["k"]]
+    seed = tmp_path / "far.json"
+    seed.write_text(json.dumps(payload))
+    code, stdout, _ = run_cli([
+        "solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+        "--seed-from", str(seed)], capsys)
+    data = json.loads(stdout)
+    assert data["status"] == "converged" and data["hinf"] <= 1e-12
+    assert data["iterations"] > 0
+    assert abs(data["x"]["k2"] - sol["k"][2] / 1e8) <= 1e-8
+    assert code == 0
+
+
 def test_classify_output(capsys):
     code, stdout, _ = run_cli(
         ["classify", "--a", "0", "--b", "0", "--c", "1/2", "--d", "-1/6"],

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction as F
 
 import pytest
@@ -129,13 +130,42 @@ def test_trivial_region_needs_positive_a():
 
 def test_argument_validation():
     with pytest.raises(UsageError):
-        verify_termination(case="c_nonzero", n_max=9)
+        verify_termination(case="c_nonzero", n_max=24)
+    with pytest.raises(UsageError):
+        verify_termination(case="c_zero", n_min=24, n_max=24)
+    with pytest.raises(UsageError):
+        verify_termination(case="c_zero", n_min=2, n_max=4)
     with pytest.raises(UsageError):
         verify_termination()
     with pytest.raises(UsageError):
         verify_termination(P(1, 1, 1, 1), 4, case="c_nonzero")
     with pytest.raises(UsageError):
         verify_termination(case="sideways")
+
+
+@pytest.mark.parametrize("case,degrees", [("c_nonzero", (2, 2)),
+                                          ("c_zero", (4, 2))])
+def test_symbolic_chains_pass_beyond_n8(case, degrees):
+    report = verify_termination(case=case, n_min=9, n_max=12)
+    assert report.passed, report.to_json()
+    assert [r.n for r in report.results] == [9, 10, 11, 12]
+    assert all(r.realized_degrees == degrees for r in report.results)
+
+
+def test_termination_logs_each_degree(caplog):
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves.reduction"):
+        report = verify_termination(case="c_nonzero", n_min=5, n_max=6)
+    records = [r for r in caplog.records if r.name == "abcdwaves.reduction"]
+    assert len(records) == 2
+    for record, result in zip(records, report.results):
+        assert record.levelno == logging.DEBUG
+        n, branches, events, seconds = record.args[1:]
+        assert (n, branches) == (result.n, len(result.branches))
+        assert events == sum(len(b.events) for b in result.branches)
+        assert seconds >= 0.0
+    assert "n=6, 4 branches, 32 events" in records[1].getMessage()
+    # silent by default: the library attaches no handler of its own
+    assert logging.getLogger("abcdwaves.reduction").handlers == []
 
 
 def test_c_zero_report_notes_governing_condition():

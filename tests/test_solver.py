@@ -113,6 +113,19 @@ def test_perturbed_seed_returns_to_root(reference_pinning, closed_forms):
     assert np.max(np.abs(result.x - seed)) <= 1e-10
 
 
+def test_escape_radius_scales_with_the_seed(reference_pinning, closed_forms):
+    # multistart's rows escape past 1e7; a user seed that starts out there
+    # gets a radius of 1e7 * ||seed||_inf and walks back to the root
+    root = seed_vector(reference_pinning, closed_forms["top"])
+    far = root * 1e8
+    _, reason, iters, _ = solver._newton_batch(
+        reference_pinning, far[None, :], solver.NewtonOptions())
+    assert (reason[0], iters[0]) == ("overflow", 0)
+    result = solve_newton(reference_pinning, far)
+    assert result.converged and result.iterations > 0
+    assert np.max(np.abs(result.x - root)) <= 1e-8
+
+
 def test_zero_seed_is_classified(reference_pinning):
     result = solve_newton(reference_pinning, np.zeros(6))
     assert result.status in solver._STOP_REASONS
