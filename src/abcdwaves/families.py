@@ -68,10 +68,6 @@ class ParameterSet:
             _frac(a, "a"), _frac(b, "b"), _frac(c, "c"), _frac(d, "d"), theta
         )
 
-    def as_floats(self) -> dict[str, float]:
-        return {"a": float(self.a), "b": float(self.b),
-                "c": float(self.c), "d": float(self.d)}
-
 
 def check_physical_constraint(p: ParameterSet) -> float:
     """Solve the theta-parameterization for theta, or raise ConstraintError.

@@ -189,8 +189,11 @@ class _Chain:
                       dict(self.eliminated))
 
     def substitute_zero(self, names: list[str]):
+        # an equation that shares no variable with names stays as it is
         subs = {n: Fraction(0) for n in names}
-        self.eqs = {k: p.substitute(subs) for k, p in self.eqs.items()}
+        self.eqs = {k: p.substitute(subs)
+                    if any(n in subs for mono in p.terms for n, _ in mono) else p
+                    for k, p in self.eqs.items()}
 
     def forced_vars(self) -> set[str]:
         return {e.var for e in self.events if e.move != "eliminate"}

@@ -19,6 +19,14 @@ stalled, or budget (max_iter spent).  Rank-deficient Jacobians (continua
 of roots) need no special case: the pseudoinverse step is the
 minimum-norm Gauss-Newton step.
 
+Polynomials are evaluated on whole batches from a power table: each
+monomial multiplies only the table columns of its nonzero exponents, in
+variable order, which gives the same bits as a product over all unknowns
+(the factors left out are exact ones).  A row's residual is evaluated once
+at its start; after that the line search's residual at the accepted step
+serves as the residual of the next iterate and of the final convergence
+check.
+
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
 the returned BranchSet is reproducible bit-for-bit.
@@ -59,46 +67,54 @@ _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
     """Stack all monomials of all polynomials into flat arrays.
 
-    Returns (coeffs, expts, offsets) so that for a batch X of shape (B, n),
-    np.add.reduceat(coeffs * prod(X**expts), offsets, axis=1) evaluates
-    every polynomial at once.
+    Returns (coeffs, cols, offsets, e_max).  Column 0 of a batch's power
+    table is x^0 = 1 and column (e - 1) * n + i + 1 is x_i^e (n unknowns,
+    1 <= e <= e_max).  cols[:, t] lists the columns of monomial t's
+    nonzero exponents in variable order, padded with column 0 to the
+    widest monomial, so the product of those table columns times coeffs,
+    summed by np.add.reduceat over offsets, evaluates every polynomial.
     """
     index = {name: i for i, name in enumerate(unknowns)}
+    n = len(unknowns)
     coeffs: list[float] = []
-    expts: list[list[int]] = []
+    cols: list[list[int]] = []
     offsets: list[int] = []
     for poly in polys:
         offsets.append(len(coeffs))
-        if poly.is_zero():
-            coeffs.append(0.0)
-            expts.append([0] * len(unknowns))
-            continue
-        for mono, coef in sorted(poly.terms.items()):
-            row = [0] * len(unknowns)
-            for name, exp in mono:
-                row[index[name]] = exp
+        for mono, coef in sorted(poly.terms.items()) or [((), 0.0)]:
             coeffs.append(float(coef))
-            expts.append(row)
-    expts_arr = np.asarray(expts, dtype=np.int64)
-    return (np.asarray(coeffs), expts_arr, np.asarray(offsets, dtype=np.intp),
-            int(expts_arr.max(initial=0)))
+            cols.append([(exp - 1) * n + index[name] + 1 for name, exp
+                         in sorted(mono, key=lambda f: index[f[0]])])
+    width = max(1, max(map(len, cols)))
+    cols_arr = np.array([c + [0] * (width - len(c)) for c in cols], dtype=np.intp)
+    e_max = max((exp for p in polys for mono in p.terms for _, exp in mono),
+                default=0)
+    return (np.asarray(coeffs), np.ascontiguousarray(cols_arr.T),
+            np.asarray(offsets, dtype=np.intp), e_max)
 
 
 def _eval_compiled(compiled, X):
-    # the (rows, terms, unknowns) gather below is the largest allocation of
-    # a multistart; rows are independent, so blocks of them give the same values
+    # rows are independent, so blocks of them give the same values with a
+    # bounded gather
     if X.shape[0] > _EVAL_ROWS:
         return np.concatenate([_eval_compiled(compiled, X[i:i + _EVAL_ROWS])
                                for i in range(0, X.shape[0], _EVAL_ROWS)])
-    coeffs, expts, offsets, e_max = compiled
-    # power table + gather: integer powers via repeated multiplication beat
-    # float pow by an order of magnitude on these small exponents
+    coeffs, cols, offsets, e_max = compiled
+    # power table: integer powers via repeated multiplication beat float
+    # pow by an order of magnitude on these small exponents
     B, n = X.shape
-    powers = np.ones((B, n, e_max + 1))
-    for e in range(1, e_max + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * X
-    factors = powers[:, np.arange(n), expts]
-    terms = coeffs * np.prod(factors, axis=2)
+    table = np.empty((B, 1 + e_max * n))
+    table[:, 0] = 1.0
+    table[:, 1:n + 1] = X
+    for e in range(2, e_max + 1):
+        np.multiply(table[:, (e - 2) * n + 1:(e - 1) * n + 1], X,
+                    out=table[:, (e - 1) * n + 1:e * n + 1])
+    # the factors of each monomial multiplied in variable order: the same
+    # products as over all n unknowns, less the exact factors x^0 = 1
+    terms = table[:, cols[0]]
+    for col in cols[1:]:
+        terms *= table[:, col]
+    np.multiply(coeffs, terms, out=terms)
     return np.add.reduceat(terms, offsets, axis=1)
 
 
@@ -164,10 +180,11 @@ def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
 def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSystemNumeric:
     """Substitute pinned values exactly and drop identically-zero equations.
 
-    Raises UsageError for a pin that is not a variable of the system,
-    UnderdeterminedError when fewer equations than unknowns remain (the
-    caller must pin enough variables), and rejects pins violating lam > 0,
-    m in (0, 1], sigma != 0.
+    Raises UsageError for a pin that is not a variable of the system and
+    for pins that leave no unknown, UnderdeterminedError when fewer
+    equations than unknowns remain (the caller must pin enough
+    variables), and rejects pins violating lam > 0, m in (0, 1],
+    sigma != 0.
     """
     unknown = sorted(set(pins) - system.variables())
     if unknown:
@@ -190,6 +207,8 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     for poly in polys:
         unknowns |= poly.variables()
     ordered = sorted(unknowns, key=var_sort_key)
+    if not ordered:
+        raise UsageError("the pins leave no unknown to solve for")
     if len(polys) < len(ordered):
         raise UnderdeterminedError(len(polys), len(ordered))
     return HSystemNumeric(ordered, polys, keys, exact)
@@ -237,7 +256,7 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
 
 
 def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
-                 armijo: float, floor: np.ndarray) -> np.ndarray:
+                 armijo: float, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backtracking Armijo search along dx for every row of Xa.
 
     A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
@@ -246,13 +265,16 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
     still searching try the smaller steps in blocks of 2, 4, 8, ...
     steps, one evaluation per block; the candidates and the test are
     those of a one-step-at-a-time search, so every row gets the same
-    alpha.  Returns alpha per row, 0 where no step was accepted.
+    alpha.  Returns alpha per row, 0 where no step was accepted, and the
+    residual at Xa + alpha * dx for the rows with alpha > 0 (NaN rows for
+    the others).
     """
     n_steps, lowest = 1, floor.min()
     while n_steps < 50 and 0.5 ** n_steps >= lowest:
         n_steps += 1
     steps = 0.5 ** np.arange(n_steps)
     alpha = np.zeros(Xa.shape[0])
+    H = np.full((Xa.shape[0], compiled[2].size), np.nan)
     pending = np.arange(Xa.shape[0])
     start, size = 0, 1
     while pending.size and start < n_steps:
@@ -267,10 +289,12 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
         dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= thresh[good]
         dec = dec.reshape(pending.size, block.size) & (block >= floor[pending, None])
         hit = dec.any(axis=1)
-        alpha[pending[hit]] = block[dec.argmax(axis=1)[hit]]
+        first = dec.argmax(axis=1)[hit]
+        alpha[pending[hit]] = block[first]
+        H[pending[hit]] = Hc.reshape(pending.size, block.size, -1)[hit, first]
         pending = pending[~hit & (block[-1] * 0.5 >= floor[pending])]
         start, size = start + size, 2 * size
-    return alpha
+    return alpha, H
 
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
@@ -285,25 +309,27 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
     no step (stalled: it keeps its last iterate).  The search goes down to
     opts.min_step, but below _STALL_FLOOR only while alpha * ||dx||_inf
     exceeds _STALL_MOVE * max(||x||_inf, 1): a row crawling at steps that
-    barely move x stops instead of spending the iteration budget.
+    barely move x stops instead of spending the iteration budget.  The
+    residual is evaluated once, at X0; after that each row keeps the
+    residual its line search computed at the step it accepted.
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        H = _eval_compiled(sysn._f, X)
     for _ in range(opts.max_iter):
         if not active.any():
             break
-        Xa = X[active]
-        with np.errstate(all="ignore"):
-            H = _eval_compiled(sysn._f, Xa)
-        finite = (np.isfinite(H).all(axis=1) & np.isfinite(Xa).all(axis=1)
+        idx_active = np.flatnonzero(active)
+        Xa, Ha = X[idx_active], H[idx_active]
+        finite = (np.isfinite(Ha).all(axis=1) & np.isfinite(Xa).all(axis=1)
                   & (np.abs(Xa).max(axis=1) < escape))
-        hinf = np.where(finite, np.max(np.abs(np.where(np.isfinite(H), H, np.inf)),
+        hinf = np.where(finite, np.max(np.abs(np.where(np.isfinite(Ha), Ha, np.inf)),
                                        axis=1), np.inf)
         just_conv = finite & (hinf <= opts.tol)
-        idx_active = np.flatnonzero(active)
         reason[idx_active[just_conv]] = "converged"
         active[idx_active[just_conv]] = False
         active[idx_active[~finite]] = False
@@ -312,25 +338,25 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
         if not keep.any():
             continue
         idx = idx_active[keep]
-        Xa, H = Xa[keep], H[keep]
+        Xa, Ha = Xa[keep], Ha[keep]
         J = _eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
                                                 sysn.n_unknowns)
         with np.errstate(all="ignore"):
-            dx = -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), H)
+            dx = -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), Ha)
             move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
                 / np.abs(dx).max(axis=1)
-        base = np.einsum("bi,bi->b", H, H)
+        base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(opts.min_step, np.fmin(_STALL_FLOOR, move))
-        alpha = _line_search(sysn._f, Xa, dx, base, opts.armijo, floor)
+        alpha, Hs = _line_search(sysn._f, Xa, dx, base, opts.armijo, floor)
         settled = alpha > 0
         X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
+        H[idx[settled]] = Hs[settled]
         iters[idx[settled]] += 1
         active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
     # final convergence sweep (a row may land exactly on a root on its
     # last accepted step)
     with np.errstate(all="ignore"):
-        H = _eval_compiled(sysn._f, X)
         hinf = np.max(np.abs(H), axis=1)
     done = np.isfinite(hinf) & (hinf <= opts.tol) & np.isfinite(X).all(axis=1)
     reason[done] = "converged"
@@ -557,6 +583,7 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     if abs(value) < delta:
         raise UsageError(f"|value| = {abs(value)} must be >= delta = {delta}")
     sigma_free = constrained == "k1"
+    t0 = time.perf_counter()
     system, _ = build_named_system("coeffs2")
     report = NonexistenceReport(constrained, float(value), float(delta),
                                 sigma_free, n_starts, seed)
@@ -580,4 +607,8 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
         report.points.append(NonexistencePoint(
             {k: float(Fraction(v)) for k, v in pins.items()},
             len(branch_set.roots), roots))
+    logger.debug("nonexistence %s: %d points x %d starts, %d roots, "
+                 "%d counterexamples; %.3f s", constrained, len(report.points),
+                 n_starts, report.total_roots, len(report.counterexamples),
+                 time.perf_counter() - t0)
     return report

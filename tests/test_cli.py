@@ -132,6 +132,15 @@ def test_solve_rejects_malformed_input_exit_2(capsys, extra, message):
     assert message in stderr
 
 
+def test_solve_pins_leaving_no_unknown_exit_2(capsys):
+    # with a..d at their default 0, these pins leave no unknown at all
+    code, _, stderr = run_cli(["solve", "--system", "coeffs1", "--pin",
+                               "sigma=1,j0=1,j1=1,j2=1,k0=1,k1=1,k2=1",
+                               "--starts", "5"], capsys)
+    assert code == 2
+    assert "no unknown" in stderr
+
+
 def test_solve_seeded_from_family_output(tmp_path, capsys):
     out = tmp_path / "seed"
     run_cli(["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",

@@ -88,6 +88,13 @@ def test_underdetermined_rejected(quadratic_system):
     assert err.value.deficit == 5
 
 
+def test_pins_leaving_no_unknown_rejected(quadratic_system):
+    pins = {"a": 0, "b": 0, "c": 0, "d": 0, "sigma": 1,
+            **{name: 1 for name in ("j0", "j1", "j2", "k0", "k1", "k2")}}
+    with pytest.raises(UsageError, match="no unknown"):
+        pin_and_square(quadratic_system, pins)
+
+
 def test_batch_evaluation_matches_single_rows(reference_pinning):
     # batches above solver._EVAL_ROWS are evaluated in row blocks
     X = np.random.default_rng(3).uniform(-10.0, 10.0, (1100, reference_pinning.n_unknowns))
@@ -95,6 +102,78 @@ def test_batch_evaluation_matches_single_rows(reference_pinning):
     for i in (0, 511, 512, 1099):
         assert H[i].tobytes() == reference_pinning.residual(X[i]).tobytes()
         assert J[i].tobytes() == reference_pinning.jacobian(X[i]).tobytes()
+
+
+# -- evaluation kernel ---------------------------------------------------------
+
+def _eval_reference(polys, unknowns, X):
+    """The dense kernel: every monomial gathers the powers of all unknowns."""
+    index = {name: i for i, name in enumerate(unknowns)}
+    coeffs, expts, offsets = [], [], []
+    for poly in polys:
+        offsets.append(len(coeffs))
+        if poly.is_zero():
+            coeffs.append(0.0)
+            expts.append([0] * len(unknowns))
+            continue
+        for mono, coef in sorted(poly.terms.items()):
+            row = [0] * len(unknowns)
+            for name, exp in mono:
+                row[index[name]] = exp
+            coeffs.append(float(coef))
+            expts.append(row)
+    expts = np.asarray(expts, dtype=np.int64)
+    B, n = X.shape
+    powers = np.ones((B, n, int(expts.max(initial=0)) + 1))
+    for e in range(1, powers.shape[2]):
+        powers[:, :, e] = powers[:, :, e - 1] * X
+    factors = powers[:, np.arange(n), expts]
+    terms = np.asarray(coeffs) * np.prod(factors, axis=2)
+    return np.add.reduceat(terms, np.asarray(offsets, dtype=np.intp), axis=1)
+
+
+_KERNEL_PINNINGS = {
+    "reference": ("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
+                              "m": math.sqrt(0.5), "lam": 1, "sigma": 1}),
+    "lam/sigma-free": ("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
+                                   "m": F(1, 2)}),
+    "criterion-6 j1": ("coeffs2", {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, "j1": F(1, 10)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_PINNINGS))
+def test_sparse_kernel_matches_dense_reference(name):
+    system_name, pins = _KERNEL_PINNINGS[name]
+    system, _ = solver.build_named_system(system_name)
+    sysn = pin_and_square(system, pins)
+    jac_polys = [p.derivative(u) for p in sysn.polys for u in sysn.unknowns]
+    rng = np.random.default_rng(12)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200])
+    for rows in (1, 511, 512, 513, 2000):
+        X = rng.uniform(-10.0, 10.0, (rows, sysn.n_unknowns))
+        mask = rng.random(X.shape) < 0.2
+        X[mask] = rng.choice(special, mask.sum())
+        with np.errstate(all="ignore"):
+            for compiled, polys in ((sysn._f, sysn.polys), (sysn._j, jac_polys)):
+                got = solver._eval_compiled(compiled, X)
+                ref = _eval_reference(polys, sysn.unknowns, X)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_sparse_kernel_orders_factors_by_unknown():
+    # unknowns listed out of name order, monomials of three factors and
+    # powers up to 3: the factors multiply in the order of the unknowns
+    x, y, z = (RationalPoly.var(v) for v in ("x", "y", "z"))
+    polys = [x * y * z + 3 * z ** 3 * x, F(1, 3) * y ** 2 * x - z, RationalPoly.const(0),
+             RationalPoly.const(2)]
+    sysn = solver.HSystemNumeric(["z", "x", "y"], polys, [(i, 0) for i in range(4)], {})
+    X = np.random.default_rng(2).standard_normal((300, 3)) * 10.0 ** \
+        np.random.default_rng(3).uniform(-150.0, 150.0, (300, 3))
+    with np.errstate(all="ignore"):
+        assert sysn.residual(X).tobytes() == \
+            _eval_reference(polys, sysn.unknowns, X).tobytes()
 
 
 # -- Newton ------------------------------------------------------------------
@@ -357,7 +436,7 @@ def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
     floor = np.full(Xa.shape[0], min_step)
-    alpha = solver._line_search(f, Xa, dx, base, 1e-4, floor)
+    alpha, _ = solver._line_search(f, Xa, dx, base, 1e-4, floor)
     ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
     assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
@@ -378,12 +457,28 @@ def test_line_search_stops_at_row_floor(reference_pinning):
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
     floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
-    alpha = solver._line_search(f, Xa, dx, base, 1e-4, floor)
+    alpha, _ = solver._line_search(f, Xa, dx, base, 1e-4, floor)
     deep_alpha, deep_settled = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
     past = deep_settled & (deep_alpha < floor)
     assert past.sum() >= 50 and (deep_settled & ~past).sum() >= 300
     assert np.array_equal(alpha > 0, deep_settled & ~past)
     assert alpha[alpha > 0].tobytes() == deep_alpha[alpha > 0].tobytes()
+
+
+@pytest.mark.parametrize("min_step", [1e-14, 1e-3])
+def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
+    # _newton_batch keeps these rows as the residual of the next iterate
+    Xa, dx, base = _search_batch(reference_pinning, seed=8)
+    f = reference_pinning._f
+    alpha, H = solver._line_search(f, Xa, dx, base, 1e-4,
+                                   np.full(Xa.shape[0], min_step))
+    ok = alpha > 0
+    assert ok.sum() >= 250 and (~ok).sum() >= 30
+    assert H.shape == (Xa.shape[0], reference_pinning.n_equations)
+    with np.errstate(all="ignore"):
+        fresh = solver._eval_compiled(f, Xa[ok] + alpha[ok, None] * dx[ok])
+    assert H[ok].tobytes() == fresh.tobytes()
+    assert np.isnan(H[~ok]).all()
 
 
 # -- dedup ---------------------------------------------------------------------
@@ -480,6 +575,23 @@ def test_nonexistence_k1_resonant_sigma_zero_roots():
     assert report.upheld          # every root has |sigma| <= 1e-10
     sigmas = [r["sigma"] for pt in report.points for r in pt.roots]
     assert max(abs(s) for s in sigmas) <= 1e-10
+
+
+def test_nonexistence_logs_summary(caplog, monkeypatch):
+    # with the sigma tolerance below zero every resonant root counts as a
+    # counterexample, so the record's two counts differ from zero
+    grid = [{"a": a, "b": -1, "d": F(1, 3), "lam": 1, "m": F(1, 2), "sigma": 1}
+            for a in (F(-1, 100), 1)]
+    monkeypatch.setattr(solver, "_SIGMA_TOL", -1.0)
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
+        report = reproduce_nonexistence("k1", grid, n_starts=100, seed=0)
+    records = [r for r in caplog.records if r.funcName == "reproduce_nonexistence"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert len([r for r in caplog.records if r.funcName == "multistart"]) == 2
+    args = records[0].args
+    assert args[:5] == ("k1", 2, 100, report.total_roots, len(report.counterexamples))
+    assert report.total_roots == len(report.counterexamples) > 0
+    assert args[5] >= 0.0
 
 
 def test_nonexistence_control_finds_quartic_branch():
