@@ -69,7 +69,8 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
 
     Returns (coeffs, cols, offsets, e_max).  Column 0 of a batch's power
     table is x^0 = 1 and column (e - 1) * n + i + 1 is x_i^e (n unknowns,
-    1 <= e <= e_max).  cols[:, t] lists the columns of monomial t's
+    1 <= e <= e_max; e_max >= 1 even when every polynomial is constant,
+    so the table always holds the unknowns themselves).  cols[:, t] lists the columns of monomial t's
     nonzero exponents in variable order, padded with column 0 to the
     widest monomial, so the product of those table columns times coeffs,
     summed by np.add.reduceat over offsets, evaluates every polynomial.
@@ -88,7 +89,7 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
     width = max(1, max(map(len, cols)))
     cols_arr = np.array([c + [0] * (width - len(c)) for c in cols], dtype=np.intp)
     e_max = max((exp for p in polys for mono in p.terms for _, exp in mono),
-                default=0)
+                default=1)
     return (np.asarray(coeffs), np.ascontiguousarray(cols_arr.T),
             np.asarray(offsets, dtype=np.intp), e_max)
 

@@ -141,6 +141,16 @@ def test_solve_pins_leaving_no_unknown_exit_2(capsys):
     assert "no unknown" in stderr
 
 
+def test_solve_pins_leaving_affine_residuals(capsys):
+    # with w = k pinned the residuals are affine in j: the Jacobian is constant
+    code, stdout, _ = run_cli(["solve", "--system", "coeffs1", "--pin",
+                               "m=0.70710678,lambda=1,sigma=1,k0=1,k1=1,k2=1",
+                               "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+                               "--starts", "20"], capsys)
+    assert code == 0
+    assert "coeffs1: 0/20 starts converged" in stdout  # no root at k = 1
+
+
 def test_solve_seeded_from_family_output(tmp_path, capsys):
     out = tmp_path / "seed"
     run_cli(["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",

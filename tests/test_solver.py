@@ -139,6 +139,10 @@ _KERNEL_PINNINGS = {
                                    "m": F(1, 2)}),
     "criterion-6 j1": ("coeffs2", {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)}),
+    # with w = k fixed the residuals are affine in j: a constant Jacobian
+    "affine in j": ("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
+                                "m": math.sqrt(0.5), "lam": 1, "sigma": 1,
+                                "k0": 1, "k1": 1, "k2": 1}),
 }
 
 
@@ -174,6 +178,36 @@ def test_sparse_kernel_orders_factors_by_unknown():
     with np.errstate(all="ignore"):
         assert sysn.residual(X).tobytes() == \
             _eval_reference(polys, sysn.unknowns, X).tobytes()
+
+
+def test_sparse_kernel_affine_residuals():
+    # every Jacobian entry is constant, so its power table has no power
+    # above x^1 to hold; the residual table still needs the unknowns
+    x, y = RationalPoly.var("x"), RationalPoly.var("y")
+    polys = [x + y - 1, x - y]
+    sysn = solver.HSystemNumeric(["x", "y"], polys, [(0, 0), (1, 0)], {})
+    jac_polys = [p.derivative(u) for p in polys for u in sysn.unknowns]
+    X = np.random.default_rng(5).uniform(-10.0, 10.0, (7, 2))
+    for compiled, ps in ((sysn._f, polys), (sysn._j, jac_polys)):
+        assert solver._eval_compiled(compiled, X).tobytes() == \
+            _eval_reference(ps, sysn.unknowns, X).tobytes()
+    res = solve_newton(sysn, [3.0, -4.0])
+    assert res.converged
+    assert np.allclose(res.x, [0.5, 0.5])
+
+
+def test_affine_pinning_solves(quadratic_system, closed_forms):
+    # pinning w = k at a closed-form root leaves residuals affine in j
+    sol = closed_forms["top"]
+    coeffs = sol.coefficient_map()
+    pins = {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, "m": math.sqrt(0.5),
+            "lam": 1, "sigma": 1, **{k: coeffs[k] for k in ("k0", "k1", "k2")}}
+    sysn = pin_and_square(quadratic_system, pins)
+    assert sysn.unknowns == ["j0", "j1", "j2"]
+    res = solve_newton(sysn, [0.0, 0.0, 0.0])
+    assert res.converged
+    assert np.allclose(res.x, [float(coeffs[j]) for j in ("j0", "j1", "j2")],
+                       rtol=1e-9, atol=1e-9)
 
 
 # -- Newton ------------------------------------------------------------------
