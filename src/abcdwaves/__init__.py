@@ -31,7 +31,7 @@ from .cnexpr import (CnExpression, CoefficientSystem, build_coefficient_system,
                      cn_series)
 from .ratpoly import RationalPoly
 from .reduction import AnsatzShape, classify_ansatz, verify_termination
-from .solver import (BranchSet, HSystemNumeric, NewtonOptions, NewtonResult,
+from .solver import (BranchSet, HSystemNumeric, NewtonResult,
                      build_named_system, multistart, pin_and_square,
                      promote_root, reproduce_nonexistence, solve_newton)
 from .verifier import (ConvergenceTable, ResidualReport, bbm_reduction_check,

@@ -11,6 +11,7 @@ a, b, c, d accept exact rationals ("-8/3"); lam, sigma, m accept floats.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -22,12 +23,12 @@ import numpy as np
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from . import __version__
-from .errors import AbcdWavesError, ConstraintError, DomainError, UsageError
-from .families import (FAMILY_SET_LABELS, ParameterSet, SolutionParams,
-                       build_family, check_physical_constraint)
+from .errors import AbcdWavesError, ConstraintError, UsageError
+from .families import (FAMILIES, ParameterSet, SolutionParams, build_family,
+                       check_physical_constraint)
 from .reduction import classify_ansatz, verify_termination
-from .solver import (SYSTEMS, NewtonOptions, build_named_system, multistart,
-                     pin_and_square, reproduce_nonexistence, solve_newton)
+from .solver import (SYSTEMS, build_named_system, multistart, pin_and_square,
+                     reproduce_nonexistence, solve_newton)
 from .verifier import limit_consistency, ode_residual, periodicity_check
 
 EXIT_OK = 0
@@ -59,6 +60,13 @@ def _add_abcd(parser, required=False):
 
 def _params_from(args) -> ParameterSet:
     return ParameterSet.make(args.a, args.b, args.c, args.d)
+
+
+def _family_inputs(args, p: ParameterSet) -> dict:
+    """The arguments of family ``args.set``'s builder, by name, from the flags."""
+    values = {"p": p, **vars(args)}
+    return {name: values[name]
+            for name in inspect.signature(FAMILIES[args.set]).parameters}
 
 
 # ---------------------------------------------------------------- outputs
@@ -155,15 +163,7 @@ def cmd_family(args) -> int:
         except ConstraintError as exc:
             print(f"warning: physical constraint violated: {exc}", file=sys.stderr)
 
-    tag = FAMILY_SET_LABELS[args.set]
-    if tag == "S411":
-        sol = build_family(tag, p, args.m, args.tau1, args.tau2)
-    elif tag == "S412":
-        sol = build_family(tag, p, args.lam, args.sigma, args.m, args.sign)
-    elif tag in ("S421", "S422"):
-        sol = build_family(tag, p, args.lam, args.sigma, args.m)
-    else:
-        sol = build_family(tag, args.d, args.lam, args.sigma, args.m)
+    sol = build_family(args.set, **_family_inputs(args, p))
 
     report = ode_residual(sol, p, args.samples)
     span = args.periods * report.period if sol.m < 1.0 else 24.0 / sol.lam
@@ -243,7 +243,6 @@ def cmd_solve(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--pin value {val!r} of {key} is not a rational") from None
     sysn = pin_and_square(system, pins)
-    opts = NewtonOptions(max_iter=args.max_iter)
 
     if args.seed_from:
         sol, _ = _load_solution(args.seed_from)
@@ -251,7 +250,8 @@ def cmd_solve(args) -> int:
         missing = [u for u in sysn.unknowns if u not in seed_map]
         if missing:
             raise UsageError(f"seed file does not cover unknowns {missing}")
-        result = solve_newton(sysn, sysn.vector_from_map(seed_map), opts)
+        result = solve_newton(sysn, sysn.vector_from_map(seed_map),
+                              args.max_iter)
         out = {
             "run_config": _echo_config(args, "solve"),
             "unknowns": sysn.unknowns,
@@ -266,7 +266,8 @@ def cmd_solve(args) -> int:
                 fh.write(_dumps(out, indent=2))
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
-    branch_set = multistart(sysn, args.starts, seed_rng=args.seed, opts=opts)
+    branch_set = multistart(sysn, args.starts, seed_rng=args.seed,
+                            max_iter=args.max_iter)
     out = {"run_config": _echo_config(args, "solve"), "unknowns": sysn.unknowns,
            "branches": branch_set.to_dict()}
     nontrivial = branch_set.nontrivial()
@@ -305,22 +306,14 @@ def cmd_limit(args) -> int:
     elif kind == "a_to_zero":
         table = limit_consistency(kind, b=args.b, d=args.d, lam=args.lam,
                                   sigma=args.sigma, m=args.m)
+    elif args.set == "4.1.1":
+        # the limit parser has no --tau1/--tau2
+        raise UsageError("m->1 limit via this command supports sets "
+                         "4.1.2, 4.2.1, 4.2.2 and 4.3")
     else:
-        p = _params_from(args)
-        tag = FAMILY_SET_LABELS[args.set]
-        if tag == "S412":
-            table = limit_consistency(kind, family=tag, args=(p,),
-                                      lam=args.lam, sigma=args.sigma,
-                                      sign=args.sign)
-        elif tag in ("S421", "S422"):
-            table = limit_consistency(kind, family=tag, args=(p,),
-                                      lam=args.lam, sigma=args.sigma)
-        elif tag == "S43":
-            table = limit_consistency(kind, family=tag, args=(args.d,),
-                                      lam=args.lam, sigma=args.sigma)
-        else:
-            raise UsageError("m->1 limit via this command supports sets "
-                             "4.1.2, 4.2.1, 4.2.2 and 4.3")
+        inputs = _family_inputs(args, _params_from(args))
+        del inputs["m"]
+        table = limit_consistency(kind, family=args.set, **inputs)
     out = {"run_config": _echo_config(args, "limit"), **table.to_dict()}
     print(_dumps(out, indent=2))
     return EXIT_OK
@@ -368,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_SubParser)
 
     fam = sub.add_parser("family", help="construct a closed-form solution family")
-    fam.add_argument("--set", required=True, choices=sorted(FAMILY_SET_LABELS),
+    fam.add_argument("--set", required=True, choices=sorted(FAMILIES),
                      help="solution set label")
     _add_abcd(fam)
     fam.add_argument("--m", type=_num, required=True)
@@ -418,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--kind", required=True,
                      choices=("c-to-zero", "a-to-zero", "m-to-one"))
     _add_abcd(lim)
-    lim.add_argument("--set", default="4.1.2", choices=sorted(FAMILY_SET_LABELS))
+    lim.add_argument("--set", default="4.1.2", choices=sorted(FAMILIES))
     lim.add_argument("--lambda", dest="lam", type=_num, default=1.0)
     lim.add_argument("--sigma", type=_num, default=1.0)
     lim.add_argument("--m", type=_num, default=0.5)
@@ -448,9 +441,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ConstraintError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except AbcdWavesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -37,6 +37,13 @@ def _trim(coeffs: list[RationalPoly]) -> tuple[RationalPoly, ...]:
     return tuple(coeffs)
 
 
+def _add(p1, p2) -> tuple[RationalPoly, ...]:
+    """Coefficient-wise p1 + p2, the shorter one padded with zeros, trimmed."""
+    n = max(len(p1), len(p2))
+    return _trim([(p1[q] if q < len(p1) else _ZERO)
+                  + (p2[q] if q < len(p2) else _ZERO) for q in range(n)])
+
+
 def _convolve(p1, p2) -> list[RationalPoly]:
     if not p1 or not p2:
         return []
@@ -88,19 +95,7 @@ class CnExpression:
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other: "CnExpression") -> "CnExpression":
-        n_even = max(len(self.even), len(other.even))
-        n_odd = max(len(self.odd), len(other.odd))
-        even = [
-            (self.even[q] if q < len(self.even) else _ZERO)
-            + (other.even[q] if q < len(other.even) else _ZERO)
-            for q in range(n_even)
-        ]
-        odd = [
-            (self.odd[q] if q < len(self.odd) else _ZERO)
-            + (other.odd[q] if q < len(other.odd) else _ZERO)
-            for q in range(n_odd)
-        ]
-        return CnExpression(_trim(even), _trim(odd))
+        return CnExpression(_add(self.even, other.even), _add(self.odd, other.odd))
 
     def __neg__(self) -> "CnExpression":
         return CnExpression(
@@ -118,21 +113,10 @@ class CnExpression:
 
     def __mul__(self, other: "CnExpression") -> "CnExpression":
         ee = _convolve(list(self.even), list(other.even))
-        oo = _convolve(list(self.odd), list(other.odd))
-        oo = _convolve(oo, _SNDN_SQ)
-        n = max(len(ee), len(oo))
-        even = [
-            (ee[q] if q < len(ee) else _ZERO) + (oo[q] if q < len(oo) else _ZERO)
-            for q in range(n)
-        ]
+        oo = _convolve(_convolve(list(self.odd), list(other.odd)), _SNDN_SQ)
         eo = _convolve(list(self.even), list(other.odd))
         oe = _convolve(list(self.odd), list(other.even))
-        n = max(len(eo), len(oe))
-        odd = [
-            (eo[q] if q < len(eo) else _ZERO) + (oe[q] if q < len(oe) else _ZERO)
-            for q in range(n)
-        ]
-        return CnExpression(_trim(even), _trim(odd))
+        return CnExpression(_add(ee, oo), _add(eo, oe))
 
     def substitute(self, subs: Mapping[str, Scalar]) -> "CnExpression":
         return CnExpression(

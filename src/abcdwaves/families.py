@@ -476,31 +476,25 @@ def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational) -> Solut
     )
 
 
-_FAMILY_BUILDERS = {
-    "S411": build_s411,
-    "S412": build_s412,
-    "S421": build_s421,
-    "S422": build_s422,
-    "S43": build_s43,
-}
-
-FAMILY_SET_LABELS = {
-    "4.1.1": "S411",
-    "4.1.2": "S412",
-    "4.2.1": "S421",
-    "4.2.2": "S422",
-    "4.3": "S43",
+# set label: the family's builder.  The family tag is "S" plus the label's
+# digits ("4.1.2" -> "S412").  A builder's parameter names are the CLI flag
+# names of its inputs (p is the ParameterSet), so the CLI passes them by
+# keyword.
+FAMILIES = {
+    "4.1.1": build_s411,
+    "4.1.2": build_s412,
+    "4.2.1": build_s421,
+    "4.2.2": build_s422,
+    "4.3": build_s43,
 }
 
 
 def build_family(tag: str, *args, **kwargs) -> SolutionParams:
     """Dispatch on a family tag ("S412") or set label ("4.1.2")."""
-    tag = FAMILY_SET_LABELS.get(tag, tag)
-    try:
-        builder = _FAMILY_BUILDERS[tag]
-    except KeyError:
-        raise UsageError(f"unknown family {tag!r}") from None
-    return builder(*args, **kwargs)
+    for label, builder in FAMILIES.items():
+        if tag in (label, "S" + label.replace(".", "")):
+            return builder(*args, **kwargs)
+    raise UsageError(f"unknown family {tag!r}")
 
 
 def m1_limit(tag: str, *args, **kwargs) -> SolutionParams:

@@ -103,8 +103,6 @@ def _is_sign_definite(poly: RationalPoly, allowed: frozenset[str]) -> bool:
                 return False
         if names <= _POSITIVE_VARS | allowed:
             anchored = True
-    if not poly.terms.get((), None) is None:
-        anchored = True
     return anchored
 
 

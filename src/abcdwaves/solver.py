@@ -6,11 +6,11 @@ Jacobian, and solved by damped Newton with a backtracking line search on
 ||h||^2.  Overdetermined systems (more equations than unknowns, which is
 the normal situation here since the pinned systems carry structural
 redundancy) take Gauss-Newton steps through the pseudoinverse and a root
-is accepted only at ||h||_inf <= tol, so consistency of the redundant
+is accepted only at ||h||_inf <= 1e-12, so consistency of the redundant
 equations is verified rather than assumed.
 
 One batched engine serves multistart and solve_newton (a one-row batch).
-It tries the steps 1, 1/2, ... down to min_step, but below 2**-30 only
+It tries the steps 1, 1/2, ... down to 1e-14, but below 2**-30 only
 while the step still moves x by more than 2**-40 of max(||x||_inf, 1); a
 row that accepts none of them stops as "stalled" at its last iterate.
 Every row ends with one stop reason: converged, overflow (non-finite, or
@@ -57,6 +57,10 @@ _DEDUP_REL = 1e-6
 _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
+_TOL = 1e-12                # a root needs ||h||_inf <= _TOL
+_ARMIJO = 1e-4              # sufficient-decrease factor of the line search
+_MIN_STEP = 1e-14           # smallest line-search step factor
+_SWEEP_MAX_ITER = 80        # Newton budget of the non-existence sweeps
 _STALL_FLOOR = 2.0 ** -30   # batch line search: below this step factor ...
 _STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
 _ESCAPE = 1e7               # multistart iterates this large never return to
@@ -145,11 +149,6 @@ class HSystemNumeric:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return _eval_compiled(self._f, X)
 
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        flat = _eval_compiled(self._j, X)
-        return flat.reshape(X.shape[0], self.n_equations, self.n_unknowns)
-
     def vector_from_map(self, values: Mapping[str, Number]) -> np.ndarray:
         return np.array([float(values[u]) for u in self.unknowns])
 
@@ -215,19 +214,6 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     return HSystemNumeric(ordered, polys, keys, exact)
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Settings of the one Newton engine, _newton_batch.
-
-    min_step is the smallest line-search step factor; below _STALL_FLOOR a
-    row also needs a step that still moves x (see _newton_batch).
-    """
-    max_iter: int = 200
-    tol: float = 1e-12
-    armijo: float = 1e-4
-    min_step: float = 1e-14
-
-
 @dataclass
 class NewtonResult:
     status: str                      # one of _STOP_REASONS
@@ -241,7 +227,7 @@ class NewtonResult:
 
 
 def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
-                 opts: NewtonOptions = NewtonOptions()) -> NewtonResult:
+                 max_iter: int = 200) -> NewtonResult:
     """Damped Newton from one seed: row 0 of a one-row _newton_batch.
 
     The escape radius scales with the seed, 1e7 * max(1, ||seed||_inf),
@@ -252,7 +238,7 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
-    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], opts, escape)
+    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], max_iter, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
@@ -298,17 +284,18 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
     return alpha, H
 
 
-def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
+def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   escape: float = _ESCAPE
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, reason, iterations, hinf): the final iterates, each row's
-    stop reason from _STOP_REASONS, its accepted Newton steps and its
-    ||h||_inf at the final iterate.  A row stops moving once it converges,
-    overflows or escapes (||x||_inf >= escape), or its line search accepts
-    no step (stalled: it keeps its last iterate).  The search goes down to
-    opts.min_step, but below _STALL_FLOOR only while alpha * ||dx||_inf
+    Runs at most max_iter iterations.  Returns (X, reason, iterations,
+    hinf): the final iterates, each row's stop reason from _STOP_REASONS,
+    its accepted Newton steps and its ||h||_inf at the final iterate.  A
+    row stops moving once it converges, overflows or escapes (||x||_inf >=
+    escape), or its line search accepts no step (stalled: it keeps its
+    last iterate).  The search goes down to
+    _MIN_STEP, but below _STALL_FLOOR only while alpha * ||dx||_inf
     exceeds _STALL_MOVE * max(||x||_inf, 1): a row crawling at steps that
     barely move x stops instead of spending the iteration budget.  The
     residual is evaluated once, at X0; after that each row keeps the
@@ -321,7 +308,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
     iters = np.zeros(B, dtype=np.int64)
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         if not active.any():
             break
         idx_active = np.flatnonzero(active)
@@ -330,7 +317,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
                   & (np.abs(Xa).max(axis=1) < escape))
         hinf = np.where(finite, np.max(np.abs(np.where(np.isfinite(Ha), Ha, np.inf)),
                                        axis=1), np.inf)
-        just_conv = finite & (hinf <= opts.tol)
+        just_conv = finite & (hinf <= _TOL)
         reason[idx_active[just_conv]] = "converged"
         active[idx_active[just_conv]] = False
         active[idx_active[~finite]] = False
@@ -347,8 +334,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
             move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
                 / np.abs(dx).max(axis=1)
         base = np.einsum("bi,bi->b", Ha, Ha)
-        floor = np.maximum(opts.min_step, np.fmin(_STALL_FLOOR, move))
-        alpha, Hs = _line_search(sysn._f, Xa, dx, base, opts.armijo, floor)
+        floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
+        alpha, Hs = _line_search(sysn._f, Xa, dx, base, _ARMIJO, floor)
         settled = alpha > 0
         X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
         H[idx[settled]] = Hs[settled]
@@ -359,7 +346,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, opts: NewtonOptions,
     # last accepted step)
     with np.errstate(all="ignore"):
         hinf = np.max(np.abs(H), axis=1)
-    done = np.isfinite(hinf) & (hinf <= opts.tol) & np.isfinite(X).all(axis=1)
+    done = np.isfinite(hinf) & (hinf <= _TOL) & np.isfinite(X).all(axis=1)
     reason[done] = "converged"
     return X, reason, iters, hinf
 
@@ -442,30 +429,27 @@ def _dedup(roots: list[tuple[np.ndarray, float, int]]):
     return kept
 
 
-def multistart(sysn: HSystemNumeric, n_starts: int,
-               sampler_ranges: Optional[tuple[float, float]] = None,
-               seed_rng: int = 0,
-               opts: NewtonOptions = NewtonOptions()) -> BranchSet:
+def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
+               max_iter: int = 200) -> BranchSet:
     """Run damped Newton from n_starts sampled seeds and collect the roots.
 
-    Seeds are log-uniform in magnitude over sampler_ranges (default
-    (1e-3, 10), i.e. within [-10, 10]) with random sign.  Roots are
-    deduplicated at relative l_inf distance 1e-6 (absolute floor 1e-9)
-    and classified trivial / semi-trivial / non-trivial from the
+    Seeds are log-uniform in magnitude over (1e-3, 10), i.e. within
+    [-10, 10], with random sign; each start gets max_iter iterations.
+    Roots are deduplicated at relative l_inf distance 1e-6 (absolute floor
+    1e-9) and classified trivial / semi-trivial / non-trivial from the
     zero-pattern of the j_r, k_r with r >= 1 (pinned values included).
     Deterministic for fixed seed_rng; an empty BranchSet is a valid result.
     """
     if n_starts < 1:
         raise UsageError("n_starts must be >= 1")
-    lo, hi = sampler_ranges or (1e-3, 10.0)
     rng = np.random.default_rng(seed_rng)
-    mags = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi),
+    mags = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0),
                                size=(n_starts, sysn.n_unknowns))
     signs = rng.choice([-1.0, 1.0], size=(n_starts, sysn.n_unknowns))
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, reason, _, hinf_all = _newton_batch(sysn, X0, opts)
+    X, reason, _, hinf_all = _newton_batch(sysn, X0, max_iter)
     conv = reason == "converged"
     found = [(X[i], float(hinf_all[i]), int(i)) for i in np.flatnonzero(conv)]
     t1 = time.perf_counter()
@@ -565,8 +549,7 @@ class NonexistenceReport:
 
 def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]],
                            *, value: float = 0.1, delta: float = 1e-3,
-                           n_starts: int = 500, seed: int = 0,
-                           opts: NewtonOptions = NewtonOptions(max_iter=80)) -> NonexistenceReport:
+                           n_starts: int = 500, seed: int = 0) -> NonexistenceReport:
     """Multistart sweeps of the full quartic-case system with one series
     coefficient pinned away from zero.
 
@@ -594,7 +577,8 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
         if not sigma_free:
             pins["sigma"] = point["sigma"]
         sysn = pin_and_square(system, pins)
-        branch_set = multistart(sysn, n_starts, seed_rng=seed + i, opts=opts)
+        branch_set = multistart(sysn, n_starts, seed_rng=seed + i,
+                                max_iter=_SWEEP_MAX_ITER)
         roots = []
         for rec in branch_set.roots:
             entry = {"values": rec.values, "hinf": rec.hinf,

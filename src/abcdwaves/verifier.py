@@ -189,17 +189,26 @@ def _empirical_orders(values: Sequence[float], diffs: Sequence[float]) -> tuple[
     return tuple(orders)
 
 
+def _convergence_table(kind: str, parameter: str, values: tuple[float, ...],
+                       diffs: tuple[float, ...], target: SolutionParams
+                       ) -> ConvergenceTable:
+    monotone = all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
+    return ConvergenceTable(kind, parameter, values, diffs,
+                            _empirical_orders(values, diffs), monotone,
+                            target.to_dict())
+
+
 def limit_consistency(kind: str, **inputs) -> ConvergenceTable:
     """Coefficient collapse between families along a limiting parameter.
 
-    kind = "c_to_zero": bottom-branch S412 -> S422 as c -> 0; requires the
-        side condition sigma*(b-2d) > 0.  Inputs: a, b, d, lam, sigma, m
-        and optionally c_values (default geometric 1e-3 .. 1e-8).
+    kind = "c_to_zero": bottom-branch S412 -> S422 at c = 1e-3 .. 1e-8;
+        requires the side condition sigma*(b-2d) > 0.  Inputs: a, b, d,
+        lam, sigma, m.
     kind = "a_to_zero": S422 at a = 0 against S43 (single row; exact).
         Inputs: b, d, lam, sigma, m.
-    kind = "m_to_one": family coefficients along m -> 1 against the m = 1
-        evaluation.  Inputs: family plus that family's arguments and
-        optionally m_values.
+    kind = "m_to_one": family coefficients at m = 1 - 1e-1 .. 1 - 1e-8
+        against the m = 1 evaluation.  Inputs: family plus that family's
+        builder arguments by name (an m among them is ignored).
     """
     kind = kind.replace("-", "_")
     if kind == "c_to_zero":
@@ -209,18 +218,12 @@ def limit_consistency(kind: str, **inputs) -> ConvergenceTable:
         if not side > 0:
             raise DomainError(
                 f"side condition sigma*(b-2d) > 0 fails (value {side})")
-        c_values = tuple(inputs.get("c_values") or (10.0 ** -k for k in range(3, 9)))
+        cs = tuple(10.0 ** -k for k in range(3, 9))
         target = build_s422(ParameterSet.make(a, b, 0, d), lam, sigma, m)
-        diffs = []
-        for c in c_values:
-            sol = build_s412(ParameterSet.make(a, b, Fraction(c), d), lam, sigma, m,
-                             sign="bottom")
-            diffs.append(_coef_diff(sol, target))
-        diffs = tuple(diffs)
-        monotone = all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
-        return ConvergenceTable(kind, "c", tuple(float(c) for c in c_values),
-                                diffs, _empirical_orders(c_values, diffs),
-                                monotone, target.to_dict())
+        diffs = tuple(_coef_diff(build_s412(ParameterSet.make(a, b, Fraction(c), d),
+                                            lam, sigma, m, sign="bottom"), target)
+                      for c in cs)
+        return _convergence_table(kind, "c", cs, diffs, target)
 
     if kind == "a_to_zero":
         b, d = inputs["b"], inputs["d"]
@@ -233,20 +236,12 @@ def limit_consistency(kind: str, **inputs) -> ConvergenceTable:
 
     if kind == "m_to_one":
         family = inputs.pop("family")
-        m_values = tuple(inputs.pop("m_values", ())) or tuple(
-            1.0 - 10.0 ** -k for k in range(1, 9))
-        args = inputs.pop("args", ())
         inputs.pop("m", None)
-        target = m1_limit(family, *args, **inputs)
-        diffs = []
-        for m in m_values:
-            sol = build_family(family, *args, m=m, **inputs)
-            diffs.append(_coef_diff(sol, target))
-        diffs = tuple(diffs)
-        gaps = tuple(1.0 - m for m in m_values)
-        monotone = all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
-        return ConvergenceTable(kind, "1-m", gaps, diffs,
-                                _empirical_orders(gaps, diffs), monotone,
-                                target.to_dict())
+        ms = tuple(1.0 - 10.0 ** -k for k in range(1, 9))
+        target = m1_limit(family, **inputs)
+        diffs = tuple(_coef_diff(build_family(family, m=m, **inputs), target)
+                      for m in ms)
+        return _convergence_table(kind, "1-m", tuple(1.0 - m for m in ms),
+                                  diffs, target)
 
     raise UsageError(f"unknown limit kind {kind!r}")

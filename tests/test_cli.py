@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -281,6 +282,92 @@ def test_limit_command(capsys):
     data = json.loads(stdout)
     assert data["monotone"] is True
     assert data["diffs"][-1] < 1e-8
+
+
+# one input per solution set and the solution the parent tree wrote for it
+FAMILY_CASES = {
+    "4.1.1": (["--a", "-5/6", "--b", "1", "--c", "-5/6", "--d", "1", "--m", "3/4",
+               "--tau1", "-1"],
+              {"family_tag": "S411", "branch": {"tau1": -1, "tau2": 1, "pm": None},
+               "j": [-13.499999999999998, -0.0, 202.5, 0.0, 0.0],
+               "k": [-8.959786703810407, 0.0, 128.07224523681936],
+               "lambda": 4.898979485566356, "m": 0.75, "sigma": 2.1081851067789197,
+               "origin": None}),
+    "4.1.2": (["--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--lambda", "1/2",
+               "--sigma", "-1/3", "--m", "1/4", "--sign", "bottom"],
+              {"family_tag": "S412", "branch": {"tau1": 1, "tau2": 1, "pm": "bottom"},
+               "j": [-0.5502858641142375, 0.0, 0.05890815256326875, 0.0, 0.0],
+               "k": [-0.5727372288449031, 0.0, -0.14089415673264533],
+               "lambda": 0.5, "m": 0.25, "sigma": -0.3333333333333333, "origin": None}),
+    "4.2.1": (["--a", "1", "--b", "-1", "--d", "1/3", "--lambda", "1/2", "--sigma", "-2",
+               "--m", "1/2"],
+              {"family_tag": "S421", "branch": {"tau1": 1, "tau2": 1, "pm": None},
+               "j": [7.288954635108481, 0.0, -4.711538461538462, 0.0, -3.75],
+               "k": [-0.44871794871794873, 0.0, 2.5],
+               "lambda": 0.5, "m": 0.5, "sigma": -2.0, "origin": None}),
+    "4.2.2": (["--a", "1", "--b", "2", "--d", "-1", "--lambda", "1", "--sigma", "-1",
+               "--m", "3/4"],
+              {"family_tag": "S422", "branch": {"tau1": 1, "tau2": 1, "pm": None},
+               "j": [-1.0625, 0.0, 1.6875, 0.0, 0.0], "k": [-1.75, 0.0, 6.75],
+               "lambda": 1.0, "m": 0.75, "sigma": -1.0, "origin": None}),
+    "4.3": (["--d", "2", "--lambda", "2", "--sigma", "1/8", "--m", "3/4"],
+            {"family_tag": "S43", "branch": {"tau1": 1, "tau2": 1, "pm": None},
+             "j": [-1.0, 0.0, 0.0, 0.0, 0.0], "k": [-0.375, 0.0, 6.75],
+             "lambda": 2.0, "m": 0.75, "sigma": 0.125, "origin": None}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAMILY_CASES))
+def test_family_every_set(tmp_path, capsys, label):
+    flags, expected = FAMILY_CASES[label]
+    code, _, _ = run_cli(["family", "--set", label, *flags, "--samples", "128",
+                          "--out", str(tmp_path / "fam")], capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "fam.json").read_text())
+    # compared as JSON text, so that -0.0 and 0.0 differ
+    assert (json.dumps(payload["solution"], sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+    assert payload["residual"]["relative"] <= 1e-9
+
+
+# the SHA-256 of the parent tree's m -> 1 table, run_config left out,
+# as sorted JSON
+M_TO_ONE_CASES = {
+    "4.1.2": (["--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--sign", "bottom",
+               "--lambda", "1/2"],
+              "1528c2ee00c0a37acf61b4635f0b0e5d1761b491e3c3ff2694767c5bebed2ad1"),
+    "4.2.1": (["--b", "1/6", "--d", "1/6"],
+              "3f223ce88dcae689efe1e5596f76e176dbb1beb66894d3b20531127eb33af9e5"),
+    "4.2.2": (["--a", "1", "--b", "2", "--d", "-1", "--sigma", "-1"],
+              "0e2e70dde0498db990066e75ecff0454fd3824b65241edb76e201f0c21b5e3e9"),
+    "4.3": (["--d", "2", "--lambda", "2", "--sigma", "1/8"],
+            "9e286979a51d695c546630fe6871a47836c056c4d9e3d85137dd67a7c2cb2371"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(M_TO_ONE_CASES))
+def test_limit_m_to_one_every_set(capsys, label):
+    flags, digest = M_TO_ONE_CASES[label]
+    code, stdout, _ = run_cli(["limit", "--kind", "m-to-one", "--set", label, *flags],
+                              capsys)
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["run_config"]["set"] == label
+    assert data["monotone"] is True and data["target"]["m"] == 1.0
+    # first-order convergence in 1 - m
+    assert all(0.9 < order < 1.1 for order in data["orders"])
+    del data["run_config"]
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_limit_m_to_one_rejects_411(capsys):
+    code, stdout, stderr = run_cli([
+        "limit", "--kind", "m-to-one", "--set", "4.1.1", "--a", "-5/6", "--b", "1",
+        "--c", "-5/6", "--d", "1"], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: m->1 limit via this command supports sets "
+                      "4.1.2, 4.2.1, 4.2.2 and 4.3\n")
 
 
 def test_limit_side_condition_exit_2(capsys):

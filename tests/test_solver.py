@@ -98,10 +98,11 @@ def test_pins_leaving_no_unknown_rejected(quadratic_system):
 def test_batch_evaluation_matches_single_rows(reference_pinning):
     # batches above solver._EVAL_ROWS are evaluated in row blocks
     X = np.random.default_rng(3).uniform(-10.0, 10.0, (1100, reference_pinning.n_unknowns))
-    H, J = reference_pinning.residual(X), reference_pinning.jacobian(X)
-    for i in (0, 511, 512, 1099):
-        assert H[i].tobytes() == reference_pinning.residual(X[i]).tobytes()
-        assert J[i].tobytes() == reference_pinning.jacobian(X[i]).tobytes()
+    for compiled in (reference_pinning._f, reference_pinning._j):
+        rows = solver._eval_compiled(compiled, X)
+        for i in (0, 511, 512, 1099):
+            single = solver._eval_compiled(compiled, X[i:i + 1])
+            assert rows[i].tobytes() == single[0].tobytes()
 
 
 # -- evaluation kernel ---------------------------------------------------------
@@ -232,7 +233,7 @@ def test_escape_radius_scales_with_the_seed(reference_pinning, closed_forms):
     root = seed_vector(reference_pinning, closed_forms["top"])
     far = root * 1e8
     _, reason, iters, _ = solver._newton_batch(
-        reference_pinning, far[None, :], solver.NewtonOptions())
+        reference_pinning, far[None, :], 200)
     assert (reason[0], iters[0]) == ("overflow", 0)
     result = solve_newton(reference_pinning, far)
     assert result.converged and result.iterations > 0
@@ -252,8 +253,7 @@ def test_quadratic_convergence_signature(reference_pinning, closed_forms):
     result = solve_newton(reference_pinning, root * 1.02)
     assert result.converged
     # the engine is deterministic: iterate k is the result of a k-step budget
-    iterates = [solve_newton(reference_pinning, root * 1.02,
-                             solver.NewtonOptions(max_iter=k)).x
+    iterates = [solve_newton(reference_pinning, root * 1.02, max_iter=k).x
                 for k in range(result.iterations + 1)]
     errs = [np.max(np.abs(x - root)) for x in iterates]
     errs = [e for e in errs if e > 1e-14]
@@ -278,7 +278,7 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     X0 = 10.0 ** rng.uniform(-3.0, 1.0, (200, sysn.n_unknowns)) \
         * rng.choice([-1.0, 1.0], (200, sysn.n_unknowns))
     X0[0, 0] = np.inf
-    X, reason, iters, hinf = solver._newton_batch(sysn, X0, solver.NewtonOptions())
+    X, reason, iters, hinf = solver._newton_batch(sysn, X0, 200)
     for i, x0 in enumerate(X0):
         result = solve_newton(sysn, x0)
         assert (result.status, result.iterations) == (reason[i], iters[i])
@@ -371,7 +371,7 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
     seen = _spy_newton(monkeypatch)
     branch_set, record = _multistart_record(
-        caplog, sysn, 120, seed_rng=0, opts=solver.NewtonOptions(max_iter=80))
+        caplog, sysn, 120, seed_rng=0, max_iter=80)
     ((_, reason, _, hinf),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
@@ -386,8 +386,7 @@ def test_newton_batch_stop_reasons(reference_pinning):
     X0 = np.random.default_rng(4).uniform(-10.0, 10.0,
                                           (200, reference_pinning.n_unknowns))
     X0[0, 0] = np.inf
-    _, reason, iters, hinf = solver._newton_batch(reference_pinning, X0,
-                                                  solver.NewtonOptions(max_iter=5))
+    _, reason, iters, hinf = solver._newton_batch(reference_pinning, X0, 5)
     assert set(reason) <= set(solver._STOP_REASONS)
     assert reason[0] == "overflow" and iters[0] == 0
     conv = reason == "converged"
@@ -402,7 +401,7 @@ def test_inconsistent_system_stalls():
     x = RationalPoly.var("x")
     sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], [(0, 0), (1, 0)], {})
     X0 = np.random.default_rng(0).uniform(-10.0, 10.0, (50, 1))
-    X, reason, iters, hinf = solver._newton_batch(sysn, X0, solver.NewtonOptions())
+    X, reason, iters, hinf = solver._newton_batch(sysn, X0, 200)
     assert list(reason) == ["stalled"] * 50
     assert np.all(iters <= 2) and np.all(np.abs(X) < 1e-8) and np.allclose(hinf, 1.0)
     branch_set = multistart(sysn, 50, seed_rng=0)
@@ -413,7 +412,7 @@ def test_stall_exit_keeps_long_steps(quadratic_system, monkeypatch):
     # coeffs1 with lam and sigma free: near the rank-deficient continuum
     # some rows take Gauss-Newton steps of 1e5-1e8 at factors far below
     # 2**-30 that still move x, and converge later; the stall exit keeps
-    # them, so multistart matches the search down to min_step
+    # them, so multistart matches the search down to solver._MIN_STEP
     sysn = pin_and_square(quadratic_system,
                           {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, "m": F(1, 2)})
     got = multistart(sysn, 300, seed_rng=5)
@@ -485,7 +484,7 @@ def test_line_search_matches_reference(reference_pinning, min_step):
 
 
 def test_line_search_stops_at_row_floor(reference_pinning):
-    # against the search down to NewtonOptions.min_step, a row stops at
+    # against the search down to solver._MIN_STEP, a row stops at
     # its own floor: rows that need a smaller step stall, every other row
     # takes the same step
     Xa, dx, base = _search_batch(reference_pinning, seed=6)

@@ -174,7 +174,7 @@ def test_limit_a_to_zero_exact():
 
 def test_limit_m_to_one(reference_cases):
     case = reference_cases["s412_a"]
-    table = limit_consistency("m_to_one", family="4.1.2", args=(case["p"],),
+    table = limit_consistency("m_to_one", family="4.1.2", p=case["p"],
                               lam=1, sigma=1, sign="top")
     assert table.monotone
     assert table.diffs[-1] < 1e-5
