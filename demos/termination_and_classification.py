@@ -33,6 +33,7 @@ def main():
     show_report(verify_termination(case="c_zero", n_max=5))
     show_report(verify_termination(ParameterSet.make(0, 0, F(1, 2), F(-1, 6)), 4))
     show_report(verify_termination(ParameterSet.make(F(1, 3), 0, 0, 0), 4))
+    show_report(verify_termination(ParameterSet.make(-1, 0, 0, 0), 4))
 
     print("classification samples:")
     samples = [
@@ -40,6 +41,7 @@ def main():
         (0, 0, F(1, 2), F(-1, 6)),
         (1, -1, 0, F(1, 3)),
         (F(1, 3), 0, 0, 0),
+        (-1, 0, 0, 0),
     ]
     for a, b, c, d in samples:
         p = ParameterSet.make(a, b, c, d)

@@ -141,15 +141,9 @@ def _dumps(obj, **kw):
 
 
 def _echo_config(args, command):
+    """The run's flags, sorted by name; ``_dumps`` writes Fractions as text."""
     cfg = {"command": command, "version": __version__}
-    for key, val in sorted(vars(args).items()):
-        if key in ("func",):
-            continue
-        if isinstance(val, Fraction):
-            val = str(val)
-        elif isinstance(val, (list, tuple)):
-            val = [str(v) if isinstance(v, Fraction) else v for v in val]
-        cfg[key] = val
+    cfg.update((key, val) for key, val in sorted(vars(args).items()) if key != "func")
     return cfg
 
 

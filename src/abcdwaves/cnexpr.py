@@ -82,16 +82,8 @@ class CnExpression:
     def from_even(coeffs) -> "CnExpression":
         return CnExpression(_trim([RationalPoly._coerce(c) for c in coeffs]), ())
 
-    @staticmethod
-    def from_odd(coeffs) -> "CnExpression":
-        return CnExpression((), _trim([RationalPoly._coerce(c) for c in coeffs]))
-
     def is_zero(self) -> bool:
         return not self.even and not self.odd
-
-    def rho(self) -> int:
-        """Highest cn power present (-1 for the zero expression)."""
-        return max(len(self.even) - 1, len(self.odd) - 1)
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other: "CnExpression") -> "CnExpression":

@@ -13,7 +13,7 @@ family labels:
     S412  quadratic, even terms only (j1 = k1 = 0); c != 0; free lam/sigma/m
     S421  quartic eta, quadratic w; c = 0, 4b != d
     S422  quadratic even; c = 0, b != 2d
-    S43   semi-trivial eta = -1; a = b = 0
+    S43   semi-trivial eta = -1; a = 0
 
 Rational sub-expressions are computed exactly (``fractions.Fraction``), so
 sign tests and degeneracy tests are exact for rational inputs; square
@@ -38,6 +38,32 @@ Rational = Union[int, float, Fraction]
 # denominators smaller than this (relative to the numerator scale) are
 # treated as vanished: silent catastrophic cancellation otherwise
 _DENOM_RTOL = 1e-12
+
+
+class Record:
+    """JSON form of a result dataclass: its fields, in declaration order.
+
+    A field holding a Record, or a list of them, is written through that
+    record's own ``to_dict``; every other value is passed as it is, so dicts
+    are shared and tuples stay tuples (``json`` writes them as lists).
+    ``dataclasses.asdict`` would deep-copy every leaf value, which made
+    large reports an order of magnitude slower to serialize, and would
+    bypass a nested record's own ``to_dict``.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: _plain(getattr(self, name)) for name in self.__dataclass_fields__}
+
+    def to_json(self, **kw) -> str:
+        return json.dumps(self.to_dict(), **kw)
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _frac(x: Rational, name: str) -> Fraction:
@@ -90,20 +116,21 @@ def check_physical_constraint(p: ParameterSet) -> float:
 
 
 @dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """Sign selectors: tau1/tau2 for S411, pm in {top, bottom} for S412."""
 
     tau1: int = 1
     tau2: int = 1
     pm: Optional[str] = None
 
-    def to_dict(self):
-        return {"tau1": self.tau1, "tau2": self.tau2, "pm": self.pm}
-
 
 @dataclass(frozen=True)
-class SolutionParams:
-    """One solution branch: cn-series coefficients plus (lam, m, sigma)."""
+class SolutionParams(Record):
+    """One solution branch: cn-series coefficients plus (lam, m, sigma).
+
+    The JSON keys differ from the fields: ``lambda`` for ``lam``, and
+    ``family_tag`` first.
+    """
 
     j: tuple[float, float, float, float, float]
     k: tuple[float, float, float]
@@ -139,9 +166,6 @@ class SolutionParams:
             "sigma": self.sigma,
             "origin": self.origin,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
     @staticmethod
     def from_dict(data: dict) -> "SolutionParams":
@@ -461,8 +485,16 @@ def build_s422(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> 
     )
 
 
-def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational) -> SolutionParams:
-    """Semi-trivial family eta = -1 for a = b = 0 (any c != 0 background)."""
+def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational, *,
+              a: Rational = 0) -> SolutionParams:
+    """Semi-trivial family eta = -1; requires a = 0.
+
+    At eta = -1 the first equation's residual is exactly a*w''', and b and
+    c multiply derivatives of the constant eta, so they play no part.
+    """
+    if _frac(a, "a") != 0:
+        raise DomainError("family S43 requires a = 0 (at eta = -1 the first "
+                          "equation's residual is a*w''')")
     df = _frac(d, "d")
     mf = _require_m(m)
     lamf, sigf = _require_lam_sigma(lam, sigma)

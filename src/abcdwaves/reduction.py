@@ -1,12 +1,17 @@
 """Ansatz-shape classification and machine-checked series termination.
 
-``classify_ansatz`` is the four-way case table on exact rational
+``classify_ansatz`` is the five-way case table on exact rational
 (a, b, c, d):
 
-    c != 0, a^2+b^2 != 0  ->  quadratic/quadratic      (2, 2)
-    c != 0, a = b = 0     ->  constant eta, quadratic w (0, 2)
-    c = 0,  b^2+d^2 != 0  ->  quartic eta, quadratic w  (4, 2)
-    c = 0,  b = d = 0     ->  trivial only              (0, 0)
+    c != 0, a^2+b^2 != 0     ->  quadratic/quadratic      (2, 2)
+    c != 0, a = b = 0        ->  constant eta, quadratic w (0, 2)
+    c = 0,  b^2+d^2 != 0     ->  quartic eta, quadratic w  (4, 2)
+    c = 0,  b = d = 0, a < 0 ->  quadratic eta, linear w   (2, 1)
+    c = 0,  b = d = 0, a >= 0 -> trivial only              (0, 0)
+
+At c = b = d = 0 the second equation integrates to
+eta = sigma w - w^2/2 + C, and the first becomes a w'' = cubic(w), so
+w = sigma + k1 cn with k1^2 = -4 a lam^2 m^2 solves the system when a < 0.
 
 ``verify_termination`` rebuilds the symbolic coefficient system at series
 degree n and replays the forced-vanishing argument: a leading equation
@@ -22,7 +27,6 @@ zero, in every branch, or ChainBrokenError is raised.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -31,7 +35,7 @@ from typing import Optional
 
 from .cnexpr import build_coefficient_system
 from .errors import ChainBrokenError, UsageError
-from .families import ParameterSet
+from .families import ParameterSet, Record
 from .ratpoly import Monomial, RationalPoly
 
 logger = logging.getLogger(__name__)
@@ -48,6 +52,7 @@ class AnsatzShape(enum.Enum):
     GENERIC_QUADRATIC = "GenericQuadratic"
     SEMI_TRIVIAL_ETA_CONSTANT = "SemiTrivialEtaConstant"
     QUARTIC_ETA_QUADRATIC_W = "QuarticEtaQuadraticW"
+    QUADRATIC_ETA_LINEAR_W = "QuadraticEtaLinearW"
     TRIVIAL_ONLY = "TrivialOnly"
 
     @property
@@ -67,6 +72,7 @@ _SHAPE_DEGREES = {
     AnsatzShape.GENERIC_QUADRATIC: (2, 2),
     AnsatzShape.SEMI_TRIVIAL_ETA_CONSTANT: (0, 2),
     AnsatzShape.QUARTIC_ETA_QUADRATIC_W: (4, 2),
+    AnsatzShape.QUADRATIC_ETA_LINEAR_W: (2, 1),
     AnsatzShape.TRIVIAL_ONLY: (0, 0),
 }
 
@@ -78,6 +84,8 @@ def classify_ansatz(p: ParameterSet) -> AnsatzShape:
             return AnsatzShape.SEMI_TRIVIAL_ETA_CONSTANT
         return AnsatzShape.GENERIC_QUADRATIC
     if p.b == 0 and p.d == 0:
+        if p.a < 0:
+            return AnsatzShape.QUADRATIC_ETA_LINEAR_W
         return AnsatzShape.TRIVIAL_ONLY
     return AnsatzShape.QUARTIC_ETA_QUADRATIC_W
 
@@ -107,49 +115,30 @@ def _is_sign_definite(poly: RationalPoly, allowed: frozenset[str]) -> bool:
 
 
 @dataclass
-class ChainEvent:
+class ChainEvent(Record):
     var: str
     eq: Optional[tuple[int, int]]
     move: str
     detail: str
 
-    def to_dict(self):
-        return {"var": self.var, "eq": list(self.eq) if self.eq else None,
-                "move": self.move, "detail": self.detail}
-
 
 @dataclass
-class ChainBranch:
+class ChainBranch(Record):
     events: list[ChainEvent]
     eta_degree: int
     w_degree: int
 
-    def to_dict(self):
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "eta_degree": self.eta_degree,
-            "w_degree": self.w_degree,
-        }
-
 
 @dataclass
-class DegreeResult:
+class DegreeResult(Record):
     n: int
     branches: list[ChainBranch]
     realized_degrees: tuple[int, int]
     ok: bool
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "branches": [b.to_dict() for b in self.branches],
-            "realized_degrees": list(self.realized_degrees),
-            "ok": self.ok,
-        }
-
 
 @dataclass
-class TerminationReport:
+class TerminationReport(Record):
     case: str
     shape: AnsatzShape
     results: list[DegreeResult] = field(default_factory=list)
@@ -160,6 +149,7 @@ class TerminationReport:
         return all(r.ok for r in self.results)
 
     def to_dict(self):
+        # not asdict: the shape by value, its degrees and the passed property
         return {
             "case": self.case,
             "shape": self.shape.value,
@@ -168,9 +158,6 @@ class TerminationReport:
             "results": [r.to_dict() for r in self.results],
             "notes": self.notes,
         }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 class _Chain:

@@ -34,7 +34,6 @@ the returned BranchSet is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ import numpy as np
 
 from .cnexpr import CoefficientSystem, build_coefficient_system
 from .errors import DomainError, UnderdeterminedError, UsageError
-from .families import Branch, SolutionParams
+from .families import Branch, Record, SolutionParams
 from .ratpoly import RationalPoly, var_sort_key
 
 Number = Union[int, float, Fraction]
@@ -352,25 +351,16 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
 
 
 @dataclass
-class RootRecord:
+class RootRecord(Record):
     values: dict[str, float]
     classification: str
     hinf: float
     hits: int
     first_seed_index: int
 
-    def to_dict(self):
-        return {
-            "values": self.values,
-            "classification": self.classification,
-            "hinf": self.hinf,
-            "hits": self.hits,
-            "first_seed_index": self.first_seed_index,
-        }
-
 
 @dataclass
-class BranchSet:
+class BranchSet(Record):
     roots: list[RootRecord]
     pinned: dict[str, float]
     n_starts: int
@@ -379,18 +369,6 @@ class BranchSet:
 
     def nontrivial(self) -> list[RootRecord]:
         return [r for r in self.roots if r.classification == "non-trivial"]
-
-    def to_dict(self):
-        return {
-            "roots": [r.to_dict() for r in self.roots],
-            "pinned": self.pinned,
-            "n_starts": self.n_starts,
-            "n_converged": self.n_converged,
-            "seed": self.seed,
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _classify_pattern(values: Mapping[str, float]) -> str:
@@ -500,18 +478,14 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
 
 
 @dataclass
-class NonexistencePoint:
+class NonexistencePoint(Record):
     pins: dict[str, float]
     n_converged_roots: int
     roots: list[dict]
 
-    def to_dict(self):
-        return {"pins": self.pins, "n_converged_roots": self.n_converged_roots,
-                "roots": self.roots}
-
 
 @dataclass
-class NonexistenceReport:
+class NonexistenceReport(Record):
     constrained: str
     value: float
     delta: float
@@ -530,6 +504,7 @@ class NonexistenceReport:
         return not self.counterexamples
 
     def to_dict(self):
+        # not asdict: the total_roots and upheld properties go before counterexamples
         return {
             "constrained": self.constrained,
             "value": self.value,
@@ -542,9 +517,6 @@ class NonexistenceReport:
             "counterexamples": self.counterexamples,
             "points": [pt.to_dict() for pt in self.points],
         }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]],

@@ -11,7 +11,6 @@ coefficient sizes vary over orders of magnitude between parameter sets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .elliptic import complete_k, eval_cn_series, jacobi_eval
 from .errors import DomainError, UsageError
 from .families import (
     ParameterSet,
+    Record,
     SolutionParams,
     build_s412,
     build_s422,
@@ -33,26 +33,13 @@ from .families import (
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     max_abs_eq1: float
     max_abs_eq2: float
     scale: float
     relative: float
     n_samples: int
     period: Optional[float]
-
-    def to_dict(self):
-        return {
-            "max_abs_eq1": self.max_abs_eq1,
-            "max_abs_eq2": self.max_abs_eq2,
-            "scale": self.scale,
-            "relative": self.relative,
-            "n_samples": self.n_samples,
-            "period": self.period,
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _sample_points(s: SolutionParams, n_samples: int) -> tuple[np.ndarray, Optional[float]]:
@@ -94,19 +81,11 @@ def ode_residual(s: SolutionParams, p: ParameterSet, n_samples: int = 1024) -> R
 
 
 @dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(Record):
     defect: float
     period: float
     half_period: bool
     half_defect: float
-
-    def to_dict(self):
-        return {
-            "defect": self.defect,
-            "period": self.period,
-            "half_period": self.half_period,
-            "half_defect": self.half_defect,
-        }
 
 
 def periodicity_check(s: SolutionParams, n_points: int = 128) -> PeriodicityReport:
@@ -147,7 +126,7 @@ def bbm_reduction_check(s: SolutionParams, d, *, c_probe=Fraction(7, 10),
 
 
 @dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(Record):
     kind: str
     parameter: str
     values: tuple[float, ...]
@@ -155,20 +134,6 @@ class ConvergenceTable:
     orders: tuple[float, ...]
     monotone: bool
     target: dict
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "parameter": self.parameter,
-            "values": list(self.values),
-            "diffs": list(self.diffs),
-            "orders": list(self.orders),
-            "monotone": self.monotone,
-            "target": self.target,
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _coef_diff(s1: SolutionParams, s2: SolutionParams) -> float:

@@ -246,6 +246,38 @@ def test_classify_output(capsys):
     assert data["max_w_degree"] == 2
 
 
+def test_classify_negative_a_fifth_shape(capsys):
+    code, stdout, _ = run_cli(
+        ["classify", "--a", "-1", "--b", "0", "--c", "0", "--d", "0"], capsys)
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["run_config"]["a"] == "-1"
+    assert data["shape"] == "QuadraticEtaLinearW"
+    assert (data["max_eta_degree"], data["max_w_degree"]) == (2, 1)
+
+
+def test_reduce_negative_a_closes_at_2_1(capsys):
+    code, stdout, _ = run_cli(
+        ["reduce", "--a", "-1", "--b", "0", "--c", "0", "--d", "0", "--nmax", "6"],
+        capsys)
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["passed"] is True and data["shape_degrees"] == [2, 1]
+    assert [r["realized_degrees"] for r in data["results"]] == [[2, 1]] * 4
+
+
+def test_family_43_rejects_nonzero_a(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli([
+        "family", "--set", "4.3", "--a", "1", "--b", "1", "--c", "1", "--d", "2",
+        "--m", "1/2"], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert "family S43 requires a = 0" in stderr
+    code, _, stderr = run_cli([
+        "limit", "--kind", "m-to-one", "--set", "4.3", "--a", "1", "--d", "2"], capsys)
+    assert code == 2 and "family S43 requires a = 0" in stderr
+
+
 def test_solve_multistart_finds_branches(capsys):
     code, stdout, _ = run_cli([
         "solve", "--system", "coeffs1",
@@ -388,6 +420,7 @@ def test_nonexistence_command(tmp_path, capsys):
     data = json.loads(stdout.split("wrote")[0])
     assert data["upheld"] is True
     assert data["total_roots"] == 0
+    assert data["run_config"]["grid_d"] == ["1/3"]
     report = json.loads(out.read_text())
     assert report["points"][0]["pins"]["j1"] == 0.1
 

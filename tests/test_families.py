@@ -166,6 +166,19 @@ def test_s43_constant_w_at_d0():
     assert sol.k[0] == pytest.approx(2 / 3, rel=1e-15)
 
 
+def test_s43_needs_a_zero():
+    # at eta = -1 the first equation's residual is exactly a*w''', so any
+    # a != 0 fails; b and c multiply derivatives of eta and play no part
+    with pytest.raises(DomainError, match="a = 0"):
+        build_s43(2, 2, F(1, 8), F(3, 4), a=1)
+    sol = build_s43(2, 2, F(1, 8), F(3, 4), a=0)
+    assert sol == build_s43(2, 2, F(1, 8), F(3, 4))
+    assert ode_residual(sol, ParameterSet.make(1, 0, 0, 2), 256).relative > 1e-2
+    for b, c in ((0, 0), (5, 0), (5, F(-7, 3))):
+        p = ParameterSet.make(0, b, c, 2)
+        assert ode_residual(sol, p, 256).relative <= 1e-14
+
+
 def test_sigma_zero_rejected():
     with pytest.raises(DomainError, match="sigma"):
         build_s43(1, 1, 0, F(1, 2))

@@ -36,6 +36,10 @@ CLASSIFICATION_GRID = [
     (P(F(1, 100), 0, 0, 0), AnsatzShape.TRIVIAL_ONLY),
 ]
 
+# the fifth region, c = b = d = 0 with a < 0, outside the criterion-8 grid
+# above (the physical constraint pins a = 1/3 there)
+NEGATIVE_A_POINTS = [-1, F(-8, 3), F(-1, 7), -2, F(-1, 100)]
+
 
 @pytest.mark.parametrize("p,shape", CLASSIFICATION_GRID)
 def test_classification_grid(p, shape):
@@ -44,10 +48,18 @@ def test_classification_grid(p, shape):
     assert got.degrees == shape.degrees
 
 
+@pytest.mark.parametrize("a", NEGATIVE_A_POINTS)
+def test_classification_negative_a(a):
+    got = classify_ansatz(P(a, 0, 0, 0))
+    assert got is AnsatzShape.QUADRATIC_ETA_LINEAR_W
+    assert got.degrees == (2, 1)
+
+
 def test_shape_degree_table():
     assert AnsatzShape.GENERIC_QUADRATIC.degrees == (2, 2)
     assert AnsatzShape.SEMI_TRIVIAL_ETA_CONSTANT.degrees == (0, 2)
     assert AnsatzShape.QUARTIC_ETA_QUADRATIC_W.degrees == (4, 2)
+    assert AnsatzShape.QUADRATIC_ETA_LINEAR_W.degrees == (2, 1)
     assert AnsatzShape.TRIVIAL_ONLY.degrees == (0, 0)
 
 
@@ -100,6 +112,7 @@ GENERIC_GRID_POINTS = [
     (P(1, -1, 0, F(1, 3)), AnsatzShape.QUARTIC_ETA_QUADRATIC_W),
     (P(F(-11, 3), 2, 0, 2), AnsatzShape.QUARTIC_ETA_QUADRATIC_W),
     (P(F(1, 3), 0, 0, 0), AnsatzShape.TRIVIAL_ONLY),
+    (P(-1, 0, 0, 0), AnsatzShape.QUADRATIC_ETA_LINEAR_W),
 ]
 
 
@@ -122,10 +135,27 @@ def test_trivial_region_needs_positive_a():
     # with b = c = d = 0 the closure argument rests on a sum of squares
     # that is only sign-definite for a >= 0; the parameterization
     # constraint pins a = 1/3 there, but an unphysical a < 0 admits real
-    # nonzero k1 (k1^2 = -4 a lam^2 m^2) and the chain honestly stalls
-    from abcdwaves.errors import ChainBrokenError
-    with pytest.raises(ChainBrokenError):
-        verify_termination(P(-2, 0, 0, 0), 3)
+    # nonzero k1 (k1^2 = -4 a lam^2 m^2): that is the fifth shape, and
+    # every chain closes at exactly its degrees (2, 1)
+    for a in NEGATIVE_A_POINTS:
+        report = verify_termination(P(a, 0, 0, 0), 9)
+        assert report.passed and not report.notes
+        for result in report.results:
+            assert {(b.eta_degree, b.w_degree) for b in result.branches} == {(2, 1)}
+    for a in (0, F(1, 3)):
+        assert classify_ansatz(P(a, 0, 0, 0)) is AnsatzShape.TRIVIAL_ONLY
+
+
+def test_negative_a_wave_solves_the_odes():
+    # eta = sigma w - w^2/2 + C with w = sigma + k1 cn, k1^2 = -4 a lam^2 m^2:
+    # at a = -1, lam = 1, m = 1/2, sigma = 1 that is j = (-3/2, 0, -1/2),
+    # k = (1, +-1, 0), of exactly the classified degrees (2, 1)
+    from abcdwaves.families import SolutionParams
+    from abcdwaves.verifier import ode_residual
+    for k1 in (1.0, -1.0):
+        sol = SolutionParams((-1.5, 0.0, -0.5, 0.0, 0.0), (1.0, k1, 0.0),
+                             1.0, 0.5, 1.0, "QuadraticEtaLinearW")
+        assert ode_residual(sol, P(-1, 0, 0, 0), 1024).relative <= 1e-14
 
 
 def test_argument_validation():
@@ -198,6 +228,11 @@ def _build_state(n, w_top):
     }
 
 
+def _top_power(expr) -> int:
+    """Highest cn power present (-1 for the zero expression)."""
+    return max(len(expr.even), len(expr.odd)) - 1
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_rho_iteration_tables(n):
     # after i top-coefficient kills of w the cn orders must follow
@@ -206,12 +241,12 @@ def test_rho_iteration_tables(n):
     i = 0
     while 2 * n - 3 - 2 * i > n + 1:
         exprs = _build_state(n, n - 1 - i)
-        assert exprs["eta'"].rho() == n - 1
-        assert exprs["w'"].rho() == n - 2 - i
-        assert exprs["eta'''"].rho() == n + 1
-        assert exprs["w'''"].rho() == n - i
-        assert exprs["(eta w)'"].rho() == 2 * n - 2 - i
-        assert exprs["w w'"].rho() == 2 * n - 3 - 2 * i
+        assert _top_power(exprs["eta'"]) == n - 1
+        assert _top_power(exprs["w'"]) == n - 2 - i
+        assert _top_power(exprs["eta'''"]) == n + 1
+        assert _top_power(exprs["w'''"]) == n - i
+        assert _top_power(exprs["(eta w)'"]) == 2 * n - 2 - i
+        assert _top_power(exprs["w w'"]) == 2 * n - 3 - 2 * i
         i += 1
 
 
@@ -219,9 +254,9 @@ def test_rho_initial_table():
     for n in (3, 4, 5, 6):
         eta = cn_series(n, "eta")
         w = cn_series(n, "w")
-        assert eta.differentiate().rho() == n - 1
-        assert w.differentiate().rho() == n - 1
+        assert _top_power(eta.differentiate()) == n - 1
+        assert _top_power(w.differentiate()) == n - 1
         d3 = eta.differentiate().differentiate().differentiate()
-        assert d3.rho() == n + 1
-        assert (eta * w).differentiate().rho() == 2 * n - 1
-        assert (w * w.differentiate()).rho() == 2 * n - 1
+        assert _top_power(d3) == n + 1
+        assert _top_power((eta * w).differentiate()) == 2 * n - 1
+        assert _top_power((w * w.differentiate())) == 2 * n - 1
