@@ -20,22 +20,21 @@ from fractions import Fraction as F
 import numpy as np
 
 from abcdwaves import (ParameterSet, bbm_reduction_check, build_s43, m1_limit,
-                       limit_consistency, ode_residual)
+                       limit_a_to_zero, limit_c_to_zero, ode_residual)
 from abcdwaves.cli import write_csv, write_svg
 
 HERE = pathlib.Path(__file__).parent
 
 
 def main():
-    table = limit_consistency("c_to_zero", a=1, b=2, d=-1, lam=1, sigma=1,
-                              m=F(1, 2))
+    table = limit_c_to_zero(a=1, b=2, d=-1, lam=1, sigma=1, m=F(1, 2))
     print("c -> 0 collapse (bottom signs), max coefficient gap:")
     for c, diff in zip(table.values, table.diffs):
         print(f"   c = {c:8.1e}   gap = {diff:.3e}")
     print(f"   monotone: {table.monotone}, empirical order "
           f"{table.orders[-1]:.3f}\n")
 
-    table = limit_consistency("a_to_zero", b=2, d=-1, lam=1, sigma=1, m=F(3, 5))
+    table = limit_a_to_zero(b=2, d=-1, lam=1, sigma=1, m=F(3, 5))
     print(f"a -> 0: gap to the semi-trivial family = {table.diffs[0]:.1e} "
           "(exact cancellation)\n")
 

@@ -35,6 +35,7 @@ from .solver import (BranchSet, HSystemNumeric, NewtonResult,
                      build_named_system, multistart, pin_and_square,
                      promote_root, reproduce_nonexistence, solve_newton)
 from .verifier import (ConvergenceTable, ResidualReport, bbm_reduction_check,
-                       limit_consistency, ode_residual, periodicity_check)
+                       limit_a_to_zero, limit_c_to_zero, limit_m_to_one,
+                       ode_residual, periodicity_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

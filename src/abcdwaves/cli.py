@@ -11,6 +11,7 @@ a, b, c, d accept exact rationals ("-8/3"); lam, sigma, m accept floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import re
@@ -29,7 +30,8 @@ from .families import (FAMILIES, ParameterSet, SolutionParams, build_family,
 from .reduction import classify_ansatz, verify_termination
 from .solver import (SYSTEMS, build_named_system, multistart, pin_and_square,
                      reproduce_nonexistence, solve_newton)
-from .verifier import limit_consistency, ode_residual, periodicity_check
+from .verifier import (limit_a_to_zero, limit_c_to_zero, limit_m_to_one,
+                       ode_residual, periodicity_check)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -67,6 +69,15 @@ def _family_inputs(args, p: ParameterSet) -> dict:
     values = {"p": p, **vars(args)}
     return {name: values[name]
             for name in inspect.signature(FAMILIES[args.set]).parameters}
+
+
+def _reject_unread(parser, args, unread) -> None:
+    """UsageError naming each flag in ``unread`` set off its default: the
+    run would echo it without using it."""
+    given = [f"--{'lambda' if name == 'lam' else name} {getattr(args, name)}"
+             for name in sorted(unread) if getattr(args, name) != parser.get_default(name)]
+    if given:
+        raise UsageError(f"this run does not read {', '.join(given)}")
 
 
 # ---------------------------------------------------------------- outputs
@@ -148,8 +159,11 @@ def _echo_config(args, command):
 
 
 # ---------------------------------------------------------------- commands
-def cmd_family(args) -> int:
+def cmd_family(parser, args) -> int:
     p = _params_from(args)
+    inputs = _family_inputs(args, p)
+    # every builder takes m, and the residual check reads a, b, c, d
+    _reject_unread(parser, args, {"lam", "sigma", "tau1", "tau2", "sign"} - set(inputs))
     if args.check_physical:
         try:
             theta = check_physical_constraint(p)
@@ -157,7 +171,7 @@ def cmd_family(args) -> int:
         except ConstraintError as exc:
             print(f"warning: physical constraint violated: {exc}", file=sys.stderr)
 
-    sol = build_family(args.set, **_family_inputs(args, p))
+    sol = build_family(args.set, **inputs)
 
     report = ode_residual(sol, p, args.samples)
     span = args.periods * report.period if sol.m < 1.0 else 24.0 / sol.lam
@@ -281,8 +295,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(parser, args) -> int:
     if args.case:
+        _reject_unread(parser, args, set("abcd"))
         report = verify_termination(case=args.case.replace("-", "_"),
                                     n_max=args.nmax)
     else:
@@ -292,14 +307,13 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_limit(args) -> int:
-    kind = args.kind.replace("-", "_")
-    if kind == "c_to_zero":
-        table = limit_consistency(kind, a=args.a, b=args.b, d=args.d,
-                                  lam=args.lam, sigma=args.sigma, m=args.m)
-    elif kind == "a_to_zero":
-        table = limit_consistency(kind, b=args.b, d=args.d, lam=args.lam,
-                                  sigma=args.sigma, m=args.m)
+def cmd_limit(parser, args) -> int:
+    if args.kind == "c-to-zero":
+        _reject_unread(parser, args, {"c", "set", "sign"})
+        table = limit_c_to_zero(args.a, args.b, args.d, args.lam, args.sigma, args.m)
+    elif args.kind == "a-to-zero":
+        _reject_unread(parser, args, {"a", "c", "set", "sign"})
+        table = limit_a_to_zero(args.b, args.d, args.lam, args.sigma, args.m)
     elif args.set == "4.1.1":
         # the limit parser has no --tau1/--tau2
         raise UsageError("m->1 limit via this command supports sets "
@@ -307,7 +321,9 @@ def cmd_limit(args) -> int:
     else:
         inputs = _family_inputs(args, _params_from(args))
         del inputs["m"]
-        table = limit_consistency(kind, family=args.set, **inputs)
+        taken = set(inputs) | (set("abcd") if "p" in inputs else set())
+        _reject_unread(parser, args, {*"abcd", "lam", "sigma", "m", "sign"} - taken)
+        table = limit_m_to_one(args.set, **inputs)
     out = {"run_config": _echo_config(args, "limit"), **table.to_dict()}
     print(_dumps(out, indent=2))
     return EXIT_OK
@@ -368,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--samples", type=int, default=1024)
     fam.add_argument("--out", default=None)
     fam.add_argument("--check-physical", action="store_true")
-    fam.set_defaults(func=cmd_family)
+    # these commands also get their parser, to tell a flag's value from its default
+    fam.set_defaults(func=functools.partial(cmd_family, fam))
 
     ver = sub.add_parser("verify", help="ODE residual of a stored solution")
     ver.add_argument("--input", required=True)
@@ -399,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--case", choices=("c-nonzero", "c-zero"), default=None)
     _add_abcd(red)
     red.add_argument("--nmax", type=int, default=5)
-    red.set_defaults(func=cmd_reduce)
+    red.set_defaults(func=functools.partial(cmd_reduce, red))
 
     lim = sub.add_parser("limit", help="limit-consistency tables")
     lim.add_argument("--kind", required=True,
@@ -410,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--sigma", type=_num, default=1.0)
     lim.add_argument("--m", type=_num, default=0.5)
     lim.add_argument("--sign", choices=("top", "bottom"), default="top")
-    lim.set_defaults(func=cmd_limit)
+    lim.set_defaults(func=functools.partial(cmd_limit, lim))
 
     non = sub.add_parser("nonexistence",
                          help="sweep for roots with a coefficient pinned off zero")

@@ -38,6 +38,7 @@ Rational = Union[int, float, Fraction]
 # denominators smaller than this (relative to the numerator scale) are
 # treated as vanished: silent catastrophic cancellation otherwise
 _DENOM_RTOL = 1e-12
+_GUARD_BITS = 192   # precision in bits of the S412 rational square root
 
 
 class Record:
@@ -294,8 +295,8 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
     )
 
 
-def _sqrt_fraction(x: Fraction, guard_bits: int = 192) -> Fraction:
-    """sqrt of a nonnegative rational to ~guard_bits bits, as a Fraction.
+def _sqrt_fraction(x: Fraction) -> Fraction:
+    """sqrt of a nonnegative rational to ~_GUARD_BITS bits, as a Fraction.
 
     Needed because the field coordinates P, Q of a value P + Q sqrt(x) can
     be individually huge while the value is O(1); summing in floats would
@@ -304,7 +305,7 @@ def _sqrt_fraction(x: Fraction, guard_bits: int = 192) -> Fraction:
     if x < 0:
         raise ValueError("negative radicand")
     n, d = x.numerator, x.denominator
-    return Fraction(math.isqrt((n * d) << (2 * guard_bits)), d << guard_bits)
+    return Fraction(math.isqrt((n * d) << (2 * _GUARD_BITS)), d << _GUARD_BITS)
 
 
 def _quad_ratio(num_p: Fraction, num_q: Fraction, den_p: Fraction,

@@ -13,19 +13,19 @@ One batched engine serves multistart and solve_newton (a one-row batch).
 It tries the steps 1, 1/2, ... down to 1e-14, but below 2**-30 only
 while the step still moves x by more than 2**-40 of max(||x||_inf, 1); a
 row that accepts none of them stops as "stalled" at its last iterate.
-Every row ends with one stop reason: converged, overflow (non-finite, or
-escaped past 1e7; solve_newton's radius is 1e7 * max(1, ||seed||_inf)),
-stalled, or budget (max_iter spent).  Rank-deficient Jacobians (continua
-of roots) need no special case: the pseudoinverse step is the
-minimum-norm Gauss-Newton step.
+One rule, applied before each step and after the last, ends a row as
+converged (||h||_inf <= 1e-12 and x finite, even past the escape radius)
+or else overflow (h non-finite or ||x||_inf >= 1e7; solve_newton's radius
+is 1e7 * max(1, ||seed||_inf)); the others end stalled or budget (max_iter
+spent).  Rank-deficient Jacobians (continua of roots) need no special
+case: the pseudoinverse step is the minimum-norm Gauss-Newton step.
 
 Polynomials are evaluated on whole batches from a power table: each
 monomial multiplies only the table columns of its nonzero exponents, in
 variable order, which gives the same bits as a product over all unknowns
 (the factors left out are exact ones).  A row's residual is evaluated once
 at its start; after that the line search's residual at the accepted step
-serves as the residual of the next iterate and of the final convergence
-check.
+serves as the residual of the next iterate and of its stop-reason test.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -46,6 +46,7 @@ from .cnexpr import CoefficientSystem, build_coefficient_system
 from .errors import DomainError, UnderdeterminedError, UsageError
 from .families import Branch, Record, SolutionParams
 from .ratpoly import RationalPoly, var_sort_key
+from .reduction import AnsatzShape
 
 Number = Union[int, float, Fraction]
 
@@ -60,6 +61,7 @@ _TOL = 1e-12                # a root needs ||h||_inf <= _TOL
 _ARMIJO = 1e-4              # sufficient-decrease factor of the line search
 _MIN_STEP = 1e-14           # smallest line-search step factor
 _SWEEP_MAX_ITER = 80        # Newton budget of the non-existence sweeps
+_DELTA = 1e-3               # non-existence sweeps: |pinned value| >= _DELTA
 _STALL_FLOOR = 2.0 ** -30   # batch line search: below this step factor ...
 _STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
 _ESCAPE = 1e7               # multistart iterates this large never return to
@@ -128,7 +130,6 @@ class HSystemNumeric:
 
     unknowns: list[str]
     polys: list[RationalPoly]
-    keys: list[tuple[int, int]]
     pinned: dict[str, Fraction]
 
     def __post_init__(self):
@@ -196,12 +197,11 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     if "sigma" in exact and exact["sigma"] == 0:
         raise DomainError("pinned sigma must be nonzero")
 
-    polys, keys = [], []
+    polys = []
     for key in sorted(system.equations, key=lambda k: (k[0], -k[1])):
         poly = system.equations[key].substitute(exact)
         if not poly.is_zero():
             polys.append(poly)
-            keys.append(key)
     unknowns: set[str] = set()
     for poly in polys:
         unknowns |= poly.variables()
@@ -210,7 +210,7 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
         raise UsageError("the pins leave no unknown to solve for")
     if len(polys) < len(ordered):
         raise UnderdeterminedError(len(polys), len(ordered))
-    return HSystemNumeric(ordered, polys, keys, exact)
+    return HSystemNumeric(ordered, polys, exact)
 
 
 @dataclass
@@ -242,12 +242,12 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
 
 
 def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
-                 armijo: float, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backtracking Armijo search along dx for every row of Xa.
 
     A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
     below its own ``floor``) whose residual is finite with
-    ||h||^2 <= (1 - armijo * alpha) * base.  After alpha = 1 the rows
+    ||h||^2 <= (1 - _ARMIJO * alpha) * base.  After alpha = 1 the rows
     still searching try the smaller steps in blocks of 2, 4, 8, ...
     steps, one evaluation per block; the candidates and the test are
     those of a one-step-at-a-time search, so every row gets the same
@@ -270,7 +270,7 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
         with np.errstate(all="ignore"):
             Hc = _eval_compiled(compiled, Xc)
         good = np.isfinite(Hc).all(axis=1)
-        thresh = ((1 - armijo * block) * base[pending, None]).ravel()
+        thresh = ((1 - _ARMIJO * block) * base[pending, None]).ravel()
         dec = np.zeros_like(good)
         dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= thresh[good]
         dec = dec.reshape(pending.size, block.size) & (block >= floor[pending, None])
@@ -288,44 +288,45 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized damped Newton over all rows of X0.
 
-    Runs at most max_iter iterations.  Returns (X, reason, iterations,
-    hinf): the final iterates, each row's stop reason from _STOP_REASONS,
-    its accepted Newton steps and its ||h||_inf at the final iterate.  A
-    row stops moving once it converges, overflows or escapes (||x||_inf >=
-    escape), or its line search accepts no step (stalled: it keeps its
-    last iterate).  The search goes down to
-    _MIN_STEP, but below _STALL_FLOOR only while alpha * ||dx||_inf
-    exceeds _STALL_MOVE * max(||x||_inf, 1): a row crawling at steps that
-    barely move x stops instead of spending the iteration budget.  The
-    residual is evaluated once, at X0; after that each row keeps the
-    residual its line search computed at the step it accepted.
+    Returns (X, reason, iterations, hinf): the final iterates, each row's
+    stop reason from _STOP_REASONS, its accepted Newton steps and its
+    ||h||_inf at the final iterate.  One pass, run max_iter + 1 times,
+    labels every row still active: converged when ||h||_inf <= _TOL and x
+    is finite (wherever x lies), else overflow when h is not finite or
+    ||x||_inf >= escape; the rest take a step while fewer than max_iter
+    passes have run and keep "budget" after the last.  A row whose line
+    search accepts no step stops as stalled at its last iterate.  The
+    search goes down to _MIN_STEP, but below _STALL_FLOOR only while
+    alpha * ||dx||_inf exceeds _STALL_MOVE * max(||x||_inf, 1): a row
+    crawling at steps that barely move x stops instead of spending the
+    iteration budget.  The residual is evaluated once, at X0; after that
+    each row keeps the residual its line search computed at the step it
+    accepted.
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
+    hinf = np.empty(B)
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
-    for _ in range(max_iter):
-        if not active.any():
+    for it in range(max_iter + 1):
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        idx_active = np.flatnonzero(active)
-        Xa, Ha = X[idx_active], H[idx_active]
-        finite = (np.isfinite(Ha).all(axis=1) & np.isfinite(Xa).all(axis=1)
-                  & (np.abs(Xa).max(axis=1) < escape))
-        hinf = np.where(finite, np.max(np.abs(np.where(np.isfinite(Ha), Ha, np.inf)),
-                                       axis=1), np.inf)
-        just_conv = finite & (hinf <= _TOL)
-        reason[idx_active[just_conv]] = "converged"
-        active[idx_active[just_conv]] = False
-        active[idx_active[~finite]] = False
-        reason[idx_active[~finite]] = "overflow"
-        keep = finite & ~just_conv
-        if not keep.any():
-            continue
-        idx = idx_active[keep]
-        Xa, Ha = Xa[keep], Ha[keep]
+        Xa, Ha = X[idx], H[idx]
+        ha = np.max(np.abs(Ha), axis=1)
+        hinf[idx] = ha
+        conv = (ha <= _TOL) & np.isfinite(Xa).all(axis=1)
+        over = ~conv & ~(np.isfinite(ha) & (np.abs(Xa).max(axis=1) < escape))
+        reason[idx[conv]] = "converged"
+        reason[idx[over]] = "overflow"
+        keep = ~(conv | over)
+        active[idx[~keep]] = False
+        if it == max_iter or not keep.any():
+            break
+        idx, Xa, Ha = idx[keep], Xa[keep], Ha[keep]
         J = _eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
                                                 sysn.n_unknowns)
         with np.errstate(all="ignore"):
@@ -334,19 +335,13 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                 / np.abs(dx).max(axis=1)
         base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
-        alpha, Hs = _line_search(sysn._f, Xa, dx, base, _ARMIJO, floor)
+        alpha, Hs = _line_search(sysn._f, Xa, dx, base, floor)
         settled = alpha > 0
         X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
         H[idx[settled]] = Hs[settled]
         iters[idx[settled]] += 1
         active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
-    # final convergence sweep (a row may land exactly on a root on its
-    # last accepted step)
-    with np.errstate(all="ignore"):
-        hinf = np.max(np.abs(H), axis=1)
-    done = np.isfinite(hinf) & (hinf <= _TOL) & np.isfinite(X).all(axis=1)
-    reason[done] = "converged"
     return X, reason, iters, hinf
 
 
@@ -456,7 +451,8 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
     """Lift a solver root to SolutionParams for the residual verifier.
 
     The family tag is inferred from the zero pattern (branch selectors are
-    not recoverable from a bare root).
+    not recoverable from a bare root).  The (2, 1) shape (k1 != 0 = k2 = j1)
+    has no builder and is tagged with its shape name; S411 has k2 != 0.
     """
     ctx = {**{k: float(v) for k, v in pinned.items()}, **record.values}
     j = tuple(ctx.get(f"j{r}", 0.0) for r in range(5))
@@ -466,6 +462,8 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
         raise UsageError("root does not determine lam, m and sigma")
     if abs(j[4]) > _ZERO_TOL or abs(j[3]) > _ZERO_TOL:
         tag = "S421"
+    elif abs(k[1]) > _ZERO_TOL and abs(k[2]) <= _ZERO_TOL and abs(j[1]) <= _ZERO_TOL:
+        tag = AnsatzShape.QUADRATIC_ETA_LINEAR_W.value
     elif abs(j[1]) > _ZERO_TOL or abs(k[1]) > _ZERO_TOL:
         tag = "S411"
     elif any(abs(v) > _ZERO_TOL for v in j[1:]):
@@ -520,13 +518,13 @@ class NonexistenceReport(Record):
 
 
 def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]],
-                           *, value: float = 0.1, delta: float = 1e-3,
+                           *, value: float = 0.1,
                            n_starts: int = 500, seed: int = 0) -> NonexistenceReport:
     """Multistart sweeps of the full quartic-case system with one series
     coefficient pinned away from zero.
 
     ``constrained`` is one of "j1", "j3", "k1"; it is pinned to ``value``
-    with |value| >= delta (the exclusion band is reported so the scope of
+    with |value| >= 1e-3 (the exclusion band is reported so the scope of
     the claim is explicit).  Grid points supply (a, b, d, lam, m, sigma).
     For the j1/j3 sweeps sigma stays pinned (nonzero); for the k1 sweep
     sigma is left free so that sigma ~ 0 roots can surface.  Every
@@ -536,12 +534,12 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     """
     if constrained not in ("j1", "j3", "k1"):
         raise UsageError("constrained must be one of 'j1', 'j3', 'k1'")
-    if abs(value) < delta:
-        raise UsageError(f"|value| = {abs(value)} must be >= delta = {delta}")
+    if abs(value) < _DELTA:
+        raise UsageError(f"|value| = {abs(value)} must be >= delta = {_DELTA}")
     sigma_free = constrained == "k1"
     t0 = time.perf_counter()
     system, _ = build_named_system("coeffs2")
-    report = NonexistenceReport(constrained, float(value), float(delta),
+    report = NonexistenceReport(constrained, float(value), _DELTA,
                                 sigma_free, n_starts, seed)
     for i, point in enumerate(grid):
         pins = {"a": point["a"], "b": point["b"], "d": point["d"],

@@ -163,50 +163,36 @@ def _convergence_table(kind: str, parameter: str, values: tuple[float, ...],
                             target.to_dict())
 
 
-def limit_consistency(kind: str, **inputs) -> ConvergenceTable:
-    """Coefficient collapse between families along a limiting parameter.
+def limit_c_to_zero(a, b, d, lam, sigma, m) -> ConvergenceTable:
+    """Bottom-branch S412 -> S422 at c = 1e-3 .. 1e-8; requires the side
+    condition sigma*(b-2d) > 0."""
+    side = float(Fraction(sigma) * (Fraction(b) - 2 * Fraction(d)))
+    if not side > 0:
+        raise DomainError(
+            f"side condition sigma*(b-2d) > 0 fails (value {side})")
+    cs = tuple(10.0 ** -k for k in range(3, 9))
+    target = build_s422(ParameterSet.make(a, b, 0, d), lam, sigma, m)
+    diffs = tuple(_coef_diff(build_s412(ParameterSet.make(a, b, Fraction(c), d),
+                                        lam, sigma, m, sign="bottom"), target)
+                  for c in cs)
+    return _convergence_table("c_to_zero", "c", cs, diffs, target)
 
-    kind = "c_to_zero": bottom-branch S412 -> S422 at c = 1e-3 .. 1e-8;
-        requires the side condition sigma*(b-2d) > 0.  Inputs: a, b, d,
-        lam, sigma, m.
-    kind = "a_to_zero": S422 at a = 0 against S43 (single row; exact).
-        Inputs: b, d, lam, sigma, m.
-    kind = "m_to_one": family coefficients at m = 1 - 1e-1 .. 1 - 1e-8
-        against the m = 1 evaluation.  Inputs: family plus that family's
-        builder arguments by name (an m among them is ignored).
-    """
-    kind = kind.replace("-", "_")
-    if kind == "c_to_zero":
-        a, b, d = inputs["a"], inputs["b"], inputs["d"]
-        lam, sigma, m = inputs["lam"], inputs["sigma"], inputs["m"]
-        side = float(Fraction(sigma) * (Fraction(b) - 2 * Fraction(d)))
-        if not side > 0:
-            raise DomainError(
-                f"side condition sigma*(b-2d) > 0 fails (value {side})")
-        cs = tuple(10.0 ** -k for k in range(3, 9))
-        target = build_s422(ParameterSet.make(a, b, 0, d), lam, sigma, m)
-        diffs = tuple(_coef_diff(build_s412(ParameterSet.make(a, b, Fraction(c), d),
-                                            lam, sigma, m, sign="bottom"), target)
-                      for c in cs)
-        return _convergence_table(kind, "c", cs, diffs, target)
 
-    if kind == "a_to_zero":
-        b, d = inputs["b"], inputs["d"]
-        lam, sigma, m = inputs["lam"], inputs["sigma"], inputs["m"]
-        sol = build_s422(ParameterSet.make(0, b, 0, d), lam, sigma, m)
-        target = build_s43(d, lam, sigma, m)
-        diff = _coef_diff(sol, target)
-        return ConvergenceTable(kind, "a", (0.0,), (diff,), (), True,
-                                target.to_dict())
+def limit_a_to_zero(b, d, lam, sigma, m) -> ConvergenceTable:
+    """S422 at a = 0 against S43 (single row; exact)."""
+    sol = build_s422(ParameterSet.make(0, b, 0, d), lam, sigma, m)
+    target = build_s43(d, lam, sigma, m)
+    return ConvergenceTable("a_to_zero", "a", (0.0,), (_coef_diff(sol, target),),
+                            (), True, target.to_dict())
 
-    if kind == "m_to_one":
-        family = inputs.pop("family")
-        inputs.pop("m", None)
-        ms = tuple(1.0 - 10.0 ** -k for k in range(1, 9))
-        target = m1_limit(family, **inputs)
-        diffs = tuple(_coef_diff(build_family(family, m=m, **inputs), target)
-                      for m in ms)
-        return _convergence_table(kind, "1-m", tuple(1.0 - m for m in ms),
-                                  diffs, target)
 
-    raise UsageError(f"unknown limit kind {kind!r}")
+def limit_m_to_one(family: str, **builder_args) -> ConvergenceTable:
+    """Family coefficients at m = 1 - 1e-1 .. 1 - 1e-8 against the m = 1
+    evaluation; ``builder_args`` are the family builder's arguments by
+    name, m left out."""
+    ms = tuple(1.0 - 10.0 ** -k for k in range(1, 9))
+    target = m1_limit(family, **builder_args)
+    diffs = tuple(_coef_diff(build_family(family, m=m, **builder_args), target)
+                  for m in ms)
+    return _convergence_table("m_to_one", "1-m", tuple(1.0 - m for m in ms),
+                              diffs, target)

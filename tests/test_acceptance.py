@@ -18,7 +18,7 @@ from abcdwaves.families import (ParameterSet, SolutionParams, build_s411,
                                 build_s412, build_s421, build_s422, m1_limit)
 from abcdwaves.reduction import classify_ansatz, verify_termination
 from abcdwaves.solver import multistart, pin_and_square, reproduce_nonexistence
-from abcdwaves.verifier import limit_consistency, ode_residual
+from abcdwaves.verifier import limit_a_to_zero, limit_c_to_zero, ode_residual
 
 from reference_systems import (QUADRATIC_SYSTEM, QUARTIC_H10_AS_PRINTED,
                                QUARTIC_REDUCED_SYSTEM)
@@ -192,14 +192,12 @@ def test_criterion_6_nonexistence_sweeps():
 
 
 def test_criterion_7_limit_consistency():
-    table_c = limit_consistency("c_to_zero", a=1, b=2, d=-1, lam=1, sigma=1,
-                                m=F(1, 2))
+    table_c = limit_c_to_zero(a=1, b=2, d=-1, lam=1, sigma=1, m=F(1, 2))
     assert table_c.monotone
     assert table_c.values[-1] == pytest.approx(1e-8)
     assert table_c.diffs[-1] < 1e-8
 
-    table_a = limit_consistency("a_to_zero", b=2, d=-1, lam=1, sigma=1,
-                                m=F(3, 5))
+    table_a = limit_a_to_zero(b=2, d=-1, lam=1, sigma=1, m=F(3, 5))
     assert table_a.diffs[0] <= 1e-12
 
     m1_cases = [

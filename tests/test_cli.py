@@ -410,6 +410,31 @@ def test_limit_side_condition_exit_2(capsys):
     assert "side condition" in stderr
 
 
+def test_limit_rejects_unread_c(capsys):
+    code, stdout, stderr = run_cli([
+        "limit", "--kind", "c-to-zero", "--a", "1", "--b", "2", "--d", "-1",
+        "--c", "5"], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: this run does not read --c 5\n"
+
+
+def test_family_rejects_unread_lambda_sigma(tmp_path, capsys, monkeypatch):
+    # S411 computes lam and sigma itself
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli([
+        "family", "--set", "4.1.1", "--a", "-5/6", "--b", "1", "--c", "-5/6",
+        "--d", "1", "--m", "3/4", "--lambda", "2", "--sigma", "5"], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr == "error: this run does not read --lambda 2, --sigma 5\n"
+
+
+def test_reduce_case_rejects_unread_a(capsys):
+    code, stdout, stderr = run_cli([
+        "reduce", "--case", "c-zero", "--a", "5", "--nmax", "3"], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: this run does not read --a 5\n"
+
+
 def test_nonexistence_command(tmp_path, capsys):
     out = tmp_path / "ne.json"
     code, stdout, _ = run_cli([

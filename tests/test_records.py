@@ -17,7 +17,7 @@ from abcdwaves.families import ParameterSet, Record, build_s412
 from abcdwaves.reduction import verify_termination
 from abcdwaves.solver import (build_named_system, multistart, pin_and_square,
                               reproduce_nonexistence)
-from abcdwaves.verifier import (limit_consistency, ode_residual,
+from abcdwaves.verifier import (limit_m_to_one, ode_residual,
                                 periodicity_check)
 
 KEYS = {
@@ -77,8 +77,7 @@ def records():
         "NonexistenceReport": nonexistence,
         "ResidualReport": ode_residual(sol, p, 64),
         "PeriodicityReport": periodicity_check(sol, 32),
-        "ConvergenceTable": limit_consistency("m_to_one", family="4.1.2", p=p,
-                                              lam=1, sigma=1, sign="top"),
+        "ConvergenceTable": limit_m_to_one("4.1.2", p=p, lam=1, sigma=1, sign="top"),
         "ChainEvent": degree.branches[0].events[0],
         "ChainBranch": degree.branches[0],
         "DegreeResult": degree,

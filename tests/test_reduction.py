@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from abcdwaves.cnexpr import cn_series
-from abcdwaves.errors import UsageError
+from abcdwaves import reduction
+from abcdwaves.errors import ChainBrokenError, UsageError
 from abcdwaves.families import ParameterSet
 from abcdwaves.reduction import (AnsatzShape, classify_ansatz,
                                  verify_termination)
@@ -144,6 +145,15 @@ def test_trivial_region_needs_positive_a():
             assert {(b.eta_degree, b.w_degree) for b in result.branches} == {(2, 1)}
     for a in (0, F(1, 3)):
         assert classify_ansatz(P(a, 0, 0, 0)) is AnsatzShape.TRIVIAL_ONLY
+
+
+def test_shape_below_the_chain_raises(monkeypatch):
+    # a classification below the true (2, 2) shape: the chain cannot close
+    # and verify_termination raises instead of reporting a failed degree
+    monkeypatch.setattr(reduction, "classify_ansatz",
+                        lambda p: AnsatzShape.TRIVIAL_ONLY)
+    with pytest.raises(ChainBrokenError, match=r"stalled at degrees \(2, 2\)"):
+        verify_termination(P(1, F(-8, 3), 1, 1), 3)
 
 
 def test_negative_a_wave_solves_the_odes():

@@ -173,7 +173,7 @@ def test_sparse_kernel_orders_factors_by_unknown():
     x, y, z = (RationalPoly.var(v) for v in ("x", "y", "z"))
     polys = [x * y * z + 3 * z ** 3 * x, F(1, 3) * y ** 2 * x - z, RationalPoly.const(0),
              RationalPoly.const(2)]
-    sysn = solver.HSystemNumeric(["z", "x", "y"], polys, [(i, 0) for i in range(4)], {})
+    sysn = solver.HSystemNumeric(["z", "x", "y"], polys, {})
     X = np.random.default_rng(2).standard_normal((300, 3)) * 10.0 ** \
         np.random.default_rng(3).uniform(-150.0, 150.0, (300, 3))
     with np.errstate(all="ignore"):
@@ -186,7 +186,7 @@ def test_sparse_kernel_affine_residuals():
     # above x^1 to hold; the residual table still needs the unknowns
     x, y = RationalPoly.var("x"), RationalPoly.var("y")
     polys = [x + y - 1, x - y]
-    sysn = solver.HSystemNumeric(["x", "y"], polys, [(0, 0), (1, 0)], {})
+    sysn = solver.HSystemNumeric(["x", "y"], polys, {})
     jac_polys = [p.derivative(u) for p in polys for u in sysn.unknowns]
     X = np.random.default_rng(5).uniform(-10.0, 10.0, (7, 2))
     for compiled, ps in ((sysn._f, polys), (sysn._j, jac_polys)):
@@ -315,6 +315,22 @@ def test_multistart_promotion_passes_residual(reference_pinning):
         assert ode_residual(sol, p, 256).relative <= 1e-9
 
 
+def test_promote_root_tags_the_linear_w_shape(quadratic_system):
+    # c = b = d = 0, a < 0: the (2, 1) shape, j = (-3/2, 0, -1/2),
+    # k = (1, +-1, 0); no family builds it, and it is not S411 (k2 = 0)
+    sysn = pin_and_square(quadratic_system, {"a": -1, "b": 0, "c": 0, "d": 0,
+                                             "m": F(1, 2), "lam": 1, "sigma": 1})
+    branch_set = multistart(sysn, 200, seed_rng=0)
+    roots = branch_set.nontrivial()
+    assert len(roots) == 2
+    for rec in roots:
+        sol = promote_root(rec, sysn.pinned)
+        assert sol.family_tag == "QuadraticEtaLinearW"
+        assert np.allclose(sol.j, (-1.5, 0.0, -0.5, 0.0, 0.0), atol=1e-12)
+        assert np.allclose(np.abs(sol.k), (1.0, 1.0, 0.0), atol=1e-12)
+        assert ode_residual(sol, ParameterSet.make(-1, 0, 0, 0), 256).relative <= 1e-12
+
+
 def test_multistart_empty_when_invalid(quadratic_system):
     # 8ac + sigma^2 (b-2d)^2 < 0: no quadratic branch exists
     sysn = pin_and_square(quadratic_system,
@@ -395,11 +411,31 @@ def test_newton_batch_stop_reasons(reference_pinning):
     assert np.all(iters <= 5)
 
 
+def test_escape_on_last_step_is_overflow():
+    # h = [x - 1e8, x - 1e8 - 1] from x = 0: the first step lands on
+    # x = 1e8 + 1/2, past the 1e7 radius, whether or not it is the last
+    x = RationalPoly.var("x")
+    sysn = solver.HSystemNumeric(["x"], [x - 10**8, x - 10**8 - 1], {})
+    for max_iter in (1, 2):
+        result = solve_newton(sysn, [0.0], max_iter)
+        assert (result.status, result.iterations) == ("overflow", 1)
+
+
+def test_root_past_escape_stays_converged():
+    # the convergence test wins over the escape test
+    x = RationalPoly.var("x")
+    sysn = solver.HSystemNumeric(["x"], [x - 10**8], {})
+    for max_iter in (1, 2, 5):
+        result = solve_newton(sysn, [0.0], max_iter)
+        assert (result.status, result.iterations, result.hinf) == ("converged", 1, 0.0)
+        assert result.x[0] == 1e8
+
+
 def test_inconsistent_system_stalls():
     # h = [x - 1, x + 1]: Gauss-Newton lands on x = 0, where ||h||^2 = 2 is
     # the minimum, and no step down to the floor decreases it
     x = RationalPoly.var("x")
-    sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], [(0, 0), (1, 0)], {})
+    sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], {})
     X0 = np.random.default_rng(0).uniform(-10.0, 10.0, (50, 1))
     X, reason, iters, hinf = solver._newton_batch(sysn, X0, 200)
     assert list(reason) == ["stalled"] * 50
@@ -469,7 +505,7 @@ def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
     floor = np.full(Xa.shape[0], min_step)
-    alpha, _ = solver._line_search(f, Xa, dx, base, 1e-4, floor)
+    alpha, _ = solver._line_search(f, Xa, dx, base, floor)
     ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
     assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
@@ -490,7 +526,7 @@ def test_line_search_stops_at_row_floor(reference_pinning):
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
     floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
-    alpha, _ = solver._line_search(f, Xa, dx, base, 1e-4, floor)
+    alpha, _ = solver._line_search(f, Xa, dx, base, floor)
     deep_alpha, deep_settled = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
     past = deep_settled & (deep_alpha < floor)
     assert past.sum() >= 50 and (deep_settled & ~past).sum() >= 300
@@ -503,7 +539,7 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
     # _newton_batch keeps these rows as the residual of the next iterate
     Xa, dx, base = _search_batch(reference_pinning, seed=8)
     f = reference_pinning._f
-    alpha, H = solver._line_search(f, Xa, dx, base, 1e-4,
+    alpha, H = solver._line_search(f, Xa, dx, base,
                                    np.full(Xa.shape[0], min_step))
     ok = alpha > 0
     assert ok.sum() >= 250 and (~ok).sum() >= 30

@@ -7,8 +7,9 @@ from abcdwaves.errors import DomainError, UsageError
 from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
                                 build_s43, build_s411, build_s412, build_s421,
                                 build_s422)
-from abcdwaves.verifier import (bbm_reduction_check, limit_consistency,
-                                ode_residual, periodicity_check)
+from abcdwaves.verifier import (bbm_reduction_check, limit_a_to_zero,
+                                limit_c_to_zero, limit_m_to_one, ode_residual,
+                                periodicity_check)
 
 
 def make_constant(eta, w, lam=1.0, m=0.5, sigma=1.0):
@@ -154,8 +155,7 @@ def test_bbm_reduction_rejects_wrong_shape(reference_cases):
 
 
 def test_limit_c_to_zero_monotone():
-    table = limit_consistency("c_to_zero", a=1, b=2, d=-1, lam=1, sigma=1,
-                              m=F(1, 2))
+    table = limit_c_to_zero(a=1, b=2, d=-1, lam=1, sigma=1, m=F(1, 2))
     assert table.monotone
     assert table.diffs[-1] < 1e-8
     # first-order collapse
@@ -164,27 +164,21 @@ def test_limit_c_to_zero_monotone():
 
 def test_limit_c_to_zero_side_condition():
     with pytest.raises(DomainError, match="side condition"):
-        limit_consistency("c_to_zero", a=1, b=2, d=2, lam=1, sigma=1, m=0.5)
+        limit_c_to_zero(a=1, b=2, d=2, lam=1, sigma=1, m=0.5)
 
 
 def test_limit_a_to_zero_exact():
-    table = limit_consistency("a_to_zero", b=2, d=-1, lam=1, sigma=1, m=0.6)
+    table = limit_a_to_zero(b=2, d=-1, lam=1, sigma=1, m=0.6)
     assert table.diffs[0] <= 1e-12
 
 
 def test_limit_m_to_one(reference_cases):
     case = reference_cases["s412_a"]
-    table = limit_consistency("m_to_one", family="4.1.2", p=case["p"],
-                              lam=1, sigma=1, sign="top")
+    table = limit_m_to_one("4.1.2", p=case["p"], lam=1, sigma=1, sign="top")
     assert table.monotone
     assert table.diffs[-1] < 1e-5
     target = table.target
     assert target["m"] == 1.0
-
-
-def test_limit_unknown_kind():
-    with pytest.raises(UsageError):
-        limit_consistency("b_to_zero", b=1)
 
 
 def test_m1_window_residual(reference_cases):
