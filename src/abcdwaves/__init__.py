@@ -5,8 +5,8 @@ Subpackages by role:
 - ``elliptic``:  Jacobi sn/cn/dn and K(m) from scratch (AGM), modulus
   convention (m enters identities as m^2)
 - ``ratpoly`` / ``cnexpr``:  exact rational polynomial engine and the
-  cn-expression algebra that expands the traveling-wave residual into
-  coefficient systems
+  coefficient systems of the traveling-wave equations, collected from
+  their once-integrated cn polynomials
 - ``reduction``:  ansatz-shape classification and machine-checked series
   termination chains
 - ``families``:  the five closed-form solution families, validity
@@ -22,13 +22,11 @@ __version__ = "0.1.0"
 from .elliptic import (JacobiPoint, complete_k, cn_power_derivative,
                        eval_cn_series, jacobi_eval)
 from .errors import (AbcdWavesError, ChainBrokenError, ConstraintError,
-                     DomainError, FactorizationError, UnderdeterminedError,
-                     UsageError)
+                     DomainError, UnderdeterminedError, UsageError)
 from .families import (Branch, ParameterSet, SolutionParams, build_family,
                        build_s43, build_s411, build_s412, build_s421,
                        build_s422, check_physical_constraint, m1_limit)
-from .cnexpr import (CnExpression, CoefficientSystem, build_coefficient_system,
-                     cn_series)
+from .cnexpr import CoefficientSystem, build_coefficient_system
 from .ratpoly import RationalPoly
 from .reduction import AnsatzShape, classify_ansatz, verify_termination
 from .solver import (BranchSet, HSystemNumeric, NewtonResult,

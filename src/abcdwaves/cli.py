@@ -74,10 +74,11 @@ def _family_inputs(args, p: ParameterSet) -> dict:
 def _reject_unread(parser, args, unread) -> None:
     """UsageError naming each flag in ``unread`` set off its default: the
     run would echo it without using it."""
-    given = [f"--{'lambda' if name == 'lam' else name} {getattr(args, name)}"
+    given = [("--" + ("lambda" if name == "lam" else name.replace("_", "-")), getattr(args, name))
              for name in sorted(unread) if getattr(args, name) != parser.get_default(name)]
     if given:
-        raise UsageError(f"this run does not read {', '.join(given)}")
+        raise UsageError("this run does not read " + ", ".join(
+            flag if value is True else f"{flag} {value}" for flag, value in given))
 
 
 # ---------------------------------------------------------------- outputs
@@ -163,7 +164,12 @@ def cmd_family(parser, args) -> int:
     p = _params_from(args)
     inputs = _family_inputs(args, p)
     # every builder takes m, and the residual check reads a, b, c, d
-    _reject_unread(parser, args, {"lam", "sigma", "tau1", "tau2", "sign"} - set(inputs))
+    unread = {"lam", "sigma", "tau1", "tau2", "sign"} - set(inputs)
+    # the m = 1 solitary profile is plotted over 24/lam, not over periods
+    solitary = float(args.m) == 1.0
+    if solitary:
+        unread.add("periods")
+    _reject_unread(parser, args, unread)
     if args.check_physical:
         try:
             theta = check_physical_constraint(p)
@@ -174,7 +180,7 @@ def cmd_family(parser, args) -> int:
     sol = build_family(args.set, **inputs)
 
     report = ode_residual(sol, p, args.samples)
-    span = args.periods * report.period if sol.m < 1.0 else 24.0 / sol.lam
+    span = 24.0 / sol.lam if solitary else args.periods * report.period
     n_rows = max(args.samples, 2)
     xs = span * np.arange(n_rows) / (n_rows - 1)
     etas, ws = sol.eval_eta(xs), sol.eval_w(xs)
@@ -238,7 +244,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(parser, args) -> int:
+    if args.seed_from:
+        _reject_unread(parser, args, {"starts", "seed", "require_nontrivial"})
     system, pins = build_named_system(
         args.system, {name: getattr(args, name) for name in "abcd"})
     for chunk in args.pin.split(",") if args.pin else ():
@@ -410,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="solution JSON used as the single Newton seed")
     sol.add_argument("--require-nontrivial", action="store_true")
     sol.add_argument("--out", default=None)
-    sol.set_defaults(func=cmd_solve)
+    sol.set_defaults(func=functools.partial(cmd_solve, sol))
 
     red = sub.add_parser("reduce", help="verify series-termination chains")
     red.add_argument("--case", choices=("c-nonzero", "c-zero"), default=None)

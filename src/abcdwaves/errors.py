@@ -24,10 +24,6 @@ class ConstraintError(AbcdWavesError):
         super().__init__("; ".join(self.violations))
 
 
-class FactorizationError(AbcdWavesError):
-    """The traveling-wave residual failed to factor through sn*dn."""
-
-
 class ChainBrokenError(AbcdWavesError):
     """A forced-vanishing chain stalled before reaching the expected shape."""
 

@@ -4,8 +4,8 @@ The variable universe is {a, b, c, d, lam, m, sigma, j0.., k0..}.  A
 monomial is a tuple of (name, exponent) pairs sorted in the fixed
 variable order, so structural equality of two polynomials is dictionary
 equality.  Zero coefficients are never stored.  All arithmetic is exact
-(``fractions.Fraction``); nothing here touches floating point except the
-explicit ``eval_float`` hook.
+(``fractions.Fraction``); nothing here touches floating point: numeric
+evaluation belongs to the solver's compiled systems.
 
 The public constructor normalises whatever it is given.  The operations
 build dicts that are canonical by construction (their monomials come from
@@ -238,10 +238,6 @@ class RationalPoly:
                         _accumulate(out, _mono_mul(m, kept), coef * c)
         return RationalPoly._of(out)
 
-    def divide_by_var(self, name: str) -> "RationalPoly":
-        """Exact division by a single variable; every term must contain it."""
-        return self.divide_by_monomial(((name, 1),))
-
     def derivative(self, name: str) -> "RationalPoly":
         out: dict[Monomial, Fraction] = {}
         for mono, coef in self.terms.items():
@@ -283,16 +279,6 @@ class RationalPoly:
                     entry.pop(name, None)
             out[tuple(entry.items())] = coef
         return RationalPoly._of(out)
-
-    # -- numeric evaluation ---------------------------------------------
-    def eval_float(self, subs: Mapping[str, float]) -> float:
-        total = 0.0
-        for mono, coef in self.terms.items():
-            value = float(coef)
-            for name, exp in mono:
-                value *= float(subs[name]) ** exp
-            total += value
-        return total
 
     # -- canonical text --------------------------------------------------
     @staticmethod

@@ -184,8 +184,10 @@ class _Chain:
         return {e.var for e in self.events if e.move != "eliminate"}
 
     # -- move scans -----------------------------------------------------
-    def _factor(self, poly: RationalPoly):
-        """Split into (unknowns of the content monomial, cofactor, ok)."""
+    def _factor(self, poly: RationalPoly) -> list[str] | None:
+        """The j/k unknowns of the content monomial when poly = 0 forces one
+        of them to vanish: every other factor is nonzero and the cofactor is
+        a constant or sign-definite.  None otherwise."""
         gcd: Monomial = poly.monomial_gcd()
         unknowns = [n for n, _ in gcd if _is_forceable(n)]
         outside = [n for n, _ in gcd
@@ -195,7 +197,7 @@ class _Chain:
             return None
         cofactor = poly.divide_by_monomial(gcd)
         if cofactor.is_constant() or _is_sign_definite(cofactor, self.allowed):
-            return unknowns, cofactor
+            return unknowns
         return None
 
     def scan(self):
@@ -205,26 +207,23 @@ class _Chain:
             poly = self.eqs[key]
             if poly.is_zero():
                 continue
-            got = self._factor(poly)
-            if got is None:
+            unknowns = self._factor(poly)
+            if unknowns is None:
                 continue
-            unknowns, _ = got
             if len(unknowns) == 1:
                 forced.append((key, unknowns[0], poly))
             else:
                 branches.append((key, unknowns, poly))
         return forced, branches
 
-    def elimination_candidates(self):
-        """Equations linear in some j/k unknown with a constant coefficient."""
-        out = []
+    def elimination_candidate(self):
+        """(name, key, definition) from an equation linear in a j/k unknown
+        with a constant coefficient, solved for that unknown; the fewest
+        terms win, then the lowest q, p and name.  None if there is none."""
+        best = None
         for key, poly in self.eqs.items():
-            if poly.is_zero():
-                continue
-            for name in sorted(poly.variables(), key=lambda n: n):
-                if not _is_forceable(name):
-                    continue
-                if poly.degree_in(name) != 1:
+            for name in poly.variables():
+                if not _is_forceable(name) or poly.degree_in(name) != 1:
                     continue
                 coef_terms = {m: c for m, c in poly.terms.items()
                               if any(n == name for n, _ in m)}
@@ -233,12 +232,14 @@ class _Chain:
                 (mono, coef), = coef_terms.items()
                 if any(n != name for n, _ in mono):
                     continue
-                rest = RationalPoly({m: c for m, c in poly.terms.items()
-                                     if m != mono})
-                out.append((len(poly.terms), key[1], key[0], name, key,
-                            rest * (Fraction(-1) / coef)))
-        out.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-        return out
+                rank = (len(poly.terms), key[1], key[0], name)
+                if best is None or rank < best[0]:
+                    best = (rank, name, key, poly, mono, coef)
+        if best is None:
+            return None
+        _, name, key, poly, mono, coef = best
+        rest = RationalPoly({m: c for m, c in poly.terms.items() if m != mono})
+        return name, key, rest * (Fraction(-1) / coef)
 
 
 def _resolve_eliminated(chain: _Chain) -> dict[str, bool]:
@@ -312,14 +313,14 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
         eta_deg, w_deg = _live_degrees(chain, n)
         if eta_deg <= shape.max_eta_degree and w_deg <= shape.max_w_degree:
             return [ChainBranch(chain.events, eta_deg, w_deg)]
-        elim = chain.elimination_candidates()
-        if not elim:
+        elim = chain.elimination_candidate()
+        if elim is None:
             raise ChainBrokenError(
                 f"chain stalled at degrees ({eta_deg}, {w_deg}) above the "
                 f"classified shape {shape.degrees} for n={n}; "
                 f"last events: {[e.to_dict() for e in chain.events[-3:]]}"
             )
-        _, _, _, name, key, definition = elim[0]
+        name, key, definition = elim
         chain.eliminated[name] = definition
         chain.events.append(
             ChainEvent(name, key, "eliminate",

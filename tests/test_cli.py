@@ -428,6 +428,28 @@ def test_family_rejects_unread_lambda_sigma(tmp_path, capsys, monkeypatch):
     assert stderr == "error: this run does not read --lambda 2, --sigma 5\n"
 
 
+def test_family_m1_rejects_unread_periods(tmp_path, capsys, monkeypatch):
+    # the m = 1 solitary profile is plotted over 24/lam
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli([
+        "family", "--set", "4.2.2", "--a", "1", "--b", "2", "--d", "-1",
+        "--m", "1", "--periods", "7"], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr == "error: this run does not read --periods 7\n"
+
+
+def test_solve_seed_from_rejects_unread_multistart_flags(tmp_path, capsys):
+    # a seeded run is one Newton solve: no starts, no seed, no branch count
+    seed = _perturbed_family_seed(tmp_path, capsys)
+    code, stdout, stderr = run_cli([
+        "solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--seed-from", seed,
+        "--starts", "9", "--seed", "5", "--require-nontrivial"], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: this run does not read --require-nontrivial, "
+                      "--seed 5, --starts 9\n")
+
+
 def test_reduce_case_rejects_unread_a(capsys):
     code, stdout, stderr = run_cli([
         "reduce", "--case", "c-zero", "--a", "5", "--nmax", "3"], capsys)

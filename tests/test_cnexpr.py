@@ -3,88 +3,85 @@ from fractions import Fraction
 
 import pytest
 
-from abcdwaves.cnexpr import (CnExpression, build_coefficient_system,
-                              cn_series, poly_from_terms)
-from abcdwaves.elliptic import cn_power_derivative, jacobi_eval
-from abcdwaves.errors import FactorizationError
+from abcdwaves.cnexpr import (_convolve, _second_derivative, _series,
+                              _weighted_sum, build_coefficient_system,
+                              poly_from_terms)
+from abcdwaves.elliptic import cn_power_derivative, eval_cn_series, jacobi_eval
 from abcdwaves.ratpoly import RationalPoly
 
 from reference_systems import (QUADRATIC_SYSTEM, QUARTIC_H10_AS_PRINTED,
                                QUARTIC_H10_EXPECTED_DIFF,
                                QUARTIC_REDUCED_SYSTEM)
 
+ZERO, ONE = RationalPoly.const(0), RationalPoly.const(1)
+
+
+def _top(coeffs) -> int:
+    """Highest cn power with a nonzero coefficient (-1 for zero).
+
+    Applied to coeffs[1:] it gives the top cn power of the xi-derivative
+    after its -lam*sn*dn factor, whose cn^q coefficient is (q+1)*coeffs[q+1].
+    """
+    return max((q for q, c in enumerate(coeffs) if not c.is_zero()), default=-1)
+
+
+def _value(poly: RationalPoly) -> float:
+    assert poly.is_constant()
+    return float(poly.terms.get((), 0))
+
 
 def test_series_shapes():
-    e0 = cn_series(0, "eta")
-    assert len(e0.even) == 1 and e0.even[0] == RationalPoly.var("j0")
-    assert not e0.odd
+    e0 = _series(0, "j")
+    assert e0 == [RationalPoly.var("j0")]
 
-    e2 = cn_series(2, "eta")
-    assert [p.to_text() for p in e2.even] == ["j0", "j1", "j2"]
+    e2 = _series(2, "j")
+    assert [p.to_text() for p in e2] == ["j0", "j1", "j2"]
 
-    w4 = cn_series(4, "w")
-    assert len(w4.even) == 5 and w4.even[4] == RationalPoly.var("k4")
-
-
-def test_derivative_of_cn():
-    cn = CnExpression.from_even([0, 1])
-    d = cn.differentiate()
-    assert not d.even
-    assert len(d.odd) == 1
-    assert d.odd[0] == -RationalPoly.var("lam")
+    w4 = _series(4, "k")
+    assert len(w4) == 5 and w4[4] == RationalPoly.var("k4")
 
 
 def test_derivative_of_constant_is_zero():
-    const = CnExpression.from_even([RationalPoly.var("j0")])
-    assert const.differentiate().is_zero()
+    assert all(c.is_zero() for c in _second_derivative([RationalPoly.var("j0")]))
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_second_derivative_closed_form(r):
-    # applying the first-derivative rule twice must reproduce
     # -r lam^2 [(r+1) m^2 cn^{r+2} + r(1-2m^2) cn^r + (r-1)(m^2-1) cn^{r-2}]
-    cn_r = CnExpression.from_even([0] * r + [1])
-    got = cn_r.differentiate().differentiate()
+    got = _second_derivative([ZERO] * r + [ONE])
     lam2 = poly_from_terms([(1, {"lam": 2})])
     m2 = poly_from_terms([(1, {"m": 2})])
-    one = RationalPoly.const(1)
-    coeffs = [RationalPoly.const(0)] * (r + 3)
-    coeffs[r + 2] = -r * lam2 * (r + 1) * m2
-    coeffs[r] = -r * lam2 * r * (one - 2 * m2)
+    expected = [ZERO] * (r + 3)
+    expected[r + 2] = -r * lam2 * (r + 1) * m2
+    expected[r] = -r * lam2 * r * (ONE - 2 * m2)
     if r >= 2:
-        coeffs[r - 2] = -r * lam2 * (r - 1) * (m2 - one)
-    expected = CnExpression.from_even(coeffs)
+        expected[r - 2] = -r * lam2 * (r - 1) * (m2 - ONE)
     assert got == expected
-
-
-def test_sndn_squared_product():
-    sndn = CnExpression((), (RationalPoly.const(1),))
-    prod = sndn * sndn
-    m2 = poly_from_terms([(1, {"m": 2})])
-    one = RationalPoly.const(1)
-    expected = CnExpression.from_even([one - m2, RationalPoly.const(0),
-                                       2 * m2 - one, RationalPoly.const(0), -m2])
-    assert prod == expected
+    # independently: a central difference of the kernel's first derivative
+    lam, m, step = Fraction(13, 10), Fraction(3, 5), 1e-4
+    coeffs = [_value(c.substitute({"lam": lam, "m": m})) for c in got]
+    for xi in (0.37, 1.9):
+        cn = jacobi_eval(float(lam) * xi, float(m)).cn
+        closed = sum(c * cn ** q for q, c in enumerate(coeffs))
+        diff = (cn_power_derivative(r, 1, lam, float(m), xi + step)
+                - cn_power_derivative(r, 1, lam, float(m), xi - step)) / (2 * step)
+        assert closed == pytest.approx(diff, rel=1e-6, abs=1e-6)
 
 
 def test_monomial_product():
-    cn = CnExpression.from_even([0, 1])
-    cn2 = CnExpression.from_even([0, 0, 1])
-    assert (cn * cn2) == CnExpression.from_even([0, 0, 0, 1])
+    assert _convolve([ZERO, ONE], [ZERO, ZERO, ONE]) == [ZERO, ZERO, ZERO, ONE]
 
 
 def test_distributed_series_product():
-    e1 = CnExpression.from_even([RationalPoly.var("j0"), 0, RationalPoly.var("j2")])
-    e2 = CnExpression.from_even([RationalPoly.var("k0"), 0, RationalPoly.var("k2")])
-    prod = e1 * e2
-    assert prod.even[0] == RationalPoly.var("j0") * RationalPoly.var("k0")
-    assert prod.even[2] == (RationalPoly.var("j0") * RationalPoly.var("k2")
-                            + RationalPoly.var("j2") * RationalPoly.var("k0"))
-    assert prod.even[4] == RationalPoly.var("j2") * RationalPoly.var("k2")
-    assert not prod.odd
+    j0, j2, k0, k2 = (RationalPoly.var(n) for n in ("j0", "j2", "k0", "k2"))
+    prod = _convolve([j0, ZERO, j2], [k0, ZERO, k2])
+    assert prod[0] == j0 * k0
+    assert prod[2] == j0 * k2 + j2 * k0
+    assert prod[4] == j2 * k2
+    assert prod[1].is_zero() and prod[3].is_zero()
 
 
-def _random_expression(rng, max_deg=3):
+def _random_series(rng, max_deg=3):
     def rand_poly():
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -95,68 +92,66 @@ def _random_expression(rng, max_deg=3):
             terms[tuple(sorted(mono))] = Fraction(rng.randint(-4, 4))
         return RationalPoly(terms)
 
-    even = [rand_poly() for _ in range(rng.randint(0, max_deg))]
-    odd = [rand_poly() for _ in range(rng.randint(0, max_deg))]
-    # the sum trims zero top coefficients into normal form
-    return CnExpression.from_even(even) + CnExpression((), tuple(odd))
+    return [rand_poly() for _ in range(rng.randint(1, max_deg + 1))]
 
 
 def test_ring_axioms_on_random_expressions():
+    # cn polynomials under _convolve and _weighted_sum form a commutative ring
     rng = random.Random(7)
     for _ in range(25):
-        e1, e2, e3 = (_random_expression(rng) for _ in range(3))
-        assert (e1 * e2) == (e2 * e1)
-        assert ((e1 * e2) * e3) == (e1 * (e2 * e3))
-        assert (e1 * (e2 + e3)) == (e1 * e2 + e1 * e3)
+        e1, e2, e3 = (_random_series(rng) for _ in range(3))
+        assert _convolve(e1, e2) == _convolve(e2, e1)
+        assert _convolve(_convolve(e1, e2), e3) == _convolve(e1, _convolve(e2, e3))
+        assert (_convolve(e1, _weighted_sum([(ONE, e2), (ONE, e3)]))
+                == _weighted_sum([(ONE, _convolve(e1, e2)), (ONE, _convolve(e1, e3))]))
 
 
-def test_product_rule_structural():
-    rng = random.Random(11)
-    for _ in range(20):
-        e1, e2 = _random_expression(rng), _random_expression(rng)
-        lhs = (e1 * e2).differentiate()
-        rhs = e1.differentiate() * e2 + e1 * e2.differentiate()
-        assert lhs == rhs
-
-
-def test_numeric_consistency_with_kernel():
-    # evaluating a symbolically-differentiated series must agree with the
-    # closed-form cn-power derivatives evaluated through the kernel
+def test_system_matches_numeric_kernel():
+    # h[p, q], evaluated exactly at random rational points, must give the
+    # residual that the numeric kernel assembles from eval_cn_series
     rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        series = cn_series(n, "eta")
-        d1 = series.differentiate()
-        d2 = d1.differentiate()
-        subs = {"lam": rng.uniform(0.3, 2.5), "m": rng.uniform(0.05, 0.99)}
-        coeffs = {f"j{r}": rng.uniform(-3, 3) for r in range(n + 1)}
-        subs.update(coeffs)
-        for xi in (0.0, 0.37, 1.9):
-            ref1 = sum(coeffs[f"j{r}"] * cn_power_derivative(r, 1, subs["lam"], subs["m"], xi)
-                       for r in range(1, n + 1))
-            ref2 = sum(coeffs[f"j{r}"] * cn_power_derivative(r, 2, subs["lam"], subs["m"], xi)
-                       for r in range(1, n + 1))
-            assert d1.eval_float(subs, xi) == pytest.approx(ref1, abs=1e-10, rel=1e-10)
-            assert d2.eval_float(subs, xi) == pytest.approx(ref2, abs=1e-10, rel=1e-10)
-        # direct profile value
-        pt = jacobi_eval(subs["lam"] * 0.37, subs["m"])
-        direct = sum(coeffs[f"j{r}"] * pt.cn ** r for r in range(n + 1))
-        assert series.eval_float(subs, 0.37) == pytest.approx(direct, rel=1e-12)
 
+    def rat(bound):
+        return Fraction(rng.randint(-8 * bound, 8 * bound), 8)
 
-def _top_power(expr: CnExpression) -> int:
-    """Highest cn power present (-1 for the zero expression)."""
-    return max(len(expr.even), len(expr.odd)) - 1
+    for _ in range(20):
+        n_eta, n_w = rng.randint(1, 4), rng.randint(1, 4)
+        params = {name: rat(3) for name in "abcd"}
+        lam, sigma = Fraction(rng.randint(3, 25), 10), rat(2)
+        m = Fraction(rng.randint(1, 19), 20)
+        j = [rat(3) for _ in range(n_eta + 1)]
+        k = [rat(3) for _ in range(n_w + 1)]
+        subs = {"lam": lam, "sigma": sigma, "m": m,
+                **{f"j{r}": v for r, v in enumerate(j)},
+                **{f"k{r}": v for r, v in enumerate(k)}}
+        system = build_coefficient_system(n_eta, n_w, params=params).substitute(subs)
+        h = {key: _value(poly) for key, poly in system.equations.items()}
+
+        a, b, c, d = (float(params[name]) for name in "abcd")
+        lam_f, sig = float(lam), float(sigma)
+        for xi in (0.37, 1.9, -2.6, 4.1):
+            pt = jacobi_eval(lam_f * xi, float(m))
+            eta, d1_eta, d3_eta = (eval_cn_series([float(v) for v in j], pt, lam_f, o)
+                                   for o in (0, 1, 3))
+            w, d1_w, d3_w = (eval_cn_series([float(v) for v in k], pt, lam_f, o)
+                             for o in (0, 1, 3))
+            terms = {1: (-sig * d1_eta, d1_w, d1_eta * w + eta * d1_w,
+                         a * d3_w, b * sig * d3_eta),
+                     2: (-sig * d1_w, d1_eta, w * d1_w, c * d3_eta, d * sig * d3_w)}
+            for p, parts in terms.items():
+                got = -lam_f * pt.sn * pt.dn * sum(
+                    coef * pt.cn ** q for (pp, q), coef in h.items() if pp == p)
+                scale = max(abs(t) for t in parts)
+                assert scale > 0.0
+                assert abs(got - sum(parts)) <= 1e-10 * scale
 
 
 def test_rho_bookkeeping():
-    eta = cn_series(3, "eta")
-    w = cn_series(3, "w")
-    assert _top_power(eta) == 3
-    assert _top_power(eta.differentiate()) == 2
-    d3 = eta.differentiate().differentiate().differentiate()
-    assert _top_power(d3) == 4
-    assert _top_power((eta * w).differentiate()) == 5
+    eta, w = _series(3, "j"), _series(3, "k")
+    assert _top(eta) == 3
+    assert _top(eta[1:]) == 2
+    assert _top(_second_derivative(eta)[1:]) == 4
+    assert _top(_convolve(eta, w)[1:]) == 5
 
 
 def test_quadratic_system_matches_reference():
@@ -190,12 +185,6 @@ def test_quartic_h10_differs_from_printed_transcription():
     generated = system.equations[(1, 0)]
     assert generated != QUARTIC_H10_AS_PRINTED
     assert generated - QUARTIC_H10_AS_PRINTED == QUARTIC_H10_EXPECTED_DIFF
-
-
-def test_factorization_error_on_even_residual():
-    from abcdwaves.cnexpr import _extract_sn_dn_factor
-    with pytest.raises(FactorizationError):
-        _extract_sn_dn_factor(cn_series(2, "eta"), "test")
 
 
 def test_canonical_text_dump():

@@ -117,7 +117,7 @@ def test_divide_by_monomial_inverts_the_product(rng):
     with pytest.raises(ValueError):
         RationalPoly.var("lam", 2).divide_by_monomial((("lam", 3),))
     with pytest.raises(ValueError):
-        (RationalPoly.var("lam") + 1).divide_by_var("lam")
+        (RationalPoly.var("lam") + 1).divide_by_monomial((("lam", 1),))
 
 
 def test_substitute_matches_evaluation(rng):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from abcdwaves.cnexpr import cn_series
+from abcdwaves.cnexpr import _convolve, _second_derivative, _series
 from abcdwaves import reduction
 from abcdwaves.errors import ChainBrokenError, UsageError
 from abcdwaves.families import ParameterSet
@@ -223,24 +223,23 @@ def test_report_serializes():
 
 # -- degree bookkeeping against the iteration tables -------------------------
 
+def _top(coeffs) -> int:
+    """Highest cn power with a nonzero coefficient (-1 for zero)."""
+    return max((q for q, c in enumerate(coeffs) if not c.is_zero()), default=-1)
+
+
 def _build_state(n, w_top):
-    """eta at full degree n, w truncated at w_top, plus derived expressions."""
-    eta = cn_series(n, "eta")
-    w_full = cn_series(n, "w")
-    zeros = {f"k{r}": 0 for r in range(w_top + 1, n + 1)}
-    w = w_full.substitute(zeros)
-    d_eta, d_w = eta.differentiate(), w.differentiate()
-    d3_eta = d_eta.differentiate().differentiate()
-    d3_w = d_w.differentiate().differentiate()
-    return {
-        "eta'": d_eta, "w'": d_w, "eta'''": d3_eta, "w'''": d3_w,
-        "(eta w)'": (eta * w).differentiate(), "w w'": w * d_w,
+    """Top cn power of each residual term, eta at full degree n and w
+    truncated at w_top.  Each term is the xi-derivative of a cn polynomial
+    f; after its -lam*sn*dn factor its cn^q coefficient is (q+1)*f[q+1],
+    so its top power is that of f[1:]."""
+    eta, w = _series(n, "j"), _series(w_top, "k")
+    integrated = {
+        "eta'": eta, "w'": w,
+        "eta'''": _second_derivative(eta), "w'''": _second_derivative(w),
+        "(eta w)'": _convolve(eta, w), "w w'": _convolve(w, w),
     }
-
-
-def _top_power(expr) -> int:
-    """Highest cn power present (-1 for the zero expression)."""
-    return max(len(expr.even), len(expr.odd)) - 1
+    return {name: _top(f[1:]) for name, f in integrated.items()}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -250,23 +249,21 @@ def test_rho_iteration_tables(n):
     # (eta w)': 2n-2-i        w w': 2n-3-2i
     i = 0
     while 2 * n - 3 - 2 * i > n + 1:
-        exprs = _build_state(n, n - 1 - i)
-        assert _top_power(exprs["eta'"]) == n - 1
-        assert _top_power(exprs["w'"]) == n - 2 - i
-        assert _top_power(exprs["eta'''"]) == n + 1
-        assert _top_power(exprs["w'''"]) == n - i
-        assert _top_power(exprs["(eta w)'"]) == 2 * n - 2 - i
-        assert _top_power(exprs["w w'"]) == 2 * n - 3 - 2 * i
+        tops = _build_state(n, n - 1 - i)
+        assert tops["eta'"] == n - 1
+        assert tops["w'"] == n - 2 - i
+        assert tops["eta'''"] == n + 1
+        assert tops["w'''"] == n - i
+        assert tops["(eta w)'"] == 2 * n - 2 - i
+        assert tops["w w'"] == 2 * n - 3 - 2 * i
         i += 1
 
 
 def test_rho_initial_table():
     for n in (3, 4, 5, 6):
-        eta = cn_series(n, "eta")
-        w = cn_series(n, "w")
-        assert _top_power(eta.differentiate()) == n - 1
-        assert _top_power(w.differentiate()) == n - 1
-        d3 = eta.differentiate().differentiate().differentiate()
-        assert _top_power(d3) == n + 1
-        assert _top_power((eta * w).differentiate()) == 2 * n - 1
-        assert _top_power((w * w.differentiate())) == 2 * n - 1
+        tops = _build_state(n, n)
+        assert tops["eta'"] == n - 1
+        assert tops["w'"] == n - 1
+        assert tops["eta'''"] == n + 1
+        assert tops["(eta w)'"] == 2 * n - 1
+        assert tops["w w'"] == 2 * n - 1
