@@ -14,8 +14,10 @@ import argparse
 import functools
 import inspect
 import json
+import logging
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,8 @@ from .solver import (SYSTEMS, build_named_system, multistart, pin_and_square,
                      reproduce_nonexistence, solve_newton)
 from .verifier import (limit_a_to_zero, limit_c_to_zero, limit_m_to_one,
                        ode_residual, periodicity_check)
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -456,13 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; it leaves one DEBUG record on this module's
+    logger: the subcommand, its exit code and its seconds."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except AbcdWavesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code = EXIT_DOMAIN
+    logger.debug("%s: exit %d, %.3f s", args.command, code,
+                 time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

@@ -351,6 +351,9 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
             f"termination degrees must satisfy 3 <= n_min <= n_max <= {N_MAX}")
     if (p is None) == (case is None):
         raise UsageError("pass exactly one of p or case")
+    if p is not None and not isinstance(p, ParameterSet):
+        raise UsageError(f"p must be a ParameterSet, got {p!r}; pass a "
+                         "symbolic case as case=...")
 
     if case is not None:
         if case not in _SYMBOLIC_CASES:

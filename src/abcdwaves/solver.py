@@ -5,9 +5,11 @@ values), compiled to vectorized evaluators with the exact polynomial
 Jacobian, and solved by damped Newton with a backtracking line search on
 ||h||^2.  Overdetermined systems (more equations than unknowns, which is
 the normal situation here since the pinned systems carry structural
-redundancy) take Gauss-Newton steps through the pseudoinverse and a root
-is accepted only at ||h||_inf <= 1e-12, so consistency of the redundant
-equations is verified rather than assumed.
+redundancy) take Gauss-Newton least-squares steps and a root is accepted
+only at ||h||_inf <= 1e-12, so consistency of the redundant equations is
+verified rather than assumed.  The step is a batched Householder QR solve
+on the rows whose R factor certifies them well-conditioned (kappa_1(R) <=
+1e10) and the pseudoinverse step on every other row.
 
 One batched engine serves multistart and solve_newton (a one-row batch).
 It tries the steps 1, 1/2, ... down to 1e-14, but below 2**-30 only
@@ -18,7 +20,7 @@ converged (||h||_inf <= 1e-12 and x finite, even past the escape radius)
 or else overflow (h non-finite or ||x||_inf >= 1e7; solve_newton's radius
 is 1e7 * max(1, ||seed||_inf)); the others end stalled or budget (max_iter
 spent).  Rank-deficient Jacobians (continua of roots) need no special
-case: the pseudoinverse step is the minimum-norm Gauss-Newton step.
+case: there the pseudoinverse step is the minimum-norm Gauss-Newton step.
 
 Polynomials are evaluated on whole batches from a power table: each
 monomial multiplies only the table columns of its nonzero exponents, in
@@ -58,6 +60,7 @@ _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
 _TOL = 1e-12                # a root needs ||h||_inf <= _TOL
+_KAPPA_QR = 1e10            # a QR step needs kappa_1(R) <= _KAPPA_QR
 _ARMIJO = 1e-4              # sufficient-decrease factor of the line search
 _MIN_STEP = 1e-14           # smallest line-search step factor
 _SWEEP_MAX_ITER = 80        # Newton budget of the non-existence sweeps
@@ -237,7 +240,7 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
-    X, reason, iters, hinf = _newton_batch(sysn, x[None, :], max_iter, escape)
+    X, reason, iters, hinf, _, _ = _newton_batch(sysn, x[None, :], max_iter, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
@@ -283,15 +286,53 @@ def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
     return alpha, H
 
 
+def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Gauss-Newton step -pinv(J) h of every row, and how many rows
+    did not take it by QR.
+
+    Every row is factored [J | h] = Q [R | Q^T h] (Householder, so R is the
+    factor of J alone).  Where that factorization is finite, R has a
+    nonzero diagonal and kappa_1(R) = ||R||_1 ||R^-1||_1 <= _KAPPA_QR, the
+    step solves R dx = -Q^T h with R^-1.  There J has full column rank and
+    its 2-norm condition number is at most n * _KAPPA_QR < 1e14, so pinv's
+    cutoff (rcond=1e-14) drops no singular value and both give the
+    least-squares step, equal up to rounding.  Every other row takes
+    -pinv(J, rcond=1e-14) h, bit for bit as a batched pinv of all rows
+    would: on a rank-deficient J that is the minimum-norm step.  A row
+    whose J is not finite gets a NaN step, where pinv's SVD would not
+    converge.
+    """
+    n = J.shape[2]
+    R = np.linalg.qr(np.concatenate((J, H[:, :, None]), axis=2), mode="r")
+    ok = np.flatnonzero(np.isfinite(R).all(axis=(1, 2))
+                        & (np.diagonal(R, axis1=1, axis2=2)[:, :n] != 0).all(axis=1))
+    Rj = R[ok, :n, :n]
+    Rinv = np.linalg.inv(Rj)
+    kappa = (np.abs(Rj).sum(axis=1).max(axis=1)
+             * np.abs(Rinv).sum(axis=1).max(axis=1))
+    well = kappa <= _KAPPA_QR
+    rows = ok[well]
+    dx = np.full((J.shape[0], n), np.nan)
+    dx[rows] = -np.einsum("bij,bj->bi", Rinv[well], R[rows, :n, n])
+    svd = np.isfinite(J).all(axis=(1, 2))
+    svd[rows] = False
+    if svd.any():       # seldom: even an empty batched pinv costs tens of us
+        dx[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
+                             H[svd])
+    return dx, J.shape[0] - rows.size
+
+
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   escape: float = _ESCAPE
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, reason, iterations, hinf): the final iterates, each row's
-    stop reason from _STOP_REASONS, its accepted Newton steps and its
-    ||h||_inf at the final iterate.  One pass, run max_iter + 1 times,
-    labels every row still active: converged when ||h||_inf <= _TOL and x
+    Returns (X, reason, iterations, hinf, solves, fallbacks): the final
+    iterates, each row's stop reason from _STOP_REASONS, its accepted
+    Newton steps and its ||h||_inf at the final iterate, then the number
+    of Gauss-Newton steps computed over all rows and how many of them
+    fell back from QR to the pseudoinverse.  One pass, run max_iter + 1
+    times, labels every row still active: converged when ||h||_inf <= _TOL and x
     is finite (wherever x lies), else overflow when h is not finite or
     ||x||_inf >= escape; the rest take a step while fewer than max_iter
     passes have run and keep "budget" after the last.  A row whose line
@@ -309,6 +350,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
     hinf = np.empty(B)
+    solves = fallbacks = 0
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
     for it in range(max_iter + 1):
@@ -330,9 +372,10 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         J = _eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
                                                 sysn.n_unknowns)
         with np.errstate(all="ignore"):
-            dx = -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), Ha)
+            dx, svd = _gauss_newton_step(J, Ha)
             move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
                 / np.abs(dx).max(axis=1)
+        solves, fallbacks = solves + idx.size, fallbacks + svd
         base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
         alpha, Hs = _line_search(sysn._f, Xa, dx, base, floor)
@@ -342,7 +385,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         iters[idx[settled]] += 1
         active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
-    return X, reason, iters, hinf
+    return X, reason, iters, hinf, solves, fallbacks
 
 
 @dataclass
@@ -422,7 +465,7 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, reason, _, hinf_all = _newton_batch(sysn, X0, max_iter)
+    X, reason, _, hinf_all, solves, fallbacks = _newton_batch(sysn, X0, max_iter)
     conv = reason == "converged"
     found = [(X[i], float(hinf_all[i]), int(i)) for i in np.flatnonzero(conv)]
     t1 = time.perf_counter()
@@ -439,11 +482,12 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     branch_set = BranchSet(records, pinned_f, n_starts, len(found), seed_rng)
     logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
                  "%d budget), %d kept, %d non-trivial; residual floor of the "
-                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s",
+                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s; "
+                 "%d Gauss-Newton solves, %d fell back to the SVD",
                  n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
                  len(records), len(branch_set.nontrivial()),
                  float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
-                 t1 - t0, t2 - t1, time.perf_counter() - t2)
+                 t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks)
     return branch_set
 
 

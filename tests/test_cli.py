@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -476,3 +477,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "--a", "0", "--b", "0", "--c", "1/2", "--d", "-1/6"], 0),
+    (["limit", "--kind", "c-to-zero", "--a", "1", "--b", "2", "--d", "-1",
+      "--c", "5"], 2),
+], ids=["ok", "exit-2"])
+def test_cli_logs_one_record(argv, code, capsys, caplog):
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves.cli"):
+        assert run_cli(argv, capsys)[0] == code
+    (record,) = [r for r in caplog.records if r.name == "abcdwaves.cli"]
+    assert record.levelno == logging.DEBUG
+    assert record.args[:2] == (argv[0], code) and record.args[2] >= 0.0
+

@@ -183,6 +183,13 @@ def test_argument_validation():
         verify_termination(case="sideways")
 
 
+@pytest.mark.parametrize("p", ["c_zero", (1, 1, 1, 1)])
+def test_p_must_be_a_parameter_set(p):
+    # the case passed positionally lands in p
+    with pytest.raises(UsageError, match="p must be a ParameterSet"):
+        verify_termination(p, n_max=3)
+
+
 @pytest.mark.parametrize("case,degrees", [("c_nonzero", (2, 2)),
                                           ("c_zero", (4, 2))])
 def test_symbolic_chains_pass_beyond_n8(case, degrees):

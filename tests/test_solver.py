@@ -232,7 +232,7 @@ def test_escape_radius_scales_with_the_seed(reference_pinning, closed_forms):
     # gets a radius of 1e7 * ||seed||_inf and walks back to the root
     root = seed_vector(reference_pinning, closed_forms["top"])
     far = root * 1e8
-    _, reason, iters, _ = solver._newton_batch(
+    _, reason, iters, *_ = solver._newton_batch(
         reference_pinning, far[None, :], 200)
     assert (reason[0], iters[0]) == ("overflow", 0)
     result = solve_newton(reference_pinning, far)
@@ -278,7 +278,7 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     X0 = 10.0 ** rng.uniform(-3.0, 1.0, (200, sysn.n_unknowns)) \
         * rng.choice([-1.0, 1.0], (200, sysn.n_unknowns))
     X0[0, 0] = np.inf
-    X, reason, iters, hinf = solver._newton_batch(sysn, X0, 200)
+    X, reason, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
     for i, x0 in enumerate(X0):
         result = solve_newton(sysn, x0)
         assert (result.status, result.iterations) == (reason[i], iters[i])
@@ -370,7 +370,7 @@ def test_multistart_logs_counts(reference_pinning, caplog, monkeypatch):
     seen = _spy_newton(monkeypatch)
     branch_set, record = _multistart_record(caplog, reference_pinning, 120,
                                             seed_rng=3)
-    ((_, reason, _, _),) = seen
+    ((_, reason, *_),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert record.args[:7] == (120, *counts, len(branch_set.roots),
                                len(branch_set.nontrivial()))
@@ -388,7 +388,7 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     seen = _spy_newton(monkeypatch)
     branch_set, record = _multistart_record(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
-    ((_, reason, _, hinf),) = seen
+    ((_, reason, iters, hinf, solves, fallbacks),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
     assert counts[2] > 100 and counts[3] > 0          # stalled, budget
@@ -396,13 +396,16 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     # the residual floor of the unconverged starts sits just below j1 = 1/10
     assert record.args[7] == np.nanmin(hinf[reason != "converged"])
     assert 0.09 < record.args[7] < 0.1
+    # one solve per accepted step and one more for each stalled row
+    assert record.args[11:] == (solves, fallbacks)
+    assert solves == iters.sum() + counts[2] and 0 <= fallbacks <= solves
 
 
 def test_newton_batch_stop_reasons(reference_pinning):
     X0 = np.random.default_rng(4).uniform(-10.0, 10.0,
                                           (200, reference_pinning.n_unknowns))
     X0[0, 0] = np.inf
-    _, reason, iters, hinf = solver._newton_batch(reference_pinning, X0, 5)
+    _, reason, iters, hinf, *_ = solver._newton_batch(reference_pinning, X0, 5)
     assert set(reason) <= set(solver._STOP_REASONS)
     assert reason[0] == "overflow" and iters[0] == 0
     conv = reason == "converged"
@@ -437,7 +440,7 @@ def test_inconsistent_system_stalls():
     x = RationalPoly.var("x")
     sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], {})
     X0 = np.random.default_rng(0).uniform(-10.0, 10.0, (50, 1))
-    X, reason, iters, hinf = solver._newton_batch(sysn, X0, 200)
+    X, reason, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
     assert list(reason) == ["stalled"] * 50
     assert np.all(iters <= 2) and np.all(np.abs(X) < 1e-8) and np.allclose(hinf, 1.0)
     branch_set = multistart(sysn, 50, seed_rng=0)
@@ -459,6 +462,71 @@ def test_stall_exit_keeps_long_steps(quadratic_system, monkeypatch):
     monkeypatch.setattr(solver, "_STALL_FLOOR", 2.0 ** -30)
     monkeypatch.setattr(solver, "_STALL_MOVE", np.inf)
     assert multistart(sysn, 300, seed_rng=5).n_converged < got.n_converged
+
+
+# -- Gauss-Newton step ---------------------------------------------------------
+
+def _pinv_step(J, H):
+    return -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), H)
+
+
+def test_gauss_newton_step_matches_pinv_on_well_conditioned_rows():
+    # the criterion-6 j1 pinning at 500 multistart-style seeds
+    system, _ = solver.build_named_system("coeffs2")
+    sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
+    rng = np.random.default_rng(0)
+    X = 10.0 ** rng.uniform(-3.0, 1.0, (500, sysn.n_unknowns)) \
+        * rng.choice([-1.0, 1.0], (500, sysn.n_unknowns))
+    J = solver._eval_compiled(sysn._j, X).reshape(500, sysn.n_equations,
+                                                  sysn.n_unknowns)
+    H = solver._eval_compiled(sysn._f, X)
+    dx, fallbacks = solver._gauss_newton_step(J, H)
+    assert fallbacks == 0
+    ref = _pinv_step(J, H)
+    rel = np.linalg.norm(dx - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    cond = np.linalg.cond(J)
+    well = cond <= 1e3
+    assert well.sum() >= 250 and rel[well].max() <= 1e-12
+    # least-squares perturbation theory: the two solvers differ by about
+    # eps * cond(J)
+    assert np.all(rel <= 16 * np.finfo(float).eps * cond)
+
+
+def test_gauss_newton_step_is_pinv_on_rank_deficient_rows():
+    # h = [x + y - 2, 2x + 2y - 4, 3x + 3y - 6]: rank-1 Jacobian, and the
+    # minimum-norm step from (0, 0) lands on (1, 1)
+    x, y = RationalPoly.var("x"), RationalPoly.var("y")
+    sysn = solver.HSystemNumeric(["x", "y"], [x + y - 2, 2 * x + 2 * y - 4,
+                                              3 * x + 3 * y - 6], {})
+    X = np.zeros((1, 2))
+    J_def = solver._eval_compiled(sysn._j, X).reshape(1, 3, 2)
+    H_def = sysn.residual(X)
+    # batched with a well-conditioned row, which takes the QR step
+    J = np.concatenate([J_def, [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]]])
+    H = np.concatenate([H_def, [[1.0, -2.0, 0.5]]])
+    dx, fallbacks = solver._gauss_newton_step(J, H)
+    ref = _pinv_step(J, H)
+    assert fallbacks == 1
+    assert dx[0].tobytes() == ref[0].tobytes()
+    assert np.allclose(dx[1], ref[1], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(X[0] + dx[0], [1.0, 1.0], rtol=1e-15)
+    result = solve_newton(sysn, [0.0, 0.0])
+    assert result.converged and result.iterations == 1
+    np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-15)
+
+
+def test_gauss_newton_step_non_finite_rows():
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    J = np.stack([good, good, good])
+    J[0, 1, 0] = np.nan
+    J[1, 2, 1] = np.inf
+    H = np.array([[1.0, -2.0, 0.5]] * 3)
+    with np.errstate(all="ignore"):
+        dx, fallbacks = solver._gauss_newton_step(J, H)
+    assert fallbacks == 2
+    assert not np.isfinite(dx[:2]).any()
+    assert np.allclose(dx[2], _pinv_step(J[2:], H[2:])[0], rtol=1e-14, atol=0.0)
 
 
 # -- line search ---------------------------------------------------------------
