@@ -58,10 +58,10 @@ def _rat(text: str) -> Fraction:
 _num = _rat   # lam/sigma/m flags: accept "3/4" as well as "0.75"
 
 
-def _add_abcd(parser, required=False):
+def _add_abcd(parser):
     for name in "abcd":
-        parser.add_argument(f"--{name}", type=_rat, required=required,
-                            default=Fraction(0), help=f"coefficient {name} (rational, e.g. -8/3)")
+        parser.add_argument(f"--{name}", type=_rat, default=Fraction(0),
+                            help=f"coefficient {name} (rational, e.g. -8/3)")
 
 
 def _params_from(args) -> ParameterSet:
@@ -86,9 +86,9 @@ def _reject_unread(parser, args, unread) -> None:
 
 
 # ---------------------------------------------------------------- outputs
-def write_csv(path: str, rows, header="xi,eta,w"):
+def write_csv(path: str, rows):
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write("xi,eta,w\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 

@@ -76,8 +76,6 @@ class CoefficientSystem:
     """
 
     equations: dict[tuple[int, int], RationalPoly]
-    n_eta: int
-    n_w: int
 
     def nonzero(self) -> dict[tuple[int, int], RationalPoly]:
         return {key: p for key, p in self.equations.items() if not p.is_zero()}
@@ -90,10 +88,7 @@ class CoefficientSystem:
 
     def substitute(self, subs: Mapping[str, Scalar]) -> "CoefficientSystem":
         return CoefficientSystem(
-            {key: poly.substitute(subs) for key, poly in self.equations.items()},
-            self.n_eta,
-            self.n_w,
-        )
+            {key: poly.substitute(subs) for key, poly in self.equations.items()})
 
     def to_text(self) -> str:
         """Canonical dump: one 'h[p,q] = poly' per line, fixed ordering."""
@@ -147,7 +142,7 @@ def build_coefficient_system(
         top = max((q for q in range(1, len(f)) if not f[q].is_zero()), default=0)
         for q in range(max(grid_top, top - 1) + 1):
             equations[(p, q)] = f[q + 1] * Fraction(q + 1) if q < top else _ZERO
-    return CoefficientSystem(equations, n_eta, n_w)
+    return CoefficientSystem(equations)
 
 
 def poly_from_terms(terms) -> RationalPoly:

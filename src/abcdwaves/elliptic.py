@@ -38,14 +38,11 @@ Real = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class JacobiPoint:
-    """Values of (sn, cn, dn) at elliptic argument ``v`` and modulus ``m``.
-
-    ``v``, ``sn``, ``cn`` and ``dn`` are floats for one argument and arrays
-    of one shape for an array of arguments.  Satisfies sn^2 + cn^2 = 1 and
-    dn^2 = 1 - m^2 + m^2 cn^2 to rounding.
+    """Values of (sn, cn, dn) for modulus ``m``: floats at one elliptic
+    argument, arrays of its shape at an array of arguments.  Satisfies
+    sn^2 + cn^2 = 1 and dn^2 = 1 - m^2 + m^2 cn^2 to rounding.
     """
 
-    v: Real
     m: float
     sn: Real
     cn: Real
@@ -129,8 +126,8 @@ def jacobi_eval(v: Real, m: float) -> JacobiPoint:
         dn = np.sqrt(np.maximum(1.0 - msn * msn, 0.0))
 
     if x.ndim == 0:
-        return JacobiPoint(float(x), m, float(sn), float(cn), float(dn))
-    return JacobiPoint(x, m, sn, cn, dn)
+        return JacobiPoint(m, float(sn), float(cn), float(dn))
+    return JacobiPoint(m, sn, cn, dn)
 
 
 def eval_cn_series(coeffs: Sequence[float], pt: JacobiPoint, lam: float,

@@ -161,27 +161,54 @@ class TerminationReport(Record):
 
 
 class _Chain:
-    """One exploration state: live equations plus the zero/elimination log."""
+    """One exploration state: the live equations, the unknowns set to zero
+    and the eliminations (name, definition) in the order they were made,
+    with the event log that records how the state was reached."""
 
-    def __init__(self, eqs, allowed, events, eliminated):
+    def __init__(self, eqs, allowed):
         self.eqs: dict[tuple[int, int], RationalPoly] = eqs
         self.allowed = allowed
-        self.events: list[ChainEvent] = events
-        self.eliminated: dict[str, RationalPoly] = eliminated
+        self.zeros: set[str] = set()
+        self.eliminations: list[tuple[str, RationalPoly]] = []
+        self.events: list[ChainEvent] = []
 
     def clone(self):
-        return _Chain(dict(self.eqs), self.allowed, list(self.events),
-                      dict(self.eliminated))
+        sub = _Chain(dict(self.eqs), self.allowed)
+        sub.zeros = set(self.zeros)
+        sub.eliminations = list(self.eliminations)
+        sub.events = list(self.events)
+        return sub
 
-    def substitute_zero(self, names: list[str]):
-        # an equation that shares no variable with names stays as it is
-        subs = {n: Fraction(0) for n in names}
+    def _substitute(self, subs):
+        # an equation that holds none of the substituted unknowns stays as it is
         self.eqs = {k: p.substitute(subs)
                     if any(n in subs for mono in p.terms for n, _ in mono) else p
                     for k, p in self.eqs.items()}
 
-    def forced_vars(self) -> set[str]:
-        return {e.var for e in self.events if e.move != "eliminate"}
+    def substitute_zero(self, names: list[str]):
+        self.zeros.update(names)
+        self._substitute({n: Fraction(0) for n in names})
+
+    def eliminate(self, name: str, key: tuple[int, int], definition: RationalPoly):
+        self.events.append(ChainEvent(name, key, "eliminate",
+                                      f"{name} := {definition.to_text()}"))
+        self.eliminations.append((name, definition))
+        self._substitute({name: definition})
+
+    def live_degrees(self, n: int) -> tuple[int, int]:
+        """The highest j and k indices not identically zero.  A definition
+        names only unknowns eliminated after it (each elimination takes its
+        unknown out of every live equation), so one backward pass settles
+        which eliminated unknowns vanish."""
+        zeros = set(self.zeros)
+        for name, definition in reversed(self.eliminations):
+            if definition.substitute(dict.fromkeys(zeros, Fraction(0))).is_zero():
+                zeros.add(name)
+
+        def top(prefix):
+            return max((r for r in range(1, n + 1) if f"{prefix}{r}" not in zeros),
+                       default=0)
+        return top("j"), top("k")
 
     # -- move scans -----------------------------------------------------
     def _factor(self, poly: RationalPoly) -> list[str] | None:
@@ -220,65 +247,18 @@ class _Chain:
         """(name, key, definition) from an equation linear in a j/k unknown
         with a constant coefficient, solved for that unknown; the fewest
         terms win, then the lowest q, p and name.  None if there is none."""
-        best = None
-        for key, poly in self.eqs.items():
-            for name in poly.variables():
-                if not _is_forceable(name) or poly.degree_in(name) != 1:
-                    continue
-                coef_terms = {m: c for m, c in poly.terms.items()
-                              if any(n == name for n, _ in m)}
-                if len(coef_terms) != 1:
-                    continue
-                (mono, coef), = coef_terms.items()
-                if any(n != name for n, _ in mono):
-                    continue
-                rank = (len(poly.terms), key[1], key[0], name)
-                if best is None or rank < best[0]:
-                    best = (rank, name, key, poly, mono, coef)
-        if best is None:
+        ranked = [(len(poly.terms), q, p, name)
+                  for (p, q), poly in self.eqs.items()
+                  for name in poly.variables()
+                  if _is_forceable(name) and poly.degree_in(name) == 1
+                  and poly.derivative(name).is_constant()]
+        if not ranked:
             return None
-        _, name, key, poly, mono, coef = best
-        rest = RationalPoly({m: c for m, c in poly.terms.items() if m != mono})
-        return name, key, rest * (Fraction(-1) / coef)
-
-
-def _resolve_eliminated(chain: _Chain) -> dict[str, bool]:
-    """Which eliminated variables end up identically zero."""
-    zeros = {v: Fraction(0) for v in chain.forced_vars()}
-    status = {}
-    defs = dict(chain.eliminated)
-    for _ in range(len(defs) + 1):
-        progressed = False
-        for name, poly in list(defs.items()):
-            resolved = poly.substitute(zeros)
-            others = {v for v in resolved.variables() if v in defs and v != name}
-            if not others:
-                status[name] = resolved.is_zero()
-                if resolved.is_zero():
-                    zeros[name] = Fraction(0)
-                defs.pop(name)
-                progressed = True
-        if not progressed:
-            break
-    for name in defs:
-        status[name] = False
-    return status
-
-
-def _live_degrees(chain: _Chain, n: int) -> tuple[int, int]:
-    zero_vars = chain.forced_vars()
-    elim_status = _resolve_eliminated(chain)
-    eta_deg = w_deg = 0
-    for r in range(1, n + 1):
-        for prefix in ("j", "k"):
-            name = f"{prefix}{r}"
-            if name in zero_vars or elim_status.get(name, False):
-                continue
-            if prefix == "j":
-                eta_deg = max(eta_deg, r)
-            else:
-                w_deg = max(w_deg, r)
-    return eta_deg, w_deg
+        _, q, p, name = min(ranked)
+        poly = self.eqs[(p, q)]
+        coef = poly.derivative(name).terms[()]
+        definition = poly.substitute({name: Fraction(0)}) * (Fraction(-1) / coef)
+        return name, (p, q), definition
 
 
 def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
@@ -310,7 +290,7 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
         # Elimination is the endgame move for chains that must close all
         # the way down (the trivial shape); while the live degrees already
         # sit at the target the chain is done.
-        eta_deg, w_deg = _live_degrees(chain, n)
+        eta_deg, w_deg = chain.live_degrees(n)
         if eta_deg <= shape.max_eta_degree and w_deg <= shape.max_w_degree:
             return [ChainBranch(chain.events, eta_deg, w_deg)]
         elim = chain.elimination_candidate()
@@ -320,13 +300,7 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
                 f"classified shape {shape.degrees} for n={n}; "
                 f"last events: {[e.to_dict() for e in chain.events[-3:]]}"
             )
-        name, key, definition = elim
-        chain.eliminated[name] = definition
-        chain.events.append(
-            ChainEvent(name, key, "eliminate",
-                       f"{name} := {definition.to_text()}"))
-        chain.eqs = {k: p.substitute({name: definition})
-                     for k, p in chain.eqs.items()}
+        chain.eliminate(*elim)
 
 
 _SYMBOLIC_CASES = {
@@ -376,7 +350,7 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
     for n in range(n_min, n_max + 1):
         t0 = time.perf_counter()
         system = build_coefficient_system(n, n, params=params)
-        chain = _Chain(dict(system.nonzero()), extra_allowed, [], {})
+        chain = _Chain(dict(system.nonzero()), extra_allowed)
         branches = _run_chain(chain, n, shape)
         realized = (max(b.eta_degree for b in branches),
                     max(b.w_degree for b in branches))

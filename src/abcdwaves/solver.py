@@ -494,28 +494,29 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
 def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionParams:
     """Lift a solver root to SolutionParams for the residual verifier.
 
-    The family tag is inferred from the zero pattern (branch selectors are
-    not recoverable from a bare root).  The (2, 1) shape (k1 != 0 = k2 = j1)
-    has no builder and is tagged with its shape name; S411 has k2 != 0.
+    The family tag is inferred from the zero pattern and c (branch
+    selectors are not recoverable from a bare root).  The (2, 1) shape
+    (k1 != 0 = k2 = j1) has no builder and is tagged with its shape name;
+    S411 has k2 != 0.  The even quadratic root is S412 at c != 0 and S422
+    at c = 0.
     """
     ctx = {**{k: float(v) for k, v in pinned.items()}, **record.values}
     j = tuple(ctx.get(f"j{r}", 0.0) for r in range(5))
     k = tuple(ctx.get(f"k{r}", 0.0) for r in range(3))
-    lam, m, sigma = ctx.get("lam"), ctx.get("m"), ctx.get("sigma")
-    if lam is None or m is None or sigma is None:
-        raise UsageError("root does not determine lam, m and sigma")
+    lam, m, sigma, c = (ctx.get(name) for name in ("lam", "m", "sigma", "c"))
+    if lam is None or m is None or sigma is None or c is None:
+        raise UsageError("root does not determine lam, m, sigma and c")
     if abs(j[4]) > _ZERO_TOL or abs(j[3]) > _ZERO_TOL:
         tag = "S421"
     elif abs(k[1]) > _ZERO_TOL and abs(k[2]) <= _ZERO_TOL and abs(j[1]) <= _ZERO_TOL:
         tag = AnsatzShape.QUADRATIC_ETA_LINEAR_W.value
     elif abs(j[1]) > _ZERO_TOL or abs(k[1]) > _ZERO_TOL:
         tag = "S411"
-    elif any(abs(v) > _ZERO_TOL for v in j[1:]):
-        tag = "S412"
-    elif any(abs(v) > _ZERO_TOL for v in k[1:]):
+    elif (all(abs(v) <= _ZERO_TOL for v in j[1:])
+          and any(abs(v) > _ZERO_TOL for v in k[1:])):
         tag = "S43"
     else:
-        tag = "S412"
+        tag = "S412" if c != 0 else "S422"
     return SolutionParams(j, k, float(lam), float(m), float(sigma), tag, Branch())
 
 
@@ -593,19 +594,15 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
         sysn = pin_and_square(system, pins)
         branch_set = multistart(sysn, n_starts, seed_rng=seed + i,
                                 max_iter=_SWEEP_MAX_ITER)
+        pinned = branch_set.pinned
         roots = []
         for rec in branch_set.roots:
             entry = {"values": rec.values, "hinf": rec.hinf,
-                     "sigma": rec.values.get("sigma", float(Fraction(pins.get("sigma", 0))))}
+                     "sigma": rec.values.get("sigma", pinned.get("sigma", 0.0))}
             roots.append(entry)
-            bad = (abs(entry["sigma"]) > _SIGMA_TOL) if sigma_free else True
-            if bad:
-                report.counterexamples.append(
-                    {"pins": {k: float(Fraction(v)) for k, v in pins.items()},
-                     **entry})
-        report.points.append(NonexistencePoint(
-            {k: float(Fraction(v)) for k, v in pins.items()},
-            len(branch_set.roots), roots))
+            if not sigma_free or abs(entry["sigma"]) > _SIGMA_TOL:
+                report.counterexamples.append({"pins": pinned, **entry})
+        report.points.append(NonexistencePoint(pinned, len(branch_set.roots), roots))
     logger.debug("nonexistence %s: %d points x %d starts, %d roots, "
                  "%d counterexamples; %.3f s", constrained, len(report.points),
                  n_starts, report.total_roots, len(report.counterexamples),

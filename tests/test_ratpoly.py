@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from abcdwaves.cnexpr import build_coefficient_system
+from abcdwaves.families import ParameterSet
 from abcdwaves.ratpoly import RationalPoly, var_sort_key
 from abcdwaves.reduction import verify_termination
 
@@ -187,6 +188,15 @@ TERMINATION_SHA256 = {
     ("c_zero", 8): "698deb5e8b2e393ab0fec31d36d30fe9cb2426e1dc634f94082a254033cad6bb",
 }
 
+# verify_termination(ParameterSet.make(a, b, c, d), 9): the trivial-shape
+# chains close through 29 eliminations over n = 3..9, and the semi-trivial
+# point (0, 0, 1/2, -1/6) branches at every degree
+ELIMINATION_SHA256 = {
+    (F(1, 3), 0, 0, 0): "eaa6d6616f887796846da54b6a063fda7f089b1c159c405668ca6f8cd88574c6",
+    (2, 0, 0, 0): "f077c69933b678f93512516e3210f00dfb77d1591e1e4fc3c4ffb4a94fc0e8a2",
+    (0, 0, F(1, 2), F(-1, 6)): "30496fa1e2b8747b209510e8d7e0d8bdf4f6002708614e8f02a57784ad10948e",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -202,3 +212,9 @@ def test_coefficient_system_golden(n):
 def test_termination_report_golden(case, n):
     report = verify_termination(case=case, n_min=n, n_max=n)
     assert sha256(report.to_json()) == TERMINATION_SHA256[(case, n)]
+
+
+@pytest.mark.parametrize("abcd", list(ELIMINATION_SHA256), ids=lambda abcd: ",".join(map(str, abcd)))
+def test_termination_report_golden_at_points(abcd):
+    report = verify_termination(ParameterSet.make(*abcd), 9)
+    assert sha256(report.to_json()) == ELIMINATION_SHA256[abcd]

@@ -8,7 +8,7 @@ import pytest
 from abcdwaves import solver
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
-from abcdwaves.families import ParameterSet, build_s412, build_s421
+from abcdwaves.families import ParameterSet, build_s412, build_s421, build_s422
 from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.solver import (multistart, pin_and_square, promote_root,
                               reproduce_nonexistence, solve_newton)
@@ -329,6 +329,36 @@ def test_promote_root_tags_the_linear_w_shape(quadratic_system):
         assert np.allclose(sol.j, (-1.5, 0.0, -0.5, 0.0, 0.0), atol=1e-12)
         assert np.allclose(np.abs(sol.k), (1.0, 1.0, 0.0), atol=1e-12)
         assert ode_residual(sol, ParameterSet.make(-1, 0, 0, 0), 256).relative <= 1e-12
+
+
+def test_promote_root_tags_the_even_root_s422_at_c_zero(quadratic_system):
+    # the zero pattern of S412 and S422 is the same; c tells them apart
+    pins = {"a": 1, "b": 2, "c": 0, "d": -1, "lam": 1, "sigma": 1, "m": F(1, 2)}
+    sysn = pin_and_square(quadratic_system, pins)
+    roots = multistart(sysn, 500, seed_rng=0).nontrivial()
+    assert len(roots) == 1
+    sol = promote_root(roots[0], sysn.pinned)
+    ref = build_s422(ParameterSet.make(1, 2, 0, -1), 1, 1, F(1, 2))
+    assert sol.family_tag == ref.family_tag == "S422"
+    assert np.allclose(sol.j, ref.j, atol=1e-12)
+    assert np.allclose(sol.k, ref.k, atol=1e-12)
+    without_c = {k: v for k, v in sysn.pinned.items() if k != "c"}
+    with pytest.raises(UsageError):
+        promote_root(roots[0], without_c)
+
+
+def test_coeffs2red_finds_the_s421_root():
+    system, pins = solver.build_named_system(
+        "coeffs2red", {"a": 1, "b": F(1, 6), "d": F(1, 6)})
+    assert pins == {"j1": 0, "j3": 0, "k1": 0}
+    sysn = pin_and_square(system, {**pins, "lam": 1, "sigma": 1, "m": F(1, 2)})
+    target = build_s421(ParameterSet.make(1, F(1, 6), 0, F(1, 6)),
+                        1, 1, F(1, 2)).coefficient_map()
+    best = min(max(abs(rec.values[u] - target[u]) for u in sysn.unknowns)
+               for rec in multistart(sysn, 300, seed_rng=0).nontrivial())
+    assert best <= 1e-8
+    with pytest.raises(DomainError):
+        solver.build_named_system("coeffs2red", {"c": 1})
 
 
 def test_multistart_empty_when_invalid(quadratic_system):
