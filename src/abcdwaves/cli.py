@@ -27,7 +27,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from . import __version__
 from .errors import AbcdWavesError, ConstraintError, UsageError
-from .families import (FAMILIES, ParameterSet, SolutionParams, build_family,
+from .families import (FAMILIES, ParameterSet, SolutionParams, _frac, build_family,
                        check_physical_constraint)
 from .reduction import classify_ansatz, verify_termination
 from .solver import (SYSTEMS, build_named_system, multistart, pin_and_square,
@@ -53,9 +53,6 @@ def _rat(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-_num = _rat   # lam/sigma/m flags: accept "3/4" as well as "0.75"
 
 
 def _add_abcd(parser):
@@ -187,7 +184,7 @@ def cmd_family(parser, args) -> int:
     span = 24.0 / sol.lam if solitary else args.periods * report.period
     n_rows = max(args.samples, 2)
     xs = span * np.arange(n_rows) / (n_rows - 1)
-    etas, ws = sol.eval_eta(xs), sol.eval_w(xs)
+    etas, ws = sol.profiles(xs)
 
     out = args.out or f"family_{args.set.replace('.', '_')}"
     payload = {
@@ -223,11 +220,8 @@ def cmd_verify(args) -> int:
     coeffs = []
     for name in "abcd":
         flag = getattr(args, name)
-        try:
-            coeffs.append(Fraction(cfg.get(name, 0) if flag is None else flag))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise UsageError(f"run_config {name} = {cfg[name]!r} is not a rational") from None
-    p = ParameterSet.make(*coeffs)
+        coeffs.append(_frac(cfg.get(name, 0) if flag is None else flag, f"run_config {name}"))
+    p = ParameterSet(*coeffs)
     report = ode_residual(sol, p, args.samples)
     out = {"run_config": _echo_config(args, "verify"), "residual": report.to_dict()}
     if sol.m < 1.0:
@@ -257,11 +251,8 @@ def cmd_solve(parser, args) -> int:
         key, sep, val = chunk.partition("=")
         if not sep:
             raise UsageError(f"--pin entry {chunk!r} is not var=value")
-        key = "lam" if key.strip() == "lambda" else key.strip()
-        try:
-            pins[key] = Fraction(val)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--pin value {val!r} of {key} is not a rational") from None
+        key = key.strip()
+        pins["lam" if key == "lambda" else key] = _frac(val, f"--pin {key}")
     sysn = pin_and_square(system, pins)
 
     if args.seed_from:
@@ -386,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--set", required=True, choices=sorted(FAMILIES),
                      help="solution set label")
     _add_abcd(fam)
-    fam.add_argument("--m", type=_num, required=True)
-    fam.add_argument("--lambda", dest="lam", type=_num, default=1.0)
-    fam.add_argument("--sigma", type=_num, default=1.0)
+    fam.add_argument("--m", type=_rat, required=True)
+    fam.add_argument("--lambda", dest="lam", type=_rat, default=1.0)
+    fam.add_argument("--sigma", type=_rat, default=1.0)
     fam.add_argument("--tau1", type=int, choices=(1, -1), default=1)
     fam.add_argument("--tau2", type=int, choices=(1, -1), default=1)
     fam.add_argument("--sign", choices=("top", "bottom"), default="top")
-    fam.add_argument("--periods", type=_num, default=3.0)
+    fam.add_argument("--periods", type=_rat, default=3.0)
     fam.add_argument("--samples", type=int, default=1024)
     fam.add_argument("--out", default=None)
     fam.add_argument("--check-physical", action="store_true")
@@ -435,22 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("c-to-zero", "a-to-zero", "m-to-one"))
     _add_abcd(lim)
     lim.add_argument("--set", default="4.1.2", choices=sorted(FAMILIES))
-    lim.add_argument("--lambda", dest="lam", type=_num, default=1.0)
-    lim.add_argument("--sigma", type=_num, default=1.0)
-    lim.add_argument("--m", type=_num, default=0.5)
+    lim.add_argument("--lambda", dest="lam", type=_rat, default=1.0)
+    lim.add_argument("--sigma", type=_rat, default=1.0)
+    lim.add_argument("--m", type=_rat, default=0.5)
     lim.add_argument("--sign", choices=("top", "bottom"), default="top")
     lim.set_defaults(func=functools.partial(cmd_limit, lim))
 
     non = sub.add_parser("nonexistence",
                          help="sweep for roots with a coefficient pinned off zero")
     non.add_argument("--var", required=True, choices=("j1", "j3", "k1"))
-    non.add_argument("--value", type=_num, default=0.1)
+    non.add_argument("--value", type=_rat, default=0.1)
     non.add_argument("--grid-a", type=_rat, nargs="+", required=True)
     non.add_argument("--grid-b", type=_rat, nargs="+", required=True)
     non.add_argument("--grid-d", type=_rat, nargs="+", required=True)
-    non.add_argument("--lambda", dest="lam", type=_num, default=1.0)
-    non.add_argument("--m", type=_num, default=0.5)
-    non.add_argument("--sigma", type=_num, default=1.0)
+    non.add_argument("--lambda", dest="lam", type=_rat, default=1.0)
+    non.add_argument("--m", type=_rat, default=0.5)
+    non.add_argument("--sigma", type=_rat, default=1.0)
     non.add_argument("--starts", type=int, default=500)
     non.add_argument("--seed", type=int, default=0)
     non.add_argument("--out", default=None)

@@ -68,32 +68,25 @@ def _plain(value):
 
 
 def _frac(x: Rational, name: str) -> Fraction:
+    """``x`` exactly; UsageError naming ``name`` unless a finite rational or float."""
     try:
         return Fraction(x)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name} must be a rational or float, got {x!r}") from exc
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise UsageError(f"{name} = {x!r} is not a rational") from None
 
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """The dispersion constants (a, b, c, d), exact rationals.
-
-    ``theta`` is optional metadata; when present the three constraint
-    relations tie it to a+b and c+d (see check_physical_constraint).
-    """
+    """The dispersion constants (a, b, c, d), exact rationals."""
 
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
-    theta: Optional[float] = None
 
     @staticmethod
-    def make(a: Rational, b: Rational, c: Rational, d: Rational,
-             theta: Optional[float] = None) -> "ParameterSet":
-        return ParameterSet(
-            _frac(a, "a"), _frac(b, "b"), _frac(c, "c"), _frac(d, "d"), theta
-        )
+    def make(a: Rational, b: Rational, c: Rational, d: Rational) -> "ParameterSet":
+        return ParameterSet(_frac(a, "a"), _frac(b, "b"), _frac(c, "c"), _frac(d, "d"))
 
 
 def check_physical_constraint(p: ParameterSet) -> float:
@@ -150,6 +143,11 @@ class SolutionParams(Record):
         """w at ``xi``, a float or a numpy array."""
         return eval_cn_series(self.k, jacobi_eval(self.lam * xi, self.m), self.lam)
 
+    def profiles(self, xi: Real) -> tuple[Real, Real]:
+        """(eta, w) at ``xi`` from one kernel evaluation."""
+        pt = jacobi_eval(self.lam * xi, self.m)
+        return eval_cn_series(self.j, pt, self.lam), eval_cn_series(self.k, pt, self.lam)
+
     def coefficient_map(self) -> dict[str, float]:
         out = {f"j{r}": v for r, v in enumerate(self.j)}
         out.update({f"k{r}": v for r, v in enumerate(self.k)})
@@ -173,7 +171,8 @@ class SolutionParams(Record):
         """Inverse of ``to_dict``, padding short ``j``/``k`` lists with zeros.
 
         UsageError for a missing key, a nonzero coefficient beyond j4 or k2,
-        a non-finite value or lam <= 0.
+        a non-finite value or lam <= 0; DomainError for m outside (0, 1] or
+        sigma = 0, as the family builders.
         """
         if not isinstance(data, dict):
             raise UsageError("stored solution must be a JSON object")
@@ -185,22 +184,24 @@ class SolutionParams(Record):
             j, k = ([float(v) for v in data[key]] + [0.0] * 5 for key in "jk")
             lam, m, sigma = (float(data[key]) for key in ("lambda", "m", "sigma"))
             branch = Branch(**(data.get("branch") or {}))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed stored solution: {exc}") from None
         if any(j[5:]) or any(k[3:]):
             raise UsageError("stored solution has a nonzero coefficient beyond j4 or k2")
         if not all(map(math.isfinite, (*j, *k, lam, m, sigma))) or lam <= 0:
             raise UsageError("stored solution needs finite values and lambda > 0")
+        _require_m(m)
+        _require_lam_sigma(lam, sigma)
         return SolutionParams(tuple(j[:5]), tuple(k[:3]), lam, m, sigma,
                               data["family_tag"], branch, data.get("origin"))
 
 
 def _require_m(m: Rational) -> Fraction:
     mf = _frac(m, "m")
-    if mf <= 0:
+    if mf == 0:
         raise DomainError("m = 0 is excluded (the cn series degenerates to "
                           "a cosine series); need m in (0, 1]")
-    if mf > 1:
+    if not 0 < mf <= 1:
         raise DomainError(f"m = {float(mf)} outside (0, 1]")
     return mf
 
@@ -219,12 +220,6 @@ def _checked_div(num: float, den: float, what: str) -> float:
     if abs(den) <= _DENOM_RTOL * max(1.0, abs(num)):
         raise DomainError(f"denominator {what} vanishes (value {den!r})")
     return num / den
-
-
-def _sqrt_checked(x: float, what: str) -> float:
-    if x < 0:
-        raise DomainError(f"negative radicand in {what} (value {x!r})")
-    return math.sqrt(x)
 
 
 def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> SolutionParams:
@@ -264,8 +259,9 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
             f"validity (2m^2-1)*(3b+2d)*(b-d) >= 0 (equality only at b=d) "
             f"fails: {float(cond3)}")
 
-    root_r = _sqrt_checked(float(-2 * a * c * d1 * d2), "sqrt(-2ac(b-6d)(3b-2d))")
-    root_g = _sqrt_checked(float(cond3), "sqrt((2m^2-1)(3b+2d)(b-d))")
+    # radicands: -2*cond1 > 0 by the first validity test, cond3 >= 0 by the third
+    root_r = math.sqrt(float(-2 * cond1))
+    root_g = math.sqrt(float(cond3))
     mfl = float(mf)
 
     j0 = -_checked_div(float(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1),
@@ -284,7 +280,8 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
                               float(c * ecc * d1 * d2),
                               "c(2m^2-1)(b-6d)(3b-2d)")
     lam_sq = _checked_div(float(-6 * s1), float(c * ecc * s2), "c(2m^2-1)(b+2d)")
-    lam = 0.5 * _sqrt_checked(lam_sq, "lam^2")
+    # -6(3b+2d) / (c(2m^2-1)(b+2d)) > 0 by the second validity test
+    lam = 0.5 * math.sqrt(lam_sq)
     if lam <= 0:
         raise DomainError("computed lam is not positive")
     sigma = tau1 * _checked_div(4 * root_r, float(d1 * d2), "(b-6d)(3b-2d)")

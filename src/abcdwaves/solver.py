@@ -46,7 +46,8 @@ import numpy as np
 
 from .cnexpr import CoefficientSystem, build_coefficient_system
 from .errors import DomainError, UnderdeterminedError, UsageError
-from .families import Branch, Record, SolutionParams
+from .families import (Branch, Record, SolutionParams, _frac, _require_lam_sigma,
+                       _require_m)
 from .ratpoly import RationalPoly, var_sort_key
 from .reduction import AnsatzShape
 
@@ -175,7 +176,8 @@ def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
     n_eta, n_w, fixed, pins = SYSTEMS[name]
     merged = dict(fixed)
     for key, val in (params or {}).items():
-        if Fraction(val) != Fraction(merged.setdefault(key, val)):
+        exact = _frac(val, key)
+        if exact != merged.setdefault(key, exact):
             raise DomainError(f"system {name} fixes {key} = {merged[key]}")
     return build_coefficient_system(n_eta, n_w, params=merged), dict(pins)
 
@@ -183,22 +185,20 @@ def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
 def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSystemNumeric:
     """Substitute pinned values exactly and drop identically-zero equations.
 
-    Raises UsageError for a pin that is not a variable of the system and
-    for pins that leave no unknown, UnderdeterminedError when fewer
-    equations than unknowns remain (the caller must pin enough
-    variables), and rejects pins violating lam > 0, m in (0, 1],
-    sigma != 0.
+    Raises UsageError for a pin that is not a variable of the system or not
+    a rational, and for pins that leave no unknown, UnderdeterminedError
+    when fewer equations than unknowns remain (the caller must pin enough
+    variables), and DomainError for a pinned lam, m or sigma outside the
+    family builders' domain lam > 0, m in (0, 1], sigma != 0.
     """
     unknown = sorted(set(pins) - system.variables())
     if unknown:
         raise UsageError(f"pins {unknown} are not variables of the system")
-    exact = {name: Fraction(v) for name, v in pins.items()}
-    if "lam" in exact and exact["lam"] <= 0:
-        raise DomainError("pinned lam must be > 0")
-    if "m" in exact and not 0 < exact["m"] <= 1:
-        raise DomainError("pinned m must lie in (0, 1]")
-    if "sigma" in exact and exact["sigma"] == 0:
-        raise DomainError("pinned sigma must be nonzero")
+    exact = {name: _frac(v, name) for name, v in pins.items()}
+    if "m" in exact:
+        _require_m(exact["m"])
+    # an unpinned lam or sigma is checked as 1, which the rule accepts
+    _require_lam_sigma(exact.get("lam", 1), exact.get("sigma", 1))
 
     polys = []
     for key in sorted(system.equations, key=lambda k: (k[0], -k[1])):

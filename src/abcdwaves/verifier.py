@@ -24,6 +24,7 @@ from .families import (
     ParameterSet,
     Record,
     SolutionParams,
+    _frac,
     build_s412,
     build_s422,
     build_s43,
@@ -96,13 +97,9 @@ def periodicity_check(s: SolutionParams, n_points: int = 128) -> PeriodicityRepo
     period = 4.0 * complete_k(s.m) / s.lam
     xs = period * np.arange(n_points) / n_points
 
-    def profiles(grid):
-        pt = jacobi_eval(s.lam * grid, s.m)
-        return eval_cn_series(s.j, pt, s.lam), eval_cn_series(s.k, pt, s.lam)
-
-    eta0, w0 = profiles(xs)
-    eta1, w1 = profiles(xs + period)
-    eta_h, w_h = profiles(xs + 0.5 * period)
+    eta0, w0 = s.profiles(xs)
+    eta1, w1 = s.profiles(xs + period)
+    eta_h, w_h = s.profiles(xs + 0.5 * period)
     defect = float(np.max(np.abs(eta1 - eta0) + np.abs(w1 - w0), initial=0.0))
     half_defect = float(np.max(np.abs(eta_h - eta0) + np.abs(w_h - w0), initial=0.0))
     amplitude = float(np.max(np.maximum(np.abs(eta0), np.abs(w0)), initial=0.0))
@@ -166,13 +163,13 @@ def _convergence_table(kind: str, parameter: str, values: tuple[float, ...],
 def limit_c_to_zero(a, b, d, lam, sigma, m) -> ConvergenceTable:
     """Bottom-branch S412 -> S422 at c = 1e-3 .. 1e-8; requires the side
     condition sigma*(b-2d) > 0."""
-    side = float(Fraction(sigma) * (Fraction(b) - 2 * Fraction(d)))
+    side = float(_frac(sigma, "sigma") * (_frac(b, "b") - 2 * _frac(d, "d")))
     if not side > 0:
         raise DomainError(
             f"side condition sigma*(b-2d) > 0 fails (value {side})")
     cs = tuple(10.0 ** -k for k in range(3, 9))
     target = build_s422(ParameterSet.make(a, b, 0, d), lam, sigma, m)
-    diffs = tuple(_coef_diff(build_s412(ParameterSet.make(a, b, Fraction(c), d),
+    diffs = tuple(_coef_diff(build_s412(ParameterSet.make(a, b, c, d),
                                         lam, sigma, m, sign="bottom"), target)
                   for c in cs)
     return _convergence_table("c_to_zero", "c", cs, diffs, target)

@@ -2,8 +2,11 @@ import hashlib
 import json
 import logging
 
+from fractions import Fraction as F
+
 import pytest
 
+from abcdwaves import solver
 from abcdwaves.cli import main
 
 
@@ -58,6 +61,21 @@ def test_family_m_zero_exits_2(tmp_path, capsys, monkeypatch):
     assert "m = 0" in stderr
 
 
+@pytest.mark.parametrize("argv,stream,text", [
+    (["--set", "4.1.1", "--a", "-5/6", "--b", "1", "--c", "-5/6", "--d", "1",
+      "--m", "3/4"], "out", "physical constraint ok: theta = 0.816496580928\n"),
+    (["--set", "4.1.2", "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+      "--m", "0.70710678"], "err", "c+d = 2 > 1/2 forces theta^2 = -3 < 0"),
+], ids=["ok", "violated"])
+def test_family_check_physical(tmp_path, capsys, monkeypatch, argv, stream, text):
+    # a violated constraint is a warning: the family is still built
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(["family", *argv, "--check-physical",
+                                    "--samples", "128"], capsys)
+    assert code == 0
+    assert text in (stdout if stream == "out" else stderr)
+
+
 def test_family_huge_span_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, stderr = run_cli([
@@ -90,8 +108,12 @@ def test_family_verify_round_trip(tmp_path, capsys):
     (lambda out: out["run_config"].update(a="one"), "run_config a = 'one'"),
     (lambda out: out["run_config"].update(d=[1, 3]), "run_config d = [1, 3]"),
     (lambda out: out.update(run_config=["a", 1]), "run_config must be a JSON object"),
+    # an integer too large for a float
+    (lambda out: out["solution"]["j"].__setitem__(0, 10**400), "malformed stored solution"),
+    (lambda out: out["solution"].update(m=0), "m = 0"),
+    (lambda out: out["solution"].update(sigma=0), "sigma must be nonzero"),
 ], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda",
-        "non-rational-a", "list-d", "list-run-config"])
+        "non-rational-a", "list-d", "list-run-config", "huge-j", "zero-m", "zero-sigma"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
     # a family run's output, edited into a malformed stored solution
     out = tmp_path / "bad"
@@ -162,11 +184,27 @@ def test_solve_seeded_from_family_output(tmp_path, capsys):
         "solve", "--system", "coeffs1",
         "--pin", "m=0.70710678,lambda=1,sigma=1",
         "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
-        "--seed-from", str(out) + ".json"], capsys)
+        "--seed-from", str(out) + ".json", "--out", str(tmp_path / "seeded.json")], capsys)
     assert code == 0
     data = json.loads(stdout)
     assert data["status"] == "converged"
     assert data["iterations"] <= 2
+    # --out holds the JSON the run prints
+    assert (tmp_path / "seeded.json").read_text() + "\n" == stdout
+
+
+def test_solve_multistart_out_holds_the_branch_set(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    code, stdout, _ = run_cli([
+        "solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--starts", "60",
+        "--seed", "3", "--out", str(out)], capsys)
+    assert code == 0
+    assert stdout.endswith(f"wrote {out}\n")
+    system, _ = solver.build_named_system("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1})
+    sysn = solver.pin_and_square(system, {"m": F("0.70710678"), "lam": 1, "sigma": 1})
+    branch_set = solver.multistart(sysn, 60, seed_rng=3, max_iter=200)
+    assert json.loads(out.read_text())["branches"] == json.loads(branch_set.to_json())
 
 
 def _perturbed_family_seed(tmp_path, capsys):
@@ -305,6 +343,15 @@ def test_reduce_command(capsys):
     assert code == 0
     data = json.loads(stdout)
     assert data["passed"] is True
+
+
+def test_limit_a_to_zero_is_one_exact_row(capsys):
+    code, stdout, _ = run_cli([
+        "limit", "--kind", "a-to-zero", "--b", "2", "--d", "-1", "--m", "3/5"], capsys)
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["values"] == [0.0] and data["diffs"] == [0.0]
+    assert data["monotone"] is True
 
 
 def test_limit_command(capsys):

@@ -87,6 +87,18 @@ def test_m_zero_excluded_everywhere(reference_cases):
         build_s43(2, 1, 1, 0)
 
 
+def test_negative_m_names_its_value():
+    with pytest.raises(DomainError, match=r"m = -0\.5 outside \(0, 1\]"):
+        build_s43(2, 1, 1, F(-1, 2))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1]],
+                         ids=["inf", "nan", "zero-denominator", "word", "list"])
+def test_parameter_set_rejects_non_rationals(value):
+    with pytest.raises(UsageError, match="a = .* is not a rational"):
+        ParameterSet.make(value, 0, 0, 0)
+
+
 def test_s412_negative_radicand():
     p = ParameterSet.make(-10, 2, 10, 1)   # 8ac < 0, b = 2d
     with pytest.raises(DomainError, match="8ac"):

@@ -8,7 +8,8 @@ import pytest
 from abcdwaves import solver
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
-from abcdwaves.families import ParameterSet, build_s412, build_s421, build_s422
+from abcdwaves.families import (FAMILIES, ParameterSet, build_s412, build_s421,
+                                build_s422)
 from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.solver import (multistart, pin_and_square, promote_root,
                               reproduce_nonexistence, solve_newton)
@@ -74,6 +75,11 @@ def test_pin_validation(quadratic_system):
         pin_and_square(quadratic_system, {"m": 2})
     with pytest.raises(DomainError):
         pin_and_square(quadratic_system, {"sigma": 0})
+    # a pin that is not a finite rational is a usage error naming the pin
+    for pins in ({"m": float("nan")}, {"lam": float("inf")}, {"sigma": "one"},
+                 {"a": "1/0"}, {"j0": [1, 2]}):
+        with pytest.raises(UsageError, match=f"{next(iter(pins))} = .* is not a rational"):
+            pin_and_square(quadratic_system, pins)
     # a misspelt name is not silently ignored
     with pytest.raises(UsageError, match="lamda"):
         pin_and_square(quadratic_system, {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
@@ -313,6 +319,27 @@ def test_multistart_promotion_passes_residual(reference_pinning):
     for rec in branch_set.nontrivial():
         sol = promote_root(rec, reference_pinning.pinned)
         assert ode_residual(sol, p, 256).relative <= 1e-9
+
+
+@pytest.mark.parametrize("label,case", [
+    ("4.1.1", "s411_b"), ("4.1.2", "s412_a"), ("4.2.1", "s421_a"),
+    ("4.2.2", "s422_a"), ("4.3", "s43"),
+])
+def test_promote_root_tags_each_family(quadratic_system, reference_cases, label, case):
+    # a family's closed form, handed over as a solver root, keeps its tag
+    args = reference_cases[case]
+    sol = FAMILIES[label](**args)
+    p = args["p"] if "p" in args else ParameterSet.make(0, 0, 0, args["d"])
+    pins = {"a": p.a, "b": p.b, "c": p.c, "d": p.d,
+            "lam": sol.lam, "m": sol.m, "sigma": sol.sigma}
+    system = build_coefficient_system(4, 2) if label == "4.2.1" else quadratic_system
+    sysn = pin_and_square(system, pins)
+    coeffs = sol.coefficient_map()
+    rec = solver.RootRecord({u: coeffs[u] for u in sysn.unknowns}, "non-trivial",
+                            0.0, 1, 0)
+    promoted = promote_root(rec, pins)
+    assert promoted.family_tag == sol.family_tag
+    assert ode_residual(promoted, p, 256).relative <= 1e-9
 
 
 def test_promote_root_tags_the_linear_w_shape(quadratic_system):
