@@ -167,7 +167,7 @@ def cmd_family(parser, args) -> int:
     # every builder takes m, and the residual check reads a, b, c, d
     unread = {"lam", "sigma", "tau1", "tau2", "sign"} - set(inputs)
     # the m = 1 solitary profile is plotted over 24/lam, not over periods
-    solitary = float(args.m) == 1.0
+    solitary = args.m == 1
     if solitary:
         unread.add("periods")
     _reject_unread(parser, args, unread)

@@ -75,6 +75,16 @@ def _frac(x: Rational, name: str) -> Fraction:
         raise UsageError(f"{name} = {x!r} is not a rational") from None
 
 
+def _float(x: Fraction, name: str) -> float:
+    """``x`` as a float; DomainError naming ``name`` when it is too large."""
+    try:
+        return float(x)
+    except OverflowError:
+        exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        raise DomainError(f"{name} is about {'-' if x < 0 else ''}1e{exponent:.0f}, "
+                          "too large for a float") from None
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """The dispersion constants (a, b, c, d), exact rationals."""
@@ -202,7 +212,7 @@ def _require_m(m: Rational) -> Fraction:
         raise DomainError("m = 0 is excluded (the cn series degenerates to "
                           "a cosine series); need m in (0, 1]")
     if not 0 < mf <= 1:
-        raise DomainError(f"m = {float(mf)} outside (0, 1]")
+        raise DomainError(f"m = {_float(mf, 'm')} outside (0, 1]")
     return mf
 
 
@@ -210,7 +220,7 @@ def _require_lam_sigma(lam: Rational, sigma: Rational) -> tuple[Fraction, Fracti
     lamf = _frac(lam, "lam")
     sigf = _frac(sigma, "sigma")
     if lamf <= 0:
-        raise DomainError(f"lam must be > 0, got {float(lamf)}")
+        raise DomainError(f"lam must be > 0, got {_float(lamf, 'lam')}")
     if sigf == 0:
         raise DomainError("sigma must be nonzero")
     return lamf, sigf
@@ -248,43 +258,45 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
 
     cond1 = a * c * d1 * d2
     if not cond1 < 0:
-        raise DomainError(f"validity a*c*(b-6d)*(3b-2d) < 0 fails: {float(cond1)}")
+        raise DomainError("validity a*c*(b-6d)*(3b-2d) < 0 fails: "
+                          f"{_float(cond1, 'a*c*(b-6d)*(3b-2d)')}")
     cond2 = c * ecc * s2 * s1
     if not cond2 < 0:
         raise DomainError(
-            f"validity c*(2m^2-1)*(b+2d)*(3b+2d) < 0 fails: {float(cond2)}")
+            "validity c*(2m^2-1)*(b+2d)*(3b+2d) < 0 fails: "
+            f"{_float(cond2, 'c*(2m^2-1)*(b+2d)*(3b+2d)')}")
     cond3 = ecc * s1 * (b - d)
     if cond3 < 0 or (cond3 == 0 and b != d):
         raise DomainError(
             f"validity (2m^2-1)*(3b+2d)*(b-d) >= 0 (equality only at b=d) "
-            f"fails: {float(cond3)}")
+            f"fails: {_float(cond3, '(2m^2-1)*(3b+2d)*(b-d)')}")
 
     # radicands: -2*cond1 > 0 by the first validity test, cond3 >= 0 by the third
-    root_r = math.sqrt(float(-2 * cond1))
-    root_g = math.sqrt(float(cond3))
+    root_r = math.sqrt(_float(-2 * cond1, "-2ac(b-6d)(3b-2d)"))
+    root_g = math.sqrt(_float(cond3, "(2m^2-1)(3b+2d)(b-d)"))
     mfl = float(mf)
+    af, s1f = _float(a, "a"), _float(s1, "3b+2d")
 
-    j0 = -_checked_div(float(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1),
-                       float(2 * c * d2 * d1), "2c(3b-2d)(b-6d)")
-    j1 = -tau1 * tau2 * _checked_div(12 * float(a) * mfl * float(s1) * root_g,
-                                     float(c * d1 * d2 * ecc),
+    j0 = -_checked_div(_float(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1, "j0"),
+                       _float(2 * c * d2 * d1, "2c(3b-2d)(b-6d)"), "2c(3b-2d)(b-6d)")
+    j1 = -tau1 * tau2 * _checked_div(12 * af * mfl * s1f * root_g,
+                                     _float(c * d1 * d2 * ecc, "c(b-6d)(3b-2d)(2m^2-1)"),
                                      "c(b-6d)(3b-2d)(2m^2-1)")
-    j2 = _checked_div(9 * float(a) * mfl ** 2 * float(s1),
-                      float(c * d2 * ecc), "c(3b-2d)(2m^2-1)")
-    k0 = tau1 * _checked_div(float(21 * b + 8 * c + 14 * d) * root_r,
-                             float(2 * c * d1 * d2), "2c(b-6d)(3b-2d)")
-    k1 = tau2 * _checked_div(6 * mfl * root_r * root_g,
-                             float(c * ecc * d1 * d2),
-                             "c(2m^2-1)(b-6d)(3b-2d)")
-    k2 = -tau1 * _checked_div(9 * mfl ** 2 * float(s1) * root_r,
-                              float(c * ecc * d1 * d2),
-                              "c(2m^2-1)(b-6d)(3b-2d)")
-    lam_sq = _checked_div(float(-6 * s1), float(c * ecc * s2), "c(2m^2-1)(b+2d)")
+    j2 = _checked_div(9 * af * mfl ** 2 * s1f,
+                      _float(c * d2 * ecc, "c(3b-2d)(2m^2-1)"), "c(3b-2d)(2m^2-1)")
+    den = _float(c * ecc * d1 * d2, "c(2m^2-1)(b-6d)(3b-2d)")
+    k0 = tau1 * _checked_div(_float(21 * b + 8 * c + 14 * d, "21b+8c+14d") * root_r,
+                             _float(2 * c * d1 * d2, "2c(b-6d)(3b-2d)"), "2c(b-6d)(3b-2d)")
+    k1 = tau2 * _checked_div(6 * mfl * root_r * root_g, den, "c(2m^2-1)(b-6d)(3b-2d)")
+    k2 = -tau1 * _checked_div(9 * mfl ** 2 * s1f * root_r, den, "c(2m^2-1)(b-6d)(3b-2d)")
+    lam_sq = _checked_div(_float(-6 * s1, "lam^2"),
+                          _float(c * ecc * s2, "c(2m^2-1)(b+2d)"), "c(2m^2-1)(b+2d)")
     # -6(3b+2d) / (c(2m^2-1)(b+2d)) > 0 by the second validity test
     lam = 0.5 * math.sqrt(lam_sq)
     if lam <= 0:
         raise DomainError("computed lam is not positive")
-    sigma = tau1 * _checked_div(4 * root_r, float(d1 * d2), "(b-6d)(3b-2d)")
+    sigma = tau1 * _checked_div(4 * root_r, _float(d1 * d2, "(b-6d)(3b-2d)"),
+                                "(b-6d)(3b-2d)")
 
     return SolutionParams(
         (j0, j1, j2, 0.0, 0.0), (k0, k1, k2), lam, mfl, sigma,
@@ -340,19 +352,20 @@ def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
     disc = 8 * a * c + sig2 * (b - 2 * d) ** 2
     if not disc > 0:
         raise DomainError(
-            f"validity 8ac + sigma^2 (b-2d)^2 > 0 fails: {float(disc)}")
+            "validity 8ac + sigma^2 (b-2d)^2 > 0 fails: "
+            f"{_float(disc, '8ac + sigma^2 (b-2d)^2')}")
     root = _sqrt_fraction(disc)
 
-    def value(pq: tuple[Fraction, Fraction]) -> float:
-        return float(pq[0] + pq[1] * root)
+    def value(pq: tuple[Fraction, Fraction], name: str) -> float:
+        return _float(pq[0] + pq[1] * root, name)
 
-    k2 = value((3 * lam2 * m2 * sigma * (b + 2 * d), s_pm * 3 * lam2 * m2))
+    k2 = value((3 * lam2 * m2 * sigma * (b + 2 * d), s_pm * 3 * lam2 * m2), "k2")
 
     two_c = 2 * c
     j2 = value((
         3 * lam2 * m2 * (4 * a * c + b * sig2 * (b - 2 * d)) / two_c,
         s_pm * 3 * lam2 * m2 * b * sigma / two_c,
-    ))
+    ), "j2")
 
     a_k = (
         -8 * b**2 * c * lam2 * m2 * sig2 - 32 * c * d**2 * lam2 * m2 * sig2
@@ -369,7 +382,7 @@ def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
         a_k, s_mp * sigma * b_k,
         2 * c * sigma * (b + 2 * d), Fraction(s_pm * 2) * c,
         disc, "2c(sigma(b+2d) +- sqrt(...))",
-    ))
+    ), "k0")
 
     a_j = (
         -8 * b**4 * c * lam2 * m2 * sig2**2 + 16 * b**3 * c * d * lam2 * m2 * sig2**2
@@ -396,7 +409,7 @@ def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
         4 * c * c * (4 * a * c + sig2 * (b * b + 4 * d * d)),
         s_pm * 4 * c * c * sigma * (b + 2 * d),
         disc, "4c^2(4ac + sigma^2(b^2+4d^2) +- ...)",
-    ))
+    ), "j0")
     return j0, j2, k0, k2
 
 
@@ -417,7 +430,7 @@ def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
     j0, j2, k0, k2 = _s412_coefficients(p, lamf, sigf, mf, s_pm, -s_pm)
     return SolutionParams(
         (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        float(lamf), float(mf), float(sigf),
+        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"),
         "S412", Branch(pm=sign),
     )
 
@@ -440,20 +453,19 @@ def build_s421(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> 
 
     # leading coefficient -8: solving the reduced coefficient system pins it
     # (a -32 here fails the residual check by O(1))
-    j0 = float(
+    j0 = _float(
         (-8 * b * lam2**2 * sig2**2 * q**2 * pfac * (11 * m2**2 - 11 * m2 - 4)
          + 3 * sig2 * q * (3 * d - 4 * b * (3 + 5 * a * lam2 * ecc))
          + 9 * a * a)
-        / (9 * sig2 * q * q)
-    )
-    j2 = float(20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc)
-               / (3 * q))
-    j4 = float(-40 * b * lam2**2 * m2**2 * sig2 * pfac)
-    k0 = float((-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) / (3 * sigf * q))
-    k2 = float(20 * b * lam2 * m2 * sigf)
+        / (9 * sig2 * q * q), "j0")
+    j2 = _float(20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc)
+                / (3 * q), "j2")
+    j4 = _float(-40 * b * lam2**2 * m2**2 * sig2 * pfac, "j4")
+    k0 = _float((-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) / (3 * sigf * q), "k0")
+    k2 = _float(20 * b * lam2 * m2 * sigf, "k2")
     return SolutionParams(
         (j0, 0.0, j2, 0.0, j4), (k0, 0.0, k2),
-        float(lamf), float(mf), float(sigf), "S421",
+        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S421",
     )
 
 
@@ -472,14 +484,14 @@ def build_s422(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> 
     sig2 = sigf * sigf
     ecc = 2 * m2 - 1
 
-    j0 = float((a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc)))
-               / (sig2 * b2 * b2))
-    j2 = float(-12 * a * d * lam2 * m2 / b2)
-    k0 = float((a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) / (sigf * b2))
-    k2 = float(12 * d * lam2 * m2 * sigf)
+    j0 = _float((a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc)))
+                / (sig2 * b2 * b2), "j0")
+    j2 = _float(-12 * a * d * lam2 * m2 / b2, "j2")
+    k0 = _float((a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) / (sigf * b2), "k0")
+    k2 = _float(12 * d * lam2 * m2 * sigf, "k2")
     return SolutionParams(
         (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        float(lamf), float(mf), float(sigf), "S422",
+        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S422",
     )
 
 
@@ -498,11 +510,11 @@ def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational, *,
     lamf, sigf = _require_lam_sigma(lam, sigma)
     lam2 = lamf * lamf
     m2 = mf * mf
-    k0 = float(-8 * df * lam2 * m2 * sigf + 4 * df * lam2 * sigf + sigf)
-    k2 = float(12 * df * lam2 * m2 * sigf)
+    k0 = _float(-8 * df * lam2 * m2 * sigf + 4 * df * lam2 * sigf + sigf, "k0")
+    k2 = _float(12 * df * lam2 * m2 * sigf, "k2")
     return SolutionParams(
         (-1.0, 0.0, 0.0, 0.0, 0.0), (k0, 0.0, k2),
-        float(lamf), float(mf), float(sigf), "S43",
+        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S43",
     )
 
 

@@ -31,7 +31,11 @@ serves as the residual of the next iterate and of its stop-reason test.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
-the returned BranchSet is reproducible bit-for-bit.
+the returned BranchSet is reproducible bit-for-bit.  Deduplication gives
+the result of comparing every root with every kept representative, but
+compares a root only with a window of representatives whose first
+coordinate is close enough below its own to match it or a later root;
+classification is one array pass over the kept roots.
 """
 
 from __future__ import annotations
@@ -409,40 +413,100 @@ class BranchSet(Record):
         return [r for r in self.roots if r.classification == "non-trivial"]
 
 
-def _classify_pattern(values: Mapping[str, float]) -> str:
-    eta_live = any(abs(values.get(f"j{r}", 0.0)) > _ZERO_TOL for r in range(1, 9))
-    w_live = any(abs(values.get(f"k{r}", 0.0)) > _ZERO_TOL for r in range(1, 9))
-    if eta_live and w_live:
-        return "non-trivial"
-    if eta_live or w_live:
-        return "semi-trivial"
-    return "trivial"
+def _dedup(X: np.ndarray, hinf: np.ndarray
+           ) -> tuple[list[int], list[int], list[int], int]:
+    """Merge the roots, the rows of X, that lie within the dedup tolerance.
 
-
-def _dedup(roots: list[tuple[np.ndarray, float, int]]):
-    """Merge roots within the dedup tolerance into [x, hinf, hits, seed index].
-
-    Each sorted root joins the first kept representative it matches and
-    replaces it when its hinf is lower, so later roots meet the replacement.
-    The representatives sit in one array, compared with a root all at once.
+    Returns (rep, hits, first, widest): for each kept root, in kept order,
+    the row of X that represents it, how many rows it merged and the row
+    that started it; then the most representatives the active window held
+    at once.  The rows are visited in the stable lexicographic order of
+    np.round(X, 12).  Each joins the first kept representative it matches
+    and replaces it when its hinf is lower, so later rows meet the
+    replacement.  A row is compared, in one array operation, only with the
+    window: the representatives whose first coordinate is not yet too far
+    below the row's to match it or any later row.  Where every row shares
+    its first coordinate the window keeps every representative.
     """
-    roots = sorted(roots, key=lambda t: tuple(np.round(t[0], 12)))
-    kept: list[list] = []
-    reps = np.empty((len(roots), roots[0][0].size if roots else 0))
-    for x, hinf, seed_idx in roots:
-        y = reps[:len(kept)]
-        tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
-        match = np.flatnonzero(np.all(np.abs(x - y) <= tol, axis=1))
-        if match.size:
-            entry = kept[match[0]]
-            entry[2] += 1
-            if hinf < entry[1]:
-                entry[0], entry[1] = x, hinf
-                reps[match[0]] = x
-        else:
-            reps[len(kept)] = x
-            kept.append([x, hinf, 1, seed_idx])
-    return kept
+    keys = np.round(X, 12)
+    order = np.lexsort(keys.T[::-1])
+    # Why a retired representative is never matched again.  The keys ascend
+    # in their first column and lie within 0.5e-12 (plus a few ulps) of
+    # their rows, so every row z after the current row x has z0 >= x0 - M,
+    # M = 1e-12 + 1e-15 |x0|.  A representative y only ever moves to a later
+    # row that matched it.  Let y0 < x0 - W - M with W = 2 max(1e-9,
+    # 1e-6 |x0|); then z0 - y0 > W >= 2e-9 for every later z.  If y0 > 0, a
+    # match would need y0 >= (1 - 1e-6) z0 >= (1 - 1e-6)(x0 - M), above
+    # y0's bound.  If y0 <= 0 < z0, the gap |y0| + z0 exceeds 1e-6 of either.
+    # If y0 < z0 <= 0, the tolerance is 1e-6 |y0| <= 1e-6 (|x0| + M +
+    # (z0 - y0)), below the gap once the gap exceeds W.  So no later row
+    # matches y, y never changes again and leaves the window for good.
+    # Keys past the float range (|x0| > 1e296) are no longer ordered by x0,
+    # so those rows retire nothing.
+    x0 = X[:, 0]
+    lo = x0 - 2 * np.maximum(_DEDUP_ABS, _DEDUP_REL * np.abs(x0)) \
+        - (1e-12 + 1e-15 * np.abs(x0))
+    lo[~np.isfinite(keys[:, 0])] = -np.inf
+    window = np.empty_like(X)                 # representatives, in kept order
+    slot = np.empty(X.shape[0], dtype=np.intp)   # each one's kept index
+    rep: list[int] = []
+    hits: list[int] = []
+    first: list[int] = []
+    size = widest = 0
+    top = -np.inf                             # the largest x0 visited
+    x0s, los, hs = x0.tolist(), lo.tolist(), hinf.tolist()
+    for i in order.tolist():
+        if top < los[i]:                      # every representative retires
+            size = 0
+        elif size:
+            stay = np.flatnonzero(window[:size, 0] >= los[i])
+            if stay.size < size:
+                window[:stay.size] = window[stay]
+                slot[:stay.size] = slot[stay]
+                size = stay.size
+        top = max(top, x0s[i])
+        x = X[i]
+        if size:
+            y = window[:size]
+            tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
+            match = np.flatnonzero(np.all(np.abs(x - y) <= tol, axis=1))
+            if match.size:
+                k = slot[match[0]]
+                hits[k] += 1
+                if hs[i] < hs[rep[k]]:
+                    rep[k] = i
+                    window[match[0]] = x
+                continue
+        window[size] = x
+        slot[size] = len(rep)
+        size += 1
+        widest = max(widest, size)
+        rep.append(i)
+        hits.append(1)
+        first.append(i)
+    return rep, hits, first, widest
+
+
+# classification labels by the number of live profiles, eta and w
+_PATTERNS = ("trivial", "semi-trivial", "non-trivial")
+
+
+def _classify(unknowns: Sequence[str], pinned: Mapping[str, float],
+              roots: np.ndarray) -> list[str]:
+    """The zero pattern of each row of roots (values of ``unknowns``).
+
+    A profile is live when one of its coefficients j1..j8 (eta) or k1..k8
+    (w), solved or pinned, exceeds _ZERO_TOL in magnitude: both live is
+    "non-trivial", one "semi-trivial", none "trivial".
+    """
+    live = np.zeros(roots.shape[0], dtype=np.intp)
+    for prefix in "jk":
+        names = {f"{prefix}{r}" for r in range(1, 9)}
+        cols = [i for i, u in enumerate(unknowns) if u in names]
+        pinned_live = any(abs(v) > _ZERO_TOL for u, v in pinned.items()
+                          if u in names and u not in unknowns)
+        live += pinned_live | (np.abs(roots[:, cols]) > _ZERO_TOL).any(axis=1)
+    return [_PATTERNS[n] for n in live.tolist()]
 
 
 def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
@@ -467,27 +531,29 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     t0 = time.perf_counter()
     X, reason, _, hinf_all, solves, fallbacks = _newton_batch(sysn, X0, max_iter)
     conv = reason == "converged"
-    found = [(X[i], float(hinf_all[i]), int(i)) for i in np.flatnonzero(conv)]
+    found = np.flatnonzero(conv)
     t1 = time.perf_counter()
-    kept = _dedup(found)
+    rep, hits, first, widest = _dedup(X[found], hinf_all[found])
     t2 = time.perf_counter()
 
-    records = []
     pinned_f = {k: float(v) for k, v in sysn.pinned.items()}
-    for x, hinf, hits, seed_idx in kept:
-        values = {u: float(v) for u, v in zip(sysn.unknowns, x)}
-        pattern_ctx = {**pinned_f, **values}
-        records.append(RootRecord(values, _classify_pattern(pattern_ctx),
-                                  hinf, hits, seed_idx))
-    branch_set = BranchSet(records, pinned_f, n_starts, len(found), seed_rng)
+    rows = found[rep]
+    roots = X[rows]
+    records = [RootRecord(dict(zip(sysn.unknowns, values)), kind, hinf, n, seed_idx)
+               for values, kind, hinf, n, seed_idx
+               in zip(roots.tolist(), _classify(sysn.unknowns, pinned_f, roots),
+                      hinf_all[rows].tolist(), hits, found[first].tolist())]
+    branch_set = BranchSet(records, pinned_f, n_starts, found.size, seed_rng)
     logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
                  "%d budget), %d kept, %d non-trivial; residual floor of the "
                  "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s; "
-                 "%d Gauss-Newton solves, %d fell back to the SVD",
+                 "%d Gauss-Newton solves, %d fell back to the SVD; "
+                 "dedup window at most %d",
                  n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
                  len(records), len(branch_set.nontrivial()),
                  float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
-                 t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks)
+                 t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
+                 widest)
     return branch_set
 
 

@@ -317,6 +317,20 @@ def test_family_43_rejects_nonzero_a(tmp_path, capsys, monkeypatch):
     assert code == 2 and "family S43 requires a = 0" in stderr
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--set", "4.2.2", "--a", "1e400", "--b", "2", "--d", "-1", "--m", "1/2"], "j0"),
+    (["--set", "4.1.2", "--lambda", "1e400", "--m", "1/2", "--sigma", "1",
+      "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1"], "k2"),
+    (["--set", "4.2.2", "--a", "1", "--b", "2", "--d", "-1", "--m", "1e400"], "m"),
+], ids=["a", "lambda", "m"])
+def test_family_rational_too_large_for_a_float_exits_2(tmp_path, capsys, monkeypatch,
+                                                       argv, name):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(["family", *argv], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr.startswith(f"error: {name} is about 1e") and "Traceback" not in stderr
+
+
 def test_solve_multistart_finds_branches(capsys):
     code, stdout, _ = run_cli([
         "solve", "--system", "coeffs1",

@@ -92,6 +92,25 @@ def test_negative_m_names_its_value():
         build_s43(2, 1, 1, F(-1, 2))
 
 
+HUGE = F(10) ** 400
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: build_s422(ParameterSet.make(HUGE, 2, 0, -1), 1, 1, F(1, 2)), "j0"),
+    (lambda: build_s412(ParameterSet.make(1, F(-8, 3), 1, 1), HUGE, 1, F(1, 2)), "k2"),
+    (lambda: build_s412(ParameterSet.make(1, F(-8, 3), 1, 1), -HUGE, 1, F(1, 2)), "lam"),
+    (lambda: build_s421(ParameterSet.make(0, HUGE, 0, 1), 1, 1, F(1, 2)), "j0"),
+    (lambda: build_s43(HUGE, 1, 1, F(1, 2)), "k0"),
+    (lambda: build_s43(2, 1, 1, HUGE), "m"),
+    (lambda: build_s411(ParameterSet.make(-HUGE, 1, F(-5, 6), 1), F(3, 4)),
+     r"-2ac\(b-6d\)\(3b-2d\)"),
+], ids=["s422-a", "s412-lam", "s412-negative-lam", "s421-b", "s43-d", "m", "s411-a"])
+def test_rational_too_large_for_a_float_is_a_domain_error(build, name):
+    # the exact input is accepted; the float it turns into is named
+    with pytest.raises(DomainError, match=f"^{name} is about -?1e[0-9]+, too large"):
+        build()
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1]],
                          ids=["inf", "nan", "zero-denominator", "word", "list"])
 def test_parameter_set_rejects_non_rationals(value):

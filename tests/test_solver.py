@@ -435,6 +435,7 @@ def test_multistart_logs_counts(reference_pinning, caplog, monkeypatch):
     assert len(branch_set.roots) > len(branch_set.nontrivial()) > 0
     # every start converges, so no unconverged residual floor
     assert record.args[1] == 120 and record.args[7] == np.inf
+    assert 1 <= record.args[13] <= len(branch_set.roots)
 
 
 def test_multistart_logs_stop_reasons(caplog, monkeypatch):
@@ -454,7 +455,9 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     assert record.args[7] == np.nanmin(hinf[reason != "converged"])
     assert 0.09 < record.args[7] < 0.1
     # one solve per accepted step and one more for each stalled row
-    assert record.args[11:] == (solves, fallbacks)
+    assert record.args[11:13] == (solves, fallbacks)
+    # then the widest dedup window, at most the kept count
+    assert record.args[13] <= len(branch_set.roots)
     assert solves == iters.sum() + counts[2] and 0 <= fallbacks <= solves
 
 
@@ -698,8 +701,20 @@ def _dedup_reference(roots):
     return kept
 
 
+def _run_dedup(roots):
+    """solver._dedup on (x, hinf, seed index) triples: the kept
+    [x, hinf, hits, seed index] lists and the widest window."""
+    X = (np.array([x for x, _, _ in roots], dtype=float).reshape(len(roots), -1)
+         if roots else np.empty((0, 1)))
+    hinf = np.array([h for _, h, _ in roots], dtype=float)
+    rep, hits, first, widest = solver._dedup(X, hinf)
+    kept = [[X[r], hinf[r], n, roots[f][2]] for r, n, f in zip(rep, hits, first)]
+    assert sum(hits) == len(roots) and widest <= len(kept)
+    return kept, widest
+
+
 def assert_same_dedup(roots):
-    got, ref = solver._dedup(list(roots)), _dedup_reference(list(roots))
+    (got, _), ref = _run_dedup(list(roots)), _dedup_reference(list(roots))
     assert len(got) == len(ref)
     for (x, hinf, hits, idx), (rx, rhinf, rhits, ridx) in zip(got, ref):
         assert x.tobytes() == rx.tobytes()
@@ -736,17 +751,145 @@ def test_dedup_replacement_and_first_match():
 def test_dedup_matches_reference_on_multistart_roots(reference_pinning, monkeypatch):
     seen, dedup = [], solver._dedup
 
-    def spy(roots):
-        seen.append(list(roots))
-        return dedup(roots)
+    def spy(X, hinf):
+        seen.append((X.copy(), hinf.copy()))
+        return dedup(X, hinf)
 
     monkeypatch.setattr(solver, "_dedup", spy)
     multistart(reference_pinning, 300, seed_rng=11)
     monkeypatch.undo()
-    (roots,) = seen
-    assert len(roots) > 100
+    ((X, hinf),) = seen
+    assert len(X) > 100
+    roots = [(x, h, i) for i, (x, h) in enumerate(zip(X, hinf.tolist()))]
     kept = assert_same_dedup(roots)
     assert sum(e[2] for e in kept) == len(roots)
+
+
+# gaps in units of max(1e-9, 1e-6 |x0|): just inside and just outside the
+# tolerance, between the tolerance and the window width W = 2, and beyond W
+_GAP_FACTORS = (1 - 1e-7, 1 + 1e-7, 1 - 1e-12, 1.000001, 1.5, 1.999999, 2.000001, 2.5)
+
+
+def _adversarial_roots(rng, constant_x0):
+    """Clusters of roots at magnitudes 1e-12 .. 1e6, both signs and +-0.0:
+    pairs at a first-coordinate gap near the tolerance or near W,
+    replacement chains that walk a representative along one axis, and
+    exact or signed-zero copies.  With constant_x0 every root has the same
+    first coordinate."""
+    n = int(rng.integers(2 if constant_x0 else 1, 5))
+    roots = []
+
+    def coordinate():
+        if rng.random() < 0.15:
+            return rng.choice([0.0, -0.0])
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 6.0)
+
+    x0 = coordinate()
+    for _ in range(int(rng.integers(2, 7))):
+        c = np.array([x0 if constant_x0 else coordinate()]
+                     + [coordinate() for _ in range(n - 1)])
+        members = [c]
+        kind = rng.integers(3)
+        if kind == 0 and not constant_x0:         # gap pairs along axis 0
+            unit = max(1e-9, 1e-6 * abs(c[0]))
+            for _ in range(int(rng.integers(1, 4))):
+                x = members[-1].copy()
+                x[0] += rng.choice([-1.0, 1.0]) * rng.choice(_GAP_FACTORS) * unit
+                members.append(x)
+        elif kind == 1:                           # a chain along one axis
+            axis = int(rng.integers(1 if constant_x0 else 0, n))
+            step = 0.9 * max(1e-9, 1e-6 * abs(c[axis]))
+            for t in range(1, int(rng.integers(2, 6))):
+                x = c.copy()
+                x[axis] += t * step
+                members.append(x)
+        else:                                     # copies, zeros of either sign
+            for _ in range(int(rng.integers(1, 4))):
+                x = c.copy()
+                x[x == 0.0] *= -1.0
+                members.append(x)
+        for x in members:
+            # other axes: inside the tolerance, or sometimes just outside
+            for i in range(1, n):
+                if rng.random() < 0.3:
+                    x[i] += (rng.choice([0.4, 0.9, 1.1])
+                             * max(1e-9, 1e-6 * abs(x[i])))
+            roots.append(x)
+    # hinf ties and strict decreases; the order of equal keys is the input order
+    hinf = rng.choice([1e-14, 5e-14, 1e-13, 1e-12], size=len(roots))
+    if rng.random() < 0.5:
+        hinf = np.sort(hinf)[::-1]
+    order = rng.permutation(len(roots))
+    return [(roots[k], float(hinf[j]), j) for j, k in enumerate(order)]
+
+
+def test_dedup_matches_reference_on_adversarial_sets():
+    rng = np.random.default_rng(20)
+    merged = retired = 0
+    for trial in range(240):
+        constant_x0 = trial % 4 == 3
+        roots = _adversarial_roots(rng, constant_x0)
+        kept = assert_same_dedup(roots)
+        _, widest = _run_dedup(roots)
+        if constant_x0:
+            assert widest == len(kept)            # nothing retires
+        merged += len(roots) > len(kept)
+        retired += widest < len(kept)
+    assert merged >= 100 and retired >= 50
+
+
+def test_dedup_window_keeps_representatives_within_w_and_margin():
+    # a representative at x0 = 1 stays in the window of a later root at b0
+    # while 1 >= b0 - 2e-6 b0 - (1e-12 + 1e-15 b0), and leaves it below
+    for excess, widest in ((0.5e-12, 2), (1.5e-12, 1)):
+        b0 = (1 + excess) / (1 - 2e-6)
+        kept, got = _run_dedup([(np.array([1.0, 0.0]), 1e-13, 0),
+                                (np.array([b0, 1.0]), 1e-13, 1)])
+        assert (len(kept), got) == (2, widest)
+    # far apart roots retire each other, equal first coordinates never do
+    far = [(np.array([float(t), 0.0]), 1e-13, t) for t in range(5)]
+    assert _run_dedup(far)[1] == 1
+    level = [(np.array([0.5, float(t)]), 1e-13, t) for t in range(5)]
+    assert _run_dedup(level)[1] == 5
+
+
+def _classify_reference(values):
+    """The per-root rule: the zero pattern of the j_r, k_r with 1 <= r <= 8."""
+    eta_live = any(abs(values.get(f"j{r}", 0.0)) > solver._ZERO_TOL for r in range(1, 9))
+    w_live = any(abs(values.get(f"k{r}", 0.0)) > solver._ZERO_TOL for r in range(1, 9))
+    if eta_live and w_live:
+        return "non-trivial"
+    if eta_live or w_live:
+        return "semi-trivial"
+    return "trivial"
+
+
+ALL_PATTERNS = {"trivial", "semi-trivial", "non-trivial"}
+
+
+@pytest.mark.parametrize("pinned, patterns", [
+    ({}, ALL_PATTERNS),
+    ({"j1": 0.1}, {"semi-trivial", "non-trivial"}),
+    ({"k1": -0.1}, {"semi-trivial", "non-trivial"}),
+    ({"j1": 1e-8}, ALL_PATTERNS),                 # at the threshold: not live
+    ({"k1": 2e-8, "lam": 1.0, "sigma": 1.0}, {"semi-trivial", "non-trivial"}),
+])
+def test_classify_matches_per_root_rule(pinned, patterns):
+    # the sweeps pin j1 or k1; j9, j10 and k12 lie above the rule's r <= 8
+    unknowns = [u for u in ("j0", "j1", "j2", "j4", "j9", "j10", "k0", "k1", "k2",
+                            "k8", "k12", "sigma") if u not in pinned]
+    rng = np.random.default_rng(len(pinned))
+    values = np.array([0.0, -0.0, 1e-8, -1e-8, 1.0000001e-8, -2e-8, 0.7, -3.0])
+    weights = np.array([8, 4, 2, 2, 1, 1, 1, 1]) / 20
+    roots = rng.choice(values, p=weights, size=(600, len(unknowns)))
+    got = solver._classify(unknowns, pinned, roots)
+    ref = [_classify_reference({**pinned, **dict(zip(unknowns, row))})
+           for row in roots.tolist()]
+    assert got == ref and set(got) == patterns
+    # the columns above 8 alone never make a profile live
+    high = np.zeros((1, len(unknowns)))
+    high[0, [unknowns.index(u) for u in ("j9", "j10", "k12")]] = 5.0
+    assert solver._classify(unknowns, pinned, high) == [_classify_reference(pinned)]
 
 
 # -- non-existence sweeps ------------------------------------------------------
