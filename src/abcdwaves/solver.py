@@ -22,12 +22,19 @@ is 1e7 * max(1, ||seed||_inf)); the others end stalled or budget (max_iter
 spent).  Rank-deficient Jacobians (continua of roots) need no special
 case: there the pseudoinverse step is the minimum-norm Gauss-Newton step.
 
-Polynomials are evaluated on whole batches from a power table: each
-monomial multiplies only the table columns of its nonzero exponents, in
-variable order, which gives the same bits as a product over all unknowns
-(the factors left out are exact ones).  A row's residual is evaluated once
-at its start; after that the line search's residual at the accepted step
-serves as the residual of the next iterate and of its stop-reason test.
+Polynomials are evaluated on whole batches, term-major: a table of
+integer powers holds one row per power of an unknown, and each monomial
+multiplies only the table rows of its nonzero exponents, in variable
+order, which gives the same bits as a product over all unknowns (the
+factors left out are exact ones).  Each polynomial's terms are then summed
+by a compiled plan of vector adds in np.add.reduceat's order, numpy's
+pairwise summation included, so every value is that of reduceat bit for
+bit; rows whose sum is NaN are summed by reduceat itself.  A row's
+residual is evaluated once at its start; after that the line search's
+residual at the accepted step serves as the residual of the next iterate
+and of its stop-reason test.  A row's line search first tries, in one
+pass, every step down to the one it accepted last time; the accepted step
+does not depend on that.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -44,14 +51,14 @@ import logging
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .cnexpr import CoefficientSystem, build_coefficient_system
 from .errors import DomainError, UnderdeterminedError, UsageError
-from .families import (Branch, Record, SolutionParams, _frac, _require_lam_sigma,
-                       _require_m)
+from .families import (Branch, Record, SolutionParams, _float, _frac,
+                       _require_lam_sigma, _require_m)
 from .ratpoly import RationalPoly, var_sort_key
 from .reduction import AnsatzShape
 
@@ -77,59 +84,163 @@ _ESCAPE = 1e7               # multistart iterates this large never return to
 _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 
 
-def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]):
-    """Stack all monomials of all polynomials into flat arrays.
+class _Compiled(NamedTuple):
+    """Polynomials compiled for term-major batch evaluation (see _compile)."""
 
-    Returns (coeffs, cols, offsets, e_max).  Column 0 of a batch's power
-    table is x^0 = 1 and column (e - 1) * n + i + 1 is x_i^e (n unknowns,
-    1 <= e <= e_max; e_max >= 1 even when every polynomial is constant,
-    so the table always holds the unknowns themselves).  cols[:, t] lists the columns of monomial t's
-    nonzero exponents in variable order, padded with column 0 to the
-    widest monomial, so the product of those table columns times coeffs,
-    summed by np.add.reduceat over offsets, evaluates every polynomial.
+    coeffs: np.ndarray      # (T, 1) coefficient of each plan row's term
+    cols: np.ndarray        # (W, T) power-table rows of each term's factors
+    e_max: int
+    steps: tuple            # the summation plan: rows[dst] += rows[src], in order
+    sums: np.ndarray        # (P,) the plan row that ends up holding each sum
+    order: np.ndarray       # (T,) the plan row of each term, polynomial by polynomial
+    offsets: np.ndarray     # (P,) each polynomial's first term in that order
+
+
+def _pairwise_steps(q0: int, n: int) -> list[tuple[int, int, int]]:
+    """numpy's pairwise sum of the n >= 8 blocks q0 .. q0 + n - 1, into block q0.
+
+    Returns in-place adds (d, s, k): blocks d .. d + k - 1 += blocks
+    s .. s + k - 1.  Up to 128 terms numpy keeps eight accumulators, adds
+    each later run of eight to them, combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the
+    remaining terms one by one; above 128 it sums two halves, the first cut
+    to a multiple of eight, and adds them.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return (_pairwise_steps(q0, half) + _pairwise_steps(q0 + half, n - half)
+                + [(q0, q0 + half, 1)])
+    full = n - n % 8
+    return ([(q0, q0 + i, 8) for i in range(8, full, 8)]
+            + [(q0 + a, q0 + b, 1)
+               for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4))]
+            + [(q0, q0 + i, 1) for i in range(full, n)])
+
+
+def _sum_plan(lengths: Sequence[int]) -> tuple[list, list, list]:
+    """Lay out the terms of polynomials with these term counts, and plan
+    their sums as np.add.reduceat forms them.
+
+    reduceat sums a segment a0, ..., a(L-1) as a0 + pairwise(a1, ...), where
+    numpy's pairwise sum of fewer than eight terms runs left to right from
+    -0.0 (so a1 + a2 + ...; -0.0 + a = a).  Returns (slots, steps, sums):
+    the (polynomial, term) that each plan row holds, the in-place adds
+    (dst, src, rows), rows[dst:dst + rows] += rows[src:src + rows] in
+    order, and the plan row that ends up holding each polynomial's sum.
+
+    Polynomials of at most eight terms share their adds: sorted by falling
+    length, term t of those with more than t terms is a block of
+    consecutive rows whose polynomials form a prefix of block 1, so one add
+    per t serves all of them.  Longer ones go by length, term t of each
+    group one block.
+    """
+    by_length = sorted(range(len(lengths)), key=lambda p: -lengths[p])
+    slots: list[tuple[int, int]] = []
+    steps: list[tuple[int, int, int]] = []
+    sums = [0] * len(lengths)
+    short = [p for p in by_length if lengths[p] <= 8]
+    blocks = []                     # (first row, rows) of term t, from row 0
+    for t in range(lengths[short[0]] if short else 0):
+        blocks.append((len(slots), sum(lengths[p] > t for p in short)))
+        slots += [(p, t) for p in short[:blocks[-1][1]]]
+    steps += [(blocks[1][0], start, rows) for start, rows in blocks[2:]]
+    if len(blocks) > 1:
+        steps.append((0, blocks[1][0], blocks[1][1]))
+    for i, p in enumerate(short):
+        sums[p] = i
+    for length in sorted({n for n in lengths if n > 8}, reverse=True):
+        group = [p for p in by_length if lengths[p] == length]
+        base, g = len(slots), len(group)
+        slots += [(p, q) for q in range(length) for p in group]
+        steps += [(base + d * g, base + s * g, k * g)
+                  for d, s, k in _pairwise_steps(1, length - 1) + [(0, 1, 1)]]
+        for i, p in enumerate(group):
+            sums[p] = base + i
+    return slots, steps, sums
+
+
+def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compiled:
+    """Compile every polynomial's terms for _eval_compiled.
+
+    Row 0 of a batch's power table is x^0 = 1 and row (e - 1) * n + i + 1 is
+    x_i^e (n unknowns, 1 <= e <= e_max; e_max >= 1 even when every
+    polynomial is constant, so the table always holds the unknowns
+    themselves).  cols[:, t] lists the table rows of term t's nonzero
+    exponents in variable order, padded with row 0 to the widest monomial.
+    The terms sit in the order of _sum_plan; a coefficient too large for a
+    float is a DomainError.
     """
     index = {name: i for i, name in enumerate(unknowns)}
     n = len(unknowns)
-    coeffs: list[float] = []
-    cols: list[list[int]] = []
-    offsets: list[int] = []
+    segments = []
     for poly in polys:
-        offsets.append(len(coeffs))
-        for mono, coef in sorted(poly.terms.items()) or [((), 0.0)]:
-            coeffs.append(float(coef))
-            cols.append([(exp - 1) * n + index[name] + 1 for name, exp
-                         in sorted(mono, key=lambda f: index[f[0]])])
+        segments.append([
+            (_float(coef, "a coefficient of the pinned system"),
+             [(exp - 1) * n + index[name] + 1
+              for name, exp in sorted(mono, key=lambda f: index[f[0]])])
+            for mono, coef in sorted(poly.terms.items())] or [(0.0, [])])
+    lengths = [len(seg) for seg in segments]
+    slots, steps, sums = _sum_plan(lengths)
+    cols = [segments[p][q][1] for p, q in slots]
     width = max(1, max(map(len, cols)))
     cols_arr = np.array([c + [0] * (width - len(c)) for c in cols], dtype=np.intp)
+    row = {slot: r for r, slot in enumerate(slots)}
     e_max = max((exp for p in polys for mono in p.terms for _, exp in mono),
                 default=1)
-    return (np.asarray(coeffs), np.ascontiguousarray(cols_arr.T),
-            np.asarray(offsets, dtype=np.intp), e_max)
+    return _Compiled(
+        np.array([[segments[p][q][0]] for p, q in slots]),
+        np.ascontiguousarray(cols_arr.T), e_max,
+        tuple((slice(d, d + k), slice(s, s + k)) for d, s, k in steps),
+        np.asarray(sums, dtype=np.intp),
+        np.array([row[p, q] for p, n_terms in enumerate(lengths)
+                  for q in range(n_terms)], dtype=np.intp),
+        np.cumsum([0] + lengths[:-1], dtype=np.intp))
 
 
-def _eval_compiled(compiled, X):
+def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
+    """Every term at every row of X: a (terms, rows) array in plan order."""
+    B, n = X.shape
+    e_max = compiled.e_max
+    # power table: integer powers via repeated multiplication beat float
+    # pow by an order of magnitude on these small exponents
+    table = np.empty((1 + e_max * n, B))
+    table[0] = 1.0
+    table[1:n + 1] = X.T
+    for e in range(2, e_max + 1):
+        np.multiply(table[(e - 2) * n + 1:(e - 1) * n + 1], table[1:n + 1],
+                    out=table[(e - 1) * n + 1:e * n + 1])
+    # the factors of each monomial multiplied in variable order: the same
+    # products as over all n unknowns, less the exact factors x^0 = 1
+    terms = table[compiled.cols[0]]
+    for col in compiled.cols[1:]:
+        terms *= table[col]
+    np.multiply(compiled.coeffs, terms, out=terms)
+    return terms
+
+
+def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
+    """Every polynomial at every row of X, bit for bit as np.add.reduceat
+    sums the terms: a (rows, polynomials) C-contiguous array.
+
+    The terms are gathered whole table rows at a time and summed by the
+    plan's vector adds.  Where a sum is NaN, which operand's NaN an add
+    returns depends on its lane, so those rows are summed by reduceat.
+    """
     # rows are independent, so blocks of them give the same values with a
-    # bounded gather
+    # bounded working set
     if X.shape[0] > _EVAL_ROWS:
         return np.concatenate([_eval_compiled(compiled, X[i:i + _EVAL_ROWS])
                                for i in range(0, X.shape[0], _EVAL_ROWS)])
-    coeffs, cols, offsets, e_max = compiled
-    # power table: integer powers via repeated multiplication beat float
-    # pow by an order of magnitude on these small exponents
-    B, n = X.shape
-    table = np.empty((B, 1 + e_max * n))
-    table[:, 0] = 1.0
-    table[:, 1:n + 1] = X
-    for e in range(2, e_max + 1):
-        np.multiply(table[:, (e - 2) * n + 1:(e - 1) * n + 1], X,
-                    out=table[:, (e - 1) * n + 1:e * n + 1])
-    # the factors of each monomial multiplied in variable order: the same
-    # products as over all n unknowns, less the exact factors x^0 = 1
-    terms = table[:, cols[0]]
-    for col in cols[1:]:
-        terms *= table[:, col]
-    np.multiply(coeffs, terms, out=terms)
-    return np.add.reduceat(terms, offsets, axis=1)
+    terms = _terms(compiled, X)
+    for dst, src in compiled.steps:
+        np.add(terms[dst], terms[src], out=terms[dst])
+    out = np.ascontiguousarray(terms[compiled.sums].T)
+    if np.isnan(out.max(initial=0.0)):          # max propagates NaN
+        bad = np.flatnonzero(np.isnan(out).any(axis=1))
+        out[bad] = np.add.reduceat(
+            np.ascontiguousarray(_terms(compiled, X[bad])[compiled.order].T),
+            compiled.offsets, axis=1)
+    return out
 
 
 @dataclass
@@ -192,13 +303,17 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     Raises UsageError for a pin that is not a variable of the system or not
     a rational, and for pins that leave no unknown, UnderdeterminedError
     when fewer equations than unknowns remain (the caller must pin enough
-    variables), and DomainError for a pinned lam, m or sigma outside the
-    family builders' domain lam > 0, m in (0, 1], sigma != 0.
+    variables), and DomainError for a pin too large for a float, for a
+    pinned lam, m or sigma outside the family builders' domain lam > 0,
+    m in (0, 1], sigma != 0, and for a coefficient of the pinned system
+    too large for a float.
     """
     unknown = sorted(set(pins) - system.variables())
     if unknown:
         raise UsageError(f"pins {unknown} are not variables of the system")
     exact = {name: _frac(v, name) for name, v in pins.items()}
+    for name, value in exact.items():
+        _float(value, name)
     if "m" in exact:
         _require_m(exact["m"])
     # an unpinned lam or sigma is checked as 1, which the rule accepts
@@ -244,50 +359,64 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
-    X, reason, iters, hinf, _, _ = _newton_batch(sysn, x[None, :], max_iter, escape)
+    X, reason, iters, hinf, *_ = _newton_batch(sysn, x[None, :], max_iter, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
-def _line_search(compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
-                 floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
+                 floor: np.ndarray, first: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Backtracking Armijo search along dx for every row of Xa.
 
     A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
     below its own ``floor``) whose residual is finite with
-    ||h||^2 <= (1 - _ARMIJO * alpha) * base.  After alpha = 1 the rows
-    still searching try the smaller steps in blocks of 2, 4, 8, ...
-    steps, one evaluation per block; the candidates and the test are
-    those of a one-step-at-a-time search, so every row gets the same
-    alpha.  Returns alpha per row, 0 where no step was accepted, and the
-    residual at Xa + alpha * dx for the rows with alpha > 0 (NaN rows for
-    the others).
+    ||h||^2 <= (1 - _ARMIJO * alpha) * base.  Its first pass evaluates the
+    steps 0 .. first - 1 at once (at least one), each later pass the next
+    2, 4, 8, ... steps, and no pass a step below the floor.  Each candidate
+    is evaluated and tested as in a one-step-at-a-time search, so every row
+    gets the same alpha and residual whatever ``first`` is.  Returns
+    (alpha, H, taken, evaluated, passes): alpha per row, 0 where no step
+    was accepted; the residual at Xa + alpha * dx for the rows with
+    alpha > 0 (NaN rows for the others); the index of the accepted step
+    (-1 for none); then the candidate rows evaluated and the passes.
     """
-    n_steps, lowest = 1, floor.min()
-    while n_steps < 50 and 0.5 ** n_steps >= lowest:
-        n_steps += 1
-    steps = 0.5 ** np.arange(n_steps)
-    alpha = np.zeros(Xa.shape[0])
-    H = np.full((Xa.shape[0], compiled[2].size), np.nan)
-    pending = np.arange(Xa.shape[0])
-    start, size = 0, 1
-    while pending.size and start < n_steps:
-        block = steps[start:start + size]
-        Xc = (Xa[pending, None, :] + block[:, None] * dx[pending, None, :]
-              ).reshape(-1, Xa.shape[1])
+    steps = 0.5 ** np.arange(50)
+    factor = 1 - _ARMIJO * steps
+    H = np.full((Xa.shape[0], compiled.sums.size), np.nan)
+    taken = np.full(Xa.shape[0], -1)
+    # a sum of squares past the float range passes only an infinite base;
+    # there the residual must be checked finite as well
+    unbounded = not np.isfinite(base).all()
+    limit = np.searchsorted(-steps, -floor, side="right")     # steps >= floor
+    pending = np.flatnonzero(limit)
+    limit = limit[pending]
+    start = np.zeros(pending.size, dtype=np.intp)
+    size = np.maximum(first[pending], 1)
+    evaluated = passes = 0
+    while pending.size:
+        count = np.minimum(size, limit - start)
+        heads = np.cumsum(count) - count
+        rows = np.repeat(pending, count)
+        k = np.repeat(start - heads, count)
+        k += np.arange(k.size)
         with np.errstate(all="ignore"):
-            Hc = _eval_compiled(compiled, Xc)
-        good = np.isfinite(Hc).all(axis=1)
-        thresh = ((1 - _ARMIJO * block) * base[pending, None]).ravel()
-        dec = np.zeros_like(good)
-        dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= thresh[good]
-        dec = dec.reshape(pending.size, block.size) & (block >= floor[pending, None])
-        hit = dec.any(axis=1)
-        first = dec.argmax(axis=1)[hit]
-        alpha[pending[hit]] = block[first]
-        H[pending[hit]] = Hc.reshape(pending.size, block.size, -1)[hit, first]
-        pending = pending[~hit & (block[-1] * 0.5 >= floor[pending])]
-        start, size = start + size, 2 * size
-    return alpha, H
+            Xc = dx.take(rows, axis=0)
+            np.multiply(steps.take(k)[:, None], Xc, out=Xc)
+            Hc = _eval_compiled(compiled, np.add(Xa.take(rows, axis=0), Xc, out=Xc))
+            dec = np.einsum("bi,bi->b", Hc, Hc) <= factor.take(k) * base.take(rows)
+        if unbounded:
+            dec &= np.isfinite(Hc).all(axis=1)
+        win = np.minimum.reduceat(np.where(dec, np.arange(k.size), k.size), heads)
+        hit = win < k.size
+        win = win[hit]
+        H[pending[hit]] = Hc[win]
+        taken[pending[hit]] = k[win]
+        evaluated, passes = evaluated + k.size, passes + 1
+        start += count
+        more = ~hit & (start < limit)
+        pending, limit, start, size = pending[more], limit[more], start[more], 2 ** passes
+    alpha = np.where(taken >= 0, steps[taken], 0.0)
+    return alpha, H, taken, evaluated, passes
 
 
 def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
@@ -328,15 +457,18 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   escape: float = _ESCAPE
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                             int, int, int, int]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, reason, iterations, hinf, solves, fallbacks): the final
-    iterates, each row's stop reason from _STOP_REASONS, its accepted
-    Newton steps and its ||h||_inf at the final iterate, then the number
-    of Gauss-Newton steps computed over all rows and how many of them
-    fell back from QR to the pseudoinverse.  One pass, run max_iter + 1
-    times, labels every row still active: converged when ||h||_inf <= _TOL and x
+    Returns (X, reason, iterations, hinf, solves, fallbacks, evaluated,
+    passes): the final iterates, each row's stop reason from
+    _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the final
+    iterate, then the number of Gauss-Newton steps computed over all rows,
+    how many of them fell back from QR to the pseudoinverse, how many
+    candidate rows the line searches evaluated, and in how many batched
+    evaluations.  One pass, run max_iter + 1 times, labels every row still
+    active: converged when ||h||_inf <= _TOL and x
     is finite (wherever x lies), else overflow when h is not finite or
     ||x||_inf >= escape; the rest take a step while fewer than max_iter
     passes have run and keep "budget" after the last.  A row whose line
@@ -346,7 +478,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     crawling at steps that barely move x stops instead of spending the
     iteration budget.  The residual is evaluated once, at X0; after that
     each row keeps the residual its line search computed at the step it
-    accepted.
+    accepted.  A row's line search first tries, in one pass, every step
+    down to the one it accepted last time.
     """
     X = X0.astype(float).copy()
     B = X.shape[0]
@@ -354,7 +487,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
     hinf = np.empty(B)
-    solves = fallbacks = 0
+    last = np.zeros(B, dtype=np.intp)     # each row's last accepted step index
+    solves = fallbacks = evaluated = passes = 0
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
     for it in range(max_iter + 1):
@@ -382,14 +516,17 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         solves, fallbacks = solves + idx.size, fallbacks + svd
         base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
-        alpha, Hs = _line_search(sysn._f, Xa, dx, base, floor)
+        alpha, Hs, taken, rows, n_passes = _line_search(sysn._f, Xa, dx, base, floor,
+                                                        last[idx] + 1)
+        evaluated, passes = evaluated + rows, passes + n_passes
         settled = alpha > 0
+        last[idx[settled]] = taken[settled]
         X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
         H[idx[settled]] = Hs[settled]
         iters[idx[settled]] += 1
         active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
-    return X, reason, iters, hinf, solves, fallbacks
+    return X, reason, iters, hinf, solves, fallbacks, evaluated, passes
 
 
 @dataclass
@@ -529,14 +666,15 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, reason, _, hinf_all, solves, fallbacks = _newton_batch(sysn, X0, max_iter)
+    X, reason, _, hinf_all, solves, fallbacks, evaluated, passes = _newton_batch(
+        sysn, X0, max_iter)
     conv = reason == "converged"
     found = np.flatnonzero(conv)
     t1 = time.perf_counter()
     rep, hits, first, widest = _dedup(X[found], hinf_all[found])
     t2 = time.perf_counter()
 
-    pinned_f = {k: float(v) for k, v in sysn.pinned.items()}
+    pinned_f = {k: _float(v, k) for k, v in sysn.pinned.items()}
     rows = found[rep]
     roots = X[rows]
     records = [RootRecord(dict(zip(sysn.unknowns, values)), kind, hinf, n, seed_idx)
@@ -548,12 +686,13 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
                  "%d budget), %d kept, %d non-trivial; residual floor of the "
                  "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s; "
                  "%d Gauss-Newton solves, %d fell back to the SVD; "
-                 "dedup window at most %d",
+                 "dedup window at most %d; line search %d candidate rows in "
+                 "%d passes",
                  n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
                  len(records), len(branch_set.nontrivial()),
                  float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
                  t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
-                 widest)
+                 widest, evaluated, passes)
     return branch_set
 
 

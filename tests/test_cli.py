@@ -331,6 +331,19 @@ def test_family_rational_too_large_for_a_float_exits_2(tmp_path, capsys, monkeyp
     assert stderr.startswith(f"error: {name} is about 1e") and "Traceback" not in stderr
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["--a", "1e400", "--pin", "m=1/2,lambda=1,sigma=1"],
+     "a coefficient of the pinned system is about -1e401"),
+    (["--a", "1", "--pin", "m=1/2,lambda=1e400,sigma=1"], "lam is about 1e400"),
+], ids=["a", "lambda"])
+def test_solve_rational_too_large_for_a_float_exits_2(capsys, argv, message):
+    code, stdout, stderr = run_cli(["solve", "--system", "coeffs1", "--b", "-8/3",
+                                    "--c", "1", "--d", "1", "--starts", "10", *argv],
+                                   capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}, too large for a float\n"
+
 def test_solve_multistart_finds_branches(capsys):
     code, stdout, _ = run_cli([
         "solve", "--system", "coeffs1",

@@ -80,6 +80,15 @@ def test_pin_validation(quadratic_system):
                  {"a": "1/0"}, {"j0": [1, 2]}):
         with pytest.raises(UsageError, match=f"{next(iter(pins))} = .* is not a rational"):
             pin_and_square(quadratic_system, pins)
+    # a pin or a pinned coefficient too large for a float names its value
+    with pytest.raises(DomainError, match="j0 is about 1e400, too large"):
+        pin_and_square(quadratic_system, {"j0": 10 ** 400})
+    with pytest.raises(DomainError, match="coefficient of the pinned system is about"):
+        pin_and_square(quadratic_system, {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
+                                          "m": F(1, 2), "lam": 10 ** 200, "sigma": 1})
+    x = RationalPoly.var("x")
+    with pytest.raises(DomainError, match="c is about -1e400, too large"):
+        multistart(solver.HSystemNumeric(["x"], [x - 1], {"c": F(-10 ** 400)}), 5)
     # a misspelt name is not silently ignored
     with pytest.raises(UsageError, match="lamda"):
         pin_and_square(quadratic_system, {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
@@ -171,6 +180,42 @@ def test_sparse_kernel_matches_dense_reference(name):
                 ref = _eval_reference(polys, sysn.unknowns, X)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
+
+
+def test_summation_plan_matches_reduceat():
+    # polynomials of 1..300 terms, each term one unknown (coefficient 1),
+    # listed in shuffled order: the plan covers numpy's left-to-right sums
+    # from -0.0, its eight accumulators and its halving past 128 terms, and
+    # rows whose sum is NaN are summed by reduceat itself
+    rng = np.random.default_rng(30)
+    lengths = rng.permutation(np.arange(1, 301))
+    unknowns = [f"x{i:03d}" for i in range(300)]
+    # the kernel takes a polynomial's terms in monomial order
+    picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
+    polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
+    sysn = solver.HSystemNumeric(unknowns, polys, {})
+    rows = []
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200])
+    # terms of one scale round differently in every other order
+    for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
+                           (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
+        X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                (6, 300))
+        mask = rng.random(X.shape) < share
+        X[mask] = rng.choice(special, mask.sum())
+        rows.append(X)
+    signed_zeros = rng.choice([0.0, -0.0], (6, 300))
+    signed_zeros[3:] = -0.0
+    X = np.concatenate(rows + [signed_zeros])
+    with np.errstate(all="ignore"):
+        ref = np.add.reduceat(X[:, np.concatenate(picks)],
+                              np.cumsum(np.concatenate([[0], lengths[:-1]])), axis=1)
+        got = sysn.residual(X)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+    # the rows hold finite sums of every length, NaN sums, and negative zeros
+    assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
+    assert np.signbit(ref[-3:]).all() and not np.signbit(ref[-6:-3]).all()
 
 
 def test_sparse_kernel_orders_factors_by_unknown():
@@ -446,7 +491,7 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     seen = _spy_newton(monkeypatch)
     branch_set, record = _multistart_record(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
-    ((_, reason, iters, hinf, solves, fallbacks),) = seen
+    ((_, reason, iters, hinf, solves, fallbacks, evaluated, passes),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
     assert counts[2] > 100 and counts[3] > 0          # stalled, budget
@@ -459,6 +504,9 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     # then the widest dedup window, at most the kept count
     assert record.args[13] <= len(branch_set.roots)
     assert solves == iters.sum() + counts[2] and 0 <= fallbacks <= solves
+    # last, the line search's candidate rows and evaluation passes
+    assert record.args[14:] == (evaluated, passes)
+    assert evaluated >= solves >= passes > 0
 
 
 def test_newton_batch_stop_reasons(reference_pinning):
@@ -595,6 +643,7 @@ def _line_search_reference(compiled, Xa, dx, base, armijo, min_step):
     """The sequential loop: every pending row tries alpha, then alpha / 2."""
     alpha = np.ones(Xa.shape[0])
     settled = np.zeros(Xa.shape[0], dtype=bool)
+    H = np.full((Xa.shape[0], compiled.sums.size), np.nan)
     pending = np.arange(Xa.shape[0])
     for _ls in range(50):
         Xc = Xa[pending] + alpha[pending, None] * dx[pending]
@@ -605,13 +654,14 @@ def _line_search_reference(compiled, Xa, dx, base, armijo, min_step):
         dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= \
             (1 - armijo * alpha[pending][good]) * base[pending][good]
         settled[pending[dec]] = True
+        H[pending[dec]] = Hc[dec]
         pending = pending[~dec]
         if pending.size == 0:
             break
         alpha[pending] *= 0.5
         if alpha[pending].max(initial=0.0) < min_step:
             break
-    return alpha, settled
+    return alpha, settled, H
 
 
 def _search_batch(sysn, rows=800, seed=5):
@@ -633,8 +683,9 @@ def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
     floor = np.full(Xa.shape[0], min_step)
-    alpha, _ = solver._line_search(f, Xa, dx, base, floor)
-    ref_alpha, ref_settled = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
+    alpha, *_ = solver._line_search(f, Xa, dx, base, floor,
+                                    np.ones(Xa.shape[0], dtype=np.intp))
+    ref_alpha, ref_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
     assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
     # every step down to the floor (at most 50, so every block) is taken
@@ -654,8 +705,9 @@ def test_line_search_stops_at_row_floor(reference_pinning):
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
     floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
-    alpha, _ = solver._line_search(f, Xa, dx, base, floor)
-    deep_alpha, deep_settled = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
+    alpha, *_ = solver._line_search(f, Xa, dx, base, floor,
+                                    np.ones(Xa.shape[0], dtype=np.intp))
+    deep_alpha, deep_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
     past = deep_settled & (deep_alpha < floor)
     assert past.sum() >= 50 and (deep_settled & ~past).sum() >= 300
     assert np.array_equal(alpha > 0, deep_settled & ~past)
@@ -667,8 +719,8 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
     # _newton_batch keeps these rows as the residual of the next iterate
     Xa, dx, base = _search_batch(reference_pinning, seed=8)
     f = reference_pinning._f
-    alpha, H = solver._line_search(f, Xa, dx, base,
-                                   np.full(Xa.shape[0], min_step))
+    alpha, H, *_ = solver._line_search(f, Xa, dx, base, np.full(Xa.shape[0], min_step),
+                                       np.ones(Xa.shape[0], dtype=np.intp))
     ok = alpha > 0
     assert ok.sum() >= 250 and (~ok).sum() >= 30
     assert H.shape == (Xa.shape[0], reference_pinning.n_equations)
@@ -676,6 +728,45 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
         fresh = solver._eval_compiled(f, Xa[ok] + alpha[ok, None] * dx[ok])
     assert H[ok].tobytes() == fresh.tobytes()
     assert np.isnan(H[~ok]).all()
+
+
+@pytest.mark.parametrize("first", ["0", "1", "random", "past the floor", "50"])
+def test_line_search_first_block_gives_the_same_steps(reference_pinning, first):
+    # the first pass may try any number of steps at once: each row still
+    # takes the first step a one-by-one search down to its floor accepts,
+    # with the same residual, and no step below its floor is evaluated
+    Xa, dx, base = _search_batch(reference_pinning, seed=9)
+    # an infinite base passes every sum of squares: the residual itself
+    # must be finite (rows 0-29 have none)
+    base[:40] = np.inf
+    f = reference_pinning._f
+    rng = np.random.default_rng(10)
+    floor = 2.0 ** -rng.integers(0, 47, Xa.shape[0])
+    limit = np.count_nonzero(0.5 ** np.arange(50) >= floor[:, None], axis=1)
+    sizes = {"0": np.zeros_like(limit), "1": np.ones_like(limit),
+             "random": rng.integers(0, 51, limit.size),
+             "past the floor": limit + rng.integers(1, 5, limit.size),
+             "50": np.full_like(limit, 50)}[first]
+    alpha, H, taken, evaluated, passes = solver._line_search(f, Xa, dx, base, floor,
+                                                             sizes)
+    deep_alpha, deep_settled, deep_H = _line_search_reference(f, Xa, dx, base, 1e-4,
+                                                              1e-14)
+    ok = deep_settled & (deep_alpha >= floor)
+    assert ok.sum() >= 300 and (~ok).sum() >= 80
+    assert np.array_equal(alpha > 0, ok)
+    assert alpha[ok].tobytes() == deep_alpha[ok].tobytes()
+    assert H[ok].tobytes() == deep_H[ok].tobytes() and np.isnan(H[~ok]).all()
+    assert np.array_equal(0.5 ** taken[ok], alpha[ok]) and (taken[~ok] == -1).all()
+    # the passes of each row: its first block, then 2, 4, 8, ... steps,
+    # until one passes or the floor is reached
+    want_rows = want_passes = 0
+    for n_first, n_steps, k in zip(sizes.tolist(), limit.tolist(), taken.tolist()):
+        start, size, row_passes = 0, max(n_first, 1), 0
+        while start < n_steps and not 0 <= k < start:
+            start, row_passes = start + min(size, n_steps - start), row_passes + 1
+            size = 2 ** row_passes
+        want_rows, want_passes = want_rows + start, max(want_passes, row_passes)
+    assert (evaluated, passes) == (want_rows, want_passes)
 
 
 # -- dedup ---------------------------------------------------------------------
