@@ -9,12 +9,20 @@ and with eta, w finite cn series every term of F1, F2 is a plain cn
 polynomial: the second derivative of a cn power has the closed form
 
     (cn^r)'' = -r lam^2 [(r+1) m^2 cn^(r+2) + r (1-2m^2) cn^r
-                         + (r-1) (m^2-1) cn^(r-2)].
+                         + (r-1) (m^2-1) cn^(r-2)],
+
+so for s = sum_r s_r cn^r (1 <= r <= n; s_0 drops out) the cn^q
+coefficient of s'' is
+
+    - (q-2)(q-1) lam^2 m^2 s_(q-2)
+    - q^2 lam^2 s_q + 2 q^2 lam^2 m^2 s_q
+    - (q+2)(q+1) lam^2 m^2 s_(q+2) + (q+2)(q+1) lam^2 s_(q+2).
 
 Since (cn^q)' = -q lam cn^(q-1) sn dn, the residual of equation p is
--lam sn dn sum_q (q+1) F_p[q+1] cn^q, so h[p, q] = (q+1) F_p[q+1].  A cn
-polynomial is a list of exact ``RationalPoly`` coefficients indexed by cn
-power.
+-lam sn dn sum_q (q+1) F_p[q+1] cn^q, so h[p, q] = (q+1) F_p[q+1].  The
+builder writes every term of each h[p, q] straight into one dict, in the
+order of the terms of F_p listed above (the s'' terms in the order shown),
+and no two terms share a monomial, so nothing is summed.
 """
 
 from __future__ import annotations
@@ -23,48 +31,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .ratpoly import RationalPoly
+from .ratpoly import Monomial, RationalPoly
 
 Scalar = Union[int, Fraction, RationalPoly]
 
-_ZERO = RationalPoly.const(0)
-_LAM_SQ = RationalPoly.var("lam", 2)
-_MSQ = RationalPoly.var("m", 2)
+_LAM2 = ("lam", 2)
+_M2 = ("m", 2)
+_SIGMA = ("sigma", 1)
 
 
-def _series(n: int, prefix: str) -> list[RationalPoly]:
-    """Symbolic coefficients prefix0..prefix<n> of a degree-n cn series."""
-    return [RationalPoly.var(f"{prefix}{r}") for r in range(n + 1)]
+def _second_derivative(q: int, s: list) -> list:
+    """The cn^q coefficient of s'' for s = sum_r s[r] cn^r, as (monomial,
+    integer coefficient) terms whose last factor is the unknown s[r]."""
+    n = len(s) - 1
+    terms = []
+    if 3 <= q <= n + 2:
+        terms.append(((_LAM2, _M2, s[q - 2]), -(q - 2) * (q - 1)))
+    if 1 <= q <= n:
+        terms += [((_LAM2, s[q]), -q * q), ((_LAM2, _M2, s[q]), 2 * q * q)]
+    if q + 2 <= n:
+        terms += [((_LAM2, _M2, s[q + 2]), -(q + 2) * (q + 1)),
+                  ((_LAM2, s[q + 2]), (q + 2) * (q + 1))]
+    return terms
 
 
-def _second_derivative(series: list[RationalPoly]) -> list[RationalPoly]:
-    """d^2/dxi^2 of sum_r series[r] cn^r, by the closed form per cn power."""
-    out = [_ZERO] * (len(series) + 2)
-    for r in range(1, len(series)):
-        scaled = series[r] * _LAM_SQ * Fraction(-r)
-        out[r + 2] = out[r + 2] + scaled * _MSQ * Fraction(r + 1)
-        out[r] = out[r] + scaled * (1 - 2 * _MSQ) * Fraction(r)
-        if r >= 2:
-            out[r - 2] = out[r - 2] + scaled * (_MSQ - 1) * Fraction(r - 1)
-    return out
+def _product(q: int, eta: list, w: list) -> list:
+    """The cn^q coefficient of eta w, by the index of eta."""
+    return [((eta[i], w[q - i]), 1)
+            for i in range(max(0, q - len(w) + 1), min(q, len(eta) - 1) + 1)]
 
 
-def _convolve(p1: list[RationalPoly], p2: list[RationalPoly]) -> list[RationalPoly]:
-    """Coefficients of the product of two cn polynomials."""
-    out = [_ZERO] * (len(p1) + len(p2) - 1)
-    for i, ci in enumerate(p1):
-        for j, cj in enumerate(p2):
-            out[i + j] = out[i + j] + ci * cj
-    return out
-
-
-def _weighted_sum(pairs) -> list[RationalPoly]:
-    """sum factor * series over (factor, series) pairs, coefficient-wise."""
-    out = [_ZERO] * max(len(series) for _, series in pairs)
-    for factor, series in pairs:
-        for q, coef in enumerate(series):
-            out[q] = out[q] + factor * coef
-    return out
+def _half_square(q: int, w: list) -> list:
+    """The cn^q coefficient of w^2/2, by the lower index."""
+    return [((w[i], w[q - i]), 1) if 2 * i < q else (((w[i][0], 2),), Fraction(1, 2))
+            for i in range(max(0, q - len(w) + 1), q // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -121,27 +121,36 @@ def build_coefficient_system(
     """
     if n_eta < 1 or n_w < 1:
         raise ValueError("series degrees must be >= 1")
-    eta = _series(n_eta, "j")
-    w = _series(n_w, "k")
-    sigma = RationalPoly.var("sigma")
-    av, bv, cv, dv = (RationalPoly.var(n) for n in "abcd")
-    if params:
-        subs = {k: Fraction(v) for k, v in params.items()}
-        av, bv, cv, dv = (p.substitute(subs) for p in (av, bv, cv, dv))
-
-    d2_eta = _second_derivative(eta)
-    d2_w = _second_derivative(w)
-    f1 = _weighted_sum([(-sigma, eta), (1, w), (1, _convolve(eta, w)),
-                        (av, d2_w), (bv * sigma, d2_eta)])
-    f2 = _weighted_sum([(-sigma, w), (1, eta), (Fraction(1, 2), _convolve(w, w)),
-                        (cv, d2_eta), (dv * sigma, d2_w)])
+    values = {k: Fraction(v) for k, v in (params or {}).items()}
+    # each of a, b, c, d as (its factors in a monomial, its scalar)
+    scale = {name: ((), values[name]) if name in values else (((name, 1),), 1)
+             for name in "abcd"}
+    eta = [(f"j{r}", 1) for r in range(n_eta + 1)]
+    w = [(f"k{r}", 1) for r in range(n_w + 1)]
 
     equations: dict[tuple[int, int], RationalPoly] = {}
     grid_top = 2 * max(n_eta, n_w) - 1
-    for p, f in ((1, f1), (2, f2)):
-        top = max((q for q in range(1, len(f)) if not f[q].is_zero()), default=0)
-        for q in range(max(grid_top, top - 1) + 1):
-            equations[(p, q)] = f[q + 1] * Fraction(q + 1) if q < top else _ZERO
+    # F_p = -sigma u + v + (product) + P v'' + Q sigma u''
+    for p, u, v, plain, with_sigma in ((1, eta, w, "a", "b"), (2, w, eta, "c", "d")):
+        h = []
+        # h[r - 1] = r F_p[r], for r up to past the top cn power of F_p
+        for r in range(1, grid_top + 4):
+            terms: dict[Monomial, Fraction] = {}
+            if r < len(u):
+                terms[(_SIGMA, u[r])] = Fraction(-r)
+            if r < len(v):
+                terms[(v[r],)] = Fraction(r)
+            for mono, coef in _product(r, eta, w) if p == 1 else _half_square(r, w):
+                terms[mono] = Fraction(r * coef)
+            for name, s, sigma in ((plain, v, ()), (with_sigma, u, (_SIGMA,))):
+                head, scalar = scale[name]
+                if scalar:
+                    for mono, coef in _second_derivative(r, s):
+                        terms[head + mono[:-1] + sigma + mono[-1:]] = Fraction(r * coef * scalar)
+            h.append(RationalPoly._of(terms))
+        top = max((q for q, poly in enumerate(h) if poly.terms), default=-1)
+        for q in range(max(grid_top, top) + 1):
+            equations[(p, q)] = h[q]
     return CoefficientSystem(equations)
 
 

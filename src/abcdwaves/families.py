@@ -227,8 +227,11 @@ def _require_lam_sigma(lam: Rational, sigma: Rational) -> tuple[Fraction, Fracti
 
 
 def _checked_div(num: float, den: float, what: str) -> float:
-    if abs(den) <= _DENOM_RTOL * max(1.0, abs(num)):
+    if abs(den) <= _DENOM_RTOL:
         raise DomainError(f"denominator {what} vanishes (value {den!r})")
+    if abs(den) <= _DENOM_RTOL * abs(num):
+        raise DomainError(f"quotient by {what} is too large for its denominator "
+                          f"(numerator of magnitude {abs(num):.3g}, denominator {den!r})")
     return num / den
 
 

@@ -205,8 +205,19 @@ class RationalPoly:
         Scalars scale the coefficient (a zero drops the term) and the
         factors left alone stay a canonical subsequence; only polynomial
         replacements are multiplied out.  Terms are summed into one dict
-        in the order the term-by-term sum would visit them.
+        in the order the term-by-term sum would visit them.  When every
+        replacement is a scalar zero, the terms that hold none of the
+        names are kept as they are, without arithmetic.
         """
+        if all(type(repl) in (int, Fraction) and not repl for repl in subs.values()):
+            kept: dict[Monomial, Fraction] = {}
+            for mono, coef in self.terms.items():
+                for name, _ in mono:
+                    if name in subs:
+                        break
+                else:
+                    kept[mono] = coef
+            return RationalPoly._of(kept)
         scalars: dict[str, Fraction] = {}
         polys: dict[str, RationalPoly] = {}
         for name, repl in subs.items():

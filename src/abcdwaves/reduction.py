@@ -94,6 +94,16 @@ def _is_forceable(name: str) -> bool:
     return name[0] in "jk" and name[1:].isdigit() and int(name[1:]) >= 1
 
 
+def _holds_any(poly: RationalPoly, names) -> bool:
+    # plain loops, not any() over a generator: this scan runs over every
+    # live equation at every move of a chain
+    for mono in poly.terms:
+        for name, _ in mono:
+            if name in names:
+                return True
+    return False
+
+
 def _is_sign_definite(poly: RationalPoly, allowed: frozenset[str]) -> bool:
     """True when the polynomial cannot vanish for real variable values with
     lam, m > 0 and the ``allowed`` symbols nonzero."""
@@ -181,8 +191,7 @@ class _Chain:
 
     def _substitute(self, subs):
         # an equation that holds none of the substituted unknowns stays as it is
-        self.eqs = {k: p.substitute(subs)
-                    if any(n in subs for mono in p.terms for n, _ in mono) else p
+        self.eqs = {k: p.substitute(subs) if _holds_any(p, subs) else p
                     for k, p in self.eqs.items()}
 
     def substitute_zero(self, names: list[str]):
@@ -318,7 +327,8 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
     numeric values are substituted) or ``case`` in {"c_nonzero", "c_zero"}
     for the fully symbolic runs with generic coefficients.  Degrees run
     from 3 to N_MAX.  Each degree leaves one DEBUG record on this module's
-    logger: n, the branch and event counts and the seconds it took.
+    logger: n, the branch and event counts and the seconds it took, then
+    the seconds spent building the system and running the chains.
     """
     if not 3 <= n_min <= n_max <= N_MAX:
         raise UsageError(
@@ -350,8 +360,10 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
     for n in range(n_min, n_max + 1):
         t0 = time.perf_counter()
         system = build_coefficient_system(n, n, params=params)
+        t_built = time.perf_counter()
         chain = _Chain(dict(system.nonzero()), extra_allowed)
         branches = _run_chain(chain, n, shape)
+        t_chains = time.perf_counter()
         realized = (max(b.eta_degree for b in branches),
                     max(b.w_degree for b in branches))
         # _run_chain has closed every branch down to the shape bound;
@@ -361,7 +373,8 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         expected = (min(shape.max_eta_degree, n), min(shape.max_w_degree, n))
         ok = case is None or realized == expected
         report.results.append(DegreeResult(n, branches, realized, ok))
-        logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s",
+        logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s "
+                     "(build %.3f s, chains %.3f s)",
                      label, n, len(branches), sum(len(b.events) for b in branches),
-                     time.perf_counter() - t0)
+                     time.perf_counter() - t0, t_built - t0, t_chains - t_built)
     return report

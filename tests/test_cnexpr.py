@@ -1,17 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from abcdwaves.cnexpr import (_convolve, _second_derivative, _series,
-                              _weighted_sum, build_coefficient_system,
-                              poly_from_terms)
+from abcdwaves.cnexpr import build_coefficient_system, poly_from_terms
 from abcdwaves.elliptic import cn_power_derivative, eval_cn_series, jacobi_eval
 from abcdwaves.ratpoly import RationalPoly
 
 from reference_systems import (QUADRATIC_SYSTEM, QUARTIC_H10_AS_PRINTED,
                                QUARTIC_H10_EXPECTED_DIFF,
-                               QUARTIC_REDUCED_SYSTEM)
+                               QUARTIC_REDUCED_SYSTEM, convolve,
+                               reference_coefficient_system, second_derivative,
+                               series, weighted_sum)
 
 ZERO, ONE = RationalPoly.const(0), RationalPoly.const(1)
 
@@ -31,24 +32,24 @@ def _value(poly: RationalPoly) -> float:
 
 
 def test_series_shapes():
-    e0 = _series(0, "j")
+    e0 = series(0, "j")
     assert e0 == [RationalPoly.var("j0")]
 
-    e2 = _series(2, "j")
+    e2 = series(2, "j")
     assert [p.to_text() for p in e2] == ["j0", "j1", "j2"]
 
-    w4 = _series(4, "k")
+    w4 = series(4, "k")
     assert len(w4) == 5 and w4[4] == RationalPoly.var("k4")
 
 
 def test_derivative_of_constant_is_zero():
-    assert all(c.is_zero() for c in _second_derivative([RationalPoly.var("j0")]))
+    assert all(c.is_zero() for c in second_derivative([RationalPoly.var("j0")]))
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_second_derivative_closed_form(r):
     # -r lam^2 [(r+1) m^2 cn^{r+2} + r(1-2m^2) cn^r + (r-1)(m^2-1) cn^{r-2}]
-    got = _second_derivative([ZERO] * r + [ONE])
+    got = second_derivative([ZERO] * r + [ONE])
     lam2 = poly_from_terms([(1, {"lam": 2})])
     m2 = poly_from_terms([(1, {"m": 2})])
     expected = [ZERO] * (r + 3)
@@ -69,12 +70,12 @@ def test_second_derivative_closed_form(r):
 
 
 def test_monomial_product():
-    assert _convolve([ZERO, ONE], [ZERO, ZERO, ONE]) == [ZERO, ZERO, ZERO, ONE]
+    assert convolve([ZERO, ONE], [ZERO, ZERO, ONE]) == [ZERO, ZERO, ZERO, ONE]
 
 
 def test_distributed_series_product():
     j0, j2, k0, k2 = (RationalPoly.var(n) for n in ("j0", "j2", "k0", "k2"))
-    prod = _convolve([j0, ZERO, j2], [k0, ZERO, k2])
+    prod = convolve([j0, ZERO, j2], [k0, ZERO, k2])
     assert prod[0] == j0 * k0
     assert prod[2] == j0 * k2 + j2 * k0
     assert prod[4] == j2 * k2
@@ -96,14 +97,14 @@ def _random_series(rng, max_deg=3):
 
 
 def test_ring_axioms_on_random_expressions():
-    # cn polynomials under _convolve and _weighted_sum form a commutative ring
+    # cn polynomials under convolve and weighted_sum form a commutative ring
     rng = random.Random(7)
     for _ in range(25):
         e1, e2, e3 = (_random_series(rng) for _ in range(3))
-        assert _convolve(e1, e2) == _convolve(e2, e1)
-        assert _convolve(_convolve(e1, e2), e3) == _convolve(e1, _convolve(e2, e3))
-        assert (_convolve(e1, _weighted_sum([(ONE, e2), (ONE, e3)]))
-                == _weighted_sum([(ONE, _convolve(e1, e2)), (ONE, _convolve(e1, e3))]))
+        assert convolve(e1, e2) == convolve(e2, e1)
+        assert convolve(convolve(e1, e2), e3) == convolve(e1, convolve(e2, e3))
+        assert (convolve(e1, weighted_sum([(ONE, e2), (ONE, e3)]))
+                == weighted_sum([(ONE, convolve(e1, e2)), (ONE, convolve(e1, e3))]))
 
 
 def test_system_matches_numeric_kernel():
@@ -147,11 +148,11 @@ def test_system_matches_numeric_kernel():
 
 
 def test_rho_bookkeeping():
-    eta, w = _series(3, "j"), _series(3, "k")
+    eta, w = series(3, "j"), series(3, "k")
     assert _top(eta) == 3
     assert _top(eta[1:]) == 2
-    assert _top(_second_derivative(eta)[1:]) == 4
-    assert _top(_convolve(eta, w)[1:]) == 5
+    assert _top(second_derivative(eta)[1:]) == 4
+    assert _top(convolve(eta, w)[1:]) == 5
 
 
 def test_quadratic_system_matches_reference():
@@ -185,6 +186,33 @@ def test_quartic_h10_differs_from_printed_transcription():
     generated = system.equations[(1, 0)]
     assert generated != QUARTIC_H10_AS_PRINTED
     assert generated - QUARTIC_H10_AS_PRINTED == QUARTIC_H10_EXPECTED_DIFF
+
+
+def _oracle_params():
+    yield pytest.param(None, id="symbolic")
+    yield pytest.param({"c": 0}, id="c-zero")
+    yield pytest.param(dict.fromkeys("abcd", 0), id="all-zero")
+    # the S412 reference pinning: lam, m and sigma are not read by the builder
+    yield pytest.param({"a": 1, "b": Fraction(-8, 3), "c": 1, "d": 1, "lam": 1,
+                        "sigma": 1, "m": math.sqrt(0.5)}, id="s412")
+    rng = random.Random(17)
+    for i in range(20):
+        yield pytest.param({name: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                            for name in "abcd" if rng.random() < 0.7}, id=f"random-{i}")
+
+
+@pytest.mark.parametrize("params", list(_oracle_params()))
+def test_closed_form_builder_matches_arithmetic_reference(params):
+    for n_eta in range(1, 9):
+        for n_w in range(1, 9):
+            got = build_coefficient_system(n_eta, n_w, params=params)
+            want = reference_coefficient_system(n_eta, n_w, params=params)
+            assert list(got.equations) == list(want.equations)
+            assert got.equations == want.equations
+            for key, poly in got.equations.items():
+                assert list(poly.terms) == list(want.equations[key].terms), key
+                assert all(type(c) is Fraction for c in poly.terms.values())
+            assert got.to_text() == want.to_text()
 
 
 def test_canonical_text_dump():

@@ -111,6 +111,16 @@ def test_rational_too_large_for_a_float_is_a_domain_error(build, name):
         build()
 
 
+@pytest.mark.parametrize("a, c, message", [
+    (-10 ** 300, F(-5, 6), r"quotient by 2c\(3b-2d\)\(b-6d\) is too large for its "
+                           r"denominator \(numerator of magnitude 1\.25e\+302, denominator 8\.33"),
+    (F(-5, 6), F(-5, 6) / 10 ** 20, r"denominator 2c\(3b-2d\)\(b-6d\) vanishes"),
+], ids=["huge-numerator", "vanishing-denominator"])
+def test_s411_refuses_a_quotient_its_denominator_cannot_carry(a, c, message):
+    with pytest.raises(DomainError, match=message):
+        build_s411(ParameterSet.make(a, 1, c, 1), F(3, 4))
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1]],
                          ids=["inf", "nan", "zero-denominator", "word", "list"])
 def test_parameter_set_rejects_non_rationals(value):

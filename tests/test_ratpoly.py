@@ -146,6 +146,19 @@ def test_substitute_matches_evaluation(rng):
         assert value(got, point) == value(p, moved)
 
 
+def test_zero_substitute_matches_the_polynomial_path(rng):
+    # scalar zeros drop terms without arithmetic; replacing by the zero
+    # polynomial multiplies out, and is the reference down to term order
+    for _ in range(200):
+        p = random_poly(rng, max_terms=10)
+        names = rng.sample(VARS, rng.randint(0, 4))
+        got = p.substitute({name: rng.choice((0, F(0))) for name in names})
+        want = p.substitute({name: RationalPoly.const(0) for name in names})
+        assert_canonical(got)
+        assert got.terms == want.terms
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_substitute_coerces_scalars_exactly():
     p = RationalPoly.var("lam", 2) + RationalPoly.var("m")
     got = p.substitute({"lam": 0.1, "m": 0})

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from abcdwaves.cnexpr import _convolve, _second_derivative, _series
 from abcdwaves import reduction
 from abcdwaves.errors import ChainBrokenError, UsageError
 from abcdwaves.families import ParameterSet
 from abcdwaves.reduction import (AnsatzShape, classify_ansatz,
                                  verify_termination)
+
+from reference_systems import convolve, second_derivative, series
 
 P = ParameterSet.make
 
@@ -206,10 +207,12 @@ def test_termination_logs_each_degree(caplog):
     assert len(records) == 2
     for record, result in zip(records, report.results):
         assert record.levelno == logging.DEBUG
-        n, branches, events, seconds = record.args[1:]
+        n, branches, events, seconds = record.args[1:5]
         assert (n, branches) == (result.n, len(result.branches))
         assert events == sum(len(b.events) for b in result.branches)
-        assert seconds >= 0.0
+        build, chains = record.args[5:]
+        assert build >= 0.0 and chains >= 0.0
+        assert 0.0 <= build + chains <= seconds
     assert "n=6, 4 branches, 32 events" in records[1].getMessage()
     # silent by default: the library attaches no handler of its own
     assert logging.getLogger("abcdwaves.reduction").handlers == []
@@ -240,11 +243,11 @@ def _build_state(n, w_top):
     truncated at w_top.  Each term is the xi-derivative of a cn polynomial
     f; after its -lam*sn*dn factor its cn^q coefficient is (q+1)*f[q+1],
     so its top power is that of f[1:]."""
-    eta, w = _series(n, "j"), _series(w_top, "k")
+    eta, w = series(n, "j"), series(w_top, "k")
     integrated = {
         "eta'": eta, "w'": w,
-        "eta'''": _second_derivative(eta), "w'''": _second_derivative(w),
-        "(eta w)'": _convolve(eta, w), "w w'": _convolve(w, w),
+        "eta'''": second_derivative(eta), "w'''": second_derivative(w),
+        "(eta w)'": convolve(eta, w), "w w'": convolve(w, w),
     }
     return {name: _top(f[1:]) for name, f in integrated.items()}
 
