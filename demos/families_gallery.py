@@ -46,7 +46,7 @@ def main():
         rel = ode_residual(sol, p, 512).relative
         period = 4 * complete_k(sol.m) / sol.lam
         xs = 3 * period * np.arange(601) / 600
-        etas, ws = sol.eval_eta(xs), sol.eval_w(xs)
+        etas, ws = sol.profiles(xs)
         write_csv(HERE / f"{name}.csv", zip(xs, etas, ws))
         write_svg(HERE / f"{name}.svg", xs, etas, ws,
                   title=f"{name}: {label} (residual {rel:.1e})")

@@ -59,7 +59,7 @@ def main():
         span = 16.0 / sol.lam
         xs = -span / 2 + span * np.arange(501) / 500
         write_svg(HERE / f"solitary_{family.replace('.', '_')}.svg", xs,
-                  sol.eval_eta(xs), sol.eval_w(xs),
+                  *sol.profiles(xs),
                   title=f"solitary limit of {family}")
 
     print("\nBBM single-equation reduction at eta = -1:")
@@ -73,7 +73,7 @@ def main():
     print(f"   m = 1 sech^2 solitary wave:   residual {rep.relative:.2e}")
     xs = np.arange(-125, 126) / 25.0
     write_csv(HERE / "bbm_solitary.csv",
-              zip(xs, sol1.eval_eta(xs), sol1.eval_w(xs)))
+              zip(xs, *sol1.profiles(xs)))
 
 
 if __name__ == "__main__":

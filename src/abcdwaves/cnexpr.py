@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .families import Rational, _frac
 from .ratpoly import Monomial, RationalPoly
 
 Scalar = Union[int, Fraction, RationalPoly]
@@ -102,7 +103,7 @@ def build_coefficient_system(
     n_eta: int,
     n_w: int,
     *,
-    params: Mapping[str, Scalar] | None = None,
+    params: Mapping[str, Rational] | None = None,
 ) -> CoefficientSystem:
     """Collect the cn-power coefficients of the traveling-wave residual.
 
@@ -117,11 +118,12 @@ def build_coefficient_system(
     the highest nonzero one and at least up to 2 max(n_eta, n_w) - 1.
 
     By default a, b, c, d stay symbolic; pass ``params`` (exact rationals)
-    to substitute any of them, e.g. ``params={"c": 0}``.
+    to substitute any of them, e.g. ``params={"c": 0}``.  A value that is
+    not a rational is a UsageError naming its key.
     """
     if n_eta < 1 or n_w < 1:
         raise ValueError("series degrees must be >= 1")
-    values = {k: Fraction(v) for k, v in (params or {}).items()}
+    values = {k: _frac(v, k) for k, v in (params or {}).items()}
     # each of a, b, c, d as (its factors in a monomial, its scalar)
     scale = {name: ((), values[name]) if name in values else (((name, 1),), 1)
              for name in "abcd"}

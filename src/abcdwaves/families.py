@@ -145,14 +145,6 @@ class SolutionParams(Record):
     branch: Branch = field(default_factory=Branch)
     origin: Optional[str] = None
 
-    def eval_eta(self, xi: Real) -> Real:
-        """eta at ``xi``, a float or a numpy array."""
-        return eval_cn_series(self.j, jacobi_eval(self.lam * xi, self.m), self.lam)
-
-    def eval_w(self, xi: Real) -> Real:
-        """w at ``xi``, a float or a numpy array."""
-        return eval_cn_series(self.k, jacobi_eval(self.lam * xi, self.m), self.lam)
-
     def profiles(self, xi: Real) -> tuple[Real, Real]:
         """(eta, w) at ``xi`` from one kernel evaluation."""
         pt = jacobi_eval(self.lam * xi, self.m)

@@ -7,9 +7,12 @@ Jacobian, and solved by damped Newton with a backtracking line search on
 the normal situation here since the pinned systems carry structural
 redundancy) take Gauss-Newton least-squares steps and a root is accepted
 only at ||h||_inf <= 1e-12, so consistency of the redundant equations is
-verified rather than assumed.  The step is a batched Householder QR solve
-on the rows whose R factor certifies them well-conditioned (kappa_1(R) <=
-1e10) and the pseudoinverse step on every other row.
+verified rather than assumed.  The step is a Householder QR solve on the
+rows whose R factor certifies them well-conditioned (kappa_1(R) <= 1e10)
+and the pseudoinverse step on every other row.  The QR and R^-1 run
+vectorized across the rows, with the row index last and scaled column
+norms, so no LAPACK call is made per row; the Jacobian comes from its
+evaluator already row-last.
 
 One batched engine serves multistart and solve_newton (a one-row batch).
 It tries the steps 1, 1/2, ... down to 1e-14, but below 2**-30 only
@@ -221,9 +224,9 @@ def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
+def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     """Every polynomial at every row of X, bit for bit as np.add.reduceat
-    sums the terms: a (rows, polynomials) C-contiguous array.
+    sums the terms: a (polynomials, rows) array, the row index last.
 
     The terms are gathered whole table rows at a time and summed by the
     plan's vector adds.  Where a sum is NaN, which operand's NaN an add
@@ -232,18 +235,23 @@ def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     # rows are independent, so blocks of them give the same values with a
     # bounded working set
     if X.shape[0] > _EVAL_ROWS:
-        return np.concatenate([_eval_compiled(compiled, X[i:i + _EVAL_ROWS])
-                               for i in range(0, X.shape[0], _EVAL_ROWS)])
+        return np.concatenate([_eval_polys(compiled, X[i:i + _EVAL_ROWS])
+                               for i in range(0, X.shape[0], _EVAL_ROWS)], axis=1)
     terms = _terms(compiled, X)
     for dst, src in compiled.steps:
         np.add(terms[dst], terms[src], out=terms[dst])
-    out = np.ascontiguousarray(terms[compiled.sums].T)
+    out = terms[compiled.sums]
     if np.isnan(out.max(initial=0.0)):          # max propagates NaN
-        bad = np.flatnonzero(np.isnan(out).any(axis=1))
-        out[bad] = np.add.reduceat(
+        bad = np.flatnonzero(np.isnan(out).any(axis=0))
+        out[:, bad] = np.add.reduceat(
             np.ascontiguousarray(_terms(compiled, X[bad])[compiled.order].T),
-            compiled.offsets, axis=1)
+            compiled.offsets, axis=1).T
     return out
+
+
+def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
+    """_eval_polys as a (rows, polynomials) C-contiguous array."""
+    return np.ascontiguousarray(_eval_polys(compiled, X).T)
 
 
 @dataclass
@@ -423,54 +431,87 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
 
 
 def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
-    """The Gauss-Newton step -pinv(J) h of every row, and how many rows
-    did not take it by QR.
+    """The Gauss-Newton step -pinv(J) h of every row (J is (rows, m, n) with
+    m >= n, H is (rows, m)), and how many rows did not take it by QR.
 
-    Every row is factored [J | h] = Q [R | Q^T h] (Householder, so R is the
-    factor of J alone).  Where that factorization is finite, R has a
-    nonzero diagonal and kappa_1(R) = ||R||_1 ||R^-1||_1 <= _KAPPA_QR, the
-    step solves R dx = -Q^T h with R^-1.  There J has full column rank and
-    its 2-norm condition number is at most n * _KAPPA_QR < 1e14, so pinv's
-    cutoff (rcond=1e-14) drops no singular value and both give the
-    least-squares step, equal up to rounding.  Every other row takes
-    -pinv(J, rcond=1e-14) h, bit for bit as a batched pinv of all rows
-    would: on a rank-deficient J that is the minimum-norm step.  A row
-    whose J is not finite gets a NaN step, where pinv's SVD would not
-    converge.
+    Every row is factored [J | h] = Q [R | Q^T h] by Householder
+    reflections, so R is the factor of J alone.  The batch is held as one
+    (m, n + 1, rows) array, so each reflection, and each row of R^-1 by
+    back substitution, is a few numpy operations over all rows at once.
+    Each column's norm is scaled by its largest entry, as LAPACK's dnrm2
+    scales it, so that no square underflows or overflows.  Where the
+    factorization is finite, R has a nonzero diagonal and kappa_1(R) =
+    ||R||_1 ||R^-1||_1 <= _KAPPA_QR, the step is -R^-1 Q^T h.  There J has
+    full column rank and its 2-norm condition number is at most
+    n * _KAPPA_QR < 1e14, so pinv's cutoff (rcond=1e-14) drops no singular
+    value and both give the least-squares step, equal up to rounding.
+    Every other row takes -pinv(J, rcond=1e-14) h, bit for bit as a
+    batched pinv of all rows would: on a rank-deficient J that is the
+    minimum-norm step.  A row whose J is not finite gets a NaN step, where
+    pinv's SVD would not converge.
     """
-    n = J.shape[2]
-    R = np.linalg.qr(np.concatenate((J, H[:, :, None]), axis=2), mode="r")
-    ok = np.flatnonzero(np.isfinite(R).all(axis=(1, 2))
-                        & (np.diagonal(R, axis1=1, axis2=2)[:, :n] != 0).all(axis=1))
-    Rj = R[ok, :n, :n]
-    Rinv = np.linalg.inv(Rj)
-    kappa = (np.abs(Rj).sum(axis=1).max(axis=1)
-             * np.abs(Rinv).sum(axis=1).max(axis=1))
-    well = kappa <= _KAPPA_QR
-    rows = ok[well]
-    dx = np.full((J.shape[0], n), np.nan)
-    dx[rows] = -np.einsum("bij,bj->bi", Rinv[well], R[rows, :n, n])
-    svd = np.isfinite(J).all(axis=(1, 2))
-    svd[rows] = False
-    if svd.any():       # seldom: even an empty batched pinv costs tens of us
-        dx[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
-                             H[svd])
-    return dx, J.shape[0] - rows.size
+    B, m, n = J.shape
+    # a spare lane of zeros keeps every batch two lanes wide: over a single
+    # lane numpy sums down a column as a dot product, whose rounding differs
+    # from the lane-by-lane sums of a wider batch
+    A = np.zeros((m, n + 1, B + 1))
+    A[:, :n, :B] = J.transpose(1, 2, 0)
+    A[:, n, :B] = H.T
+    svd = np.isfinite(A[:, :n, :B]).all(axis=(0, 1))
+    work = np.empty((m - 1, n, B + 1))
+    # a zero column divides 0 by 0 and a non-finite row spreads NaN; the
+    # finite and nonzero-diagonal test below sends both to the fallback
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            x = A[k:, k]
+            s = np.abs(x).max(axis=0)
+            y = x / s
+            beta = np.copysign(s * np.sqrt(np.einsum("ib,ib->b", y, y)), x[0])
+            # I - tau u u^T with u = (1, x[1:] / (x0 + beta)) maps x to -beta e1
+            u0 = x[0] + beta
+            tau = u0 / beta
+            u = np.divide(x[1:], u0, out=y[1:])
+            rest = A[k:, k + 1:]
+            w = np.einsum("ib,ijb->jb", u, rest[1:])
+            w += rest[0]
+            w *= tau
+            rest[0] -= w
+            rest[1:] -= np.multiply(u[:, None], w, out=work[:m - k - 1, :n - k])
+            x[0] = -beta
+            x[1:] = 0.0
+        R = A[:n, :n]
+        ok = np.isfinite(A).all(axis=(0, 1)) & (np.diagonal(R) != 0).all(axis=1)
+        Rinv = np.zeros((n, n, B + 1))
+        for i in range(n - 1, -1, -1):
+            r = np.divide(1.0, R[i, i], out=Rinv[i, i])
+            if i + 1 < n:
+                np.multiply(np.einsum("kb,kjb->jb", R[i, i + 1:], Rinv[i + 1:, i + 1:]),
+                            -r, out=Rinv[i, i + 1:])
+        kappa = np.abs(R).sum(axis=0).max(axis=0) * np.abs(Rinv).sum(axis=0).max(axis=0)
+        rows = np.flatnonzero((ok & (kappa <= _KAPPA_QR))[:B])
+        dx = np.full((B, n), np.nan)
+        dx[rows] = -np.einsum("ijb,jb->bi", Rinv, A[:n, n])[rows]
+        svd[rows] = False
+        if svd.any():       # seldom: even an empty batched pinv costs tens of us
+            dx[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
+                                 H[svd])
+    return dx, B - rows.size
 
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   escape: float = _ESCAPE
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                             int, int, int, int]:
+                             int, int, int, int, float, float]:
     """Vectorized damped Newton over all rows of X0.
 
     Returns (X, reason, iterations, hinf, solves, fallbacks, evaluated,
-    passes): the final iterates, each row's stop reason from
-    _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the final
-    iterate, then the number of Gauss-Newton steps computed over all rows,
-    how many of them fell back from QR to the pseudoinverse, how many
-    candidate rows the line searches evaluated, and in how many batched
-    evaluations.  One pass, run max_iter + 1 times, labels every row still
+    passes, step_s, search_s): the final iterates, each row's stop reason
+    from _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the
+    final iterate, then the number of Gauss-Newton steps computed over all
+    rows, how many of them fell back from QR to the pseudoinverse, how many
+    candidate rows the line searches evaluated, in how many batched
+    evaluations, and the seconds spent in _gauss_newton_step and in
+    _line_search.  One pass, run max_iter + 1 times, labels every row still
     active: converged when ||h||_inf <= _TOL and x
     is finite (wherever x lies), else overflow when h is not finite or
     ||x||_inf >= escape; the rest take a step while fewer than max_iter
@@ -492,6 +533,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     hinf = np.empty(B)
     last = np.zeros(B, dtype=np.intp)     # each row's last accepted step index
     solves = fallbacks = evaluated = passes = 0
+    step_s = search_s = 0.0
     with np.errstate(all="ignore"):
         H = _eval_compiled(sysn._f, X)
     for it in range(max_iter + 1):
@@ -510,17 +552,23 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         if it == max_iter or not keep.any():
             break
         idx, Xa, Ha = idx[keep], Xa[keep], Ha[keep]
-        J = _eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
-                                                sysn.n_unknowns)
+        # (rows, m, n) as a view of the (m, n, rows) values, which
+        # _gauss_newton_step stores row-last without a transposing copy
+        J = _eval_polys(sysn._j, Xa).reshape(sysn.n_equations, sysn.n_unknowns,
+                                             Xa.shape[0]).transpose(2, 0, 1)
+        t0 = time.perf_counter()
+        dx, svd = _gauss_newton_step(J, Ha)
+        t1 = time.perf_counter()
         with np.errstate(all="ignore"):
-            dx, svd = _gauss_newton_step(J, Ha)
             move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
                 / np.abs(dx).max(axis=1)
         solves, fallbacks = solves + idx.size, fallbacks + svd
         base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
+        t2 = time.perf_counter()
         alpha, Hs, taken, rows, n_passes = _line_search(sysn._f, Xa, dx, base, floor,
                                                         last[idx] + 1)
+        step_s, search_s = step_s + t1 - t0, search_s + time.perf_counter() - t2
         evaluated, passes = evaluated + rows, passes + n_passes
         settled = alpha > 0
         last[idx[settled]] = taken[settled]
@@ -529,7 +577,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         iters[idx[settled]] += 1
         active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
-    return X, reason, iters, hinf, solves, fallbacks, evaluated, passes
+    return (X, reason, iters, hinf, solves, fallbacks, evaluated, passes,
+            step_s, search_s)
 
 
 @dataclass
@@ -669,8 +718,8 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, reason, _, hinf_all, solves, fallbacks, evaluated, passes = _newton_batch(
-        sysn, X0, max_iter)
+    (X, reason, _, hinf_all, solves, fallbacks, evaluated, passes, step_s,
+     search_s) = _newton_batch(sysn, X0, max_iter)
     conv = reason == "converged"
     found = np.flatnonzero(conv)
     t1 = time.perf_counter()
@@ -690,12 +739,13 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
                  "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s; "
                  "%d Gauss-Newton solves, %d fell back to the SVD; "
                  "dedup window at most %d; line search %d candidate rows in "
-                 "%d passes",
+                 "%d passes; of the newton time %.3f s in Gauss-Newton steps "
+                 "and %.3f s in line searches",
                  n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
                  len(records), len(branch_set.nontrivial()),
                  float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
                  t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
-                 widest, evaluated, passes)
+                 widest, evaluated, passes, step_s, search_s)
     return branch_set
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from abcdwaves.cnexpr import build_coefficient_system, poly_from_terms
 from abcdwaves.elliptic import cn_power_derivative, eval_cn_series, jacobi_eval
+from abcdwaves.errors import UsageError
 from abcdwaves.ratpoly import RationalPoly
 
 from reference_systems import (QUADRATIC_SYSTEM, QUARTIC_H10_AS_PRINTED,
@@ -213,6 +214,12 @@ def test_closed_form_builder_matches_arithmetic_reference(params):
                 assert list(poly.terms) == list(want.equations[key].terms), key
                 assert all(type(c) is Fraction for c in poly.terms.values())
             assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("value", [RationalPoly.var("b"), None, "x", math.inf, math.nan])
+def test_parameter_that_is_not_a_rational_is_named(value):
+    with pytest.raises(UsageError, match=r"^a = .* is not a rational$"):
+        build_coefficient_system(2, 2, params={"a": value, "c": 0})
 
 
 def test_canonical_text_dump():

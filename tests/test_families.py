@@ -56,8 +56,8 @@ def test_reference_cases_satisfy_ode(reference_cases, key, builder):
     assert rel <= 1e-9
     # profiles on an array equal the scalar calls, bit for bit
     xs = np.linspace(-3.0, 7.0, 41)
-    assert list(sol.eval_eta(xs)) == [sol.eval_eta(x) for x in xs]
-    assert list(sol.eval_w(xs)) == [sol.eval_w(x) for x in xs]
+    etas, ws = sol.profiles(xs)
+    assert list(zip(etas, ws)) == [sol.profiles(x) for x in xs]
 
 
 def test_s411_lambda_sigma_are_outputs(reference_cases):

@@ -491,7 +491,8 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     seen = _spy_newton(monkeypatch)
     branch_set, record = _multistart_record(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
-    ((_, reason, iters, hinf, solves, fallbacks, evaluated, passes),) = seen
+    ((_, reason, iters, hinf, solves, fallbacks, evaluated, passes, step_s,
+      search_s),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
     assert counts[2] > 100 and counts[3] > 0          # stalled, budget
@@ -504,9 +505,13 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     # then the widest dedup window, at most the kept count
     assert record.args[13] <= len(branch_set.roots)
     assert solves == iters.sum() + counts[2] and 0 <= fallbacks <= solves
-    # last, the line search's candidate rows and evaluation passes
-    assert record.args[14:] == (evaluated, passes)
+    # then the line search's candidate rows and evaluation passes
+    assert record.args[14:16] == (evaluated, passes)
     assert evaluated >= solves >= passes > 0
+    # last, the seconds of the Gauss-Newton steps and the line searches,
+    # parts of the newton seconds
+    assert record.args[16:] == (step_s, search_s)
+    assert 0.0 <= step_s + search_s <= record.args[8]
 
 
 def test_newton_batch_stop_reasons(reference_pinning):
@@ -635,6 +640,163 @@ def test_gauss_newton_step_non_finite_rows():
     assert fallbacks == 2
     assert not np.isfinite(dx[:2]).any()
     assert np.allclose(dx[2], _pinv_step(J[2:], H[2:])[0], rtol=1e-14, atol=0.0)
+
+
+def _gauss_newton_step_reference(J, H):
+    """The LAPACK step: np.linalg.qr and np.linalg.inv, one call per row.
+
+    Returns (dx, fallbacks, kappa), kappa_1(R) per row (inf where the
+    factor is not finite or has a zero diagonal).
+    """
+    n = J.shape[2]
+    R = np.linalg.qr(np.concatenate((J, H[:, :, None]), axis=2), mode="r")
+    ok = np.flatnonzero(np.isfinite(R).all(axis=(1, 2))
+                        & (np.diagonal(R, axis1=1, axis2=2)[:, :n] != 0).all(axis=1))
+    Rj = R[ok, :n, :n]
+    Rinv = np.linalg.inv(Rj)
+    kappa = np.full(J.shape[0], np.inf)
+    kappa[ok] = (np.abs(Rj).sum(axis=1).max(axis=1)
+                 * np.abs(Rinv).sum(axis=1).max(axis=1))
+    rows = np.flatnonzero(kappa <= solver._KAPPA_QR)
+    dx = np.full((J.shape[0], n), np.nan)
+    dx[rows] = -np.einsum("bij,bj->bi", np.linalg.inv(R[rows, :n, :n]), R[rows, :n, n])
+    svd = np.isfinite(J).all(axis=(1, 2))
+    svd[rows] = False
+    if svd.any():
+        dx[svd] = _pinv_step(J[svd], H[svd])
+    return dx, J.shape[0] - rows.size, kappa
+
+
+def _routes(step, J, H):
+    """How each row gets its step, "qr", "pinv" or "nan", by one-row calls."""
+    return np.array(["nan" if not np.isfinite(j).all() else
+                     "pinv" if step(j[None], h[None])[1] else "qr"
+                     for j, h in zip(J, H)])
+
+
+def _relative_error(dx, ref):
+    """||dx - ref|| / ||ref|| per row, with no square under- or overflowing."""
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    return np.linalg.norm((dx - ref) / scale, axis=1) / np.linalg.norm(ref / scale, axis=1)
+
+
+def _ls_bound(J, H, ref):
+    """16 eps (kappa / cos(theta) + kappa^2 tan(theta)) per row, with
+    sin(theta) = ||r|| / ||h|| and r = h + J ref: how far two backward-stable
+    least-squares solvers may differ (Golub & Van Loan, Matrix Computations,
+    Thm 5.3.1).  On a consistent row (r = 0) it is 16 eps kappa."""
+    cond = np.linalg.cond(J)
+    Jd = np.einsum("bij,bj->bi", J, ref)
+    fit = np.linalg.norm(Jd, axis=1)
+    return 16 * np.finfo(float).eps * (
+        cond * np.linalg.norm(H, axis=1) / fit
+        + cond ** 2 * np.linalg.norm(H + Jd, axis=1) / fit)
+
+
+def _check_step(J, H):
+    """The vectorized step against the LAPACK reference on every row.
+
+    Rows route alike wherever kappa_1(R) is not within 1% of the gate.  A
+    row that both take by QR agrees within _ls_bound; a pinv row has pinv's
+    step bit for bit; a row with a non-finite J has a NaN step.  Returns
+    the routes and the relative error of each row both take by QR (NaN on
+    the others).
+    """
+    with np.errstate(all="ignore"):
+        dx, fallbacks = solver._gauss_newton_step(J, H)
+        ref, _, kappa = _gauss_newton_step_reference(J, H)
+        route = _routes(solver._gauss_newton_step, J, H)
+        ref_route = _routes(lambda j, h: _gauss_newton_step_reference(j, h)[:2], J, H)
+    near_gate = np.abs(kappa / solver._KAPPA_QR - 1) <= 0.01
+    assert np.array_equal(route[~near_gate], ref_route[~near_gate])
+    assert fallbacks == np.count_nonzero(route != "qr")
+    qr = np.flatnonzero((route == "qr") & (ref_route == "qr"))
+    rel = np.full(J.shape[0], np.nan)
+    rel[qr] = _relative_error(dx[qr], ref[qr])
+    assert np.all(rel[qr] <= _ls_bound(J[qr], H[qr], ref[qr]))
+    pinv = np.flatnonzero(route == "pinv")
+    if pinv.size:
+        assert dx[pinv].tobytes() == _pinv_step(J[pinv], H[pinv]).tobytes()
+    assert np.isnan(dx[route == "nan"]).all()
+    return route, rel
+
+
+def _coeffs2_pinning(var):
+    """The j1, j3 and k1 pinnings of the criterion-6 sweeps (k1: sigma free)."""
+    system, _ = solver.build_named_system("coeffs2")
+    if var == "k1":
+        return pin_and_square(system, {"a": F(-1, 100), "b": F(1, 6), "d": 1,
+                                       "lam": 1, "m": F(1, 2), "k1": F(1, 10)})
+    return pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, var: F(1, 10)})
+
+
+def _jacobian_and_residual(sysn, X):
+    with np.errstate(all="ignore"):
+        J = solver._eval_compiled(sysn._j, X).reshape(X.shape[0], sysn.n_equations,
+                                                      sysn.n_unknowns)
+        return J, sysn.residual(X)
+
+
+def _seeded_starts(sysn, rows, seed):
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-3.0, 1.0, (rows, sysn.n_unknowns)) \
+        * rng.choice([-1.0, 1.0], (rows, sysn.n_unknowns))
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "j1", "j3", "k1"])
+def test_gauss_newton_step_matches_the_lapack_reference(reference_pinning, name):
+    sysn = reference_pinning if name == "criterion-4" else _coeffs2_pinning(name)
+    X0 = _seeded_starts(sysn, 200, 17)
+    # the seeded starts, and where 2 and 8 Newton steps take them: near
+    # roots, on the rank-deficient trivial plane, and drifting off
+    X = np.concatenate([X0] + [solver._newton_batch(sysn, X0, k)[0] for k in (2, 8)])
+    J, H = _jacobian_and_residual(sysn, X)
+    route, rel = _check_step(J, H)
+    assert np.count_nonzero(route == "qr") >= 300
+    if name == "criterion-4":       # the trivial plane needs the pseudoinverse
+        assert np.count_nonzero(route == "pinv") >= 50
+    # at the starts the residual is far from its least-squares floor, and
+    # the steps agree within 16 eps cond(J)
+    start = np.flatnonzero(route[:200] == "qr")
+    assert start.size >= 190
+    assert np.all(rel[start] <= 16 * np.finfo(float).eps * np.linalg.cond(J[start]))
+
+
+def test_gauss_newton_step_edge_cases():
+    rng = np.random.default_rng(5)
+    J = rng.standard_normal((12, 9, 4))
+    H = rng.standard_normal((12, 9))
+    J[0, :, 2] = 0.0                  # a zero column
+    J[1, 3, 1] = np.nan
+    J[2, 0, 0] = np.inf
+    J[3, 5, 3] = -np.inf
+    H[4, 2] = np.nan                  # a finite J with a NaN residual
+    route, _ = _check_step(J, H)
+    assert list(route[:5]) == ["pinv", "nan", "nan", "nan", "pinv"]
+    assert (route[5:] == "qr").all()
+    # a one-row batch: the row of the batch, bit for bit
+    dx, _ = solver._gauss_newton_step(J[5:], H[5:])
+    one, fallbacks = solver._gauss_newton_step(J[7:8], H[7:8])
+    assert fallbacks == 0 and one.tobytes() == dx[2:3].tobytes()
+    # a square J and a single unknown
+    assert (_check_step(J[5:, :4], H[5:, :4])[0] == "qr").all()
+    assert (_check_step(J[5:, :, :1], H[5:])[0] == "qr").all()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_gauss_newton_step_scaled_columns(scale):
+    # the squares of these columns underflow or overflow: the step must
+    # match the reference within the bound or take pinv's, never be wrong
+    sysn = _coeffs2_pinning("j1")
+    J, H = _jacobian_and_residual(sysn, _seeded_starts(sysn, 100, 23))
+    bound = _ls_bound(J, H, _pinv_step(J, H))
+    for Js, Hs in ((J * scale, H * scale), (J * scale, H), (J, H * scale)):
+        with np.errstate(all="ignore"):
+            dx, _ = solver._gauss_newton_step(Js, Hs)
+            ref, _, _ = _gauss_newton_step_reference(Js, Hs)
+            pinv = (dx == _pinv_step(Js, Hs)).all(axis=1)
+        assert np.all((_relative_error(dx, ref) <= bound) | pinv)
 
 
 # -- line search ---------------------------------------------------------------
