@@ -22,10 +22,16 @@ used to eliminate u; a cofactor that is a sum of same-sign even-power
 terms with a lam/m-only term is sign-definite and cannot vanish.  The
 chain must drive every coefficient above the classified shape degrees to
 zero, in every branch, or ChainBrokenError is raised.
+
+Both sides of a branch often reach the same state later: the same unknowns
+set to zero and the same eliminations.  Within one degree each such state
+is explored once and its branches are copied under the events that led to
+it again, so the report lists every branch as if each had been explored.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import logging
 import time
@@ -42,9 +48,10 @@ logger = logging.getLogger(__name__)
 
 # lam > 0 and m > 0 always; c joins when the c != 0 case is in force
 _POSITIVE_VARS = frozenset({"lam", "m"})
-# Largest series degree verify_termination accepts: both symbolic cases at
-# n = 3..N_MAX take under 20 s on a 2-core box, a third of the criterion-5
-# budget.  The branch count doubles every second degree, and so does the time.
+# Largest series degree verify_termination accepts.  The branch count, and
+# with it the size of the flat report, doubles every second degree; the
+# chains themselves do not, since each state is explored once per degree.
+# Both symbolic cases at n = 3..N_MAX take about 0.6 s on a 2-core box.
 N_MAX = 23
 
 
@@ -181,12 +188,18 @@ class _Chain:
         self.zeros: set[str] = set()
         self.eliminations: list[tuple[str, RationalPoly]] = []
         self.events: list[ChainEvent] = []
+        # the keys never change, so neither does the scan order
+        self.order = sorted(eqs, key=lambda k: (-k[1], k[0]))
+        # key -> (poly, _factor(poly)), valid while the key still holds poly
+        self.verdicts: dict[tuple[int, int], tuple[RationalPoly, list[str] | None]] = {}
 
     def clone(self):
-        sub = _Chain(dict(self.eqs), self.allowed)
+        sub = copy.copy(self)
+        sub.eqs = dict(self.eqs)
         sub.zeros = set(self.zeros)
         sub.eliminations = list(self.eliminations)
         sub.events = list(self.events)
+        sub.verdicts = dict(self.verdicts)
         return sub
 
     def _substitute(self, subs):
@@ -239,11 +252,17 @@ class _Chain:
     def scan(self):
         forced: list[tuple[tuple[int, int], str, RationalPoly]] = []
         branches = []
-        for key in sorted(self.eqs, key=lambda k: (-k[1], k[0])):
+        for key in self.order:
             poly = self.eqs[key]
             if poly.is_zero():
                 continue
-            unknowns = self._factor(poly)
+            # _substitute keeps an untouched equation as the same object
+            cached = self.verdicts.get(key)
+            if cached is not None and cached[0] is poly:
+                unknowns = cached[1]
+            else:
+                unknowns = self._factor(poly)
+                self.verdicts[key] = (poly, unknowns)
             if unknowns is None:
                 continue
             if len(unknowns) == 1:
@@ -270,10 +289,37 @@ class _Chain:
         return name, (p, q), definition
 
 
-def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
+@dataclass
+class _ChainMemo:
+    """The branches below every chain state _run_chain has explored in one
+    degree, each as (event suffix, eta degree, w degree), and the number of
+    states found there again."""
+    states: dict = field(default_factory=dict)
+    hits: int = 0
+
+
+def _run_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo,
                depth: int = 0) -> list[ChainBranch]:
     if depth > 64:
         raise ChainBrokenError("branch recursion exceeded its bound")
+    # the live equations are a function of this key: zero substitutions
+    # commute with each other and with every elimination whose definition
+    # lacks the zeroed name, and different definitions give different keys
+    state = (frozenset(chain.zeros), tuple(chain.eliminations))
+    below = memo.states.get(state)
+    if below is not None:
+        memo.hits += 1
+        return [ChainBranch([*chain.events, *suffix], eta_deg, w_deg)
+                for suffix, eta_deg, w_deg in below]
+    start = len(chain.events)
+    branches = _close_chain(chain, n, shape, memo, depth)
+    memo.states[state] = tuple((tuple(b.events[start:]), b.eta_degree, b.w_degree)
+                               for b in branches)
+    return branches
+
+
+def _close_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo,
+                 depth: int) -> list[ChainBranch]:
     while True:
         forced, branch_eqs = chain.scan()
         if forced:
@@ -294,7 +340,7 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape,
                 sub.events.append(
                     ChainEvent(var, key, "branch", poly.to_text()))
                 sub.substitute_zero([var])
-                out.extend(_run_chain(sub, n, shape, depth + 1))
+                out.extend(_run_chain(sub, n, shape, memo, depth + 1))
             return out
         # Elimination is the endgame move for chains that must close all
         # the way down (the trivial shape); while the live degrees already
@@ -327,8 +373,9 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
     numeric values are substituted) or ``case`` in {"c_nonzero", "c_zero"}
     for the fully symbolic runs with generic coefficients.  Degrees run
     from 3 to N_MAX.  Each degree leaves one DEBUG record on this module's
-    logger: n, the branch and event counts and the seconds it took, then
-    the seconds spent building the system and running the chains.
+    logger: n, the branch and event counts and the seconds it took, the
+    seconds spent building the system and running the chains, then the
+    distinct chain states explored and the memo hits.
     """
     if not 3 <= n_min <= n_max <= N_MAX:
         raise UsageError(
@@ -362,7 +409,8 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         system = build_coefficient_system(n, n, params=params)
         t_built = time.perf_counter()
         chain = _Chain(dict(system.nonzero()), extra_allowed)
-        branches = _run_chain(chain, n, shape)
+        memo = _ChainMemo()
+        branches = _run_chain(chain, n, shape, memo)
         t_chains = time.perf_counter()
         realized = (max(b.eta_degree for b in branches),
                     max(b.w_degree for b in branches))
@@ -374,7 +422,8 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         ok = case is None or realized == expected
         report.results.append(DegreeResult(n, branches, realized, ok))
         logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s "
-                     "(build %.3f s, chains %.3f s)",
+                     "(build %.3f s, chains %.3f s, %d states, %d memo hits)",
                      label, n, len(branches), sum(len(b.events) for b in branches),
-                     time.perf_counter() - t0, t_built - t0, t_chains - t_built)
+                     time.perf_counter() - t0, t_built - t0, t_chains - t_built,
+                     len(memo.states), memo.hits)
     return report

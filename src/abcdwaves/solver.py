@@ -256,13 +256,23 @@ def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HSystemNumeric:
-    """A pinned polynomial system ready for Newton iteration."""
+    """A pinned polynomial system ready for Newton iteration.
+
+    UsageError when a polynomial names a variable outside ``unknowns``,
+    UnderdeterminedError when there are fewer polynomials than unknowns.
+    """
 
     unknowns: list[str]
     polys: list[RationalPoly]
     pinned: dict[str, Fraction]
 
     def __post_init__(self):
+        foreign = sorted(set().union(*(p.variables() for p in self.polys))
+                         - set(self.unknowns))
+        if foreign:
+            raise UsageError(f"the polynomials name {foreign}, which are not unknowns")
+        if len(self.polys) < len(self.unknowns):
+            raise UnderdeterminedError(len(self.polys), len(self.unknowns))
         self._f = _compile(self.polys, self.unknowns)
         jac_polys = [p.derivative(u) for p in self.polys for u in self.unknowns]
         self._j = _compile(jac_polys, self.unknowns)
@@ -341,8 +351,7 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     ordered = sorted(unknowns, key=var_sort_key)
     if not ordered:
         raise UsageError("the pins leave no unknown to solve for")
-    if len(polys) < len(ordered):
-        raise UnderdeterminedError(len(polys), len(ordered))
+    # HSystemNumeric raises UnderdeterminedError for too few equations
     return HSystemNumeric(ordered, polys, exact)
 
 

@@ -6,6 +6,7 @@ import pytest
 from abcdwaves import reduction
 from abcdwaves.errors import ChainBrokenError, UsageError
 from abcdwaves.families import ParameterSet
+from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.reduction import (AnsatzShape, classify_ansatz,
                                  verify_termination)
 
@@ -210,12 +211,66 @@ def test_termination_logs_each_degree(caplog):
         n, branches, events, seconds = record.args[1:5]
         assert (n, branches) == (result.n, len(result.branches))
         assert events == sum(len(b.events) for b in result.branches)
-        build, chains = record.args[5:]
+        build, chains = record.args[5:7]
         assert build >= 0.0 and chains >= 0.0
         assert 0.0 <= build + chains <= seconds
+    assert [r.args[7:] for r in records] == [(3, 0), (5, 2)]
     assert "n=6, 4 branches, 32 events" in records[1].getMessage()
     # silent by default: the library attaches no handler of its own
     assert logging.getLogger("abcdwaves.reduction").handlers == []
+
+
+@pytest.mark.parametrize("case,counts", [("c_nonzero", [(7, 4), (11, 8)]),
+                                         ("c_zero", [(5, 2), (9, 6)])])
+def test_chain_memo_counts(caplog, case, counts):
+    # both sides of a u*v = 0 split often reach the same zero set and
+    # eliminations; each such state is explored once per degree, and the
+    # per-degree record ends with (states explored, memo hits)
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves.reduction"):
+        for n in (8, 12):
+            verify_termination(case=case, n_min=n, n_max=n)
+    records = [r for r in caplog.records if r.name == "abcdwaves.reduction"]
+    assert [r.args[7:] for r in records] == counts
+
+
+def test_memo_hit_branches_get_their_own_event_lists():
+    branches = verify_termination(case="c_nonzero", n_min=8, n_max=8).results[0].branches
+    assert len(branches) == 8
+    assert len({id(b.events) for b in branches}) == len(branches)
+    # the memo's copies are whole branches: no two branches repeat a path
+    paths = [tuple((e.var, e.eq, e.move) for e in b.events) for b in branches]
+    assert len(set(paths)) == len(paths)
+
+
+def test_memo_key_holds_the_eliminations():
+    # the same zero set reached with and without the elimination j1 := 0
+    # is two states: the second chain must not get the first one's branches
+    j1, k1 = RationalPoly.var("j1"), RationalPoly.var("k1")
+    memo = reduction._ChainMemo()
+    plain = reduction._Chain({(0, 1): 4 * k1 ** 2, (1, 1): 2 * j1 ** 2}, frozenset())
+    eliminated = reduction._Chain({(0, 1): 4 * k1 ** 2}, frozenset())
+    eliminated.eliminations.append(("j1", RationalPoly.const(0)))
+    runs = [reduction._run_chain(chain, 1, AnsatzShape.TRIVIAL_ONLY, memo)
+            for chain in (plain, eliminated)]
+    assert [[e.var for e in branches[0].events] for branches in runs] == \
+        [["k1", "j1"], ["k1"]]
+    assert (len(memo.states), memo.hits) == (2, 0)
+
+
+@pytest.mark.parametrize("case", ["c_nonzero", "c_zero"])
+def test_memo_keeps_the_unmemoized_branches(monkeypatch, case):
+    # a memo that never hits explores every state from scratch: the flat
+    # branch list must come out the same, event for event (the golden
+    # hashes of tests/test_ratpoly.py stop at n = 8)
+    memoized = verify_termination(case=case, n_min=12, n_max=12).to_json()
+
+    class Forgetful(dict):
+        def get(self, key, default=None):
+            return default
+
+    memo_cls = reduction._ChainMemo
+    monkeypatch.setattr(reduction, "_ChainMemo", lambda: memo_cls(Forgetful()))
+    assert verify_termination(case=case, n_min=12, n_max=12).to_json() == memoized
 
 
 def test_c_zero_report_notes_governing_condition():

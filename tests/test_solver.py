@@ -103,6 +103,20 @@ def test_underdetermined_rejected(quadratic_system):
     assert err.value.deficit == 5
 
 
+def test_hsystem_with_too_few_equations_rejected():
+    # built directly, not through pin_and_square: one equation, two unknowns
+    x, y = RationalPoly.var("x"), RationalPoly.var("y")
+    with pytest.raises(UnderdeterminedError) as err:
+        solve_newton(solver.HSystemNumeric(["x", "y"], [x + y - 2], {}), [0.0, 0.0])
+    assert err.value.deficit == 1
+
+
+def test_hsystem_with_a_foreign_variable_rejected():
+    x, y = RationalPoly.var("x"), RationalPoly.var("y")
+    with pytest.raises(UsageError, match=r"\['y'\]"):
+        solver.HSystemNumeric(["x"], [x + y - 2], {})
+
+
 def test_pins_leaving_no_unknown_rejected(quadratic_system):
     pins = {"a": 0, "b": 0, "c": 0, "d": 0, "sigma": 1,
             **{name: 1 for name in ("j0", "j1", "j2", "k0", "k1", "k2")}}
