@@ -15,9 +15,13 @@ norms, so no LAPACK call is made per row; the Jacobian comes from its
 evaluator already row-last.
 
 One batched engine serves multistart and solve_newton (a one-row batch).
-It tries the steps 1, 1/2, ... down to 1e-14, but below 2**-30 only
-while the step still moves x by more than 2**-40 of max(||x||_inf, 1); a
-row that accepts none of them stops as "stalled" at its last iterate.
+Its state is row-last, X (n, rows) and h (m, rows), so every per-row
+test is one reduction across rows; only the sums of squares of the
+Armijo test and the pseudoinverse product run on row-major copies, whose
+contiguous rows einsum sums in its own order.  It tries the steps 1,
+1/2, ... down to 1e-14, but below 2**-30 only while the step still moves
+x by more than 2**-40 of max(||x||_inf, 1); a row that accepts none of
+them stops as "stalled" at its last iterate.
 One rule, applied before each step and after the last, ends a row as
 converged (||h||_inf <= 1e-12 and x finite, even past the escape radius)
 or else overflow (h non-finite or ||x||_inf >= 1e7; solve_newton's radius
@@ -44,8 +48,9 @@ deterministic for a fixed seed; roots are sorted before deduplication so
 the returned BranchSet is reproducible bit-for-bit.  Deduplication gives
 the result of comparing every root with every kept representative, but
 compares a root only with a window of representatives whose first
-coordinate is close enough below its own to match it or a later root;
-classification is one array pass over the kept roots.
+coordinate is close enough below its own to match it or a later root; a
+root that no earlier root reaches is kept without any array work.
+Classification is one array pass over the kept roots.
 """
 
 from __future__ import annotations
@@ -163,7 +168,7 @@ def _sum_plan(lengths: Sequence[int]) -> tuple[list, list, list]:
 
 
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compiled:
-    """Compile every polynomial's terms for _eval_compiled.
+    """Compile every polynomial's terms for _eval_polys.
 
     Row 0 of a batch's power table is x^0 = 1 and row (e - 1) * n + i + 1 is
     x_i^e (n unknowns, 1 <= e <= e_max; e_max >= 1 even when every
@@ -204,14 +209,14 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compile
 
 
 def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """Every term at every row of X: a (terms, rows) array in plan order."""
-    B, n = X.shape
+    """Every term at every row of X (n, rows): a (terms, rows) array in plan order."""
+    n, B = X.shape
     e_max = compiled.e_max
     # power table: integer powers via repeated multiplication beat float
     # pow by an order of magnitude on these small exponents
     table = np.empty((1 + e_max * n, B))
     table[0] = 1.0
-    table[1:n + 1] = X.T
+    table[1:n + 1] = X
     for e in range(2, e_max + 1):
         np.multiply(table[(e - 2) * n + 1:(e - 1) * n + 1], table[1:n + 1],
                     out=table[(e - 1) * n + 1:e * n + 1])
@@ -226,7 +231,8 @@ def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
 
 def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     """Every polynomial at every row of X, bit for bit as np.add.reduceat
-    sums the terms: a (polynomials, rows) array, the row index last.
+    sums the terms.  Row-last in and out: X is (unknowns, rows), the
+    result (polynomials, rows).
 
     The terms are gathered whole table rows at a time and summed by the
     plan's vector adds.  Where a sum is NaN, which operand's NaN an add
@@ -234,9 +240,9 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     """
     # rows are independent, so blocks of them give the same values with a
     # bounded working set
-    if X.shape[0] > _EVAL_ROWS:
-        return np.concatenate([_eval_polys(compiled, X[i:i + _EVAL_ROWS])
-                               for i in range(0, X.shape[0], _EVAL_ROWS)], axis=1)
+    if X.shape[1] > _EVAL_ROWS:
+        return np.concatenate([_eval_polys(compiled, X[:, i:i + _EVAL_ROWS])
+                               for i in range(0, X.shape[1], _EVAL_ROWS)], axis=1)
     terms = _terms(compiled, X)
     for dst, src in compiled.steps:
         np.add(terms[dst], terms[src], out=terms[dst])
@@ -244,14 +250,15 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     if np.isnan(out.max(initial=0.0)):          # max propagates NaN
         bad = np.flatnonzero(np.isnan(out).any(axis=0))
         out[:, bad] = np.add.reduceat(
-            np.ascontiguousarray(_terms(compiled, X[bad])[compiled.order].T),
+            np.ascontiguousarray(_terms(compiled, X[:, bad])[compiled.order].T),
             compiled.offsets, axis=1).T
     return out
 
 
 def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """_eval_polys as a (rows, polynomials) C-contiguous array."""
-    return np.ascontiguousarray(_eval_polys(compiled, X).T)
+    """_eval_polys on the rows of X (rows, unknowns), as a (rows,
+    polynomials) C-contiguous array."""
+    return np.ascontiguousarray(_eval_polys(compiled, X.T).T)
 
 
 @dataclass
@@ -286,7 +293,12 @@ class HSystemNumeric:
         return len(self.unknowns)
 
     def residual(self, X: np.ndarray) -> np.ndarray:
+        """h at each row of X (rows, unknowns), or at one point: a (rows,
+        equations) array.  UsageError for rows of another width."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.n_unknowns:
+            raise UsageError(f"residual input has shape {X.shape}, expected rows "
+                             f"of {self.n_unknowns} values ({', '.join(self.unknowns)})")
         return _eval_compiled(self._f, X)
 
     def vector_from_map(self, values: Mapping[str, Number]) -> np.ndarray:
@@ -372,7 +384,8 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
     """Damped Newton from one seed: row 0 of a one-row _newton_batch.
 
     The escape radius scales with the seed, 1e7 * max(1, ||seed||_inf),
-    so a seed at any scale starts inside it.
+    so a seed at any scale starts inside it.  UsageError for a seed of
+    another shape and for max_iter < 0.
     """
     x = np.asarray(seed, dtype=float)
     if x.shape != (sysn.n_unknowns,):
@@ -386,7 +399,8 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
 def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
                  floor: np.ndarray, first: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Backtracking Armijo search along dx for every row of Xa.
+    """Backtracking Armijo search along dx for every row of Xa (both
+    row-last, (n, rows)).
 
     A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
     below its own ``floor``) whose residual is finite with
@@ -396,14 +410,15 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     is evaluated and tested as in a one-step-at-a-time search, so every row
     gets the same alpha and residual whatever ``first`` is.  Returns
     (alpha, H, taken, evaluated, passes): alpha per row, 0 where no step
-    was accepted; the residual at Xa + alpha * dx for the rows with
-    alpha > 0 (NaN rows for the others); the index of the accepted step
-    (-1 for none); then the candidate rows evaluated and the passes.
+    was accepted; the residual at Xa + alpha * dx, row-last (m, rows),
+    for the rows with alpha > 0 (NaN for the others); the index of the
+    accepted step (-1 for none); then the candidate rows evaluated and the
+    passes.
     """
     steps = 0.5 ** np.arange(50)
     factor = 1 - _ARMIJO * steps
-    H = np.full((Xa.shape[0], compiled.sums.size), np.nan)
-    taken = np.full(Xa.shape[0], -1)
+    H = np.full((compiled.sums.size, Xa.shape[1]), np.nan)
+    taken = np.full(Xa.shape[1], -1)
     # a sum of squares past the float range passes only an infinite base;
     # there the residual must be checked finite as well
     unbounded = not np.isfinite(base).all()
@@ -420,16 +435,19 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
         k = np.repeat(start - heads, count)
         k += np.arange(k.size)
         with np.errstate(all="ignore"):
-            Xc = dx.take(rows, axis=0)
-            np.multiply(steps.take(k)[:, None], Xc, out=Xc)
-            Hc = _eval_compiled(compiled, np.add(Xa.take(rows, axis=0), Xc, out=Xc))
-            dec = np.einsum("bi,bi->b", Hc, Hc) <= factor.take(k) * base.take(rows)
+            Xc = dx.take(rows, axis=1)
+            np.multiply(steps.take(k), Xc, out=Xc)
+            Hc = _eval_polys(compiled, np.add(Xa.take(rows, axis=1), Xc, out=Xc))
+            # the sum of squares over a row-major copy: einsum sums a
+            # contiguous row in another order than a strided one
+            Hr = np.ascontiguousarray(Hc.T)
+            dec = np.einsum("bi,bi->b", Hr, Hr) <= factor.take(k) * base.take(rows)
         if unbounded:
-            dec &= np.isfinite(Hc).all(axis=1)
+            dec &= np.isfinite(Hc).all(axis=0)
         win = np.minimum.reduceat(np.where(dec, np.arange(k.size), k.size), heads)
         hit = win < k.size
         win = win[hit]
-        H[pending[hit]] = Hc[win]
+        H[:, pending[hit]] = Hc.take(win, axis=1)
         taken[pending[hit]] = k[win]
         evaluated, passes = evaluated + k.size, passes + 1
         start += count
@@ -441,7 +459,8 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
 
 def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     """The Gauss-Newton step -pinv(J) h of every row (J is (rows, m, n) with
-    m >= n, H is (rows, m)), and how many rows did not take it by QR.
+    m >= n, H is (rows, m)), and how many rows did not take it by QR.  The
+    steps are a (rows, n) view of a row-last (n, rows) array.
 
     Every row is factored [J | h] = Q [R | Q^T h] by Householder
     reflections, so R is the factor of J alone.  The batch is held as one
@@ -497,14 +516,14 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
                 np.multiply(np.einsum("kb,kjb->jb", R[i, i + 1:], Rinv[i + 1:, i + 1:]),
                             -r, out=Rinv[i, i + 1:])
         kappa = np.abs(R).sum(axis=0).max(axis=0) * np.abs(Rinv).sum(axis=0).max(axis=0)
-        rows = np.flatnonzero((ok & (kappa <= _KAPPA_QR))[:B])
-        dx = np.full((B, n), np.nan)
-        dx[rows] = -np.einsum("ijb,jb->bi", Rinv, A[:n, n])[rows]
-        svd[rows] = False
+        qr = (ok & (kappa <= _KAPPA_QR))[:B]
+        dx = np.where(qr, -np.einsum("ijb,jb->ib", Rinv, A[:n, n])[:, :B], np.nan)
+        svd &= ~qr
         if svd.any():       # seldom: even an empty batched pinv costs tens of us
-            dx[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
-                                 H[svd])
-    return dx, B - rows.size
+            # H[svd] is a row-major copy, whatever the layout of H
+            dx[:, svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
+                                    H[svd]).T
+    return dx.T, B - int(np.count_nonzero(qr))
 
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
@@ -514,7 +533,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     """Vectorized damped Newton over all rows of X0.
 
     Returns (X, reason, iterations, hinf, solves, fallbacks, evaluated,
-    passes, step_s, search_s): the final iterates, each row's stop reason
+    passes, step_s, search_s): the final iterates (a (rows, n) view of a
+    row-last array), each row's stop reason
     from _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the
     final iterate, then the number of Gauss-Newton steps computed over all
     rows, how many of them fell back from QR to the pseudoinverse, how many
@@ -532,61 +552,69 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     iteration budget.  The residual is evaluated once, at X0; after that
     each row keeps the residual its line search computed at the step it
     accepted.  A row's line search first tries, in one pass, every step
-    down to the one it accepted last time.
+    down to the one it accepted last time.  The state holds only the
+    active rows, row-last (iterates (n, rows), residuals (m, rows)), so
+    each per-row test reduces across rows; a row's iterate is written out
+    when it stops.  max_iter < 0 is a UsageError.
     """
-    X = X0.astype(float).copy()
-    B = X.shape[0]
-    active = np.ones(B, dtype=bool)
+    if max_iter < 0:
+        raise UsageError(f"max_iter = {max_iter} must be >= 0")
+    X = np.array(X0.T, dtype=float, order="C")
+    B = X.shape[1]
     reason = np.full(B, "budget", dtype=object)
     iters = np.zeros(B, dtype=np.int64)
     hinf = np.empty(B)
-    last = np.zeros(B, dtype=np.intp)     # each row's last accepted step index
     solves = fallbacks = evaluated = passes = 0
     step_s = search_s = 0.0
+    # the active rows, compacted: their rows of X, iterates, residuals and
+    # last accepted step indices; X takes a row's iterate when it stops
+    idx, Xa, last = np.arange(B), X, np.zeros(B, dtype=np.intp)
     with np.errstate(all="ignore"):
-        H = _eval_compiled(sysn._f, X)
+        Ha = _eval_polys(sysn._f, X)
     for it in range(max_iter + 1):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        Xa, Ha = X[idx], H[idx]
-        ha = np.max(np.abs(Ha), axis=1)
+        ha = np.abs(Ha).max(axis=0)
         hinf[idx] = ha
-        conv = (ha <= _TOL) & np.isfinite(Xa).all(axis=1)
-        over = ~conv & ~(np.isfinite(ha) & (np.abs(Xa).max(axis=1) < escape))
+        xmax = np.abs(Xa).max(axis=0)
+        conv = (ha <= _TOL) & np.isfinite(Xa).all(axis=0)
+        over = ~conv & ~(np.isfinite(ha) & (xmax < escape))
         reason[idx[conv]] = "converged"
         reason[idx[over]] = "overflow"
         keep = ~(conv | over)
-        active[idx[~keep]] = False
         if it == max_iter or not keep.any():
             break
-        idx, Xa, Ha = idx[keep], Xa[keep], Ha[keep]
+        X[:, idx[~keep]] = Xa.compress(~keep, axis=1)
+        idx, Xa, Ha = idx[keep], Xa.compress(keep, axis=1), Ha.compress(keep, axis=1)
+        xmax, last = xmax[keep], last[keep]
         # (rows, m, n) as a view of the (m, n, rows) values, which
         # _gauss_newton_step stores row-last without a transposing copy
         J = _eval_polys(sysn._j, Xa).reshape(sysn.n_equations, sysn.n_unknowns,
-                                             Xa.shape[0]).transpose(2, 0, 1)
+                                             idx.size).transpose(2, 0, 1)
         t0 = time.perf_counter()
-        dx, svd = _gauss_newton_step(J, Ha)
+        dx, svd = _gauss_newton_step(J, Ha.T)
+        dx = dx.T
         t1 = time.perf_counter()
         with np.errstate(all="ignore"):
-            move = _STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
-                / np.abs(dx).max(axis=1)
+            move = _STALL_MOVE * np.maximum(xmax, 1.0) / np.abs(dx).max(axis=0)
         solves, fallbacks = solves + idx.size, fallbacks + svd
-        base = np.einsum("bi,bi->b", Ha, Ha)
+        # over a row-major copy, as the line search sums its squares
+        Hr = np.ascontiguousarray(Ha.T)
+        base = np.einsum("bi,bi->b", Hr, Hr)
         floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
         t2 = time.perf_counter()
         alpha, Hs, taken, rows, n_passes = _line_search(sysn._f, Xa, dx, base, floor,
-                                                        last[idx] + 1)
+                                                        last + 1)
         step_s, search_s = step_s + t1 - t0, search_s + time.perf_counter() - t2
         evaluated, passes = evaluated + rows, passes + n_passes
         settled = alpha > 0
-        last[idx[settled]] = taken[settled]
-        X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
-        H[idx[settled]] = Hs[settled]
-        iters[idx[settled]] += 1
-        active[idx[~settled]] = False
         reason[idx[~settled]] = "stalled"
-    return (X, reason, iters, hinf, solves, fallbacks, evaluated, passes,
+        X[:, idx[~settled]] = Xa.compress(~settled, axis=1)
+        # the rows that took no step have alpha = 0 and are dropped here
+        with np.errstate(all="ignore"):
+            Xa = np.add(Xa, alpha * dx, out=dx).compress(settled, axis=1)
+        idx, Ha, last = idx[settled], Hs.compress(settled, axis=1), taken[settled]
+        iters[idx] += 1
+    X[:, idx] = Xa
+    return (X.T, reason, iters, hinf, solves, fallbacks, evaluated, passes,
             step_s, search_s)
 
 
@@ -611,6 +639,23 @@ class BranchSet(Record):
         return [r for r in self.roots if r.classification == "non-trivial"]
 
 
+def _key_order(X: np.ndarray) -> np.ndarray:
+    """np.lexsort's stable order of the rows of np.round(X, 12), first
+    column first: rows are sorted by their first key, and only the rows
+    that tie there are sorted by the other keys and then by row."""
+    k0 = np.round(X[:, 0], 12)
+    order = np.argsort(k0)
+    ks = k0[order]
+    # equal as sort keys: ==, or both NaN
+    tie = (ks[1:] == ks[:-1]) | (np.isnan(ks[1:]) & np.isnan(ks[:-1]))
+    if tie.any():
+        tied = np.r_[False, tie] | np.r_[tie, False]
+        group = np.cumsum(~np.r_[False, tie])[tied]
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((sub, *np.round(X[sub, :0:-1], 12).T, group))]
+    return order
+
+
 def _dedup(X: np.ndarray, hinf: np.ndarray
            ) -> tuple[list[int], list[int], list[int], int]:
     """Merge the roots, the rows of X, that lie within the dedup tolerance.
@@ -623,11 +668,14 @@ def _dedup(X: np.ndarray, hinf: np.ndarray
     and replaces it when its hinf is lower, so later rows meet the
     replacement.  A row is compared, in one array operation, only with the
     window: the representatives whose first coordinate is not yet too far
-    below the row's to match it or any later row.  Where every row shares
-    its first coordinate the window keeps every representative.
+    below the row's to match it or any later row.  A row that no earlier
+    row reaches (every earlier first coordinate lies below its reach)
+    empties the window and is a new representative without any array
+    work; the window loop runs only over the runs of rows in reach.  Where
+    every row shares its first coordinate the window keeps every
+    representative.
     """
-    keys = np.round(X, 12)
-    order = np.lexsort(keys.T[::-1])
+    order = _key_order(X)
     # Why a retired representative is never matched again.  The keys ascend
     # in their first column and lie within 0.5e-12 (plus a few ulps) of
     # their rows, so every row z after the current row x has z0 >= x0 - M,
@@ -644,44 +692,57 @@ def _dedup(X: np.ndarray, hinf: np.ndarray
     x0 = X[:, 0]
     lo = x0 - 2 * np.maximum(_DEDUP_ABS, _DEDUP_REL * np.abs(x0)) \
         - (1e-12 + 1e-15 * np.abs(x0))
-    lo[~np.isfinite(keys[:, 0])] = -np.inf
-    window = np.empty_like(X)                 # representatives, in kept order
+    lo[~np.isfinite(np.round(x0, 12))] = -np.inf
+    # a row is in reach unless the largest earlier x0 lies below its lo
+    top = np.fmax.accumulate(np.r_[-np.inf, x0[order]])[:-1]
+    reach = ~(top < lo[order])
+    runs = np.flatnonzero(np.diff(reach, prepend=False, append=False)).tolist()
+    window = np.empty(X.shape)                # representatives, in kept order
     slot = np.empty(X.shape[0], dtype=np.intp)   # each one's kept index
     rep: list[int] = []
     hits: list[int] = []
     first: list[int] = []
-    size = widest = 0
-    top = -np.inf                             # the largest x0 visited
-    x0s, los, hs = x0.tolist(), lo.tolist(), hinf.tolist()
-    for i in order.tolist():
-        if top < los[i]:                      # every representative retires
-            size = 0
-        elif size:
-            stay = np.flatnonzero(window[:size, 0] >= los[i])
-            if stay.size < size:
-                window[:stay.size] = window[stay]
-                slot[:stay.size] = slot[stay]
-                size = stay.size
-        top = max(top, x0s[i])
-        x = X[i]
-        if size:
-            y = window[:size]
-            tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(np.abs(x), np.abs(y)))
-            match = np.flatnonzero(np.all(np.abs(x - y) <= tol, axis=1))
-            if match.size:
-                k = slot[match[0]]
-                hits[k] += 1
-                if hs[i] < hs[rep[k]]:
-                    rep[k] = i
-                    window[match[0]] = x
-                continue
-        window[size] = x
-        slot[size] = len(rep)
-        size += 1
-        widest = max(widest, size)
-        rep.append(i)
-        hits.append(1)
-        first.append(i)
+    widest = int(not reach.all())             # a lone row's window of one
+    order, los, hs = order.tolist(), lo.tolist(), hinf.tolist()
+    done = 0
+    # each run of rows in reach [start, end), then the rows after the last
+    for start, end in zip(runs[::2] + [len(order)], runs[1::2] + [len(order)]):
+        lone = order[done:start]
+        rep += lone
+        hits += [1] * len(lone)
+        first += lone
+        size = 0
+        if lone:                              # the window's one representative
+            window[0] = X[lone[-1]]
+            slot[0] = len(rep) - 1
+            size = 1
+        for i in order[start:end]:
+            if size:
+                stay = (window[:size, 0] >= los[i]).nonzero()[0]
+                if stay.size < size:
+                    window[:stay.size] = window[stay]
+                    slot[:stay.size] = slot[stay]
+                    size = stay.size
+            x = X[i]
+            if size:
+                y = window[:size]
+                tol = np.maximum(_DEDUP_ABS, _DEDUP_REL * np.maximum(abs(x), abs(y)))
+                match = (abs(x - y) <= tol).all(axis=1).nonzero()[0]
+                if match.size:
+                    k = slot[match[0]]
+                    hits[k] += 1
+                    if hs[i] < hs[rep[k]]:
+                        rep[k] = i
+                        window[match[0]] = x
+                    continue
+            window[size] = x
+            slot[size] = len(rep)
+            size += 1
+            widest = max(widest, size)
+            rep.append(i)
+            hits.append(1)
+            first.append(i)
+        done = end
     return rep, hits, first, widest
 
 
@@ -717,9 +778,12 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     1e-9) and classified trivial / semi-trivial / non-trivial from the
     zero-pattern of the j_r, k_r with r >= 1 (pinned values included).
     Deterministic for fixed seed_rng; an empty BranchSet is a valid result.
+    UsageError for n_starts < 1, seed_rng < 0 or max_iter < 0.
     """
     if n_starts < 1:
         raise UsageError("n_starts must be >= 1")
+    if seed_rng < 0:
+        raise UsageError(f"seed = {seed_rng} must be >= 0")
     rng = np.random.default_rng(seed_rng)
     mags = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0),
                                size=(n_starts, sysn.n_unknowns))
@@ -842,10 +906,12 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     sigma is left free so that sigma ~ 0 roots can surface.  Every
     converged root is reported; a root contradicting the expectation
     (any root for j1/j3; a |sigma| > 1e-10 root for k1) is recorded as a
-    counterexample, never suppressed.
+    counterexample, never suppressed.  UsageError for seed < 0.
     """
     if constrained not in ("j1", "j3", "k1"):
         raise UsageError("constrained must be one of 'j1', 'j3', 'k1'")
+    if seed < 0:
+        raise UsageError(f"seed = {seed} must be >= 0")
     if abs(value) < _DELTA:
         raise UsageError(f"|value| = {abs(value)} must be >= delta = {_DELTA}")
     sigma_free = constrained == "k1"

@@ -156,6 +156,22 @@ def test_solve_rejects_malformed_input_exit_2(capsys, extra, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--system", "coeffs1", "--pin", "m=1/2,lambda=1,sigma=1", "--a", "1",
+      "--b", "-8/3", "--c", "1", "--d", "1", "--starts", "5", "--seed", "-1"],
+     "seed = -1 must be >= 0"),
+    (["solve", "--system", "coeffs1", "--pin", "m=1/2,lambda=1,sigma=1", "--a", "1",
+      "--b", "-8/3", "--c", "1", "--d", "1", "--starts", "5", "--max-iter", "-3"],
+     "max_iter = -3 must be >= 0"),
+    (["nonexistence", "--var", "j1", "--grid-a", "1", "--grid-b", "1/6",
+      "--grid-d", "-1/2", "--m", "3/4", "--seed", "-2"], "seed = -2 must be >= 0"),
+], ids=["solve-seed", "solve-max-iter", "nonexistence-seed"])
+def test_negative_seed_or_budget_exits_2(capsys, argv, message):
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def test_solve_pins_leaving_no_unknown_exit_2(capsys):
     # with a..d at their default 0, these pins leave no unknown at all
     code, _, stderr = run_cli(["solve", "--system", "coeffs1", "--pin",

@@ -462,6 +462,28 @@ def test_multistart_validates_n_starts(reference_pinning):
         multistart(reference_pinning, 0)
 
 
+def test_negative_seed_and_iteration_budget_rejected(reference_pinning):
+    sysn = reference_pinning
+    with pytest.raises(UsageError, match="seed = -1 "):
+        multistart(sysn, 5, seed_rng=-1)
+    with pytest.raises(UsageError, match="max_iter = -3 "):
+        multistart(sysn, 5, max_iter=-3)
+    with pytest.raises(UsageError, match="max_iter = -1 "):
+        solve_newton(sysn, np.ones(sysn.n_unknowns), max_iter=-1)
+    # a budget of 0 only labels the starts
+    assert multistart(sysn, 5, max_iter=0).n_converged == 0
+    result = solve_newton(sysn, np.ones(sysn.n_unknowns), max_iter=0)
+    assert (result.status, result.iterations) == ("budget", 0)
+
+
+def test_residual_rejects_rows_of_another_width(reference_pinning):
+    with pytest.raises(UsageError, match="rows of 6 values"):
+        reference_pinning.residual(np.zeros(5))
+    with pytest.raises(UsageError, match="rows of 6 values"):
+        reference_pinning.residual(np.zeros((3, 7)))
+    assert reference_pinning.residual(np.zeros(6)).shape == (1, reference_pinning.n_equations)
+
+
 def _spy_newton(monkeypatch):
     seen, newton = [], solver._newton_batch
 
@@ -859,7 +881,7 @@ def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
     floor = np.full(Xa.shape[0], min_step)
-    alpha, *_ = solver._line_search(f, Xa, dx, base, floor,
+    alpha, *_ = solver._line_search(f, Xa.T, dx.T, base, floor,
                                     np.ones(Xa.shape[0], dtype=np.intp))
     ref_alpha, ref_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
@@ -881,7 +903,7 @@ def test_line_search_stops_at_row_floor(reference_pinning):
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
     floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
-    alpha, *_ = solver._line_search(f, Xa, dx, base, floor,
+    alpha, *_ = solver._line_search(f, Xa.T, dx.T, base, floor,
                                     np.ones(Xa.shape[0], dtype=np.intp))
     deep_alpha, deep_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
     past = deep_settled & (deep_alpha < floor)
@@ -895,8 +917,9 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
     # _newton_batch keeps these rows as the residual of the next iterate
     Xa, dx, base = _search_batch(reference_pinning, seed=8)
     f = reference_pinning._f
-    alpha, H, *_ = solver._line_search(f, Xa, dx, base, np.full(Xa.shape[0], min_step),
+    alpha, H, *_ = solver._line_search(f, Xa.T, dx.T, base, np.full(Xa.shape[0], min_step),
                                        np.ones(Xa.shape[0], dtype=np.intp))
+    H = H.T
     ok = alpha > 0
     assert ok.sum() >= 250 and (~ok).sum() >= 30
     assert H.shape == (Xa.shape[0], reference_pinning.n_equations)
@@ -904,6 +927,27 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
         fresh = solver._eval_compiled(f, Xa[ok] + alpha[ok, None] * dx[ok])
     assert H[ok].tobytes() == fresh.tobytes()
     assert np.isnan(H[~ok]).all()
+
+
+def test_line_search_sums_squares_as_a_row_major_einsum(reference_pinning):
+    # base at the knife edge of the full step: the smallest base whose
+    # (1 - _ARMIJO) * base reaches the row-major einsum of the squares, so
+    # every row takes alpha = 1.  A sum of squares in any other order,
+    # which differs in the last bit on some rows, would reject it there.
+    Xa, dx, _ = _search_batch(reference_pinning, seed=11)
+    Xa, dx = Xa[30:], dx[30:]         # rows whose full step is finite
+    H1 = reference_pinning.residual(Xa + dx)
+    squares = np.einsum("bi,bi->b", H1, H1)
+    factor = 1 - solver._ARMIJO
+    base = squares / factor
+    for _ in range(4):
+        base = np.where(factor * base < squares, np.nextafter(base, np.inf), base)
+        lower = np.nextafter(base, -np.inf)
+        base = np.where(factor * lower >= squares, lower, base)
+    alpha, H, *_ = solver._line_search(reference_pinning._f, Xa.T, dx.T, base,
+                                       np.zeros(Xa.shape[0]),
+                                       np.ones(Xa.shape[0], dtype=np.intp))
+    assert (alpha == 1.0).all() and H.T.tobytes() == H1.tobytes()
 
 
 @pytest.mark.parametrize("first", ["0", "1", "random", "past the floor", "50"])
@@ -923,8 +967,9 @@ def test_line_search_first_block_gives_the_same_steps(reference_pinning, first):
              "random": rng.integers(0, 51, limit.size),
              "past the floor": limit + rng.integers(1, 5, limit.size),
              "50": np.full_like(limit, 50)}[first]
-    alpha, H, taken, evaluated, passes = solver._line_search(f, Xa, dx, base, floor,
+    alpha, H, taken, evaluated, passes = solver._line_search(f, Xa.T, dx.T, base, floor,
                                                              sizes)
+    H = H.T
     deep_alpha, deep_settled, deep_H = _line_search_reference(f, Xa, dx, base, 1e-4,
                                                               1e-14)
     ok = deep_settled & (deep_alpha >= floor)
@@ -943,6 +988,90 @@ def test_line_search_first_block_gives_the_same_steps(reference_pinning, first):
             size = 2 ** row_passes
         want_rows, want_passes = want_rows + start, max(want_passes, row_passes)
     assert (evaluated, passes) == (want_rows, want_passes)
+
+
+# -- the row-major Newton loop -----------------------------------------------
+
+def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
+    """_newton_batch with its state row-major: X (rows, n), H (rows, m)
+    and dx (rows, n), every per-row test a reduction along a row; the line
+    search, which takes and returns its arrays row-last, is transposed at
+    the call.  Returns the outputs of _newton_batch but the two timings."""
+    X = X0.astype(float).copy()
+    B = X.shape[0]
+    active = np.ones(B, dtype=bool)
+    reason = np.full(B, "budget", dtype=object)
+    iters = np.zeros(B, dtype=np.int64)
+    hinf = np.empty(B)
+    last = np.zeros(B, dtype=np.intp)
+    solves = fallbacks = evaluated = passes = 0
+    with np.errstate(all="ignore"):
+        H = solver._eval_compiled(sysn._f, X)
+    for it in range(max_iter + 1):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        Xa, Ha = X[idx], H[idx]
+        ha = np.max(np.abs(Ha), axis=1)
+        hinf[idx] = ha
+        conv = (ha <= solver._TOL) & np.isfinite(Xa).all(axis=1)
+        over = ~conv & ~(np.isfinite(ha) & (np.abs(Xa).max(axis=1) < escape))
+        reason[idx[conv]] = "converged"
+        reason[idx[over]] = "overflow"
+        keep = ~(conv | over)
+        active[idx[~keep]] = False
+        if it == max_iter or not keep.any():
+            break
+        idx, Xa, Ha = idx[keep], Xa[keep], Ha[keep]
+        J = solver._eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
+                                                       sysn.n_unknowns)
+        dx, svd = solver._gauss_newton_step(J, Ha)
+        with np.errstate(all="ignore"):
+            move = solver._STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
+                / np.abs(dx).max(axis=1)
+        solves, fallbacks = solves + idx.size, fallbacks + svd
+        base = np.einsum("bi,bi->b", Ha, Ha)
+        floor = np.maximum(solver._MIN_STEP, np.fmin(solver._STALL_FLOOR, move))
+        alpha, Hs, taken, rows, n_passes = solver._line_search(
+            sysn._f, Xa.T, dx.T, base, floor, last[idx] + 1)
+        evaluated, passes = evaluated + rows, passes + n_passes
+        settled = alpha > 0
+        last[idx[settled]] = taken[settled]
+        X[idx[settled]] = Xa[settled] + alpha[settled, None] * dx[settled]
+        H[idx[settled]] = Hs.T[settled]
+        iters[idx[settled]] += 1
+        active[idx[~settled]] = False
+        reason[idx[~settled]] = "stalled"
+    return X, reason, iters, hinf, solves, fallbacks, evaluated, passes
+
+
+def _assert_same_newton(sysn, X0, max_iter, escape=solver._ESCAPE):
+    X, reason, iters, hinf, *counts = solver._newton_batch(sysn, X0, max_iter, escape)
+    ref = _newton_batch_reference(sysn, X0, max_iter, escape)
+    assert X.shape == X0.shape and X.tobytes() == ref[0].tobytes()
+    assert list(reason) == list(ref[1])
+    assert iters.tobytes() == ref[2].tobytes() and hinf.tobytes() == ref[3].tobytes()
+    assert tuple(counts[:4]) == ref[4:]
+    return reason
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "j1", "j3", "k1"])
+def test_newton_batch_matches_the_row_major_reference(reference_pinning, name):
+    sysn = reference_pinning if name == "criterion-4" else _coeffs2_pinning(name)
+    X0 = _seeded_starts(sysn, 300, 31)
+    X0[0, 0] = np.nan
+    X0[1, -1] = np.inf
+    X0[2, 0] = -np.inf
+    X0[3:6] *= 1e7                    # at or past the escape radius
+    X0[6] = 1e200                     # a residual past the float range
+    with np.errstate(all="ignore"):
+        reason = _assert_same_newton(sysn, X0, 80)
+        for k in (0, 1, 7):
+            _assert_same_newton(sysn, X0, k)
+        _assert_same_newton(sysn, X0, 80, escape=50.0)
+        for i in (0, 3, 10, 11):      # one-row batches
+            _assert_same_newton(sysn, X0[i:i + 1], 80)
+    assert "overflow" in reason and len(set(reason)) >= 2
 
 
 # -- dedup ---------------------------------------------------------------------
@@ -1120,6 +1249,70 @@ def test_dedup_window_keeps_representatives_within_w_and_margin():
     assert _run_dedup(level)[1] == 5
 
 
+def test_key_order_is_lexsorts():
+    # ties in the first key (+-0, equal values, keys past the float range,
+    # NaN) are broken by the other keys and then by row, as np.lexsort does
+    rng = np.random.default_rng(40)
+    pool = np.array([0.0, -0.0, 1.0, 1.0 + 1e-13, -2.5, np.inf, -np.inf, np.nan,
+                     1e300, 2e300, -1e300, 3.0])
+    for trial in range(200):
+        rows, n = int(rng.integers(0, 60)), int(rng.integers(1, 5))
+        X = rng.choice(pool, (rows, n)) if trial % 2 else \
+            rng.standard_normal((rows, n)).round(int(rng.integers(0, 3)))
+        with np.errstate(all="ignore"):
+            want = np.lexsort(np.round(X, 12).T[::-1])
+            assert np.array_equal(solver._key_order(X), want)
+
+
+def _lo(x0):
+    """The smallest first coordinate a representative of a root at x0
+    needs to stay in the dedup window, computed as _dedup computes it."""
+    return x0 - 2 * max(solver._DEDUP_ABS, solver._DEDUP_REL * abs(x0)) \
+        - (1e-12 + 1e-15 * abs(x0))
+
+
+def test_dedup_run_boundary_where_top_equals_lo():
+    # an earlier first coordinate exactly at the later root's lo keeps it
+    # in reach; one ulp below, the later root starts a new window
+    b0 = 1.0 + 2.0 ** -40
+    for a0, widest in ((_lo(b0), 2), (np.nextafter(_lo(b0), -np.inf), 1)):
+        roots = [(np.array([b0, 1.0]), 1e-13, 0), (np.array([a0, 0.0]), 1e-13, 1)]
+        assert len(assert_same_dedup(roots)) == 2
+        assert _run_dedup(roots)[1] == widest
+
+
+def test_dedup_keys_past_the_float_range():
+    # np.round takes these first coordinates to +-inf: the keys tie, the
+    # rows are in reach of every earlier one, and 1e300 and 1e300 (1 + 5e-7)
+    # still merge
+    roots = [(np.array([x0, x1]), h, i) for i, (x0, x1, h) in enumerate([
+        (1e300, 1.0, 1e-13), (-1e300, 1.0, 1e-13), (2e300, 0.5, 1e-13),
+        (5.0, 1.0, 1e-13), (1e300 * (1 + 5e-7), 1.0, 1e-14), (1e300, 0.25, 1e-13),
+        (-1e300, 1.0 + 1e-7, 1e-14), (5.0 + 1e-7, 1.0, 1e-13)])]
+    with np.errstate(over="ignore"):
+        kept = assert_same_dedup(roots)
+        assert _run_dedup(roots)[1] == 4
+    assert sorted(e[2] for e in kept) == [1, 1, 2, 2, 2]
+
+
+def test_dedup_lone_root_between_two_long_runs():
+    # two runs of 40 roots within reach of each other, around 1 and 20, and
+    # a root at 10 that nothing reaches: each run starts a window of its own
+    rng = np.random.default_rng(41)
+    roots = []
+    for center in (1.0, 20.0):
+        x0 = center + np.cumsum(rng.uniform(0.0, 1.5e-6 * center, 40))
+        x1 = rng.choice([0.0, 0.5, 0.5 + 4e-7, 1.0], 40)
+        roots += [np.array([a, b]) for a, b in zip(x0, x1)]
+    roots.insert(40, np.array([10.0, 0.5]))
+    order = rng.permutation(len(roots))
+    hinf = rng.choice([1e-14, 1e-13, 1e-12], len(roots))
+    roots = [(roots[k], float(hinf[j]), j) for j, k in enumerate(order)]
+    kept = assert_same_dedup(roots)
+    assert len(kept) < len(roots) and _run_dedup(roots)[1] >= 2
+    assert [e[2] for e in kept if e[0][0] == 10.0] == [1]
+
+
 def _classify_reference(values):
     """The per-root rule: the zero pattern of the j_r, k_r with 1 <= r <= 8."""
     eta_live = any(abs(values.get(f"j{r}", 0.0)) > solver._ZERO_TOL for r in range(1, 9))
@@ -1219,3 +1412,6 @@ def test_nonexistence_argument_validation():
         reproduce_nonexistence("j2", [])
     with pytest.raises(UsageError):
         reproduce_nonexistence("j1", [], value=1e-5)
+    with pytest.raises(UsageError, match="seed = -2 "):
+        reproduce_nonexistence("j1", [{"a": 1, "b": F(1, 6), "d": F(-1, 2), "lam": 1,
+                                       "m": F(3, 4), "sigma": 1}], seed=-2)
