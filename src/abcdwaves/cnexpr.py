@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .errors import UsageError
 from .families import Rational, _frac
 from .ratpoly import Monomial, RationalPoly
 
@@ -119,10 +120,11 @@ def build_coefficient_system(
 
     By default a, b, c, d stay symbolic; pass ``params`` (exact rationals)
     to substitute any of them, e.g. ``params={"c": 0}``.  A value that is
-    not a rational is a UsageError naming its key.
+    not a rational is a UsageError naming its key, and so is a series
+    degree below 1.
     """
     if n_eta < 1 or n_w < 1:
-        raise ValueError("series degrees must be >= 1")
+        raise UsageError(f"series degrees ({n_eta}, {n_w}) must be >= 1")
     values = {k: _frac(v, k) for k, v in (params or {}).items()}
     # each of a, b, c, d as (its factors in a monomial, its scalar)
     scale = {name: ((), values[name]) if name in values else (((name, 1),), 1)

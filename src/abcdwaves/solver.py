@@ -33,15 +33,16 @@ Polynomials are evaluated on whole batches, term-major: a table of
 integer powers holds one row per power of an unknown, and each monomial
 multiplies only the table rows of its nonzero exponents, in variable
 order, which gives the same bits as a product over all unknowns (the
-factors left out are exact ones).  Each polynomial's terms are then summed
-by a compiled plan of vector adds in np.add.reduceat's order, numpy's
-pairwise summation included, so every value is that of reduceat bit for
-bit; rows whose sum is NaN are summed by reduceat itself.  A row's
-residual is evaluated once at its start; after that the line search's
-residual at the accepted step serves as the residual of the next iterate
-and of its stop-reason test.  A row's line search first tries, in one
-pass, every step down to the one it accepted last time; the accepted step
-does not depend on that.
+factors left out are exact ones).  When no polynomial has more than
+eight terms, as in every pinning the rediscovery and the sweeps use, each
+polynomial's terms are then summed by a compiled plan of vector adds in
+np.add.reduceat's order, so every value is that of reduceat bit for bit;
+rows whose sum is NaN, and systems with a longer polynomial, are summed
+by reduceat itself.  A row's residual is evaluated once at its start;
+after that the line search's residual at the accepted step serves as the
+residual of the next iterate and of its stop-reason test.  A row's line
+search first tries, in one pass, every step down to the one it accepted
+last time; the accepted step does not depend on that.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -95,76 +96,42 @@ _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 class _Compiled(NamedTuple):
     """Polynomials compiled for term-major batch evaluation (see _compile)."""
 
-    coeffs: np.ndarray      # (T, _EVAL_ROWS) each plan row's coefficient, repeated
+    coeffs: np.ndarray      # (T, 1) each term's coefficient, in layout order
     cols: np.ndarray        # (W, T) power-table rows of each term's factors
     e_max: int
-    steps: tuple            # the summation plan: rows[dst] += rows[src], in order
-    sums: np.ndarray        # (P,) the plan row that ends up holding each sum
-    order: np.ndarray       # (T,) the plan row of each term, polynomial by polynomial
+    steps: Optional[tuple]  # the summation plan, rows[dst] += rows[src] in
+                            # order; None when reduceat sums every row
+    sums: Optional[np.ndarray]  # (P,) the plan row that ends up holding each sum
+    order: np.ndarray       # (T,) the layout row of each term, polynomial by polynomial
     offsets: np.ndarray     # (P,) each polynomial's first term in that order
 
 
-def _pairwise_steps(q0: int, n: int) -> list[tuple[int, int, int]]:
-    """numpy's pairwise sum of the n >= 8 blocks q0 .. q0 + n - 1, into block q0.
+def _sum_plan(lengths: Sequence[int]) -> tuple[list, tuple, np.ndarray]:
+    """Lay out the terms of polynomials with these term counts, at most
+    eight each, and plan their sums as np.add.reduceat forms them.
 
-    Returns in-place adds (d, s, k): blocks d .. d + k - 1 += blocks
-    s .. s + k - 1.  Up to 128 terms numpy keeps eight accumulators, adds
-    each later run of eight to them, combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the
-    remaining terms one by one; above 128 it sums two halves, the first cut
-    to a multiple of eight, and adds them.
-    """
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return (_pairwise_steps(q0, half) + _pairwise_steps(q0 + half, n - half)
-                + [(q0, q0 + half, 1)])
-    full = n - n % 8
-    return ([(q0, q0 + i, 8) for i in range(8, full, 8)]
-            + [(q0 + a, q0 + b, 1)
-               for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4))]
-            + [(q0, q0 + i, 1) for i in range(full, n)])
-
-
-def _sum_plan(lengths: Sequence[int]) -> tuple[list, list, list]:
-    """Lay out the terms of polynomials with these term counts, and plan
-    their sums as np.add.reduceat forms them.
-
-    reduceat sums a segment a0, ..., a(L-1) as a0 + pairwise(a1, ...), where
+    reduceat sums a segment a0, ..., a(L-1) as a0 + pairwise(a1, ...), and
     numpy's pairwise sum of fewer than eight terms runs left to right from
-    -0.0 (so a1 + a2 + ...; -0.0 + a = a).  Returns (slots, steps, sums):
-    the (polynomial, term) that each plan row holds, the in-place adds
-    (dst, src, rows), rows[dst:dst + rows] += rows[src:src + rows] in
-    order, and the plan row that ends up holding each polynomial's sum.
-
-    Polynomials of at most eight terms share their adds: sorted by falling
-    length, term t of those with more than t terms is a block of
-    consecutive rows whose polynomials form a prefix of block 1, so one add
-    per t serves all of them.  Longer ones go by length, term t of each
-    group one block.
+    -0.0 (so a1 + a2 + ...; -0.0 + a = a).  Sorted by falling length, term
+    t of the polynomials with more than t terms is a block of consecutive
+    rows whose polynomials form a prefix of block 1, so one add per t
+    serves all of them.  Returns (slots, steps, sums): the (polynomial,
+    term) that each plan row holds, the in-place adds as slices (dst, src),
+    rows[dst] += rows[src] in order, and the plan row that ends up holding
+    each polynomial's sum.
     """
     by_length = sorted(range(len(lengths)), key=lambda p: -lengths[p])
     slots: list[tuple[int, int]] = []
-    steps: list[tuple[int, int, int]] = []
-    sums = [0] * len(lengths)
-    short = [p for p in by_length if lengths[p] <= 8]
     blocks = []                     # (first row, rows) of term t, from row 0
-    for t in range(lengths[short[0]] if short else 0):
-        blocks.append((len(slots), sum(lengths[p] > t for p in short)))
-        slots += [(p, t) for p in short[:blocks[-1][1]]]
-    steps += [(blocks[1][0], start, rows) for start, rows in blocks[2:]]
-    if len(blocks) > 1:
-        steps.append((0, blocks[1][0], blocks[1][1]))
-    for i, p in enumerate(short):
-        sums[p] = i
-    for length in sorted({n for n in lengths if n > 8}, reverse=True):
-        group = [p for p in by_length if lengths[p] == length]
-        base, g = len(slots), len(group)
-        slots += [(p, q) for q in range(length) for p in group]
-        steps += [(base + d * g, base + s * g, k * g)
-                  for d, s, k in _pairwise_steps(1, length - 1) + [(0, 1, 1)]]
-        for i, p in enumerate(group):
-            sums[p] = base + i
-    return slots, steps, sums
+    for t in range(lengths[by_length[0]]):
+        blocks.append((len(slots), sum(n > t for n in lengths)))
+        slots += [(p, t) for p in by_length[:blocks[-1][1]]]
+    # terms 2, 3, ... into term 1, then term 1 into term 0
+    adds = [(blocks[1][0], start, rows) for start, rows in blocks[2:]]
+    adds += [(0, start, rows) for start, rows in blocks[1:2]]
+    sums = np.empty(len(lengths), dtype=np.intp)
+    sums[by_length] = np.arange(len(lengths))
+    return slots, tuple((slice(d, d + k), slice(s, s + k)) for d, s, k in adds), sums
 
 
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compiled:
@@ -175,8 +142,10 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compile
     polynomial is constant, so the table always holds the unknowns
     themselves).  cols[:, t] lists the table rows of term t's nonzero
     exponents in variable order, padded with row 0 to the widest monomial.
-    The terms sit in the order of _sum_plan; a coefficient too large for a
-    float is a DomainError.
+    When every polynomial has at most eight terms they sit in the order of
+    _sum_plan; otherwise there is no plan, the terms sit polynomial by
+    polynomial and reduceat sums them.  A coefficient too large for a float
+    is a DomainError.
     """
     index = {name: i for i, name in enumerate(unknowns)}
     n = len(unknowns)
@@ -188,28 +157,28 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compile
               for name, exp in sorted(mono, key=lambda f: index[f[0]])])
             for mono, coef in sorted(poly.terms.items())] or [(0.0, [])])
     lengths = [len(seg) for seg in segments]
-    slots, steps, sums = _sum_plan(lengths)
+    if max(lengths) <= 8:
+        slots, steps, sums = _sum_plan(lengths)
+    else:
+        slots = [(p, q) for p, n_terms in enumerate(lengths) for q in range(n_terms)]
+        steps = sums = None
     cols = [segments[p][q][1] for p, q in slots]
     width = max(1, max(map(len, cols)))
     cols_arr = np.array([c + [0] * (width - len(c)) for c in cols], dtype=np.intp)
     row = {slot: r for r, slot in enumerate(slots)}
     e_max = max((exp for p in polys for mono in p.terms for _, exp in mono),
                 default=1)
-    # repeated along the rows: a full batch multiplies about twice as fast
-    # by a contiguous array as by a broadcast (T, 1) column, to the same bits
-    coeffs = np.array([[segments[p][q][0]] for p, q in slots])
     return _Compiled(
-        np.ascontiguousarray(np.broadcast_to(coeffs, (len(slots), _EVAL_ROWS))),
+        np.array([[segments[p][q][0]] for p, q in slots]),
         np.ascontiguousarray(cols_arr.T), e_max,
-        tuple((slice(d, d + k), slice(s, s + k)) for d, s, k in steps),
-        np.asarray(sums, dtype=np.intp),
+        steps, sums,
         np.array([row[p, q] for p, n_terms in enumerate(lengths)
                   for q in range(n_terms)], dtype=np.intp),
         np.cumsum([0] + lengths[:-1], dtype=np.intp))
 
 
 def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """Every term at every row of X (n, rows): a (terms, rows) array in plan order."""
+    """Every term at every row of X (n, rows): a (terms, rows) array in layout order."""
     n, B = X.shape
     e_max = compiled.e_max
     # power table: integer powers via repeated multiplication beat float
@@ -225,8 +194,15 @@ def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     terms = table[compiled.cols[0]]
     for col in compiled.cols[1:]:
         terms *= table[col]
-    np.multiply(compiled.coeffs[:, :B], terms, out=terms)
+    np.multiply(compiled.coeffs, terms, out=terms)
     return terms
+
+
+def _reduceat(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
+    """Every polynomial at every row of X (n, rows), summed by
+    np.add.reduceat: a (polynomials, rows) array."""
+    return np.add.reduceat(np.ascontiguousarray(_terms(compiled, X)[compiled.order].T),
+                           compiled.offsets, axis=1).T
 
 
 def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
@@ -235,23 +211,24 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     result (polynomials, rows).
 
     The terms are gathered whole table rows at a time and summed by the
-    plan's vector adds.  Where a sum is NaN, which operand's NaN an add
-    returns depends on its lane, so those rows are summed by reduceat.
+    plan's vector adds, or by reduceat where the system has no plan.  Where
+    a planned sum is NaN, which operand's NaN an add returns depends on its
+    lane, so those rows are summed by reduceat.
     """
     # rows are independent, so blocks of them give the same values with a
     # bounded working set
     if X.shape[1] > _EVAL_ROWS:
         return np.concatenate([_eval_polys(compiled, X[:, i:i + _EVAL_ROWS])
                                for i in range(0, X.shape[1], _EVAL_ROWS)], axis=1)
+    if compiled.steps is None:
+        return _reduceat(compiled, X)
     terms = _terms(compiled, X)
     for dst, src in compiled.steps:
         np.add(terms[dst], terms[src], out=terms[dst])
     out = terms[compiled.sums]
     if np.isnan(out.max(initial=0.0)):          # max propagates NaN
         bad = np.flatnonzero(np.isnan(out).any(axis=0))
-        out[:, bad] = np.add.reduceat(
-            np.ascontiguousarray(_terms(compiled, X[:, bad])[compiled.order].T),
-            compiled.offsets, axis=1).T
+        out[:, bad] = _reduceat(compiled, X[:, bad])
     return out
 
 
@@ -319,8 +296,11 @@ def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
     """The coefficient system registered as ``name`` and the pins it imposes.
 
     ``params`` substitutes values of a, b, c, d on top of those the system
-    fixes; contradicting a fixed value raises DomainError.
+    fixes; contradicting a fixed value raises DomainError.  UsageError for
+    a name that is not in SYSTEMS.
     """
+    if name not in SYSTEMS:
+        raise UsageError(f"no system named {name!r}; the systems are {sorted(SYSTEMS)}")
     n_eta, n_w, fixed, pins = SYSTEMS[name]
     merged = dict(fixed)
     for key, val in (params or {}).items():
@@ -417,7 +397,7 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     """
     steps = 0.5 ** np.arange(50)
     factor = 1 - _ARMIJO * steps
-    H = np.full((compiled.sums.size, Xa.shape[1]), np.nan)
+    H = np.full((compiled.offsets.size, Xa.shape[1]), np.nan)
     taken = np.full(Xa.shape[1], -1)
     # a sum of squares past the float range passes only an infinite base;
     # there the residual must be checked finite as well
@@ -809,8 +789,8 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     branch_set = BranchSet(records, pinned_f, n_starts, found.size, seed_rng)
     logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
                  "%d budget), %d kept, %d non-trivial; residual floor of the "
-                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify %.3f s; "
-                 "%d Gauss-Newton solves, %d fell back to the SVD; "
+                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify and "
+                 "records %.3f s; %d Gauss-Newton solves, %d fell back to the SVD; "
                  "dedup window at most %d; line search %d candidate rows in "
                  "%d passes; of the newton time %.3f s in Gauss-Newton steps "
                  "and %.3f s in line searches",
@@ -906,7 +886,8 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     sigma is left free so that sigma ~ 0 roots can surface.  Every
     converged root is reported; a root contradicting the expectation
     (any root for j1/j3; a |sigma| > 1e-10 root for k1) is recorded as a
-    counterexample, never suppressed.  UsageError for seed < 0.
+    counterexample, never suppressed.  UsageError for seed < 0 and for a
+    grid point that lacks one of the values it must supply.
     """
     if constrained not in ("j1", "j3", "k1"):
         raise UsageError("constrained must be one of 'j1', 'j3', 'k1'")
@@ -915,6 +896,11 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     if abs(value) < _DELTA:
         raise UsageError(f"|value| = {abs(value)} must be >= delta = {_DELTA}")
     sigma_free = constrained == "k1"
+    keys = ("a", "b", "d", "lam", "m") + (() if sigma_free else ("sigma",))
+    for i, point in enumerate(grid):
+        missing = [key for key in keys if key not in point]
+        if missing:
+            raise UsageError(f"grid point {i} ({dict(point)}) lacks {missing}")
     t0 = time.perf_counter()
     system, _ = build_named_system("coeffs2")
     report = NonexistenceReport(constrained, float(value), _DELTA,

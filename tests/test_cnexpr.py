@@ -222,6 +222,12 @@ def test_parameter_that_is_not_a_rational_is_named(value):
         build_coefficient_system(2, 2, params={"a": value, "c": 0})
 
 
+@pytest.mark.parametrize("degrees", [(0, 2), (2, 0), (-1, -1)])
+def test_series_degree_below_one_is_a_usage_error(degrees):
+    with pytest.raises(UsageError, match=r"series degrees .* must be >= 1"):
+        build_coefficient_system(*degrees)
+
+
 def test_canonical_text_dump():
     system = build_coefficient_system(2, 2)
     text = system.to_text()

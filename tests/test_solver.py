@@ -169,6 +169,12 @@ _KERNEL_PINNINGS = {
                                    "m": F(1, 2)}),
     "criterion-6 j1": ("coeffs2", {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)}),
+    "criterion-6 j3": ("coeffs2", {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(3, 4), "sigma": 1, "j3": F(1, 10)}),
+    "criterion-6 k1": ("coeffs2", {"a": F(-1, 100), "b": -1, "d": F(1, 3), "lam": 1,
+                                   "m": F(1, 2), "k1": F(1, 10)}),
+    "coeffs2red": ("coeffs2red", {"a": 1, "b": F(1, 6), "d": F(1, 6), "lam": 1,
+                                  "m": F(1, 2), "sigma": 1, "j1": 0, "j3": 0, "k1": 0}),
     # with w = k fixed the residuals are affine in j: a constant Jacobian
     "affine in j": ("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
                                 "m": math.sqrt(0.5), "lam": 1, "sigma": 1,
@@ -197,39 +203,68 @@ def test_sparse_kernel_matches_dense_reference(name):
 
 
 def test_summation_plan_matches_reduceat():
-    # polynomials of 1..300 terms, each term one unknown (coefficient 1),
-    # listed in shuffled order: the plan covers numpy's left-to-right sums
-    # from -0.0, its eight accumulators and its halving past 128 terms, and
-    # rows whose sum is NaN are summed by reduceat itself
-    rng = np.random.default_rng(30)
-    lengths = rng.permutation(np.arange(1, 301))
+    # 300 polynomials of 1..longest terms, each term one unknown
+    # (coefficient 1), listed in shuffled order.  Up to eight terms the
+    # plan sums them, numpy's left-to-right sums from -0.0, and rows whose
+    # sum is NaN are summed by reduceat itself; a longer polynomial sends
+    # the whole system to reduceat, with its eight accumulators and its
+    # halving past 128 terms
     unknowns = [f"x{i:03d}" for i in range(300)]
-    # the kernel takes a polynomial's terms in monomial order
-    picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
-    polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
-    sysn = solver.HSystemNumeric(unknowns, polys, {})
-    rows = []
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200])
-    # terms of one scale round differently in every other order
-    for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
-                           (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
-        X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
-                                                                (6, 300))
-        mask = rng.random(X.shape) < share
-        X[mask] = rng.choice(special, mask.sum())
-        rows.append(X)
-    signed_zeros = rng.choice([0.0, -0.0], (6, 300))
-    signed_zeros[3:] = -0.0
-    X = np.concatenate(rows + [signed_zeros])
-    with np.errstate(all="ignore"):
-        ref = np.add.reduceat(X[:, np.concatenate(picks)],
-                              np.cumsum(np.concatenate([[0], lengths[:-1]])), axis=1)
-        got = sysn.residual(X)
-    assert got.shape == ref.shape and got.flags.c_contiguous
-    assert got.tobytes() == ref.tobytes()
-    # the rows hold finite sums of every length, NaN sums, and negative zeros
-    assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
-    assert np.signbit(ref[-3:]).all() and not np.signbit(ref[-6:-3]).all()
+    for longest in (300, 8):
+        rng = np.random.default_rng(30)
+        lengths = (rng.permutation(np.arange(1, 301)) if longest == 300
+                   else rng.integers(1, 9, 300))
+        # the kernel takes a polynomial's terms in monomial order
+        picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
+        polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
+        sysn = solver.HSystemNumeric(unknowns, polys, {})
+        assert max(lengths) == longest and (sysn._f.steps is None) == (longest > 8)
+        rows = []
+        # terms of one scale round differently in every other order
+        for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
+                               (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
+            X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                    (6, 300))
+            mask = rng.random(X.shape) < share
+            X[mask] = rng.choice(special, mask.sum())
+            rows.append(X)
+        signed_zeros = rng.choice([0.0, -0.0], (6, 300))
+        signed_zeros[3:] = -0.0
+        X = np.concatenate(rows + [signed_zeros])
+        with np.errstate(all="ignore"):
+            ref = np.add.reduceat(X[:, np.concatenate(picks)],
+                                  np.cumsum(np.concatenate([[0], lengths[:-1]])), axis=1)
+            got = sysn.residual(X)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+        # the rows hold finite sums of every length, NaN sums, and negative zeros
+        assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
+        assert np.signbit(ref[-3:]).all() and not np.signbit(ref[-6:-3]).all()
+
+
+def test_summation_plan_up_to_eight_terms():
+    # a longest polynomial of 8 terms gets a plan, one of 9 terms sends
+    # every polynomial of the system to reduceat; both give reduceat's bits
+    unknowns = [f"x{i}" for i in range(9)]
+    x = [RationalPoly.var(u) for u in unknowns]
+    X = np.random.default_rng(8).standard_normal((40, 9)) * 10.0 ** \
+        np.random.default_rng(9).uniform(-8.0, 8.0, (40, 9))
+    for n_terms in (8, 9):
+        polys = [sum(x[1:n_terms], x[0]), x[0] - 3 * x[1], RationalPoly.const(0)]
+        compiled = solver._compile(polys, unknowns)
+        assert (compiled.steps is None) == (n_terms > 8)
+        assert solver._eval_compiled(compiled, X).tobytes() == \
+            _eval_reference(polys, unknowns, X).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_PINNINGS))
+def test_pinnings_in_use_compile_to_a_plan(name):
+    # the residuals and Jacobians of every pinning the rediscovery, the
+    # sweeps and coeffs2red use are summed by the plan, not by reduceat
+    system_name, pins = _KERNEL_PINNINGS[name]
+    sysn = pin_and_square(solver.build_named_system(system_name)[0], pins)
+    assert sysn._f.steps is not None and sysn._j.steps is not None
 
 
 def test_sparse_kernel_orders_factors_by_unknown():
@@ -447,6 +482,11 @@ def test_coeffs2red_finds_the_s421_root():
         solver.build_named_system("coeffs2red", {"c": 1})
 
 
+def test_unknown_system_name_lists_the_systems():
+    with pytest.raises(UsageError, match=r"'coeffs3'.*\['coeffs1', 'coeffs2', 'coeffs2red'\]"):
+        solver.build_named_system("coeffs3")
+
+
 def test_multistart_empty_when_invalid(quadratic_system):
     # 8ac + sigma^2 (b-2d)^2 < 0: no quadratic branch exists
     sysn = pin_and_square(quadratic_system,
@@ -501,6 +541,8 @@ def _multistart_record(caplog, *args, **kwargs):
     (record,) = [r for r in caplog.records if r.name == "abcdwaves.solver"]
     assert record.levelno == logging.DEBUG
     assert all(t >= 0.0 for t in record.args[8:])
+    # the third time covers the classification and the root records
+    assert "classify and records %.3f s" in record.msg
     return branch_set, record
 
 
@@ -1415,3 +1457,15 @@ def test_nonexistence_argument_validation():
     with pytest.raises(UsageError, match="seed = -2 "):
         reproduce_nonexistence("j1", [{"a": 1, "b": F(1, 6), "d": F(-1, 2), "lam": 1,
                                        "m": F(3, 4), "sigma": 1}], seed=-2)
+    # an incomplete grid point is named with its missing keys; sigma is
+    # needed only where it stays pinned
+    point = {"a": 1, "b": F(1, 6), "d": F(-1, 2), "lam": 1, "m": F(3, 4), "sigma": 1}
+    with pytest.raises(UsageError, match=r"grid point 0 \(\{'a': 1\}\) lacks "
+                                         r"\['b', 'd', 'lam', 'm', 'sigma'\]$"):
+        reproduce_nonexistence("j1", [{"a": 1}])
+    # a point is named by its index in the grid
+    without_sigma = {k: v for k, v in point.items() if k != "sigma"}
+    with pytest.raises(UsageError, match=r"grid point 1 .* lacks \['sigma'\]$"):
+        reproduce_nonexistence("j3", [point, without_sigma])
+    with pytest.raises(UsageError, match=r"grid point 0 .* lacks \['b', 'd', 'lam', 'm'\]$"):
+        reproduce_nonexistence("k1", [{"a": 1}])
