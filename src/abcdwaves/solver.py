@@ -33,16 +33,15 @@ Polynomials are evaluated on whole batches, term-major: a table of
 integer powers holds one row per power of an unknown, and each monomial
 multiplies only the table rows of its nonzero exponents, in variable
 order, which gives the same bits as a product over all unknowns (the
-factors left out are exact ones).  When no polynomial has more than
-eight terms, as in every pinning the rediscovery and the sweeps use, each
-polynomial's terms are then summed by a compiled plan of vector adds in
-np.add.reduceat's order, so every value is that of reduceat bit for bit;
-rows whose sum is NaN, and systems with a longer polynomial, are summed
-by reduceat itself.  A row's residual is evaluated once at its start;
-after that the line search's residual at the accepted step serves as the
-residual of the next iterate and of its stop-reason test.  A row's line
-search first tries, in one pass, every step down to the one it accepted
-last time; the accepted step does not depend on that.
+factors left out are exact ones).  A polynomial's value is its terms, in
+monomial order, summed left to right, and np.nan where that sum is NaN;
+one vector add per term position serves every polynomial that has a term
+there, so each row gets the same bits in a batch of any width.  A row's
+residual is evaluated once at its start; after that the line search's
+residual at the accepted step serves as the residual of the next iterate
+and of its stop-reason test.  A row's line search first tries, in one
+pass, every step down to the one it accepted last time; the accepted step
+does not depend on that.
 
 Multistart sampling is log-uniform in magnitude with random sign,
 deterministic for a fixed seed; roots are sorted before deduplication so
@@ -99,39 +98,8 @@ class _Compiled(NamedTuple):
     coeffs: np.ndarray      # (T, 1) each term's coefficient, in layout order
     cols: np.ndarray        # (W, T) power-table rows of each term's factors
     e_max: int
-    steps: Optional[tuple]  # the summation plan, rows[dst] += rows[src] in
-                            # order; None when reduceat sums every row
-    sums: Optional[np.ndarray]  # (P,) the plan row that ends up holding each sum
-    order: np.ndarray       # (T,) the layout row of each term, polynomial by polynomial
-    offsets: np.ndarray     # (P,) each polynomial's first term in that order
-
-
-def _sum_plan(lengths: Sequence[int]) -> tuple[list, tuple, np.ndarray]:
-    """Lay out the terms of polynomials with these term counts, at most
-    eight each, and plan their sums as np.add.reduceat forms them.
-
-    reduceat sums a segment a0, ..., a(L-1) as a0 + pairwise(a1, ...), and
-    numpy's pairwise sum of fewer than eight terms runs left to right from
-    -0.0 (so a1 + a2 + ...; -0.0 + a = a).  Sorted by falling length, term
-    t of the polynomials with more than t terms is a block of consecutive
-    rows whose polynomials form a prefix of block 1, so one add per t
-    serves all of them.  Returns (slots, steps, sums): the (polynomial,
-    term) that each plan row holds, the in-place adds as slices (dst, src),
-    rows[dst] += rows[src] in order, and the plan row that ends up holding
-    each polynomial's sum.
-    """
-    by_length = sorted(range(len(lengths)), key=lambda p: -lengths[p])
-    slots: list[tuple[int, int]] = []
-    blocks = []                     # (first row, rows) of term t, from row 0
-    for t in range(lengths[by_length[0]]):
-        blocks.append((len(slots), sum(n > t for n in lengths)))
-        slots += [(p, t) for p in by_length[:blocks[-1][1]]]
-    # terms 2, 3, ... into term 1, then term 1 into term 0
-    adds = [(blocks[1][0], start, rows) for start, rows in blocks[2:]]
-    adds += [(0, start, rows) for start, rows in blocks[1:2]]
-    sums = np.empty(len(lengths), dtype=np.intp)
-    sums[by_length] = np.arange(len(lengths))
-    return slots, tuple((slice(d, d + k), slice(s, s + k)) for d, s, k in adds), sums
+    counts: tuple           # how many polynomials have a term at each position
+    sums: np.ndarray        # (P,) the layout row that ends up holding each sum
 
 
 def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compiled:
@@ -142,10 +110,10 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compile
     polynomial is constant, so the table always holds the unknowns
     themselves).  cols[:, t] lists the table rows of term t's nonzero
     exponents in variable order, padded with row 0 to the widest monomial.
-    When every polynomial has at most eight terms they sit in the order of
-    _sum_plan; otherwise there is no plan, the terms sit polynomial by
-    polynomial and reduceat sums them.  A coefficient too large for a float
-    is a DomainError.
+    The terms are laid out term by term, with the polynomials sorted by
+    falling term count: block t holds term t of the counts[t] polynomials
+    that have one, and they are the first counts[t] rows of block 0, where
+    each sum ends up.  A coefficient too large for a float is a DomainError.
     """
     index = {name: i for i, name in enumerate(unknowns)}
     n = len(unknowns)
@@ -156,25 +124,17 @@ def _compile(polys: Sequence[RationalPoly], unknowns: Sequence[str]) -> _Compile
              [(exp - 1) * n + index[name] + 1
               for name, exp in sorted(mono, key=lambda f: index[f[0]])])
             for mono, coef in sorted(poly.terms.items())] or [(0.0, [])])
-    lengths = [len(seg) for seg in segments]
-    if max(lengths) <= 8:
-        slots, steps, sums = _sum_plan(lengths)
-    else:
-        slots = [(p, q) for p, n_terms in enumerate(lengths) for q in range(n_terms)]
-        steps = sums = None
-    cols = [segments[p][q][1] for p, q in slots]
-    width = max(1, max(map(len, cols)))
-    cols_arr = np.array([c + [0] * (width - len(c)) for c in cols], dtype=np.intp)
-    row = {slot: r for r, slot in enumerate(slots)}
+    by_length = sorted(range(len(segments)), key=lambda p: -len(segments[p]))
+    counts = tuple(sum(len(seg) > t for seg in segments)
+                   for t in range(len(segments[by_length[0]])))
+    layout = [segments[p][t] for t, k in enumerate(counts) for p in by_length[:k]]
+    width = max(1, max(len(c) for _, c in layout))
+    cols = np.array([c + [0] * (width - len(c)) for _, c in layout], dtype=np.intp)
     e_max = max((exp for p in polys for mono in p.terms for _, exp in mono),
                 default=1)
-    return _Compiled(
-        np.array([[segments[p][q][0]] for p, q in slots]),
-        np.ascontiguousarray(cols_arr.T), e_max,
-        steps, sums,
-        np.array([row[p, q] for p, n_terms in enumerate(lengths)
-                  for q in range(n_terms)], dtype=np.intp),
-        np.cumsum([0] + lengths[:-1], dtype=np.intp))
+    return _Compiled(np.array([[coef] for coef, _ in layout]),
+                     np.ascontiguousarray(cols.T), e_max, counts,
+                     np.argsort(by_length))
 
 
 def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
@@ -198,37 +158,29 @@ def _terms(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _reduceat(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """Every polynomial at every row of X (n, rows), summed by
-    np.add.reduceat: a (polynomials, rows) array."""
-    return np.add.reduceat(np.ascontiguousarray(_terms(compiled, X)[compiled.order].T),
-                           compiled.offsets, axis=1).T
-
-
 def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """Every polynomial at every row of X, bit for bit as np.add.reduceat
-    sums the terms.  Row-last in and out: X is (unknowns, rows), the
-    result (polynomials, rows).
+    """Every polynomial at every row of X: its terms, in monomial order,
+    summed left to right (a NaN sum as np.nan).  Row-last in and out: X is
+    (unknowns, rows), the result (polynomials, rows).
 
-    The terms are gathered whole table rows at a time and summed by the
-    plan's vector adds, or by reduceat where the system has no plan.  Where
-    a planned sum is NaN, which operand's NaN an add returns depends on its
-    lane, so those rows are summed by reduceat.
+    Block t of the layout is added into block 0 for t = 1, 2, ....  Which
+    operand's NaN an add keeps depends on its lane in numpy's vector loop,
+    so NaN sums are made np.nan: every row gets the same bits in a batch
+    of any width.
     """
     # rows are independent, so blocks of them give the same values with a
     # bounded working set
     if X.shape[1] > _EVAL_ROWS:
         return np.concatenate([_eval_polys(compiled, X[:, i:i + _EVAL_ROWS])
                                for i in range(0, X.shape[1], _EVAL_ROWS)], axis=1)
-    if compiled.steps is None:
-        return _reduceat(compiled, X)
     terms = _terms(compiled, X)
-    for dst, src in compiled.steps:
-        np.add(terms[dst], terms[src], out=terms[dst])
+    start = compiled.counts[0]
+    for k in compiled.counts[1:]:
+        np.add(terms[:k], terms[start:start + k], out=terms[:k])
+        start += k
     out = terms[compiled.sums]
     if np.isnan(out.max(initial=0.0)):          # max propagates NaN
-        bad = np.flatnonzero(np.isnan(out).any(axis=0))
-        out[:, bad] = _reduceat(compiled, X[:, bad])
+        out[np.isnan(out)] = np.nan
     return out
 
 
@@ -242,8 +194,8 @@ def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
 class HSystemNumeric:
     """A pinned polynomial system ready for Newton iteration.
 
-    UsageError when a polynomial names a variable outside ``unknowns``,
-    UnderdeterminedError when there are fewer polynomials than unknowns.
+    UsageError for no unknown or for a polynomial naming a variable outside
+    ``unknowns``, UnderdeterminedError for fewer polynomials than unknowns.
     """
 
     unknowns: list[str]
@@ -251,6 +203,8 @@ class HSystemNumeric:
     pinned: dict[str, Fraction]
 
     def __post_init__(self):
+        if not self.unknowns:
+            raise UsageError("the system has no unknown to solve for")
         foreign = sorted(set().union(*(p.variables() for p in self.polys))
                          - set(self.unknowns))
         if foreign:
@@ -297,10 +251,14 @@ def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
 
     ``params`` substitutes values of a, b, c, d on top of those the system
     fixes; contradicting a fixed value raises DomainError.  UsageError for
-    a name that is not in SYSTEMS.
+    a name that is not in SYSTEMS and for a ``params`` key other than a, b,
+    c, d.
     """
     if name not in SYSTEMS:
         raise UsageError(f"no system named {name!r}; the systems are {sorted(SYSTEMS)}")
+    stray = sorted(set(params or {}) - set("abcd"))
+    if stray:
+        raise UsageError(f"params {stray} are not among a, b, c, d")
     n_eta, n_w, fixed, pins = SYSTEMS[name]
     merged = dict(fixed)
     for key, val in (params or {}).items():
@@ -340,11 +298,8 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     unknowns: set[str] = set()
     for poly in polys:
         unknowns |= poly.variables()
-    ordered = sorted(unknowns, key=var_sort_key)
-    if not ordered:
-        raise UsageError("the pins leave no unknown to solve for")
-    # HSystemNumeric raises UnderdeterminedError for too few equations
-    return HSystemNumeric(ordered, polys, exact)
+    # HSystemNumeric refuses a system with no unknown or too few equations
+    return HSystemNumeric(sorted(unknowns, key=var_sort_key), polys, exact)
 
 
 @dataclass
@@ -397,7 +352,7 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     """
     steps = 0.5 ** np.arange(50)
     factor = 1 - _ARMIJO * steps
-    H = np.full((compiled.offsets.size, Xa.shape[1]), np.nan)
+    H = np.full((compiled.sums.size, Xa.shape[1]), np.nan)
     taken = np.full(Xa.shape[1], -1)
     # a sum of squares past the float range passes only an infinite base;
     # there the residual must be checked finite as well

@@ -117,6 +117,12 @@ def test_hsystem_with_a_foreign_variable_rejected():
         solver.HSystemNumeric(["x"], [x + y - 2], {})
 
 
+def test_hsystem_with_no_unknown_rejected():
+    for polys in ([], [RationalPoly.const(1)]):
+        with pytest.raises(UsageError, match="no unknown"):
+            solver.HSystemNumeric([], polys, {})
+
+
 def test_pins_leaving_no_unknown_rejected(quadratic_system):
     pins = {"a": 0, "b": 0, "c": 0, "d": 0, "sigma": 1,
             **{name: 1 for name in ("j0", "j1", "j2", "k0", "k1", "k2")}}
@@ -137,7 +143,9 @@ def test_batch_evaluation_matches_single_rows(reference_pinning):
 # -- evaluation kernel ---------------------------------------------------------
 
 def _eval_reference(polys, unknowns, X):
-    """The dense kernel: every monomial gathers the powers of all unknowns."""
+    """The dense kernel: every monomial gathers the powers of all unknowns,
+    each polynomial's terms are summed left to right, and a NaN sum is
+    np.nan."""
     index = {name: i for i, name in enumerate(unknowns)}
     coeffs, expts, offsets = [], [], []
     for poly in polys:
@@ -158,8 +166,21 @@ def _eval_reference(polys, unknowns, X):
     for e in range(1, powers.shape[2]):
         powers[:, :, e] = powers[:, :, e - 1] * X
     factors = powers[:, np.arange(n), expts]
-    terms = np.asarray(coeffs) * np.prod(factors, axis=2)
-    return np.add.reduceat(terms, np.asarray(offsets, dtype=np.intp), axis=1)
+    return _sum_left_to_right(np.asarray(coeffs) * np.prod(factors, axis=2), offsets)
+
+
+def _sum_left_to_right(terms, offsets):
+    """The sum of each segment of the columns of terms, from each offset to
+    the next, one column add at a time; a NaN sum is np.nan."""
+    ends = list(offsets[1:]) + [terms.shape[1]]
+    out = np.empty((terms.shape[0], len(offsets)))
+    for p, (lo, hi) in enumerate(zip(offsets, ends)):
+        total = terms[:, lo].copy()
+        for t in range(lo + 1, hi):
+            total = total + terms[:, t]
+        out[:, p] = total
+    out[np.isnan(out)] = np.nan
+    return out
 
 
 _KERNEL_PINNINGS = {
@@ -202,69 +223,48 @@ def test_sparse_kernel_matches_dense_reference(name):
                 assert got.tobytes() == ref.tobytes()
 
 
-def test_summation_plan_matches_reduceat():
-    # 300 polynomials of 1..longest terms, each term one unknown
-    # (coefficient 1), listed in shuffled order.  Up to eight terms the
-    # plan sums them, numpy's left-to-right sums from -0.0, and rows whose
-    # sum is NaN are summed by reduceat itself; a longer polynomial sends
-    # the whole system to reduceat, with its eight accumulators and its
-    # halving past 128 terms
+def test_left_to_right_sums_of_1_to_300_terms():
+    # 300 polynomials of 1..300 terms, each term one unknown (coefficient
+    # 1), listed in shuffled order: each sum runs left to right through its
+    # terms, whatever the term counts of the other polynomials
     unknowns = [f"x{i:03d}" for i in range(300)]
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200])
-    for longest in (300, 8):
-        rng = np.random.default_rng(30)
-        lengths = (rng.permutation(np.arange(1, 301)) if longest == 300
-                   else rng.integers(1, 9, 300))
-        # the kernel takes a polynomial's terms in monomial order
-        picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
-        polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
-        sysn = solver.HSystemNumeric(unknowns, polys, {})
-        assert max(lengths) == longest and (sysn._f.steps is None) == (longest > 8)
-        rows = []
-        # terms of one scale round differently in every other order
-        for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
-                               (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
-            X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
-                                                                    (6, 300))
-            mask = rng.random(X.shape) < share
-            X[mask] = rng.choice(special, mask.sum())
-            rows.append(X)
-        signed_zeros = rng.choice([0.0, -0.0], (6, 300))
-        signed_zeros[3:] = -0.0
-        X = np.concatenate(rows + [signed_zeros])
-        with np.errstate(all="ignore"):
-            ref = np.add.reduceat(X[:, np.concatenate(picks)],
-                                  np.cumsum(np.concatenate([[0], lengths[:-1]])), axis=1)
-            got = sysn.residual(X)
-        assert got.shape == ref.shape and got.flags.c_contiguous
-        assert got.tobytes() == ref.tobytes()
-        # the rows hold finite sums of every length, NaN sums, and negative zeros
-        assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
-        assert np.signbit(ref[-3:]).all() and not np.signbit(ref[-6:-3]).all()
-
-
-def test_summation_plan_up_to_eight_terms():
-    # a longest polynomial of 8 terms gets a plan, one of 9 terms sends
-    # every polynomial of the system to reduceat; both give reduceat's bits
-    unknowns = [f"x{i}" for i in range(9)]
-    x = [RationalPoly.var(u) for u in unknowns]
-    X = np.random.default_rng(8).standard_normal((40, 9)) * 10.0 ** \
-        np.random.default_rng(9).uniform(-8.0, 8.0, (40, 9))
-    for n_terms in (8, 9):
-        polys = [sum(x[1:n_terms], x[0]), x[0] - 3 * x[1], RationalPoly.const(0)]
-        compiled = solver._compile(polys, unknowns)
-        assert (compiled.steps is None) == (n_terms > 8)
-        assert solver._eval_compiled(compiled, X).tobytes() == \
-            _eval_reference(polys, unknowns, X).tobytes()
-
-
-@pytest.mark.parametrize("name", list(_KERNEL_PINNINGS))
-def test_pinnings_in_use_compile_to_a_plan(name):
-    # the residuals and Jacobians of every pinning the rediscovery, the
-    # sweeps and coeffs2red use are summed by the plan, not by reduceat
-    system_name, pins = _KERNEL_PINNINGS[name]
-    sysn = pin_and_square(solver.build_named_system(system_name)[0], pins)
-    assert sysn._f.steps is not None and sysn._j.steps is not None
+    rng = np.random.default_rng(30)
+    lengths = rng.permutation(np.arange(1, 301))
+    # the kernel takes a polynomial's terms in monomial order
+    picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
+    polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
+    compiled = solver._compile(polys, unknowns)
+    rows = []
+    # terms of one scale round differently in every other order
+    for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
+                           (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
+        X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                (6, 300))
+        mask = rng.random(X.shape) < share
+        X[mask] = rng.choice(special, mask.sum())
+        rows.append(X)
+    signed_zeros = rng.choice([0.0, -0.0], (6, 300))
+    signed_zeros[3:] = -0.0
+    X = np.concatenate(rows + [signed_zeros])
+    with np.errstate(all="ignore"):
+        ref = _sum_left_to_right(X[:, np.concatenate(picks)],
+                                 np.cumsum(np.r_[0, lengths[:-1]]))
+        got = solver._eval_compiled(compiled, X)
+        wide = solver._eval_compiled(compiled, np.tile(X, (38, 1))[:2000])
+        part = solver._eval_compiled(compiled, X[35:48])
+        single = [solver._eval_compiled(compiled, x[None, :]) for x in X]
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+    # the rows hold finite sums of every length, NaN sums, and negative zeros
+    assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
+    assert np.signbit(ref[-3:]).all() and not np.signbit(ref[-6:-3]).all()
+    # each row gets the same bits in a batch of 1, 13, 54 and 2000 rows; in
+    # the 13-row batch the NaN-rich rows 43-47 sit past the last full block
+    # of numpy's vector loop
+    for i, row in enumerate(single):
+        assert row[0].tobytes() == got[i].tobytes() == wide[i].tobytes()
+    assert part.tobytes() == got[35:48].tobytes()
 
 
 def test_sparse_kernel_orders_factors_by_unknown():
@@ -485,6 +485,13 @@ def test_coeffs2red_finds_the_s421_root():
 def test_unknown_system_name_lists_the_systems():
     with pytest.raises(UsageError, match=r"'coeffs3'.*\['coeffs1', 'coeffs2', 'coeffs2red'\]"):
         solver.build_named_system("coeffs3")
+
+
+def test_named_system_rejects_params_other_than_abcd():
+    with pytest.raises(UsageError, match=r"\['lam', 'x'\]"):
+        solver.build_named_system("coeffs1", {"x": 1, "lam": 2})
+    with pytest.raises(UsageError, match=r"\['sigma'\]"):
+        solver.build_named_system("coeffs2", {"a": 1, "sigma": 1})
 
 
 def test_multistart_empty_when_invalid(quadratic_system):
