@@ -267,6 +267,75 @@ def test_left_to_right_sums_of_1_to_300_terms():
     assert part.tobytes() == got[35:48].tobytes()
 
 
+def test_summation_plan_matches_reduceat():
+    # 300 polynomials of 1..longest terms, each term one unknown
+    # (coefficient 1), listed in shuffled order, summed by the plan and by
+    # np.add.reduceat, whose order is pairwise.  The two orders give the
+    # same NaNs, infinities and signed zeros, the same bits up to two terms,
+    # and finite sums within the rounding bound of any order of n terms
+    unknowns = [f"x{i:03d}" for i in range(300)]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200])
+    eps = np.finfo(float).eps
+    for longest in (300, 8):
+        rng = np.random.default_rng(30)
+        lengths = (rng.permutation(np.arange(1, 301)) if longest == 300
+                   else rng.integers(1, 9, 300))
+        picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
+        polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
+        sysn = solver.HSystemNumeric(unknowns, polys, {})
+        assert max(lengths) == longest
+        rows = []
+        for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
+                               (0.01, 20.0), (0.1, 1.0), (0.5, 20.0), (1.0, 0.0)):
+            X = rng.standard_normal((6, 300)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                    (6, 300))
+            mask = rng.random(X.shape) < share
+            X[mask] = rng.choice(special, mask.sum())
+            rows.append(X)
+        signed_zeros = rng.choice([0.0, -0.0], (6, 300))
+        signed_zeros[3:] = -0.0
+        X = np.concatenate(rows + [signed_zeros])
+        terms = X[:, np.concatenate(picks)]
+        offsets = np.cumsum(np.concatenate([[0], lengths[:-1]]))
+        with np.errstate(all="ignore"):
+            ref = np.add.reduceat(terms, offsets, axis=1)
+            size = np.add.reduceat(np.abs(terms), offsets, axis=1)
+            got = sysn.residual(X)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert np.isnan(ref).any(axis=1).sum() >= 12
+        finite = np.isfinite(ref)
+        assert (np.isfinite(got) == finite).all()
+        assert (np.isnan(got) == np.isnan(ref)).all()
+        assert (got[np.isinf(ref)] == ref[np.isinf(ref)]).all()
+        # a zero sum is -0.0 only where every term is -0.0, in any order
+        zero = (ref == 0) & (got == 0)
+        assert zero[-6:].all()
+        assert (np.signbit(got[zero]) == np.signbit(ref[zero])).all()
+        assert np.signbit(got[-3:]).all() and not np.signbit(got[-6:-3]).all()
+        short = np.broadcast_to(lengths <= 2, ref.shape) & finite
+        assert got[short].tobytes() == ref[short].tobytes()
+        # each order is within (n - 1) u sum|x_i| of the exact sum
+        bound = np.broadcast_to(lengths * eps, ref.shape) * size
+        assert (np.abs(got[finite] - ref[finite]) <= bound[finite]).all()
+        if longest == 300:
+            assert (got[finite] != ref[finite]).any()
+
+
+def test_summation_plan_up_to_eight_terms():
+    # a longest polynomial of 8 terms and one of 9 are laid out alike, one
+    # block per term position, and both give the left-to-right bits
+    unknowns = [f"x{i}" for i in range(9)]
+    x = [RationalPoly.var(u) for u in unknowns]
+    X = np.random.default_rng(8).standard_normal((40, 9)) * 10.0 ** \
+        np.random.default_rng(9).uniform(-8.0, 8.0, (40, 9))
+    for n_terms in (8, 9):
+        polys = [sum(x[1:n_terms], x[0]), x[0] - 3 * x[1], RationalPoly.const(0)]
+        compiled = solver._compile(polys, unknowns)
+        assert compiled.counts == (3, 2) + (1,) * (n_terms - 2)
+        assert solver._eval_compiled(compiled, X).tobytes() == \
+            _eval_reference(polys, unknowns, X).tobytes()
+
+
 def test_sparse_kernel_orders_factors_by_unknown():
     # unknowns listed out of name order, monomials of three factors and
     # powers up to 3: the factors multiply in the order of the unknowns
