@@ -158,16 +158,7 @@ def build_coefficient_system(
     return CoefficientSystem(equations)
 
 
-def poly_from_terms(terms) -> RationalPoly:
-    """Helper for writing reference polynomials: [(coef, {var: exp}), ...]."""
-    total = RationalPoly.const(0)
-    for coef, powers in terms:
-        total = total + RationalPoly.monomial(Fraction(coef), powers.items())
-    return total
-
-
 __all__ = [
     "CoefficientSystem",
     "build_coefficient_system",
-    "poly_from_terms",
 ]

@@ -8,11 +8,12 @@ the normal situation here since the pinned systems carry structural
 redundancy) take Gauss-Newton least-squares steps and a root is accepted
 only at ||h||_inf <= 1e-12, so consistency of the redundant equations is
 verified rather than assumed.  The step is a Householder QR solve on the
-rows whose R factor certifies them well-conditioned (kappa_1(R) <= 1e10)
-and the pseudoinverse step on every other row.  The QR and R^-1 run
-vectorized across the rows, with the row index last and scaled column
-norms, so no LAPACK call is made per row; the Jacobian comes from its
-evaluator already row-last.
+rows whose R factor shows that the pseudoinverse's cutoff would drop no
+singular value (kappa_1(R) <= 1 / (2 n rcond), with n unknowns and
+rcond = 1e-14) and the pseudoinverse step on every other row.  The QR and
+R^-1 run vectorized across the rows, with the row index last and scaled
+column norms, so no LAPACK call is made per row; the Jacobian comes from
+its evaluator already row-last.
 
 One batched engine serves multistart and solve_newton (a one-row batch).
 Its state is row-last, X (n, rows) and h (m, rows), so every per-row
@@ -80,7 +81,7 @@ _DEDUP_ABS = 1e-9
 _SIGMA_TOL = 1e-10
 _EVAL_ROWS = 512
 _TOL = 1e-12                # a root needs ||h||_inf <= _TOL
-_KAPPA_QR = 1e10            # a QR step needs kappa_1(R) <= _KAPPA_QR
+_RCOND = 1e-14              # pinv's cutoff, relative to the largest singular value
 _ARMIJO = 1e-4              # sufficient-decrease factor of the line search
 _MIN_STEP = 1e-14           # smallest line-search step factor
 _SWEEP_MAX_ITER = 80        # Newton budget of the non-existence sweeps
@@ -404,14 +405,17 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     Each column's norm is scaled by its largest entry, as LAPACK's dnrm2
     scales it, so that no square underflows or overflows.  Where the
     factorization is finite, R has a nonzero diagonal and kappa_1(R) =
-    ||R||_1 ||R^-1||_1 <= _KAPPA_QR, the step is -R^-1 Q^T h.  There J has
-    full column rank and its 2-norm condition number is at most
-    n * _KAPPA_QR < 1e14, so pinv's cutoff (rcond=1e-14) drops no singular
-    value and both give the least-squares step, equal up to rounding.
-    Every other row takes -pinv(J, rcond=1e-14) h, bit for bit as a
-    batched pinv of all rows would: on a rank-deficient J that is the
-    minimum-norm step.  A row whose J is not finite gets a NaN step, where
-    pinv's SVD would not converge.
+    ||R||_1 ||R^-1||_1 <= 1 / (2 n _RCOND), the step is -R^-1 Q^T h.  The
+    gate is the weakest one pinv's cutoff allows: J and R share their
+    singular values, and ||A||_2 <= sqrt(n) ||A||_1 for an n x n A, so
+    cond_2(J) <= n kappa_1(R) <= 1 / (2 _RCOND) = 5e13.  Every singular
+    value of J is then at least twice pinv's cutoff (_RCOND times the
+    largest), which drops none of them; J has full column rank and both
+    give the least-squares step, equal up to rounding.  Every other row
+    takes -pinv(J, rcond=_RCOND) h, bit for bit as a batched pinv of all
+    rows would: on a rank-deficient J that is the minimum-norm step.  A
+    row whose J is not finite gets a NaN step, where pinv's SVD would not
+    converge.
     """
     B, m, n = J.shape
     # a spare lane of zeros keeps every batch two lanes wide: over a single
@@ -451,12 +455,12 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
                 np.multiply(np.einsum("kb,kjb->jb", R[i, i + 1:], Rinv[i + 1:, i + 1:]),
                             -r, out=Rinv[i, i + 1:])
         kappa = np.abs(R).sum(axis=0).max(axis=0) * np.abs(Rinv).sum(axis=0).max(axis=0)
-        qr = (ok & (kappa <= _KAPPA_QR))[:B]
+        qr = (ok & (kappa <= 1 / (2 * n * _RCOND)))[:B]
         dx = np.where(qr, -np.einsum("ijb,jb->ib", Rinv, A[:n, n])[:, :B], np.nan)
         svd &= ~qr
         if svd.any():       # seldom: even an empty batched pinv costs tens of us
             # H[svd] is a row-major copy, whatever the layout of H
-            dx[:, svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=1e-14),
+            dx[:, svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=_RCOND),
                                     H[svd]).T
     return dx.T, B - int(np.count_nonzero(qr))
 
@@ -742,18 +746,19 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
                in zip(roots.tolist(), _classify(sysn.unknowns, pinned_f, roots),
                       hinf_all[rows].tolist(), hits, found[first].tolist())]
     branch_set = BranchSet(records, pinned_f, n_starts, found.size, seed_rng)
-    logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
-                 "%d budget), %d kept, %d non-trivial; residual floor of the "
-                 "unconverged %.3e; newton %.3f s, dedup %.3f s, classify and "
-                 "records %.3f s; %d Gauss-Newton solves, %d fell back to the SVD; "
-                 "dedup window at most %d; line search %d candidate rows in "
-                 "%d passes; of the newton time %.3f s in Gauss-Newton steps "
-                 "and %.3f s in line searches",
-                 n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
-                 len(records), len(branch_set.nontrivial()),
-                 float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
-                 t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
-                 widest, evaluated, passes, step_s, search_s)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
+                     "%d budget), %d kept, %d non-trivial; residual floor of the "
+                     "unconverged %.3e; newton %.3f s, dedup %.3f s, classify and "
+                     "records %.3f s; %d Gauss-Newton solves, %d fell back to the SVD; "
+                     "dedup window at most %d; line search %d candidate rows in "
+                     "%d passes; of the newton time %.3f s in Gauss-Newton steps "
+                     "and %.3f s in line searches",
+                     n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
+                     len(records), len(branch_set.nontrivial()),
+                     float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
+                     t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
+                     widest, evaluated, passes, step_s, search_s)
     return branch_set
 
 

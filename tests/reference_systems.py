@@ -15,12 +15,20 @@ closed-form builder, down to the order of every polynomial's terms.
 
 from fractions import Fraction
 
-from abcdwaves.cnexpr import CoefficientSystem, poly_from_terms
+from abcdwaves.cnexpr import CoefficientSystem
 from abcdwaves.ratpoly import RationalPoly
 
 ZERO = RationalPoly.const(0)
 _LAM_SQ = RationalPoly.var("lam", 2)
 _MSQ = RationalPoly.var("m", 2)
+
+
+def poly_from_terms(terms) -> RationalPoly:
+    """A polynomial written as its terms: [(coef, {var: exp}), ...]."""
+    total = RationalPoly.const(0)
+    for coef, powers in terms:
+        total = total + RationalPoly.monomial(Fraction(coef), powers.items())
+    return total
 
 
 def series(n: int, prefix: str) -> list[RationalPoly]:

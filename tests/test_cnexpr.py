@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from abcdwaves.cnexpr import build_coefficient_system, poly_from_terms
+from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.elliptic import cn_power_derivative, eval_cn_series, jacobi_eval
 from abcdwaves.errors import UsageError
 from abcdwaves.ratpoly import RationalPoly
 
 from reference_systems import (QUADRATIC_SYSTEM, QUARTIC_H10_AS_PRINTED,
                                QUARTIC_H10_EXPECTED_DIFF,
-                               QUARTIC_REDUCED_SYSTEM, convolve,
+                               QUARTIC_REDUCED_SYSTEM, convolve, poly_from_terms,
                                reference_coefficient_system, second_derivative,
                                series, weighted_sum)
 

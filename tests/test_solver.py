@@ -456,6 +456,26 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     assert {"converged", "overflow"} <= set(reason)
 
 
+def test_splitting_a_batch_changes_no_bit(reference_pinning):
+    # the criterion-4 starts, sampled as multistart samples them: most rows
+    # take QR steps, and those that reach the trivial plane take pinv steps
+    n = reference_pinning.n_unknowns
+    rng = np.random.default_rng(42)
+    X0 = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0), (2000, n)) \
+        * rng.choice([-1.0, 1.0], (2000, n))
+    X, reason, iters, hinf, solves, fallbacks, *_ = solver._newton_batch(
+        reference_pinning, X0, 200)
+    assert solves > fallbacks > 0
+    ends = np.cumsum([1, 2, 3, 500, 1494])
+    parts = [solver._newton_batch(reference_pinning, X0[i:j], 200)
+             for i, j in zip(np.r_[0, ends[:-1]], ends)]
+    assert np.concatenate([p[0] for p in parts]).tobytes() == X.tobytes()
+    assert list(np.concatenate([p[1] for p in parts])) == list(reason)
+    assert np.concatenate([p[2] for p in parts]).tobytes() == iters.tobytes()
+    assert np.concatenate([p[3] for p in parts]).tobytes() == hinf.tobytes()
+    assert sum(p[5] for p in parts) == fallbacks
+
+
 # -- multistart --------------------------------------------------------------
 
 def test_multistart_finds_both_branches(reference_pinning, closed_forms):
@@ -668,6 +688,17 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     assert 0.0 <= step_s + search_s <= record.args[8]
 
 
+def test_multistart_builds_no_debug_arguments_when_silent(reference_pinning, caplog,
+                                                          monkeypatch):
+    def nontrivial(self):
+        raise AssertionError("a silent logger needs no non-trivial count")
+
+    caplog.set_level(logging.INFO, logger="abcdwaves.solver")
+    monkeypatch.setattr(solver.BranchSet, "nontrivial", nontrivial)
+    branch_set = multistart(reference_pinning, 20, seed_rng=3)
+    assert branch_set.n_converged > 0 and not caplog.records
+
+
 def test_newton_batch_stop_reasons(reference_pinning):
     X0 = np.random.default_rng(4).uniform(-10.0, 10.0,
                                           (200, reference_pinning.n_unknowns))
@@ -796,6 +827,11 @@ def test_gauss_newton_step_non_finite_rows():
     assert np.allclose(dx[2], _pinv_step(J[2:], H[2:])[0], rtol=1e-14, atol=0.0)
 
 
+def _qr_gate(n):
+    """The largest kappa_1(R) of a QR step with n unknowns."""
+    return 1 / (2 * n * solver._RCOND)
+
+
 def _gauss_newton_step_reference(J, H):
     """The LAPACK step: np.linalg.qr and np.linalg.inv, one call per row.
 
@@ -811,7 +847,7 @@ def _gauss_newton_step_reference(J, H):
     kappa = np.full(J.shape[0], np.inf)
     kappa[ok] = (np.abs(Rj).sum(axis=1).max(axis=1)
                  * np.abs(Rinv).sum(axis=1).max(axis=1))
-    rows = np.flatnonzero(kappa <= solver._KAPPA_QR)
+    rows = np.flatnonzero(kappa <= _qr_gate(n))
     dx = np.full((J.shape[0], n), np.nan)
     dx[rows] = -np.einsum("bij,bj->bi", np.linalg.inv(R[rows, :n, :n]), R[rows, :n, n])
     svd = np.isfinite(J).all(axis=(1, 2))
@@ -861,7 +897,7 @@ def _check_step(J, H):
         ref, _, kappa = _gauss_newton_step_reference(J, H)
         route = _routes(solver._gauss_newton_step, J, H)
         ref_route = _routes(lambda j, h: _gauss_newton_step_reference(j, h)[:2], J, H)
-    near_gate = np.abs(kappa / solver._KAPPA_QR - 1) <= 0.01
+    near_gate = np.abs(kappa / _qr_gate(J.shape[2]) - 1) <= 0.01
     assert np.array_equal(route[~near_gate], ref_route[~near_gate])
     assert fallbacks == np.count_nonzero(route != "qr")
     qr = np.flatnonzero((route == "qr") & (ref_route == "qr"))
@@ -951,6 +987,38 @@ def test_gauss_newton_step_scaled_columns(scale):
             ref, _, _ = _gauss_newton_step_reference(Js, Hs)
             pinv = (dx == _pinv_step(Js, Hs)).all(axis=1)
         assert np.all((_relative_error(dx, ref) <= bound) | pinv)
+
+
+def test_qr_gate_leaves_pinv_no_singular_value_to_drop():
+    # J = U diag(s) V^T at 2-norm condition numbers from 1e6 to 1e16 (at
+    # n = 1 a single singular value), half of the rows consistent (h = -J x),
+    # half not
+    rng = np.random.default_rng(31)
+    rows, below_gate = 100, 0
+    for n in range(1, 9):
+        for m in range(n, n + 4):
+            U = np.linalg.qr(rng.standard_normal((rows, m, n)))[0]
+            V = np.linalg.qr(rng.standard_normal((rows, n, n)))[0]
+            cond = 10.0 ** rng.uniform(6.0, 16.0, (rows, 1))
+            powers = np.sort(rng.uniform(0.0, 1.0, (rows, n)), axis=1)
+            powers[:, 0], powers[:, -1] = 0.0, 1.0
+            s = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1)) * cond ** -powers
+            J = np.einsum("bik,bk,bjk->bij", U, s, V)
+            H = rng.standard_normal((rows, m))
+            H[::2] = -np.einsum("bij,bj->bi", J[::2], rng.standard_normal((rows, n))[::2])
+            route, _ = _check_step(J, H)
+            dx, _ = solver._gauss_newton_step(J, H)
+            qr = route == "qr"
+            sv = np.linalg.svd(J[qr], compute_uv=False)
+            assert np.all(sv[:, -1] > solver._RCOND * sv[:, 0])
+            ref = _pinv_step(J[qr], H[qr])
+            assert np.all(_relative_error(dx[qr], ref) <= _ls_bound(J[qr], H[qr], ref))
+            # just below the gate the step is still the QR step
+            kappa = _gauss_newton_step_reference(J, H)[2]
+            near = (kappa >= _qr_gate(n) / 2) & (kappa <= _qr_gate(n) / 1.01)
+            assert qr[near].all()
+            below_gate += np.count_nonzero(near)
+    assert below_gate >= 40
 
 
 # -- line search ---------------------------------------------------------------
