@@ -171,6 +171,8 @@ def cmd_family(parser, args) -> int:
     if solitary:
         unread.add("periods")
     _reject_unread(parser, args, unread)
+    if not solitary and args.periods <= 0:
+        raise UsageError(f"--periods {args.periods} must be > 0")
     if args.check_physical:
         try:
             theta = check_physical_constraint(p)
@@ -332,7 +334,10 @@ def cmd_limit(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_nonexistence(args) -> int:
+def cmd_nonexistence(parser, args) -> int:
+    if args.var == "k1":
+        # the k1 sweep leaves sigma free
+        _reject_unread(parser, args, {"sigma"})
     grid = []
     for a in args.grid_a:
         for b in args.grid_b:
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     non.add_argument("--starts", type=int, default=500)
     non.add_argument("--seed", type=int, default=0)
     non.add_argument("--out", default=None)
-    non.set_defaults(func=cmd_nonexistence)
+    non.set_defaults(func=functools.partial(cmd_nonexistence, non))
 
     return parser
 

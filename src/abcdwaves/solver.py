@@ -166,8 +166,8 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
 
     Block t of the layout is added into block 0 for t = 1, 2, ....  Which
     operand's NaN an add keeps depends on its lane in numpy's vector loop,
-    so NaN sums are made np.nan: every row gets the same bits in a batch
-    of any width.
+    so every NaN sum is stored as np.nan: every row gets the same bits in
+    a batch of any width.
     """
     # rows are independent, so blocks of them give the same values with a
     # bounded working set
@@ -180,8 +180,7 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
         np.add(terms[:k], terms[start:start + k], out=terms[:k])
         start += k
     out = terms[compiled.sums]
-    if np.isnan(out.max(initial=0.0)):          # max propagates NaN
-        out[np.isnan(out)] = np.nan
+    out[np.isnan(out)] = np.nan
     return out
 
 
@@ -340,7 +339,8 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
 
     A row takes the first of alpha = 1, 1/2, ... (at most 50 steps, none
     below its own ``floor``) whose residual is finite with
-    ||h||^2 <= (1 - _ARMIJO * alpha) * base.  Its first pass evaluates the
+    ||h||^2 <= (1 - _ARMIJO * alpha) * base (a non-finite residual fails
+    that test already unless base is infinite).  Its first pass evaluates the
     steps 0 .. first - 1 at once (at least one), each later pass the next
     2, 4, 8, ... steps, and no pass a step below the floor.  Each candidate
     is evaluated and tested as in a one-step-at-a-time search, so every row
@@ -355,9 +355,6 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     factor = 1 - _ARMIJO * steps
     H = np.full((compiled.sums.size, Xa.shape[1]), np.nan)
     taken = np.full(Xa.shape[1], -1)
-    # a sum of squares past the float range passes only an infinite base;
-    # there the residual must be checked finite as well
-    unbounded = not np.isfinite(base).all()
     limit = np.searchsorted(-steps, -floor, side="right")     # steps >= floor
     pending = np.flatnonzero(limit)
     limit = limit[pending]
@@ -378,8 +375,7 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
             # contiguous row in another order than a strided one
             Hr = np.ascontiguousarray(Hc.T)
             dec = np.einsum("bi,bi->b", Hr, Hr) <= factor.take(k) * base.take(rows)
-        if unbounded:
-            dec &= np.isfinite(Hc).all(axis=0)
+        dec &= np.isfinite(Hc).all(axis=0)
         win = np.minimum.reduceat(np.where(dec, np.arange(k.size), k.size), heads)
         hit = win < k.size
         win = win[hit]
@@ -425,7 +421,6 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     A[:, :n, :B] = J.transpose(1, 2, 0)
     A[:, n, :B] = H.T
     svd = np.isfinite(A[:, :n, :B]).all(axis=(0, 1))
-    work = np.empty((m - 1, n, B + 1))
     # a zero column divides 0 by 0 and a non-finite row spreads NaN; the
     # finite and nonzero-diagonal test below sends both to the fallback
     with np.errstate(all="ignore"):
@@ -443,7 +438,7 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
             w += rest[0]
             w *= tau
             rest[0] -= w
-            rest[1:] -= np.multiply(u[:, None], w, out=work[:m - k - 1, :n - k])
+            rest[1:] -= u[:, None] * w
             x[0] = -beta
             x[1:] = 0.0
         R = A[:n, :n]
@@ -578,23 +573,6 @@ class BranchSet(Record):
         return [r for r in self.roots if r.classification == "non-trivial"]
 
 
-def _key_order(X: np.ndarray) -> np.ndarray:
-    """np.lexsort's stable order of the rows of np.round(X, 12), first
-    column first: rows are sorted by their first key, and only the rows
-    that tie there are sorted by the other keys and then by row."""
-    k0 = np.round(X[:, 0], 12)
-    order = np.argsort(k0)
-    ks = k0[order]
-    # equal as sort keys: ==, or both NaN
-    tie = (ks[1:] == ks[:-1]) | (np.isnan(ks[1:]) & np.isnan(ks[:-1]))
-    if tie.any():
-        tied = np.r_[False, tie] | np.r_[tie, False]
-        group = np.cumsum(~np.r_[False, tie])[tied]
-        sub = order[tied]
-        order[tied] = sub[np.lexsort((sub, *np.round(X[sub, :0:-1], 12).T, group))]
-    return order
-
-
 def _dedup(X: np.ndarray, hinf: np.ndarray
            ) -> tuple[list[int], list[int], list[int], int]:
     """Merge the roots, the rows of X, that lie within the dedup tolerance.
@@ -602,19 +580,19 @@ def _dedup(X: np.ndarray, hinf: np.ndarray
     Returns (rep, hits, first, widest): for each kept root, in kept order,
     the row of X that represents it, how many rows it merged and the row
     that started it; then the most representatives the active window held
-    at once.  The rows are visited in the stable lexicographic order of
-    np.round(X, 12).  Each joins the first kept representative it matches
-    and replaces it when its hinf is lower, so later rows meet the
-    replacement.  A row is compared, in one array operation, only with the
-    window: the representatives whose first coordinate is not yet too far
-    below the row's to match it or any later row.  A row that no earlier
-    row reaches (every earlier first coordinate lies below its reach)
-    empties the window and is a new representative without any array
-    work; the window loop runs only over the runs of rows in reach.  Where
-    every row shares its first coordinate the window keeps every
-    representative.
+    at once.  The rows are visited in np.lexsort's order of
+    np.round(X, 12), first column first.  Each joins the first kept
+    representative it matches and replaces it when its hinf is lower, so
+    later rows meet the replacement.  A row is compared, in one array
+    operation, only with the window: the representatives whose first
+    coordinate is not yet too far below the row's to match it or any
+    later row.  A row that no earlier row reaches (every earlier first
+    coordinate lies below its reach) empties the window and is a new
+    representative without any array work; the window loop runs only over
+    the runs of rows in reach.  Where every row shares its first
+    coordinate the window keeps every representative.
     """
-    order = _key_order(X)
+    order = np.lexsort(np.round(X, 12)[:, ::-1].T)
     # Why a retired representative is never matched again.  The keys ascend
     # in their first column and lie within 0.5e-12 (plus a few ulps) of
     # their rows, so every row z after the current row x has z0 >= x0 - M,
@@ -846,8 +824,9 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
     sigma is left free so that sigma ~ 0 roots can surface.  Every
     converged root is reported; a root contradicting the expectation
     (any root for j1/j3; a |sigma| > 1e-10 root for k1) is recorded as a
-    counterexample, never suppressed.  UsageError for seed < 0 and for a
-    grid point that lacks one of the values it must supply.
+    counterexample, never suppressed.  UsageError for seed < 0, for an
+    empty grid (no point, no verdict) and for a grid point that lacks one
+    of the values it must supply.
     """
     if constrained not in ("j1", "j3", "k1"):
         raise UsageError("constrained must be one of 'j1', 'j3', 'k1'")
@@ -855,6 +834,8 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
         raise UsageError(f"seed = {seed} must be >= 0")
     if abs(value) < _DELTA:
         raise UsageError(f"|value| = {abs(value)} must be >= delta = {_DELTA}")
+    if not grid:
+        raise UsageError("the grid has no point")
     sigma_free = constrained == "k1"
     keys = ("a", "b", "d", "lam", "m") + (() if sigma_free else ("sigma",))
     for i, point in enumerate(grid):

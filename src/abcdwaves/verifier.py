@@ -32,6 +32,8 @@ from .families import (
     m1_limit,
 )
 
+_PERIOD_POINTS = 128      # grid points of periodicity_check's shifts
+
 
 @dataclass(frozen=True)
 class ResidualReport(Record):
@@ -89,22 +91,23 @@ class PeriodicityReport(Record):
     half_defect: float
 
 
-def periodicity_check(s: SolutionParams, n_points: int = 128) -> PeriodicityReport:
-    """Shift defect over one full period T = 4K(m)/lam, and whether T/2
-    is also a period (true when only even cn powers are present)."""
+def periodicity_check(s: SolutionParams) -> PeriodicityReport:
+    """Shift defect over one full period T = 4K(m)/lam, at _PERIOD_POINTS
+    points of it, and whether T/2 is also a period (true when only even cn
+    powers are present)."""
     if s.m >= 1.0:
         raise DomainError("no finite period at m = 1")
     period = 4.0 * complete_k(s.m) / s.lam
-    xs = period * np.arange(n_points) / n_points
+    xs = period * np.arange(_PERIOD_POINTS) / _PERIOD_POINTS
 
     # one kernel call on the three grids; it works elementwise, so the
     # values are those of three separate calls
     eta, w = s.profiles(np.concatenate([xs, xs + period, xs + 0.5 * period]))
     eta0, eta1, eta_h = np.split(eta, 3)
     w0, w1, w_h = np.split(w, 3)
-    defect = float(np.max(np.abs(eta1 - eta0) + np.abs(w1 - w0), initial=0.0))
-    half_defect = float(np.max(np.abs(eta_h - eta0) + np.abs(w_h - w0), initial=0.0))
-    amplitude = float(np.max(np.maximum(np.abs(eta0), np.abs(w0)), initial=0.0))
+    defect = float(np.max(np.abs(eta1 - eta0) + np.abs(w1 - w0)))
+    half_defect = float(np.max(np.abs(eta_h - eta0) + np.abs(w_h - w0)))
+    amplitude = float(np.max(np.maximum(np.abs(eta0), np.abs(w0))))
     half_period = half_defect <= 1e-9 * max(1.0, amplitude)
     return PeriodicityReport(defect, period, half_period, half_defect)
 

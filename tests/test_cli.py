@@ -529,6 +529,17 @@ def test_family_m1_rejects_unread_periods(tmp_path, capsys, monkeypatch):
     assert stderr == "error: this run does not read --periods 7\n"
 
 
+@pytest.mark.parametrize("periods", ["0", "-1"])
+def test_family_rejects_nonpositive_periods(tmp_path, capsys, monkeypatch, periods):
+    # a span of zero or fewer periods has no curve to write
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli([
+        "family", "--set", "4.2.2", "--a", "1", "--b", "2", "--d", "-1",
+        "--m", "1/2", "--periods", periods], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr == f"error: --periods {periods} must be > 0\n"
+
+
 def test_solve_seed_from_rejects_unread_multistart_flags(tmp_path, capsys):
     # a seeded run is one Newton solve: no starts, no seed, no branch count
     seed = _perturbed_family_seed(tmp_path, capsys)
@@ -561,6 +572,19 @@ def test_nonexistence_command(tmp_path, capsys):
     assert data["run_config"]["grid_d"] == ["1/3"]
     report = json.loads(out.read_text())
     assert report["points"][0]["pins"]["j1"] == 0.1
+
+
+def test_nonexistence_k1_rejects_unread_sigma(tmp_path, capsys):
+    # the k1 sweep leaves sigma free; j1 and j3 pin it to --sigma
+    argv = ["nonexistence", "--grid-a", "1", "--grid-b", "1/6", "--grid-d", "-1/2",
+            "--m", "1/2", "--sigma", "5", "--starts", "20"]
+    code, stdout, stderr = run_cli(argv + ["--var", "k1"], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: this run does not read --sigma 5\n"
+    out = tmp_path / "j1.json"
+    code, _, _ = run_cli(argv + ["--var", "j1", "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["points"][0]["pins"]["sigma"] == 5.0
 
 
 def test_version_flag(capsys):

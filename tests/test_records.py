@@ -76,7 +76,7 @@ def records():
         "NonexistencePoint": nonexistence.points[0],
         "NonexistenceReport": nonexistence,
         "ResidualReport": ode_residual(sol, p, 64),
-        "PeriodicityReport": periodicity_check(sol, 32),
+        "PeriodicityReport": periodicity_check(sol),
         "ConvergenceTable": limit_m_to_one("4.1.2", p=p, lam=1, sigma=1, sign="top"),
         "ChainEvent": degree.branches[0].events[0],
         "ChainBranch": degree.branches[0],

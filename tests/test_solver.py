@@ -1435,21 +1435,6 @@ def test_dedup_window_keeps_representatives_within_w_and_margin():
     assert _run_dedup(level)[1] == 5
 
 
-def test_key_order_is_lexsorts():
-    # ties in the first key (+-0, equal values, keys past the float range,
-    # NaN) are broken by the other keys and then by row, as np.lexsort does
-    rng = np.random.default_rng(40)
-    pool = np.array([0.0, -0.0, 1.0, 1.0 + 1e-13, -2.5, np.inf, -np.inf, np.nan,
-                     1e300, 2e300, -1e300, 3.0])
-    for trial in range(200):
-        rows, n = int(rng.integers(0, 60)), int(rng.integers(1, 5))
-        X = rng.choice(pool, (rows, n)) if trial % 2 else \
-            rng.standard_normal((rows, n)).round(int(rng.integers(0, 3)))
-        with np.errstate(all="ignore"):
-            want = np.lexsort(np.round(X, 12).T[::-1])
-            assert np.array_equal(solver._key_order(X), want)
-
-
 def _lo(x0):
     """The smallest first coordinate a representative of a root at x0
     needs to stay in the dedup window, computed as _dedup computes it."""
@@ -1613,3 +1598,7 @@ def test_nonexistence_argument_validation():
         reproduce_nonexistence("j3", [point, without_sigma])
     with pytest.raises(UsageError, match=r"grid point 0 .* lacks \['b', 'd', 'lam', 'm'\]$"):
         reproduce_nonexistence("k1", [{"a": 1}])
+    # an empty grid gives no verdict, not a vacuous "upheld"
+    for var in ("j1", "j3", "k1"):
+        with pytest.raises(UsageError, match="^the grid has no point$"):
+            reproduce_nonexistence(var, [])
