@@ -153,9 +153,9 @@ def _dumps(obj, **kw):
     return json.dumps(obj, default=_json_default, **kw)
 
 
-def _echo_config(args, command):
+def _echo_config(args):
     """The run's flags, sorted by name; ``_dumps`` writes Fractions as text."""
-    cfg = {"command": command, "version": __version__}
+    cfg = {"command": args.command, "version": __version__}
     cfg.update((key, val) for key, val in sorted(vars(args).items()) if key != "func")
     return cfg
 
@@ -190,7 +190,7 @@ def cmd_family(parser, args) -> int:
 
     out = args.out or f"family_{args.set.replace('.', '_')}"
     payload = {
-        "run_config": _echo_config(args, "family"),
+        "run_config": _echo_config(args),
         "solution": sol.to_dict(),
         "residual": report.to_dict(),
     }
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
         coeffs.append(_frac(cfg.get(name, 0) if flag is None else flag, f"run_config {name}"))
     p = ParameterSet(*coeffs)
     report = ode_residual(sol, p, args.samples)
-    out = {"run_config": _echo_config(args, "verify"), "residual": report.to_dict()}
+    out = {"run_config": _echo_config(args), "residual": report.to_dict()}
     if sol.m < 1.0:
         out["periodicity"] = periodicity_check(sol).to_dict()
     print(_dumps(out, indent=2))
@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     shape = classify_ansatz(_params_from(args))
     out = {
-        "run_config": _echo_config(args, "classify"),
+        "run_config": _echo_config(args),
         "shape": shape.value,
         "max_eta_degree": shape.max_eta_degree,
         "max_w_degree": shape.max_w_degree,
@@ -266,7 +266,7 @@ def cmd_solve(parser, args) -> int:
         result = solve_newton(sysn, sysn.vector_from_map(seed_map),
                               args.max_iter)
         out = {
-            "run_config": _echo_config(args, "solve"),
+            "run_config": _echo_config(args),
             "unknowns": sysn.unknowns,
             "status": result.status,
             "iterations": result.iterations,
@@ -281,7 +281,7 @@ def cmd_solve(parser, args) -> int:
 
     branch_set = multistart(sysn, args.starts, seed_rng=args.seed,
                             max_iter=args.max_iter)
-    out = {"run_config": _echo_config(args, "solve"), "unknowns": sysn.unknowns,
+    out = {"run_config": _echo_config(args), "unknowns": sysn.unknowns,
            "branches": branch_set.to_dict()}
     nontrivial = branch_set.nontrivial()
     print(f"{args.system}: {branch_set.n_converged}/{args.starts} starts converged, "
@@ -307,7 +307,7 @@ def cmd_reduce(parser, args) -> int:
                                     n_max=args.nmax)
     else:
         report = verify_termination(_params_from(args), args.nmax)
-    out = {"run_config": _echo_config(args, "reduce"), **report.to_dict()}
+    out = {"run_config": _echo_config(args), **report.to_dict()}
     print(_dumps(out, indent=2))
     return EXIT_OK
 
@@ -329,7 +329,7 @@ def cmd_limit(parser, args) -> int:
         taken = set(inputs) | (set("abcd") if "p" in inputs else set())
         _reject_unread(parser, args, {*"abcd", "lam", "sigma", "m", "sign"} - taken)
         table = limit_m_to_one(args.set, **inputs)
-    out = {"run_config": _echo_config(args, "limit"), **table.to_dict()}
+    out = {"run_config": _echo_config(args), **table.to_dict()}
     print(_dumps(out, indent=2))
     return EXIT_OK
 
@@ -347,7 +347,7 @@ def cmd_nonexistence(parser, args) -> int:
     report = reproduce_nonexistence(args.var, grid, value=args.value,
                                     n_starts=args.starts, seed=args.seed)
     summary = {
-        "run_config": _echo_config(args, "nonexistence"),
+        "run_config": _echo_config(args),
         "constrained": report.constrained,
         "value": report.value,
         "delta": report.delta,
@@ -373,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="abcdwaves",
         description="Exact cnoidal traveling-wave solutions of the "
                     "abcd-Boussinesq system")
-    parser._negative_number_matcher = _NEGATIVE_VALUE
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_SubParser)

@@ -60,7 +60,7 @@ def _check_modulus(m: float, *, allow_one: bool) -> float:
 
 @lru_cache(maxsize=512)
 def _agm_tables(m: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Descending AGM scale (a_n, c_n) for modulus m in (0, 1)."""
+    """Descending AGM scale (a_n, c_n) for modulus m in [0, 1)."""
     a_seq = [1.0]
     c_seq = [m]
     b = math.sqrt((1.0 - m) * (1.0 + m))
@@ -80,8 +80,6 @@ def complete_k(m: float) -> float:
     DomainError because the integral diverges.
     """
     m = _check_modulus(m, allow_one=False)
-    if m == 0.0:
-        return math.pi / 2.0
     a_seq, _ = _agm_tables(m)
     return math.pi / (2.0 * a_seq[-1])
 

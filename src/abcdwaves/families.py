@@ -172,9 +172,11 @@ class SolutionParams(Record):
     def from_dict(data: dict) -> "SolutionParams":
         """Inverse of ``to_dict``, padding short ``j``/``k`` lists with zeros.
 
-        UsageError for a missing key, a nonzero coefficient beyond j4 or k2,
-        a non-finite value or lam <= 0; DomainError for m outside (0, 1] or
-        sigma = 0, as the family builders.
+        UsageError for a missing key, j or k not a list, a nonzero
+        coefficient beyond j4 or k2, a non-finite value, lam <= 0 and a
+        branch selector the builders do not take (tau1, tau2 other than +1
+        or -1, pm other than top, bottom or null); DomainError for m outside
+        (0, 1] or sigma = 0, as the family builders.
         """
         if not isinstance(data, dict):
             raise UsageError("stored solution must be a JSON object")
@@ -182,12 +184,18 @@ class SolutionParams(Record):
                    if key not in data]
         if missing:
             raise UsageError(f"stored solution lacks {', '.join(missing)}")
+        if not all(isinstance(data[key], list) for key in "jk"):
+            raise UsageError("stored solution needs j and k as JSON arrays")
         try:
             j, k = ([float(v) for v in data[key]] + [0.0] * 5 for key in "jk")
             lam, m, sigma = (float(data[key]) for key in ("lambda", "m", "sigma"))
             branch = Branch(**(data.get("branch") or {}))
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed stored solution: {exc}") from None
+        if (branch.tau1 not in (1, -1) or branch.tau2 not in (1, -1)
+                or branch.pm not in (None, "top", "bottom")):
+            raise UsageError(f"stored branch {branch} needs tau1 and tau2 of +1 or -1 "
+                             "and pm of top, bottom or null")
         if any(j[5:]) or any(k[3:]):
             raise UsageError("stored solution has a nonzero coefficient beyond j4 or k2")
         if not all(map(math.isfinite, (*j, *k, lam, m, sigma))) or lam <= 0:

@@ -114,8 +114,6 @@ def _holds_any(poly: RationalPoly, names) -> bool:
 def _is_sign_definite(poly: RationalPoly, allowed: frozenset[str]) -> bool:
     """True when the polynomial cannot vanish for real variable values with
     lam, m > 0 and the ``allowed`` symbols nonzero."""
-    if poly.is_zero():
-        return False
     signs = {coef > 0 for coef in poly.terms.values()}
     if len(signs) != 1:
         return False

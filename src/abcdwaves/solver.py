@@ -184,12 +184,6 @@ def _eval_polys(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_compiled(compiled: _Compiled, X: np.ndarray) -> np.ndarray:
-    """_eval_polys on the rows of X (rows, unknowns), as a (rows,
-    polynomials) C-contiguous array."""
-    return np.ascontiguousarray(_eval_polys(compiled, X.T).T)
-
-
 @dataclass
 class HSystemNumeric:
     """A pinned polynomial system ready for Newton iteration.
@@ -230,7 +224,7 @@ class HSystemNumeric:
         if X.ndim != 2 or X.shape[1] != self.n_unknowns:
             raise UsageError(f"residual input has shape {X.shape}, expected rows "
                              f"of {self.n_unknowns} values ({', '.join(self.unknowns)})")
-        return _eval_compiled(self._f, X)
+        return np.ascontiguousarray(_eval_polys(self._f, X.T).T)
 
     def vector_from_map(self, values: Mapping[str, Number]) -> np.ndarray:
         return np.array([float(values[u]) for u in self.unknowns])
@@ -390,9 +384,9 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
 
 
 def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
-    """The Gauss-Newton step -pinv(J) h of every row (J is (rows, m, n) with
-    m >= n, H is (rows, m)), and how many rows did not take it by QR.  The
-    steps are a (rows, n) view of a row-last (n, rows) array.
+    """The Gauss-Newton step -pinv(J) h of every row, row-last (J is (m, n,
+    rows) with m >= n, H is (m, rows), the steps (n, rows)), and how many
+    rows did not take it by QR.
 
     Every row is factored [J | h] = Q [R | Q^T h] by Householder
     reflections, so R is the factor of J alone.  The batch is held as one
@@ -413,13 +407,13 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     row whose J is not finite gets a NaN step, where pinv's SVD would not
     converge.
     """
-    B, m, n = J.shape
+    m, n, B = J.shape
     # a spare lane of zeros keeps every batch two lanes wide: over a single
     # lane numpy sums down a column as a dot product, whose rounding differs
     # from the lane-by-lane sums of a wider batch
     A = np.zeros((m, n + 1, B + 1))
-    A[:, :n, :B] = J.transpose(1, 2, 0)
-    A[:, n, :B] = H.T
+    A[:, :n, :B] = J
+    A[:, n, :B] = H
     svd = np.isfinite(A[:, :n, :B]).all(axis=(0, 1))
     # a zero column divides 0 by 0 and a non-finite row spreads NaN; the
     # finite and nonzero-diagonal test below sends both to the fallback
@@ -454,10 +448,10 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
         dx = np.where(qr, -np.einsum("ijb,jb->ib", Rinv, A[:n, n])[:, :B], np.nan)
         svd &= ~qr
         if svd.any():       # seldom: even an empty batched pinv costs tens of us
-            # H[svd] is a row-major copy, whatever the layout of H
-            dx[:, svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd], rcond=_RCOND),
-                                    H[svd]).T
-    return dx.T, B - int(np.count_nonzero(qr))
+            # einsum sums a contiguous row of h in another order than a strided one
+            pinv = np.linalg.pinv(np.moveaxis(J[:, :, svd], 2, 0), rcond=_RCOND)
+            dx[:, svd] = -np.einsum("bij,bj->bi", pinv, np.ascontiguousarray(H[:, svd].T)).T
+    return dx, B - int(np.count_nonzero(qr))
 
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
@@ -487,9 +481,10 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     each row keeps the residual its line search computed at the step it
     accepted.  A row's line search first tries, in one pass, every step
     down to the one it accepted last time.  The state holds only the
-    active rows, row-last (iterates (n, rows), residuals (m, rows)), so
-    each per-row test reduces across rows; a row's iterate is written out
-    when it stops.  max_iter < 0 is a UsageError.
+    active rows, row-last (iterates and steps (n, rows), residuals (m,
+    rows), Jacobians (m, n, rows)), so each per-row test reduces across
+    rows; a row's iterate is written out when it stops.  max_iter < 0 is a
+    UsageError.
     """
     if max_iter < 0:
         raise UsageError(f"max_iter = {max_iter} must be >= 0")
@@ -519,13 +514,10 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         X[:, idx[~keep]] = Xa.compress(~keep, axis=1)
         idx, Xa, Ha = idx[keep], Xa.compress(keep, axis=1), Ha.compress(keep, axis=1)
         xmax, last = xmax[keep], last[keep]
-        # (rows, m, n) as a view of the (m, n, rows) values, which
-        # _gauss_newton_step stores row-last without a transposing copy
         J = _eval_polys(sysn._j, Xa).reshape(sysn.n_equations, sysn.n_unknowns,
-                                             idx.size).transpose(2, 0, 1)
+                                             idx.size)
         t0 = time.perf_counter()
-        dx, svd = _gauss_newton_step(J, Ha.T)
-        dx = dx.T
+        dx, svd = _gauss_newton_step(J, Ha)
         t1 = time.perf_counter()
         with np.errstate(all="ignore"):
             move = _STALL_MOVE * np.maximum(xmax, 1.0) / np.abs(dx).max(axis=0)

@@ -112,8 +112,15 @@ def test_family_verify_round_trip(tmp_path, capsys):
     (lambda out: out["solution"]["j"].__setitem__(0, 10**400), "malformed stored solution"),
     (lambda out: out["solution"].update(m=0), "m = 0"),
     (lambda out: out["solution"].update(sigma=0), "sigma must be nonzero"),
+    # j and k must be arrays: a string or an object would be read as its
+    # characters or its keys
+    (lambda out: out["solution"].update(j="12"), "j and k as JSON arrays"),
+    (lambda out: out["solution"].update(k={"0": 1, "2": 5}), "j and k as JSON arrays"),
+    (lambda out: out["solution"]["branch"].update(tau1=7), "tau1 and tau2 of +1 or -1"),
+    (lambda out: out["solution"]["branch"].update(pm="sideways"), "pm of top, bottom"),
 ], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda",
-        "non-rational-a", "list-d", "list-run-config", "huge-j", "zero-m", "zero-sigma"])
+        "non-rational-a", "list-d", "list-run-config", "huge-j", "zero-m", "zero-sigma",
+        "string-j", "object-k", "tau1-7", "pm-sideways"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
     # a family run's output, edited into a malformed stored solution
     out = tmp_path / "bad"

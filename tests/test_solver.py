@@ -134,9 +134,9 @@ def test_batch_evaluation_matches_single_rows(reference_pinning):
     # batches above solver._EVAL_ROWS are evaluated in row blocks
     X = np.random.default_rng(3).uniform(-10.0, 10.0, (1100, reference_pinning.n_unknowns))
     for compiled in (reference_pinning._f, reference_pinning._j):
-        rows = solver._eval_compiled(compiled, X)
+        rows = solver._eval_polys(compiled, X.T).T
         for i in (0, 511, 512, 1099):
-            single = solver._eval_compiled(compiled, X[i:i + 1])
+            single = solver._eval_polys(compiled, X[i:i + 1].T).T
             assert rows[i].tobytes() == single[0].tobytes()
 
 
@@ -217,7 +217,7 @@ def test_sparse_kernel_matches_dense_reference(name):
         X[mask] = rng.choice(special, mask.sum())
         with np.errstate(all="ignore"):
             for compiled, polys in ((sysn._f, sysn.polys), (sysn._j, jac_polys)):
-                got = solver._eval_compiled(compiled, X)
+                got = solver._eval_polys(compiled, X.T).T
                 ref = _eval_reference(polys, sysn.unknowns, X)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
@@ -250,11 +250,11 @@ def test_left_to_right_sums_of_1_to_300_terms():
     with np.errstate(all="ignore"):
         ref = _sum_left_to_right(X[:, np.concatenate(picks)],
                                  np.cumsum(np.r_[0, lengths[:-1]]))
-        got = solver._eval_compiled(compiled, X)
-        wide = solver._eval_compiled(compiled, np.tile(X, (38, 1))[:2000])
-        part = solver._eval_compiled(compiled, X[35:48])
-        single = [solver._eval_compiled(compiled, x[None, :]) for x in X]
-    assert got.shape == ref.shape and got.flags.c_contiguous
+        got = solver._eval_polys(compiled, X.T).T
+        wide = solver._eval_polys(compiled, np.tile(X, (38, 1))[:2000].T).T
+        part = solver._eval_polys(compiled, X[35:48].T).T
+        single = [solver._eval_polys(compiled, x[:, None]).T for x in X]
+    assert got.shape == ref.shape and got.T.flags.c_contiguous
     assert got.tobytes() == ref.tobytes()
     # the rows hold finite sums of every length, NaN sums, and negative zeros
     assert np.isfinite(ref[:18]).all() and np.isnan(ref).any(axis=1).sum() >= 12
@@ -332,7 +332,7 @@ def test_summation_plan_up_to_eight_terms():
         polys = [sum(x[1:n_terms], x[0]), x[0] - 3 * x[1], RationalPoly.const(0)]
         compiled = solver._compile(polys, unknowns)
         assert compiled.counts == (3, 2) + (1,) * (n_terms - 2)
-        assert solver._eval_compiled(compiled, X).tobytes() == \
+        assert solver._eval_polys(compiled, X.T).T.tobytes() == \
             _eval_reference(polys, unknowns, X).tobytes()
 
 
@@ -359,7 +359,7 @@ def test_sparse_kernel_affine_residuals():
     jac_polys = [p.derivative(u) for p in polys for u in sysn.unknowns]
     X = np.random.default_rng(5).uniform(-10.0, 10.0, (7, 2))
     for compiled, ps in ((sysn._f, polys), (sysn._j, jac_polys)):
-        assert solver._eval_compiled(compiled, X).tobytes() == \
+        assert solver._eval_polys(compiled, X.T).T.tobytes() == \
             _eval_reference(ps, sysn.unknowns, X).tobytes()
     res = solve_newton(sysn, [3.0, -4.0])
     assert res.converged
@@ -768,6 +768,14 @@ def _pinv_step(J, H):
     return -np.einsum("bij,bj->bi", np.linalg.pinv(J, rcond=1e-14), H)
 
 
+def _step(J, H):
+    """_gauss_newton_step on the row-major J (rows, m, n) and H (rows, m)
+    of the references, passed row-last; its (n, rows) steps come back as
+    (rows, n)."""
+    dx, fallbacks = solver._gauss_newton_step(J.transpose(1, 2, 0), H.T)
+    return dx.T, fallbacks
+
+
 def test_gauss_newton_step_matches_pinv_on_well_conditioned_rows():
     # the criterion-6 j1 pinning at 500 multistart-style seeds
     system, _ = solver.build_named_system("coeffs2")
@@ -776,10 +784,10 @@ def test_gauss_newton_step_matches_pinv_on_well_conditioned_rows():
     rng = np.random.default_rng(0)
     X = 10.0 ** rng.uniform(-3.0, 1.0, (500, sysn.n_unknowns)) \
         * rng.choice([-1.0, 1.0], (500, sysn.n_unknowns))
-    J = solver._eval_compiled(sysn._j, X).reshape(500, sysn.n_equations,
-                                                  sysn.n_unknowns)
-    H = solver._eval_compiled(sysn._f, X)
-    dx, fallbacks = solver._gauss_newton_step(J, H)
+    J = solver._eval_polys(sysn._j, X.T).T.reshape(500, sysn.n_equations,
+                                                   sysn.n_unknowns)
+    H = sysn.residual(X)
+    dx, fallbacks = _step(J, H)
     assert fallbacks == 0
     ref = _pinv_step(J, H)
     rel = np.linalg.norm(dx - ref, axis=1) / np.linalg.norm(ref, axis=1)
@@ -798,12 +806,12 @@ def test_gauss_newton_step_is_pinv_on_rank_deficient_rows():
     sysn = solver.HSystemNumeric(["x", "y"], [x + y - 2, 2 * x + 2 * y - 4,
                                               3 * x + 3 * y - 6], {})
     X = np.zeros((1, 2))
-    J_def = solver._eval_compiled(sysn._j, X).reshape(1, 3, 2)
+    J_def = solver._eval_polys(sysn._j, X.T).T.reshape(1, 3, 2)
     H_def = sysn.residual(X)
     # batched with a well-conditioned row, which takes the QR step
     J = np.concatenate([J_def, [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]]])
     H = np.concatenate([H_def, [[1.0, -2.0, 0.5]]])
-    dx, fallbacks = solver._gauss_newton_step(J, H)
+    dx, fallbacks = _step(J, H)
     ref = _pinv_step(J, H)
     assert fallbacks == 1
     assert dx[0].tobytes() == ref[0].tobytes()
@@ -821,7 +829,7 @@ def test_gauss_newton_step_non_finite_rows():
     J[1, 2, 1] = np.inf
     H = np.array([[1.0, -2.0, 0.5]] * 3)
     with np.errstate(all="ignore"):
-        dx, fallbacks = solver._gauss_newton_step(J, H)
+        dx, fallbacks = _step(J, H)
     assert fallbacks == 2
     assert not np.isfinite(dx[:2]).any()
     assert np.allclose(dx[2], _pinv_step(J[2:], H[2:])[0], rtol=1e-14, atol=0.0)
@@ -893,9 +901,9 @@ def _check_step(J, H):
     the others).
     """
     with np.errstate(all="ignore"):
-        dx, fallbacks = solver._gauss_newton_step(J, H)
+        dx, fallbacks = _step(J, H)
         ref, _, kappa = _gauss_newton_step_reference(J, H)
-        route = _routes(solver._gauss_newton_step, J, H)
+        route = _routes(_step, J, H)
         ref_route = _routes(lambda j, h: _gauss_newton_step_reference(j, h)[:2], J, H)
     near_gate = np.abs(kappa / _qr_gate(J.shape[2]) - 1) <= 0.01
     assert np.array_equal(route[~near_gate], ref_route[~near_gate])
@@ -923,8 +931,8 @@ def _coeffs2_pinning(var):
 
 def _jacobian_and_residual(sysn, X):
     with np.errstate(all="ignore"):
-        J = solver._eval_compiled(sysn._j, X).reshape(X.shape[0], sysn.n_equations,
-                                                      sysn.n_unknowns)
+        J = solver._eval_polys(sysn._j, X.T).T.reshape(X.shape[0], sysn.n_equations,
+                                                       sysn.n_unknowns)
         return J, sysn.residual(X)
 
 
@@ -966,8 +974,8 @@ def test_gauss_newton_step_edge_cases():
     assert list(route[:5]) == ["pinv", "nan", "nan", "nan", "pinv"]
     assert (route[5:] == "qr").all()
     # a one-row batch: the row of the batch, bit for bit
-    dx, _ = solver._gauss_newton_step(J[5:], H[5:])
-    one, fallbacks = solver._gauss_newton_step(J[7:8], H[7:8])
+    dx, _ = _step(J[5:], H[5:])
+    one, fallbacks = _step(J[7:8], H[7:8])
     assert fallbacks == 0 and one.tobytes() == dx[2:3].tobytes()
     # a square J and a single unknown
     assert (_check_step(J[5:, :4], H[5:, :4])[0] == "qr").all()
@@ -983,7 +991,7 @@ def test_gauss_newton_step_scaled_columns(scale):
     bound = _ls_bound(J, H, _pinv_step(J, H))
     for Js, Hs in ((J * scale, H * scale), (J * scale, H), (J, H * scale)):
         with np.errstate(all="ignore"):
-            dx, _ = solver._gauss_newton_step(Js, Hs)
+            dx, _ = _step(Js, Hs)
             ref, _, _ = _gauss_newton_step_reference(Js, Hs)
             pinv = (dx == _pinv_step(Js, Hs)).all(axis=1)
         assert np.all((_relative_error(dx, ref) <= bound) | pinv)
@@ -1007,7 +1015,7 @@ def test_qr_gate_leaves_pinv_no_singular_value_to_drop():
             H = rng.standard_normal((rows, m))
             H[::2] = -np.einsum("bij,bj->bi", J[::2], rng.standard_normal((rows, n))[::2])
             route, _ = _check_step(J, H)
-            dx, _ = solver._gauss_newton_step(J, H)
+            dx, _ = _step(J, H)
             qr = route == "qr"
             sv = np.linalg.svd(J[qr], compute_uv=False)
             assert np.all(sv[:, -1] > solver._RCOND * sv[:, 0])
@@ -1032,7 +1040,7 @@ def _line_search_reference(compiled, Xa, dx, base, armijo, min_step):
     for _ls in range(50):
         Xc = Xa[pending] + alpha[pending, None] * dx[pending]
         with np.errstate(all="ignore"):
-            Hc = solver._eval_compiled(compiled, Xc)
+            Hc = solver._eval_polys(compiled, Xc.T).T
         good = np.isfinite(Hc).all(axis=1)
         dec = np.zeros_like(good)
         dec[good] = np.einsum("bi,bi->b", Hc[good], Hc[good]) <= \
@@ -1110,7 +1118,7 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
     assert ok.sum() >= 250 and (~ok).sum() >= 30
     assert H.shape == (Xa.shape[0], reference_pinning.n_equations)
     with np.errstate(all="ignore"):
-        fresh = solver._eval_compiled(f, Xa[ok] + alpha[ok, None] * dx[ok])
+        fresh = reference_pinning.residual(Xa[ok] + alpha[ok, None] * dx[ok])
     assert H[ok].tobytes() == fresh.tobytes()
     assert np.isnan(H[~ok]).all()
 
@@ -1180,9 +1188,10 @@ def test_line_search_first_block_gives_the_same_steps(reference_pinning, first):
 
 def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
     """_newton_batch with its state row-major: X (rows, n), H (rows, m)
-    and dx (rows, n), every per-row test a reduction along a row; the line
-    search, which takes and returns its arrays row-last, is transposed at
-    the call.  Returns the outputs of _newton_batch but the two timings."""
+    and dx (rows, n), every per-row test a reduction along a row; the QR
+    step and the line search, which take and return their arrays row-last,
+    are transposed at the call.  Returns the outputs of _newton_batch but
+    the two timings."""
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
@@ -1192,7 +1201,7 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
     last = np.zeros(B, dtype=np.intp)
     solves = fallbacks = evaluated = passes = 0
     with np.errstate(all="ignore"):
-        H = solver._eval_compiled(sysn._f, X)
+        H = sysn.residual(X)
     for it in range(max_iter + 1):
         idx = np.flatnonzero(active)
         if not idx.size:
@@ -1209,9 +1218,9 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
         if it == max_iter or not keep.any():
             break
         idx, Xa, Ha = idx[keep], Xa[keep], Ha[keep]
-        J = solver._eval_compiled(sysn._j, Xa).reshape(Xa.shape[0], sysn.n_equations,
-                                                       sysn.n_unknowns)
-        dx, svd = solver._gauss_newton_step(J, Ha)
+        J = solver._eval_polys(sysn._j, Xa.T).T.reshape(Xa.shape[0], sysn.n_equations,
+                                                        sysn.n_unknowns)
+        dx, svd = _step(J, Ha)
         with np.errstate(all="ignore"):
             move = solver._STALL_MOVE * np.maximum(np.abs(Xa).max(axis=1), 1.0) \
                 / np.abs(dx).max(axis=1)
