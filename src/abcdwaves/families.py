@@ -172,10 +172,12 @@ class SolutionParams(Record):
     def from_dict(data: dict) -> "SolutionParams":
         """Inverse of ``to_dict``, padding short ``j``/``k`` lists with zeros.
 
-        UsageError for a missing key, j or k not a list, a nonzero
-        coefficient beyond j4 or k2, a non-finite value, lam <= 0 and a
-        branch selector the builders do not take (tau1, tau2 other than +1
-        or -1, pm other than top, bottom or null); DomainError for m outside
+        UsageError for a missing key, j or k not a list, an entry of j or k,
+        lambda, m or sigma that is not a JSON number (true and false are not),
+        family_tag not a string, origin neither a string nor null, a nonzero
+        coefficient beyond j4 or k2, a non-finite value, lam <= 0 and a branch
+        selector the builders do not take (tau1, tau2 other than the integers
+        +1 or -1, pm other than top, bottom or null); DomainError for m outside
         (0, 1] or sigma = 0, as the family builders.
         """
         if not isinstance(data, dict):
@@ -186,13 +188,19 @@ class SolutionParams(Record):
             raise UsageError(f"stored solution lacks {', '.join(missing)}")
         if not all(isinstance(data[key], list) for key in "jk"):
             raise UsageError("stored solution needs j and k as JSON arrays")
+        numbers = [*data["j"], *data["k"], data["lambda"], data["m"], data["sigma"]]
+        tag, origin = data["family_tag"], data.get("origin")
+        if (not all(type(v) in (int, float) for v in numbers) or not isinstance(tag, str)
+                or not isinstance(origin, (str, type(None)))):
+            raise UsageError("stored solution needs numbers in j, k, lambda, m and sigma, "
+                             "a string family_tag and a string or null origin")
         try:
             j, k = ([float(v) for v in data[key]] + [0.0] * 5 for key in "jk")
             lam, m, sigma = (float(data[key]) for key in ("lambda", "m", "sigma"))
             branch = Branch(**(data.get("branch") or {}))
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed stored solution: {exc}") from None
-        if (branch.tau1 not in (1, -1) or branch.tau2 not in (1, -1)
+        if (not all(type(tau) is int and tau in (1, -1) for tau in (branch.tau1, branch.tau2))
                 or branch.pm not in (None, "top", "bottom")):
             raise UsageError(f"stored branch {branch} needs tau1 and tau2 of +1 or -1 "
                              "and pm of top, bottom or null")
@@ -203,7 +211,7 @@ class SolutionParams(Record):
         _require_m(m)
         _require_lam_sigma(lam, sigma)
         return SolutionParams(tuple(j[:5]), tuple(k[:3]), lam, m, sigma,
-                              data["family_tag"], branch, data.get("origin"))
+                              tag, branch, origin)
 
 
 def _require_m(m: Rational) -> Fraction:
@@ -320,99 +328,32 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((n * d) << (2 * _GUARD_BITS)), d << _GUARD_BITS)
 
 
-def _quad_ratio(num_p: Fraction, num_q: Fraction, den_p: Fraction,
-                den_q: Fraction, rad: Fraction, what: str) -> tuple[Fraction, Fraction]:
-    """Exact (num_p + num_q sqrt(rad)) / (den_p + den_q sqrt(rad)).
-
-    Returns the field coordinates (P, Q) with value = P + Q sqrt(rad).
-    Working in Q(sqrt(rad)) avoids the catastrophic cancellation a float
-    evaluation suffers near degenerate parameters (small c, a = 0, ...).
-    """
-    norm = den_p * den_p - den_q * den_q * rad
-    if norm == 0:
-        raise DomainError(f"denominator {what} vanishes")
-    p = (num_p * den_p - num_q * den_q * rad) / norm
-    q = (num_q * den_p - num_p * den_q) / norm
-    return p, q
-
-
 def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
                        m: Fraction, s_pm: int, s_mp: int):
-    """Raw S412 coefficient evaluation with independent sign slots.
-
-    ``s_pm`` drives every +- occurrence and ``s_mp`` every -+ occurrence;
-    the public constructor ties s_mp = -s_pm (coherent signs).  Exposed
-    separately so the incoherent combinations can be shown to fail.
-
-    All four coefficients are exact elements P + Q sqrt(disc) of the
-    quadratic extension by the validity radicand; the square root is the
-    only floating-point step.
+    """Raw S412 coefficients, each an exact P + Q sqrt(disc) in the quadratic
+    extension by the validity radicand: the root, to _GUARD_BITS bits, is the
+    only inexact step, and c = 0 the only pole.  ``s_pm`` is the sign of
+    sqrt(disc) in k2 and j2, ``-s_mp`` its sign within k0 = -[...] / 4c and
+    j0 = -[...] / 8c^2.  The public constructor ties s_mp = -s_pm (coherent
+    signs); the slots are apart so incoherent combinations can be shown to fail.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
-    lam2 = lam * lam
-    m2 = m * m
     sig2 = sigma * sigma
-    disc = 8 * a * c + sig2 * (b - 2 * d) ** 2
+    b2 = b - 2 * d
+    ac4 = 4 * a * c
+    disc = 2 * ac4 + sig2 * b2 * b2
     if not disc > 0:
-        raise DomainError(
-            "validity 8ac + sigma^2 (b-2d)^2 > 0 fails: "
-            f"{_float(disc, '8ac + sigma^2 (b-2d)^2')}")
+        raise DomainError("validity 8ac + sigma^2 (b-2d)^2 > 0 fails: "
+                          f"{_float(disc, '8ac + sigma^2 (b-2d)^2')}")
     root = _sqrt_fraction(disc)
+    scale = 3 * lam * lam * m * m
+    e = 4 * c * lam * lam * (2 * m * m - 1)
 
-    def value(pq: tuple[Fraction, Fraction], name: str) -> float:
-        return _float(pq[0] + pq[1] * root, name)
-
-    k2 = value((3 * lam2 * m2 * sigma * (b + 2 * d), s_pm * 3 * lam2 * m2), "k2")
-
-    two_c = 2 * c
-    j2 = value((
-        3 * lam2 * m2 * (4 * a * c + b * sig2 * (b - 2 * d)) / two_c,
-        s_pm * 3 * lam2 * m2 * b * sigma / two_c,
-    ), "j2")
-
-    a_k = (
-        -8 * b**2 * c * lam2 * m2 * sig2 - 32 * c * d**2 * lam2 * m2 * sig2
-        - 32 * a * c**2 * lam2 * m2 + 4 * b**2 * c * lam2 * sig2
-        + 16 * c * d**2 * lam2 * sig2 + 16 * a * c**2 * lam2
-        - b**2 * sig2 + 2 * b * c * sig2 + 2 * b * d * sig2
-        + 4 * c * d * sig2 - 4 * a * c
-    )
-    b_k = (
-        8 * b * c * lam2 * m2 + 16 * c * d * lam2 * m2
-        - 4 * b * c * lam2 - 8 * c * d * lam2 + b - 2 * c
-    )
-    k0 = value(_quad_ratio(
-        a_k, s_mp * sigma * b_k,
-        2 * c * sigma * (b + 2 * d), Fraction(s_pm * 2) * c,
-        disc, "2c(sigma(b+2d) +- sqrt(...))",
-    ), "k0")
-
-    a_j = (
-        -8 * b**4 * c * lam2 * m2 * sig2**2 + 16 * b**3 * c * d * lam2 * m2 * sig2**2
-        - 64 * a * b**2 * c**2 * lam2 * m2 * sig2
-        - 32 * a * b * c**2 * d * lam2 * m2 * sig2
-        - 64 * a * c**2 * d**2 * lam2 * m2 * sig2
-        + 4 * b**4 * c * lam2 * sig2**2 - 8 * b**3 * c * d * lam2 * sig2**2
-        - 64 * a**2 * c**3 * lam2 * m2 + 32 * a * b**2 * c**2 * lam2 * sig2
-        + 16 * a * b * c**2 * d * lam2 * sig2 + 32 * a * c**2 * d**2 * lam2 * sig2
-        + b**4 * sig2**2 - 4 * b**3 * d * sig2**2 + 4 * b**2 * d**2 * sig2**2
-        + 32 * a**2 * c**3 * lam2 + 8 * a * b**2 * c * sig2
-        - 8 * a * b * c * d * sig2 - 4 * b**2 * c**2 * sig2
-        - 16 * c**2 * d**2 * sig2 + 8 * a**2 * c**2 - 16 * a * c**3
-    )
-    b_j = (
-        8 * b**3 * c * lam2 * m2 * sig2 + 32 * a * b * c**2 * lam2 * m2
-        + 32 * a * c**2 * d * lam2 * m2 - 4 * b**3 * c * lam2 * sig2
-        - 16 * a * b * c**2 * lam2 - 16 * a * c**2 * d * lam2
-        - b**3 * sig2 + 2 * b**2 * d * sig2 - 4 * a * b * c
-        + 4 * b * c**2 + 8 * c**2 * d
-    )
-    j0 = value(_quad_ratio(
-        a_j, s_mp * sigma * b_j,
-        4 * c * c * (4 * a * c + sig2 * (b * b + 4 * d * d)),
-        s_pm * 4 * c * c * sigma * (b + 2 * d),
-        disc, "4c^2(4ac + sigma^2(b^2+4d^2) +- ...)",
-    ), "j0")
+    k2 = _float(scale * (sigma * (b + 2 * d) + s_pm * root), "k2")
+    j2 = _float(scale * (ac4 + b * b2 * sig2 + s_pm * b * sigma * root) / (2 * c), "j2")
+    k0 = _float(-(sigma * ((b + 2 * d) * e + b2 - 4 * c) - s_mp * (e + 1) * root) / (4 * c), "k0")
+    j0 = _float(-(e * (ac4 + b * b2 * sig2) - ac4 - b2 * b2 * sig2 + 8 * c * c
+                  - s_mp * sigma * (b * e - b2) * root) / (8 * c * c), "j0")
     return j0, j2, k0, k2
 
 
@@ -433,8 +374,7 @@ def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
     j0, j2, k0, k2 = _s412_coefficients(p, lamf, sigf, mf, s_pm, -s_pm)
     return SolutionParams(
         (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"),
-        "S412", Branch(pm=sign),
+        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S412", Branch(pm=sign),
     )
 
 

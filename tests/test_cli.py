@@ -118,9 +118,17 @@ def test_family_verify_round_trip(tmp_path, capsys):
     (lambda out: out["solution"].update(k={"0": 1, "2": 5}), "j and k as JSON arrays"),
     (lambda out: out["solution"]["branch"].update(tau1=7), "tau1 and tau2 of +1 or -1"),
     (lambda out: out["solution"]["branch"].update(pm="sideways"), "pm of top, bottom"),
+    # a JSON boolean is not a number, though Python reads true as 1
+    (lambda out: out["solution"].update(j=[True, 1]), "numbers in j, k, lambda, m and sigma"),
+    (lambda out: out["solution"].update({"lambda": True}), "numbers in j, k, lambda"),
+    (lambda out: out["solution"]["branch"].update(tau1=True), "tau1 and tau2 of +1 or -1"),
+    (lambda out: out["solution"]["branch"].update(tau1=1.0), "tau1 and tau2 of +1 or -1"),
+    (lambda out: out["solution"].update(family_tag=[5]), "a string family_tag"),
+    (lambda out: out["solution"].update(origin=[5]), "a string or null origin"),
 ], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda",
         "non-rational-a", "list-d", "list-run-config", "huge-j", "zero-m", "zero-sigma",
-        "string-j", "object-k", "tau1-7", "pm-sideways"])
+        "string-j", "object-k", "tau1-7", "pm-sideways", "boolean-j", "boolean-lambda",
+        "boolean-tau1", "float-tau1", "list-family-tag", "list-origin"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
     # a family run's output, edited into a malformed stored solution
     out = tmp_path / "bad"

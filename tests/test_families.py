@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -159,6 +160,65 @@ def test_branch_coherence_negative(reference_cases):
                            1.0, case["m"], 1.0, "S412", Branch(pm="top"))
     rel = ode_residual(mixed, case["p"], 256).relative
     assert rel > 1e-6
+
+
+# (a, b, c, d), lam, sigma, m with ac = b d sigma^2: j0 and k0 written as
+# quotients of two elements of Q(sqrt(disc)) divide by an element of norm zero
+# there, but the coefficients themselves have no pole
+ON_AC_EQUAL_BD_SIGMA2 = [
+    ((0, F(1, 12), F(1, 4), 0), 1, 1, F(1, 2)),
+    ((2, 1, 1, 2), F(1, 2), 1, F(3, 4)),
+    ((F(-3, 2), F(3, 4), 2, -1), 1, 2, F(2, 5)),
+]
+
+
+@pytest.mark.parametrize("abcd, lam, sigma, m", ON_AC_EQUAL_BD_SIGMA2,
+                         ids=["a-d-zero", "a-d-two", "a-d-negative"])
+def test_s412_on_ac_equal_bd_sigma2(abcd, lam, sigma, m):
+    p = ParameterSet.make(*abcd)
+    assert p.a * p.c == p.b * p.d * F(sigma) ** 2
+    sols = [build_s412(p, lam, sigma, m, sign) for sign in ("top", "bottom")]
+    for sol in sols:
+        assert ode_residual(sol, p, 256).relative <= 1e-9
+    # one branch is a cnoidal wave, the other collapses to a constant state
+    wave, constant = sorted(sols, key=lambda sol: sol.k[2] == 0)
+    assert wave.k[2] != 0
+    assert constant.j[2] == constant.k[2] == 0
+
+
+# sha256 of s412_golden_lines() joined by newlines: every S412 output bit and
+# every DomainError text on the grid
+S412_SHA256 = "86b696c14bcf07224f047b563630204c5d77a58576ce99a415aec06bd5b59406"
+
+
+def s412_golden_lines():
+    """``build_s412`` on a seeded grid, both branches, off ac = b d sigma^2:
+    each build's JSON, or the text of the DomainError it raises."""
+    rng = random.Random(412)
+    small_c = [10.0 ** -k for k in range(3, 9)]   # the c of limit_c_to_zero
+    moduli = [math.sqrt(0.5), 0.70710678, 1]
+    lines = []
+    for _ in range(300):
+        a, b, c, d = (F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in "abcd")
+        if rng.random() < 0.2:
+            c = rng.choice(small_c)
+        lam = F(rng.randint(1, 12), rng.randint(1, 6))
+        sigma = F(rng.randint(-12, 12), rng.randint(1, 6))
+        m = rng.choice(moduli) if rng.random() < 0.3 else F(rng.randint(5, 99), 100)
+        p = ParameterSet.make(a, b, c, d)
+        if p.a * p.c == p.b * p.d * sigma ** 2:
+            continue
+        for sign in ("top", "bottom"):
+            try:
+                lines.append(build_s412(p, lam, sigma, m, sign).to_json())
+            except DomainError as exc:
+                lines.append(f"DomainError: {exc}")
+    return lines
+
+
+def test_s412_golden():
+    lines = s412_golden_lines()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == S412_SHA256
 
 
 def test_s421_quartic_coefficient(reference_cases):
