@@ -16,8 +16,9 @@ family labels:
     S43   semi-trivial eta = -1; a = 0
 
 Rational sub-expressions are computed exactly (``fractions.Fraction``), so
-sign tests and degeneracy tests are exact for rational inputs; square
-roots move to float at the end.  Constructors do not enforce the
+sign tests and degeneracy tests are exact for rational inputs.  S411 and
+S412 take their square roots as rationals to ``_GUARD_BITS`` bits, so every
+output is one rounding of an exact value.  Constructors do not enforce the
 theta-parameterization constraint on (a, b, c, d) -- run
 ``check_physical_constraint`` separately when that matters.
 """
@@ -35,10 +36,7 @@ from .errors import ConstraintError, DomainError, UsageError
 
 Rational = Union[int, float, Fraction]
 
-# denominators smaller than this (relative to the numerator scale) are
-# treated as vanished: silent catastrophic cancellation otherwise
-_DENOM_RTOL = 1e-12
-_GUARD_BITS = 192   # precision in bits of the S412 rational square root
+_GUARD_BITS = 192   # precision in bits of the S411 and S412 rational square root
 
 
 class Record:
@@ -200,7 +198,7 @@ class SolutionParams(Record):
             branch = Branch(**(data.get("branch") or {}))
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed stored solution: {exc}") from None
-        if (not all(type(tau) is int and tau in (1, -1) for tau in (branch.tau1, branch.tau2))
+        if (not (_is_sign(branch.tau1) and _is_sign(branch.tau2))
                 or branch.pm not in (None, "top", "bottom")):
             raise UsageError(f"stored branch {branch} needs tau1 and tau2 of +1 or -1 "
                              "and pm of top, bottom or null")
@@ -234,22 +232,26 @@ def _require_lam_sigma(lam: Rational, sigma: Rational) -> tuple[Fraction, Fracti
     return lamf, sigf
 
 
-def _checked_div(num: float, den: float, what: str) -> float:
-    if abs(den) <= _DENOM_RTOL:
-        raise DomainError(f"denominator {what} vanishes (value {den!r})")
-    if abs(den) <= _DENOM_RTOL * abs(num):
-        raise DomainError(f"quotient by {what} is too large for its denominator "
-                          f"(numerator of magnitude {abs(num):.3g}, denominator {den!r})")
-    return num / den
+def _is_sign(tau) -> bool:
+    """Whether ``tau`` is a branch selector the builders take: the int +1 or -1."""
+    return type(tau) is int and tau in (1, -1)
+
+
+def _root_times(q: Fraction, x: Fraction, name: str) -> float:
+    """q sqrt(x), x >= 0, rounded once from the exact q^2 x; a zero keeps q's sign."""
+    value = _float(_sqrt_fraction(q * q * x), name)
+    return value if q >= 0 else -value
 
 
 def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> SolutionParams:
     """Mixed-term quadratic family; sigma and lam are outputs.
 
     Validity: a*c*(b-6d)*(3b-2d) < 0, c*(2m^2-1)*(b+2d)*(3b+2d) < 0 and
-    (2m^2-1)*(3b+2d)*(b-d) >= 0 with equality only when b = d.
+    (2m^2-1)*(3b+2d)*(b-d) >= 0 with equality only when b = d.  Each output
+    is a rational times sqrt(R), sqrt(G) or sqrt(RG), rounded once, where
+    R = -2ac(b-6d)(3b-2d) > 0 and G = (2m^2-1)(3b+2d)(b-d) >= 0.
     """
-    if tau1 not in (1, -1) or tau2 not in (1, -1):
+    if not (_is_sign(tau1) and _is_sign(tau2)):
         raise UsageError("tau1 and tau2 must be +1 or -1")
     mf = _require_m(m)
     a, b, c, d = p.a, p.b, p.c, p.d
@@ -282,35 +284,23 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
             f"validity (2m^2-1)*(3b+2d)*(b-d) >= 0 (equality only at b=d) "
             f"fails: {_float(cond3, '(2m^2-1)*(3b+2d)*(b-d)')}")
 
-    # radicands: -2*cond1 > 0 by the first validity test, cond3 >= 0 by the third
-    root_r = math.sqrt(_float(-2 * cond1, "-2ac(b-6d)(3b-2d)"))
-    root_g = math.sqrt(_float(cond3, "(2m^2-1)(3b+2d)(b-d)"))
-    mfl = float(mf)
-    af, s1f = _float(a, "a"), _float(s1, "3b+2d")
-
-    j0 = -_checked_div(_float(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1, "j0"),
-                       _float(2 * c * d2 * d1, "2c(3b-2d)(b-6d)"), "2c(3b-2d)(b-6d)")
-    j1 = -tau1 * tau2 * _checked_div(12 * af * mfl * s1f * root_g,
-                                     _float(c * d1 * d2 * ecc, "c(b-6d)(3b-2d)(2m^2-1)"),
-                                     "c(b-6d)(3b-2d)(2m^2-1)")
-    j2 = _checked_div(9 * af * mfl ** 2 * s1f,
-                      _float(c * d2 * ecc, "c(3b-2d)(2m^2-1)"), "c(3b-2d)(2m^2-1)")
-    den = _float(c * ecc * d1 * d2, "c(2m^2-1)(b-6d)(3b-2d)")
-    k0 = tau1 * _checked_div(_float(21 * b + 8 * c + 14 * d, "21b+8c+14d") * root_r,
-                             _float(2 * c * d1 * d2, "2c(b-6d)(3b-2d)"), "2c(b-6d)(3b-2d)")
-    k1 = tau2 * _checked_div(6 * mfl * root_r * root_g, den, "c(2m^2-1)(b-6d)(3b-2d)")
-    k2 = -tau1 * _checked_div(9 * mfl ** 2 * s1f * root_r, den, "c(2m^2-1)(b-6d)(3b-2d)")
-    lam_sq = _checked_div(_float(-6 * s1, "lam^2"),
-                          _float(c * ecc * s2, "c(2m^2-1)(b+2d)"), "c(2m^2-1)(b+2d)")
-    # -6(3b+2d) / (c(2m^2-1)(b+2d)) > 0 by the second validity test
-    lam = 0.5 * math.sqrt(lam_sq)
-    if lam <= 0:
+    r, g = -2 * cond1, cond3
+    cdd = c * d1 * d2
+    den = cdd * ecc
+    j0 = _float(-(a * s1 * (21 * b - 46 * d) + 2 * cdd) / (2 * cdd), "j0")
+    j1 = _root_times(-tau1 * tau2 * 12 * a * mf * s1 / den, g, "j1")
+    j2 = _float(9 * a * mf * mf * s1 / (c * d2 * ecc), "j2")
+    k0 = _root_times(tau1 * (21 * b + 8 * c + 14 * d) / (2 * cdd), r, "k0")
+    k1 = _root_times(tau2 * 6 * mf / den, r * g, "k1")
+    k2 = _root_times(-tau1 * 9 * mf * mf * s1 / den, r, "k2")
+    # lam^2 = -6(3b+2d) / (4c(2m^2-1)(b+2d)) > 0 by the second validity test
+    lam = _float(_sqrt_fraction(-6 * s1 / (4 * c * ecc * s2)), "lam")
+    if lam == 0.0:
         raise DomainError("computed lam is not positive")
-    sigma = tau1 * _checked_div(4 * root_r, _float(d1 * d2, "(b-6d)(3b-2d)"),
-                                "(b-6d)(3b-2d)")
+    sigma = _root_times(tau1 * 4 / (d1 * d2), r, "sigma")
 
     return SolutionParams(
-        (j0, j1, j2, 0.0, 0.0), (k0, k1, k2), lam, mfl, sigma,
+        (j0, j1, j2, 0.0, 0.0), (k0, k1, k2), lam, float(mf), sigma,
         "S411", Branch(tau1=tau1, tau2=tau2),
     )
 
@@ -321,6 +311,7 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
     Needed because the field coordinates P, Q of a value P + Q sqrt(x) can
     be individually huge while the value is O(1); summing in floats would
     cancel catastrophically, so the root itself must carry spare precision.
+    Its relative error is below 2^-_GUARD_BITS.
     """
     if x < 0:
         raise ValueError("negative radicand")

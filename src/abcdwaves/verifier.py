@@ -24,6 +24,7 @@ from .families import (
     ParameterSet,
     Record,
     SolutionParams,
+    _float,
     _frac,
     build_s412,
     build_s422,
@@ -63,22 +64,27 @@ def ode_residual(s: SolutionParams, p: ParameterSet, n_samples: int = 1024) -> R
 
     Samples n_samples (>= 64) points plus the four quarter-period points;
     ``relative`` is max residual over the largest individual term seen.
-    A constant pair gives residual exactly zero.
+    A constant pair gives residual exactly zero; DomainError on float overflow.
     """
     if n_samples < 64:
         raise UsageError(f"n_samples must be >= 64, got {n_samples}")
-    a, b, c, d = (float(p.a), float(p.b), float(p.c), float(p.d))
+    a, b, c, d = (_float(getattr(p, name), name) for name in "abcd")
     sig = s.sigma
     xs, period = _sample_points(s, n_samples)
     pt = jacobi_eval(s.lam * xs, s.m)
     eta, d1_eta, d3_eta = (eval_cn_series(s.j, pt, s.lam, k) for k in (0, 1, 3))
     w, d1_w, d3_w = (eval_cn_series(s.k, pt, s.lam, k) for k in (0, 1, 3))
 
-    terms1 = (-sig * d1_eta, d1_w, d1_eta * w + eta * d1_w, a * d3_w, b * sig * d3_eta)
-    terms2 = (-sig * d1_w, d1_eta, w * d1_w, c * d3_eta, d * sig * d3_w)
-    max1 = float(np.max(np.abs(sum(terms1))))
-    max2 = float(np.max(np.abs(sum(terms2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms1 = (-sig * d1_eta, d1_w, d1_eta * w + eta * d1_w, a * d3_w, b * sig * d3_eta)
+        terms2 = (-sig * d1_w, d1_eta, w * d1_w, c * d3_eta, d * sig * d3_w)
+        max1 = float(np.max(np.abs(sum(terms1))))
+        max2 = float(np.max(np.abs(sum(terms2))))
     scale = float(max(np.max(np.abs(t)) for t in terms1 + terms2))
+    # a term that is not finite leaves its equation's sum not finite
+    if not (math.isfinite(max1) and math.isfinite(max2)):
+        raise DomainError(f"residual terms overflow a float (largest term {scale:.3g}, "
+                          f"largest sums {max1:.3g} and {max2:.3g})")
     relative = max(max1, max2) / scale if scale > 0.0 else 0.0
     return ResidualReport(max1, max2, scale, relative, len(xs), period)
 

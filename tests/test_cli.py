@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import warnings
 
 from fractions import Fraction as F
 
@@ -363,6 +364,18 @@ def test_family_rational_too_large_for_a_float_exits_2(tmp_path, capsys, monkeyp
 
 
 
+def test_family_residual_that_overflows_exits_2(tmp_path, capsys, monkeypatch):
+    # every coefficient is a finite float, but the residual check overflows
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # nor does numpy warn on the way
+        code, stdout, stderr = run_cli(["family", "--set", "4.1.2", "--a", "1e300",
+                                        "--b", "1", "--c", "1", "--d", "1", "--m", "1/2",
+                                        "--out", "huge"], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr.startswith("error: residual terms overflow a float")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--a", "1e400", "--pin", "m=1/2,lambda=1,sigma=1"],
      "a coefficient of the pinned system is about -1e401"),
@@ -422,13 +435,14 @@ def test_limit_command(capsys):
     assert data["diffs"][-1] < 1e-8
 
 
-# one input per solution set and the solution the parent tree wrote for it
+# one input per solution set and the solution it builds: each value is the
+# float of the exact one (S411's j0 is exactly -27/2)
 FAMILY_CASES = {
     "4.1.1": (["--a", "-5/6", "--b", "1", "--c", "-5/6", "--d", "1", "--m", "3/4",
                "--tau1", "-1"],
               {"family_tag": "S411", "branch": {"tau1": -1, "tau2": 1, "pm": None},
-               "j": [-13.499999999999998, -0.0, 202.5, 0.0, 0.0],
-               "k": [-8.959786703810407, 0.0, 128.07224523681936],
+               "j": [-13.5, -0.0, 202.5, 0.0, 0.0],
+               "k": [-8.959786703810408, 0.0, 128.07224523681936],
                "lambda": 4.898979485566356, "m": 0.75, "sigma": 2.1081851067789197,
                "origin": None}),
     "4.1.2": (["--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--lambda", "1/2",

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import ConstraintError, DomainError, UsageError
 from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
                                 _s412_coefficients, build_family, build_s43,
                                 build_s411, build_s412, build_s421, build_s422,
                                 check_physical_constraint, m1_limit)
+from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.verifier import ode_residual
 
 
@@ -103,8 +105,7 @@ HUGE = F(10) ** 400
     (lambda: build_s421(ParameterSet.make(0, HUGE, 0, 1), 1, 1, F(1, 2)), "j0"),
     (lambda: build_s43(HUGE, 1, 1, F(1, 2)), "k0"),
     (lambda: build_s43(2, 1, 1, HUGE), "m"),
-    (lambda: build_s411(ParameterSet.make(-HUGE, 1, F(-5, 6), 1), F(3, 4)),
-     r"-2ac\(b-6d\)\(3b-2d\)"),
+    (lambda: build_s411(ParameterSet.make(-HUGE, 1, F(-5, 6), 1), F(3, 4)), "j0"),
 ], ids=["s422-a", "s412-lam", "s412-negative-lam", "s421-b", "s43-d", "m", "s411-a"])
 def test_rational_too_large_for_a_float_is_a_domain_error(build, name):
     # the exact input is accepted; the float it turns into is named
@@ -112,14 +113,29 @@ def test_rational_too_large_for_a_float_is_a_domain_error(build, name):
         build()
 
 
-@pytest.mark.parametrize("a, c, message", [
-    (-10 ** 300, F(-5, 6), r"quotient by 2c\(3b-2d\)\(b-6d\) is too large for its "
-                           r"denominator \(numerator of magnitude 1\.25e\+302, denominator 8\.33"),
-    (F(-5, 6), F(-5, 6) / 10 ** 20, r"denominator 2c\(3b-2d\)\(b-6d\) vanishes"),
-], ids=["huge-numerator", "vanishing-denominator"])
-def test_s411_refuses_a_quotient_its_denominator_cannot_carry(a, c, message):
-    with pytest.raises(DomainError, match=message):
-        build_s411(ParameterSet.make(a, 1, c, 1), F(3, 4))
+def test_s411_builds_at_a_tiny_c():
+    # the quotients by 2c(3b-2d)(b-6d) are exact, so a tiny c is no pole
+    p = ParameterSet.make(F(-5, 6), 1, F(-5, 6) / 10 ** 20, 1)
+    sol = build_s411(p, F(3, 4))
+    assert sol.j[0] == -1.25e21
+    assert ode_residual(sol, p, 256).relative <= 1e-9
+
+
+def test_s411_huge_a_builds_and_its_residual_overflows():
+    p = ParameterSet.make(-10 ** 300, 1, F(-5, 6), 1)
+    sol = build_s411(p, F(3, 4))
+    assert sol.j[0] == -1.5e301 and all(map(math.isfinite, sol.j + sol.k))
+    with pytest.raises(DomainError, match="overflow a float"):
+        ode_residual(sol, p, 256)
+
+
+@pytest.mark.parametrize("tau", [True, 1.0], ids=["true", "float"])
+def test_s411_takes_only_integer_signs(reference_cases, tau):
+    # the rule SolutionParams.from_dict applies to a stored branch
+    with pytest.raises(UsageError, match="tau1 and tau2"):
+        build_s411(reference_cases["s411_a"]["p"], F(3, 4), tau, 1)
+    with pytest.raises(UsageError, match="tau1 and tau2"):
+        build_s411(reference_cases["s411_a"]["p"], F(3, 4), 1, tau)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1]],
@@ -311,6 +327,104 @@ def test_s411_all_four_sign_branches_are_solutions(reference_cases, tau1, tau2):
         sol = build_s411(case["p"], case["m"], tau1, tau2)
         assert ode_residual(sol, case["p"], 256).relative <= 1e-9
         assert sol.sigma * tau1 * build_s411(case["p"], case["m"], 1, 1).sigma > 0
+
+
+# -- S411 as an exact identity ------------------------------------------------
+
+def s411_exact(p, m, tau1, tau2):
+    """S411 as exact pairs (q, radicals), the value q times the product of the
+    radicals, and the squares of the radicals: r = sqrt(R), g = sqrt(G) and
+    lam = sqrt(L)."""
+    a, b, c, d, m = p.a, p.b, p.c, p.d, F(m)
+    d1, d2, s1, s2, ecc = b - 6 * d, 3 * b - 2 * d, 3 * b + 2 * d, b + 2 * d, 2 * m * m - 1
+    den = c * ecc * d1 * d2
+    squares = {"r": -2 * a * c * d1 * d2, "g": ecc * s1 * (b - d),
+               "lam": -6 * s1 / (4 * c * ecc * s2)}
+    values = {
+        "j0": (-(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1) / (2 * c * d2 * d1), ()),
+        "j1": (-tau1 * tau2 * 12 * a * m * s1 / den, ("g",)),
+        "j2": (9 * a * m * m * s1 / (c * d2 * ecc), ()),
+        "k0": (tau1 * (21 * b + 8 * c + 14 * d) / (2 * c * d1 * d2), ("r",)),
+        "k1": (tau2 * 6 * m / den, ("r", "g")),
+        "k2": (-tau1 * 9 * m * m * s1 / den, ("r",)),
+        "lam": (F(1), ("lam",)),
+        "sigma": (tau1 * 4 / (d1 * d2), ("r",)),
+    }
+    return values, squares
+
+
+def reduce_radicals(poly, squares):
+    """``poly`` with each power v^e of a radical v written as
+    (v^2)^(e // 2) v^(e % 2), v^2 taken from ``squares``."""
+    out = RationalPoly.const(0)
+    for mono, coef in poly.terms.items():
+        kept = []
+        for name, exp in mono:
+            if name in squares:
+                coef *= squares[name] ** (exp // 2)
+                exp %= 2
+            if exp:
+                kept.append((name, exp))
+        out = out + RationalPoly.monomial(coef, kept)
+    return out
+
+
+def s411_draws():
+    """Seeded valid S411 inputs from the criterion-9 distribution, ten per
+    sign branch, then the b = d reference point on every branch."""
+    rng = random.Random(411)
+    draws = []
+    for tau1 in (1, -1):
+        for tau2 in (1, -1):
+            wanted = len(draws) + 10
+            while len(draws) < wanted:
+                p = ParameterSet.make(*(F(rng.randint(-12, 12), rng.randint(1, 4))
+                                        for _ in "abcd"))
+                m = F(rng.randint(5, 99), 100)
+                try:
+                    build_s411(p, m, tau1, tau2)
+                except DomainError:
+                    continue
+                draws.append((p, m, tau1, tau2))
+    reference = ParameterSet.make(F(-5, 6), 1, F(-5, 6), 1)
+    draws += [(reference, F(3, 4), tau1, tau2) for tau1 in (1, -1) for tau2 in (1, -1)]
+    return draws
+
+
+def s411_equations(p, m, tau1, tau2, flip_k1=1):
+    """Every h[p, q] of the quadratic system at the exact S411 values, with
+    the radicals reduced; ``flip_k1`` = -1 flips tau2 in k1 alone."""
+    values, squares = s411_exact(p, m, tau1, tau2)
+    subs = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "m": F(m)}
+    for name, (q, radicals) in values.items():
+        if name != "lam":    # lam enters the system as lam^2 only
+            subs[name] = RationalPoly.monomial(q, [(v, 1) for v in radicals])
+    subs["k1"] = subs["k1"] * flip_k1
+    system = build_coefficient_system(2, 2)
+    return [reduce_radicals(poly.substitute(subs), squares)
+            for poly in system.equations.values()]
+
+
+def test_s411_is_an_exact_solution():
+    for p, m, tau1, tau2 in s411_draws():
+        assert all(eq.is_zero() for eq in s411_equations(p, m, tau1, tau2)), (p, m, tau1, tau2)
+        # negative control: tau2 flipped in k1 alone is no solution unless
+        # b = d, where k1 = 0
+        if p.b != p.d:
+            assert not all(eq.is_zero() for eq in s411_equations(p, m, tau1, tau2, -1))
+
+
+def test_s411_outputs_are_rounded_once():
+    # each output is the float of its exact value, the root taken to 4000 bits
+    for p, m, tau1, tau2 in s411_draws():
+        values, squares = s411_exact(p, m, tau1, tau2)
+        sol = build_s411(p, m, tau1, tau2).coefficient_map()
+        for name, (q, radicals) in values.items():
+            x = math.prod((squares[v] for v in radicals), start=F(1))
+            root = F(math.isqrt((x.numerator * x.denominator) << 8000),
+                     x.denominator << 4000)
+            exact = math.copysign(float(q * root), q)    # a zero keeps the sign of q
+            assert sol[name].hex() == exact.hex(), (name, p, m, tau1, tau2)
 
 
 # -- m -> 1 solitary limits --------------------------------------------------

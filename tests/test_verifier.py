@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -29,6 +30,24 @@ def test_sample_count_validation():
     p = ParameterSet.make(0, 0, 1, 1)
     with pytest.raises(UsageError):
         ode_residual(make_constant(1, 1), p, 32)
+
+
+@pytest.mark.parametrize("build, p", [
+    (lambda p: build_s412(p, 1, 1, F(1, 2)), ParameterSet.make(10 ** 300, 1, 1, 1)),
+    (lambda p: build_s411(p, F(3, 4)), ParameterSet.make(-10 ** 300, 1, F(-5, 6), 1)),
+], ids=["s412", "s411"])
+def test_residual_that_overflows_is_a_domain_error(build, p):
+    # the coefficients are finite floats; the term a w''' and its sum are not
+    sol = build(p)
+    assert all(map(math.isfinite, sol.j + sol.k))
+    with pytest.raises(DomainError, match="residual terms overflow a float"):
+        ode_residual(sol, p, 128)
+
+
+def test_residual_of_a_parameter_too_large_for_a_float():
+    p = ParameterSet.make(10 ** 400, 0, 1, 1)
+    with pytest.raises(DomainError, match="^a is about 1e400, too large"):
+        ode_residual(make_constant(1, 1), p, 128)
 
 
 def loop_residual(sol, p, n_samples):
