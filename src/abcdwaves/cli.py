@@ -281,16 +281,16 @@ def cmd_solve(parser, args) -> int:
 
     branch_set = multistart(sysn, args.starts, seed_rng=args.seed,
                             max_iter=args.max_iter)
-    out = {"run_config": _echo_config(args), "unknowns": sysn.unknowns,
-           "branches": branch_set.to_dict()}
     nontrivial = branch_set.nontrivial()
     print(f"{args.system}: {branch_set.n_converged}/{args.starts} starts converged, "
-          f"{len(branch_set.roots)} distinct roots, "
+          f"{branch_set.codes.size} distinct roots, "
           f"{len(nontrivial)} non-trivial")
     for rec in nontrivial:
         vals = ", ".join(f"{k}={v:.8g}" for k, v in rec.values.items())
         print(f"  [{rec.classification}] {vals} (hits {rec.hits}, |h|_inf {rec.hinf:.2e})")
     if args.out:
+        out = {"run_config": _echo_config(args), "unknowns": sysn.unknowns,
+               "branches": branch_set.to_dict()}
         with open(args.out, "w") as fh:
             fh.write(_dumps(out, indent=2))
         print(f"wrote {args.out}")
@@ -356,6 +356,7 @@ def cmd_nonexistence(parser, args) -> int:
         "total_roots": report.total_roots,
         "upheld": report.upheld,
         "counterexamples": report.counterexamples,
+        "stats": report.stats.to_dict(),
     }
     print(_dumps(summary, indent=2))
     if args.out:

@@ -51,11 +51,17 @@ the result of comparing every root with every kept representative, but
 compares a root only with a window of representatives whose first
 coordinate is close enough below its own to match it or a later root; a
 root that no earlier root reaches is kept without any array work.
-Classification is one array pass over the kept roots.
+Classification is one array pass over the kept roots.  The BranchSet
+keeps the kept roots as the arrays dedup and classification give, and
+writes its JSON from them; RootRecords are built only for the roots a
+caller reads.  Its RunStats (also per point and summed in a
+NonexistenceReport) say how the starts ended and count the engine's work,
+with no seconds, so the JSON stays deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -314,12 +320,15 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
 
     The escape radius scales with the seed, 1e7 * max(1, ||seed||_inf),
     so a seed at any scale starts inside it.  UsageError for a seed of
-    another shape and for max_iter < 0.
+    another shape, for a seed holding NaN or an infinity (whose radius
+    would be NaN or infinite) and for max_iter < 0.
     """
     x = np.asarray(seed, dtype=float)
     if x.shape != (sysn.n_unknowns,):
         raise UsageError(
             f"seed has shape {x.shape}, expected ({sysn.n_unknowns},)")
+    if not np.isfinite(x).all():
+        raise UsageError(f"seed {x.tolist()} is not finite")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
     X, reason, iters, hinf, *_ = _newton_batch(sysn, x[None, :], max_iter, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
@@ -554,26 +563,102 @@ class RootRecord(Record):
 
 
 @dataclass
+class RunStats(Record):
+    """How the starts of a run ended and what the Newton engine did for them.
+
+    Deterministic counts only (seconds stay in the DEBUG records): the starts,
+    how many stopped for each reason of _STOP_REASONS, the residual floor
+    (the smallest finite ||h||_inf of the starts that did not converge, None
+    when there is none), the accepted Newton steps, the Gauss-Newton solves,
+    how many of those fell back from QR to the pseudoinverse, and the
+    candidate rows the line searches evaluated in how many passes.
+    """
+
+    starts: int
+    converged: int
+    overflow: int
+    stalled: int
+    budget: int
+    residual_floor: Optional[float]
+    iterations: int
+    solves: int
+    pinv_fallbacks: int
+    candidate_rows: int
+    passes: int
+
+    @staticmethod
+    def total(parts: Sequence["RunStats"]) -> "RunStats":
+        """The sum of ``parts``; its residual floor is their smallest one."""
+        floors = [p.residual_floor for p in parts if p.residual_floor is not None]
+        sums = {name: sum(getattr(p, name) for p in parts)
+                for name in RunStats.__dataclass_fields__ if name != "residual_floor"}
+        return RunStats(**sums, residual_floor=min(floors, default=None))
+
+
+# classification labels by the number of live profiles, eta and w
+_PATTERNS = ("trivial", "semi-trivial", "non-trivial")
+_NONTRIVIAL = _PATTERNS.index("non-trivial")
+
+
+@dataclass(eq=False)        # arrays have no truth value to compare fields by
 class BranchSet(Record):
-    roots: list[RootRecord]
+    """The kept roots of a multistart, held as arrays in kept order.
+
+    Row i of ``values`` (k, n) gives the root's values of ``unknowns``;
+    ``hinf``, ``hits`` and ``first_seed_index`` (each (k,)) its ||h||_inf,
+    how many converged starts it merged and the start that first found it;
+    ``codes`` (k,) its class as an index into _PATTERNS.  ``roots`` and
+    ``nontrivial()`` build RootRecords on demand; ``roots`` is built once
+    and kept.  The JSON is that of a list of RootRecords under "roots",
+    then pinned, n_starts, n_converged, seed and stats.
+    """
+
+    unknowns: list[str]
+    values: np.ndarray
+    hinf: np.ndarray
+    hits: np.ndarray
+    first_seed_index: np.ndarray
+    codes: np.ndarray
     pinned: dict[str, float]
     n_starts: int
     n_converged: int
     seed: int
+    stats: RunStats
+
+    def _root_dicts(self, rows=slice(None)) -> list[dict]:
+        """The fields of the RootRecords of ``rows``, as dicts in field order."""
+        return [{"values": dict(zip(self.unknowns, values)),
+                 "classification": _PATTERNS[code], "hinf": hinf, "hits": hits,
+                 "first_seed_index": first}
+                for values, code, hinf, hits, first
+                in zip(self.values[rows].tolist(), self.codes[rows].tolist(),
+                       self.hinf[rows].tolist(), self.hits[rows].tolist(),
+                       self.first_seed_index[rows].tolist())]
+
+    @functools.cached_property
+    def roots(self) -> list[RootRecord]:
+        return [RootRecord(**fields) for fields in self._root_dicts()]
 
     def nontrivial(self) -> list[RootRecord]:
-        return [r for r in self.roots if r.classification == "non-trivial"]
+        return [RootRecord(**fields)
+                for fields in self._root_dicts(self.codes == _NONTRIVIAL)]
+
+    def to_dict(self):
+        # the roots as RootRecord JSON, written from the arrays
+        return {"roots": self._root_dicts(), "pinned": self.pinned,
+                "n_starts": self.n_starts, "n_converged": self.n_converged,
+                "seed": self.seed, "stats": self.stats.to_dict()}
 
 
 def _dedup(X: np.ndarray, hinf: np.ndarray
-           ) -> tuple[list[int], list[int], list[int], int]:
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Merge the roots, the rows of X, that lie within the dedup tolerance.
 
-    Returns (rep, hits, first, widest): for each kept root, in kept order,
-    the row of X that represents it, how many rows it merged and the row
-    that started it; then the most representatives the active window held
-    at once.  The rows are visited in np.lexsort's order of
-    np.round(X, 12), first column first.  Each joins the first kept
+    Returns (rep, hits, first, widest): integer arrays holding, for each
+    kept root in kept order, the row of X that represents it, how many rows
+    it merged and the row that started it; then the most representatives
+    the active window held at once.  The rows are visited in np.lexsort's
+    order of np.round(X, 12), first column first.  Each joins the first kept
     representative it matches and replaces it when its hinf is lower, so
     later rows meet the replacement.  A row is compared, in one array
     operation, only with the window: the representatives whose first
@@ -608,24 +693,26 @@ def _dedup(X: np.ndarray, hinf: np.ndarray
     runs = np.flatnonzero(np.diff(reach, prepend=False, append=False)).tolist()
     window = np.empty(X.shape)                # representatives, in kept order
     slot = np.empty(X.shape[0], dtype=np.intp)   # each one's kept index
-    rep: list[int] = []
-    hits: list[int] = []
-    first: list[int] = []
+    # the kept roots' rep, hits and first, in their first `kept` entries
+    rep = np.empty(X.shape[0], dtype=np.intp)
+    hits = np.ones(X.shape[0], dtype=np.intp)
+    first = np.empty(X.shape[0], dtype=np.intp)
+    kept = 0
     widest = int(not reach.all())             # a lone row's window of one
-    order, los, hs = order.tolist(), lo.tolist(), hinf.tolist()
+    los, hs = lo.tolist(), hinf.tolist()
     done = 0
     # each run of rows in reach [start, end), then the rows after the last
-    for start, end in zip(runs[::2] + [len(order)], runs[1::2] + [len(order)]):
+    for start, end in zip(runs[::2] + [order.size], runs[1::2] + [order.size]):
         lone = order[done:start]
-        rep += lone
-        hits += [1] * len(lone)
-        first += lone
+        rep[kept:kept + lone.size] = lone
+        first[kept:kept + lone.size] = lone
+        kept += lone.size
         size = 0
-        if lone:                              # the window's one representative
+        if lone.size:                         # the window's one representative
             window[0] = X[lone[-1]]
-            slot[0] = len(rep) - 1
+            slot[0] = kept - 1
             size = 1
-        for i in order[start:end]:
+        for i in order[start:end].tolist():
             if size:
                 stay = (window[:size, 0] >= los[i]).nonzero()[0]
                 if stay.size < size:
@@ -645,23 +732,19 @@ def _dedup(X: np.ndarray, hinf: np.ndarray
                         window[match[0]] = x
                     continue
             window[size] = x
-            slot[size] = len(rep)
+            slot[size] = kept
             size += 1
             widest = max(widest, size)
-            rep.append(i)
-            hits.append(1)
-            first.append(i)
+            rep[kept] = first[kept] = i
+            kept += 1
         done = end
-    return rep, hits, first, widest
-
-
-# classification labels by the number of live profiles, eta and w
-_PATTERNS = ("trivial", "semi-trivial", "non-trivial")
+    return rep[:kept], hits[:kept], first[:kept], widest
 
 
 def _classify(unknowns: Sequence[str], pinned: Mapping[str, float],
-              roots: np.ndarray) -> list[str]:
-    """The zero pattern of each row of roots (values of ``unknowns``).
+              roots: np.ndarray) -> np.ndarray:
+    """The zero pattern of each row of roots (values of ``unknowns``), as
+    the number of live profiles: an index into _PATTERNS.
 
     A profile is live when one of its coefficients j1..j8 (eta) or k1..k8
     (w), solved or pinned, exceeds _ZERO_TOL in magnitude: both live is
@@ -674,7 +757,7 @@ def _classify(unknowns: Sequence[str], pinned: Mapping[str, float],
         pinned_live = any(abs(v) > _ZERO_TOL for u, v in pinned.items()
                           if u in names and u not in unknowns)
         live += pinned_live | (np.abs(roots[:, cols]) > _ZERO_TOL).any(axis=1)
-    return [_PATTERNS[n] for n in live.tolist()]
+    return live
 
 
 def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
@@ -686,8 +769,10 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     Roots are deduplicated at relative l_inf distance 1e-6 (absolute floor
     1e-9) and classified trivial / semi-trivial / non-trivial from the
     zero-pattern of the j_r, k_r with r >= 1 (pinned values included).
-    Deterministic for fixed seed_rng; an empty BranchSet is a valid result.
-    UsageError for n_starts < 1, seed_rng < 0 or max_iter < 0.
+    The BranchSet holds the kept roots as arrays, straight from dedup and
+    classification, and the run's RunStats; no per-root object is built
+    here.  Deterministic for fixed seed_rng; an empty BranchSet is a valid
+    result.  UsageError for n_starts < 1, seed_rng < 0 or max_iter < 0.
     """
     if n_starts < 1:
         raise UsageError("n_starts must be >= 1")
@@ -700,7 +785,7 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    (X, reason, _, hinf_all, solves, fallbacks, evaluated, passes, step_s,
+    (X, reason, iters, hinf_all, solves, fallbacks, evaluated, passes, step_s,
      search_s) = _newton_batch(sysn, X0, max_iter)
     conv = reason == "converged"
     found = np.flatnonzero(conv)
@@ -711,11 +796,17 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     pinned_f = {k: _float(v, k) for k, v in sysn.pinned.items()}
     rows = found[rep]
     roots = X[rows]
-    records = [RootRecord(dict(zip(sysn.unknowns, values)), kind, hinf, n, seed_idx)
-               for values, kind, hinf, n, seed_idx
-               in zip(roots.tolist(), _classify(sysn.unknowns, pinned_f, roots),
-                      hinf_all[rows].tolist(), hits, found[first].tolist())]
-    branch_set = BranchSet(records, pinned_f, n_starts, found.size, seed_rng)
+    codes = _classify(sysn.unknowns, pinned_f, roots)
+    # NaN residuals are skipped; inf means no unconverged start has a finite one
+    floor = float(np.fmin.reduce(hinf_all[~conv], initial=np.inf))
+    unconverged = reason[~conv]
+    stats = RunStats(n_starts, found.size,
+                     *(int(np.count_nonzero(unconverged == r)) for r in _STOP_REASONS[1:]),
+                     floor if floor < np.inf else None, int(iters.sum()), solves,
+                     fallbacks, evaluated, passes)
+    branch_set = BranchSet(list(sysn.unknowns), roots, hinf_all[rows], hits,
+                           found[first], codes, pinned_f, n_starts, found.size,
+                           seed_rng, stats)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
                      "%d budget), %d kept, %d non-trivial; residual floor of the "
@@ -724,11 +815,10 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
                      "dedup window at most %d; line search %d candidate rows in "
                      "%d passes; of the newton time %.3f s in Gauss-Newton steps "
                      "and %.3f s in line searches",
-                     n_starts, *(int(np.count_nonzero(reason == r)) for r in _STOP_REASONS),
-                     len(records), len(branch_set.nontrivial()),
-                     float(np.fmin.reduce(hinf_all[~conv], initial=np.inf)),
-                     t1 - t0, t2 - t1, time.perf_counter() - t2, solves, fallbacks,
-                     widest, evaluated, passes, step_s, search_s)
+                     n_starts, stats.converged, stats.overflow, stats.stalled,
+                     stats.budget, codes.size, int(np.count_nonzero(codes == _NONTRIVIAL)),
+                     floor, t1 - t0, t2 - t1, time.perf_counter() - t2, solves,
+                     fallbacks, widest, evaluated, passes, step_s, search_s)
     return branch_set
 
 
@@ -766,6 +856,7 @@ class NonexistencePoint(Record):
     pins: dict[str, float]
     n_converged_roots: int
     roots: list[dict]
+    stats: RunStats
 
 
 @dataclass
@@ -787,8 +878,14 @@ class NonexistenceReport(Record):
     def upheld(self) -> bool:
         return not self.counterexamples
 
+    @property
+    def stats(self) -> RunStats:
+        """The points' run statistics summed; the floor is the lowest one."""
+        return RunStats.total([pt.stats for pt in self.points])
+
     def to_dict(self):
-        # not asdict: the total_roots and upheld properties go before counterexamples
+        # not asdict: the total_roots and upheld properties go before
+        # counterexamples, and the summed stats go last
         return {
             "constrained": self.constrained,
             "value": self.value,
@@ -800,6 +897,7 @@ class NonexistenceReport(Record):
             "upheld": self.upheld,
             "counterexamples": self.counterexamples,
             "points": [pt.to_dict() for pt in self.points],
+            "stats": self.stats.to_dict(),
         }
 
 
@@ -848,13 +946,15 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
                                 max_iter=_SWEEP_MAX_ITER)
         pinned = branch_set.pinned
         roots = []
-        for rec in branch_set.roots:
-            entry = {"values": rec.values, "hinf": rec.hinf,
-                     "sigma": rec.values.get("sigma", pinned.get("sigma", 0.0))}
+        for row, hinf in zip(branch_set.values.tolist(), branch_set.hinf.tolist()):
+            values = dict(zip(branch_set.unknowns, row))
+            entry = {"values": values, "hinf": hinf,
+                     "sigma": values.get("sigma", pinned.get("sigma", 0.0))}
             roots.append(entry)
             if not sigma_free or abs(entry["sigma"]) > _SIGMA_TOL:
                 report.counterexamples.append({"pins": pinned, **entry})
-        report.points.append(NonexistencePoint(pinned, len(branch_set.roots), roots))
+        report.points.append(NonexistencePoint(pinned, len(roots), roots,
+                                               branch_set.stats))
     logger.debug("nonexistence %s: %d points x %d starts, %d roots, "
                  "%d counterexamples; %.3f s", constrained, len(report.points),
                  n_starts, report.total_roots, len(report.counterexamples),

@@ -225,18 +225,30 @@ def test_solve_seeded_from_family_output(tmp_path, capsys):
     assert (tmp_path / "seeded.json").read_text() + "\n" == stdout
 
 
-def test_solve_multistart_out_holds_the_branch_set(tmp_path, capsys):
+def test_solve_multistart_out_holds_the_branch_set(tmp_path, capsys, monkeypatch):
     out = tmp_path / "solve.json"
-    code, stdout, _ = run_cli([
-        "solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
-        "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--starts", "60",
-        "--seed", "3", "--out", str(out)], capsys)
+    argv = ["solve", "--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+            "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1", "--starts", "60",
+            "--seed", "3"]
+    code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert stdout.endswith(f"wrote {out}\n")
     system, _ = solver.build_named_system("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1})
     sysn = solver.pin_and_square(system, {"m": F("0.70710678"), "lam": 1, "sigma": 1})
     branch_set = solver.multistart(sysn, 60, seed_rng=3, max_iter=200)
-    assert json.loads(out.read_text())["branches"] == json.loads(branch_set.to_json())
+    branches = json.loads(out.read_text())["branches"]
+    assert branches == json.loads(branch_set.to_json())
+    stats = branches["stats"]
+    assert stats["converged"] + stats["overflow"] + stats["stalled"] + stats["budget"] == 60
+    assert f"{branch_set.values.shape[0]} distinct roots" in stdout
+    # without --out no payload is built, and the summary is the same
+
+    def to_dict(self):
+        raise AssertionError("no --out, no payload")
+
+    monkeypatch.setattr(solver.BranchSet, "to_dict", to_dict)
+    code, summary, _ = run_cli(argv, capsys)
+    assert code == 0 and summary + f"wrote {out}\n" == stdout
 
 
 def _perturbed_family_seed(tmp_path, capsys):
@@ -601,6 +613,11 @@ def test_nonexistence_command(tmp_path, capsys):
     assert data["run_config"]["grid_d"] == ["1/3"]
     report = json.loads(out.read_text())
     assert report["points"][0]["pins"]["j1"] == 0.1
+    # how the 80 starts ended, in the summary and the report
+    stats = report["stats"]
+    assert data["stats"] == stats == report["points"][0]["stats"]
+    assert stats["starts"] == 80 and stats["converged"] == 0
+    assert stats["overflow"] + stats["stalled"] + stats["budget"] == 80
 
 
 def test_nonexistence_k1_rejects_unread_sigma(tmp_path, capsys):

@@ -26,11 +26,14 @@ KEYS = {
                        "sigma", "origin"],
     "RootRecord": ["values", "classification", "hinf", "hits",
                    "first_seed_index"],
-    "BranchSet": ["roots", "pinned", "n_starts", "n_converged", "seed"],
-    "NonexistencePoint": ["pins", "n_converged_roots", "roots"],
+    "BranchSet": ["roots", "pinned", "n_starts", "n_converged", "seed", "stats"],
+    "RunStats": ["starts", "converged", "overflow", "stalled", "budget",
+                 "residual_floor", "iterations", "solves", "pinv_fallbacks",
+                 "candidate_rows", "passes"],
+    "NonexistencePoint": ["pins", "n_converged_roots", "roots", "stats"],
     "NonexistenceReport": ["constrained", "value", "delta", "sigma_free",
                            "n_starts", "seed", "total_roots", "upheld",
-                           "counterexamples", "points"],
+                           "counterexamples", "points", "stats"],
     "ResidualReport": ["max_abs_eq1", "max_abs_eq2", "scale", "relative",
                        "n_samples", "period"],
     "PeriodicityReport": ["defect", "period", "half_period", "half_defect"],
@@ -73,6 +76,7 @@ def records():
         "SolutionParams": sol,
         "RootRecord": branch_set.roots[0],
         "BranchSet": branch_set,
+        "RunStats": branch_set.stats,
         "NonexistencePoint": nonexistence.points[0],
         "NonexistenceReport": nonexistence,
         "ResidualReport": ode_residual(sol, p, 64),

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import logging
 import math
 from fractions import Fraction as F
@@ -436,6 +438,18 @@ def test_seed_shape_validation(reference_pinning):
         solve_newton(reference_pinning, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_seed_is_refused(reference_pinning, bad):
+    # its escape radius 1e7 * max|seed| would be NaN or infinite
+    seed = np.zeros(reference_pinning.n_unknowns)
+    seed[0] = bad
+    with pytest.raises(UsageError, match=rf"^seed \[{bad}, 0\.0, .* is not finite$"):
+        solve_newton(reference_pinning, seed)
+    # a finite seed far out is a start, and overflows
+    result = solve_newton(reference_pinning, np.full(reference_pinning.n_unknowns, 1e300))
+    assert (result.status, result.iterations) == ("overflow", 0)
+
+
 @pytest.mark.parametrize("pins", [
     {"m": math.sqrt(0.5), "lam": 1, "sigma": 1},
     {"m": F(1, 2)},             # lam and sigma free: rank-deficient at every root
@@ -447,13 +461,22 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     X0 = 10.0 ** rng.uniform(-3.0, 1.0, (200, sysn.n_unknowns)) \
         * rng.choice([-1.0, 1.0], (200, sysn.n_unknowns))
     X0[0, 0] = np.inf
+    # a finite seed far past the escape radius overflows in either
+    X0 = np.vstack([X0, np.full(sysn.n_unknowns, 1e300)])
     X, reason, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
     for i, x0 in enumerate(X0):
+        if i == 0:
+            # the batch stops a non-finite start as overflow; solve_newton
+            # refuses it as a seed
+            assert (reason[i], iters[i]) == ("overflow", 0)
+            with pytest.raises(UsageError, match=r"^seed \[inf, .* is not finite$"):
+                solve_newton(sysn, x0)
+            continue
         result = solve_newton(sysn, x0)
         assert (result.status, result.iterations) == (reason[i], iters[i])
         assert result.x.tobytes() == X[i].tobytes()
         assert np.float64(result.hinf).tobytes() == hinf[i].tobytes()
-    assert {"converged", "overflow"} <= set(reason)
+    assert {"converged", "overflow"} <= set(reason[1:])
 
 
 def test_splitting_a_batch_changes_no_bit(reference_pinning):
@@ -494,6 +517,148 @@ def test_multistart_determinism(reference_pinning):
     b1 = multistart(reference_pinning, 150, seed_rng=9)
     b2 = multistart(reference_pinning, 150, seed_rng=9)
     assert b1.to_json() == b2.to_json()
+
+
+def _spy(monkeypatch, name):
+    """Record every return value of solver.<name>."""
+    seen, fn = [], getattr(solver, name)
+
+    def spy(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, name, spy)
+    return seen
+
+
+def _record_built(sysn, n_starts, seed, newton, dedup):
+    """The BranchSet JSON as RootRecords wrote it, from the Newton and
+    dedup outputs of one multistart, with the roots as RootRecords."""
+    X, reason, _, hinf, *_ = newton
+    rep, hits, first, _ = dedup
+    found = np.flatnonzero(reason == "converged")
+    rows = found[rep]
+    pinned = {k: float(v) for k, v in sysn.pinned.items()}
+    kinds = [solver._PATTERNS[c] for c in solver._classify(sysn.unknowns, pinned, X[rows])]
+    records = [solver.RootRecord(dict(zip(sysn.unknowns, X[r].tolist())), kind,
+                                 float(hinf[r]), int(n), int(found[f]))
+               for r, kind, n, f in zip(rows, kinds, hits, first)]
+    data = {"roots": [rec.to_dict() for rec in records], "pinned": pinned,
+            "n_starts": n_starts, "n_converged": found.size, "seed": seed}
+    return records, data
+
+
+def assert_stats_add_up(branch_set):
+    stats = branch_set.stats
+    assert stats.starts == branch_set.n_starts
+    assert stats.converged + stats.overflow + stats.stalled + stats.budget == stats.starts
+    assert stats.converged == branch_set.n_converged
+    if stats.converged == stats.starts:
+        assert stats.residual_floor is None
+    assert stats.pinv_fallbacks <= stats.solves
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_branch_set_json_is_the_record_built_json(reference_pinning, monkeypatch, seed):
+    # the criterion-4 run: the arrays write the JSON the RootRecords wrote
+    newton, dedup = _spy(monkeypatch, "_newton_batch"), _spy(monkeypatch, "_dedup")
+    branch_set = multistart(reference_pinning, 2000, seed_rng=seed)
+    records, data = _record_built(reference_pinning, 2000, seed, newton[0], dedup[0])
+    got = branch_set.to_dict()
+    assert list(got) == [*data, "stats"]
+    assert got.pop("stats") == branch_set.stats.to_dict()
+    assert json.dumps(got) == json.dumps(data)
+    assert branch_set.to_json() == json.dumps(branch_set.to_dict())
+    # the records are built once, on demand, and are the record-built ones
+    assert branch_set.roots is branch_set.roots and branch_set.roots == records
+    assert branch_set.nontrivial() == [r for r in records
+                                       if r.classification == "non-trivial"]
+    assert len(branch_set.nontrivial()) == 2
+    assert_stats_add_up(branch_set)
+    assert branch_set.stats.residual_floor is None      # every start converges
+    # the counts are those of the Newton batch
+    X, reason, iters, hinf, solves, fallbacks, evaluated, passes, *_ = newton[0]
+    assert dataclasses.astuple(branch_set.stats) == (
+        2000, *(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS),
+        None, int(iters.sum()), solves, fallbacks, evaluated, passes)
+
+
+def test_empty_branch_set(reference_pinning, monkeypatch):
+    # no iteration: every start keeps "budget" and no root is kept
+    newton, dedup = _spy(monkeypatch, "_newton_batch"), _spy(monkeypatch, "_dedup")
+    branch_set = multistart(reference_pinning, 25, seed_rng=4, max_iter=0)
+    records, data = _record_built(reference_pinning, 25, 4, newton[0], dedup[0])
+    assert records == [] and branch_set.roots == [] and branch_set.nontrivial() == []
+    assert branch_set.values.shape == (0, reference_pinning.n_unknowns)
+    got = branch_set.to_dict()
+    assert got.pop("stats") == {
+        "starts": 25, "converged": 0, "overflow": 0, "stalled": 0, "budget": 25,
+        "residual_floor": float(np.min(newton[0][3])), "iterations": 0, "solves": 0,
+        "pinv_fallbacks": 0, "candidate_rows": 0, "passes": 0}
+    assert json.dumps(got) == json.dumps(data)
+
+
+def test_run_stats_add_up(reference_pinning):
+    # runs that end in each of the four ways
+    system, _ = solver.build_named_system("coeffs2")
+    j1_point = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
+                                       "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
+    x = RationalPoly.var("x")
+    runs = [multistart(j1_point, 60, seed_rng=0, max_iter=80),
+            multistart(solver.HSystemNumeric(["x"], [x - 1, x + 1], {}), 20),
+            multistart(solver.HSystemNumeric(["x"], [x - 10**8, x - 10**8 - 1], {}), 20),
+            multistart(reference_pinning, 40, seed_rng=1, max_iter=3)]
+    for branch_set in runs:
+        assert_stats_add_up(branch_set)
+    assert runs[0].stats.stalled > 0 and runs[0].stats.budget > 0
+    assert 0.09 < runs[0].stats.residual_floor < 0.1       # just below j1 = 1/10
+    assert runs[1].stats.stalled == 20 and runs[1].stats.residual_floor == 1.0
+    assert runs[2].stats.overflow == 20
+    assert runs[3].stats.converged > 0 and runs[3].stats.budget > 0
+
+
+def test_nonexistence_report_is_the_record_built_report():
+    # the resonant k1 point: sigma ~ 0 roots, each one entry of the point
+    point = {"a": F(-1, 100), "b": F(1, 6), "d": F(-1, 2), "lam": 1, "m": F(1, 2),
+             "sigma": 1}
+    report = reproduce_nonexistence("k1", [point], n_starts=300, seed=5)
+    system, _ = solver.build_named_system("coeffs2")
+    pins = {k: v for k, v in point.items() if k != "sigma"}
+    branch_set = multistart(pin_and_square(system, {**pins, "k1": 0.1}), 300,
+                            seed_rng=5, max_iter=solver._SWEEP_MAX_ITER)
+    pinned = branch_set.pinned
+    roots = [{"values": r.values, "hinf": r.hinf,
+              "sigma": r.values.get("sigma", pinned.get("sigma", 0.0))}
+             for r in branch_set.roots]
+    counterexamples = [{"pins": pinned, **e} for e in roots
+                       if abs(e["sigma"]) > solver._SIGMA_TOL]
+    expected = {"constrained": "k1", "value": 0.1, "delta": solver._DELTA,
+                "sigma_free": True, "n_starts": 300, "seed": 5,
+                "total_roots": len(roots), "upheld": not counterexamples,
+                "counterexamples": counterexamples,
+                "points": [{"pins": pinned, "n_converged_roots": len(roots),
+                            "roots": roots}]}
+    got = report.to_dict()
+    assert got.pop("stats") == got["points"][0].pop("stats") == branch_set.stats.to_dict()
+    assert json.dumps(got) == json.dumps(expected)
+    assert roots and report.upheld
+
+
+def test_nonexistence_stats_are_summed():
+    # every start of the resonant point converges, none of the other's
+    grid = [{"a": a, "b": -1, "d": F(1, 3), "lam": 1, "m": F(1, 2), "sigma": 1}
+            for a in (F(-1, 100), 1)]
+    report = reproduce_nonexistence("k1", grid, n_starts=60, seed=0)
+    parts = [pt.stats for pt in report.points]
+    total = report.stats
+    for name in ("starts", "converged", "overflow", "stalled", "budget", "iterations",
+                 "solves", "pinv_fallbacks", "candidate_rows", "passes"):
+        assert getattr(total, name) == sum(getattr(p, name) for p in parts)
+    assert total.starts == 120
+    # the floor is the lowest one a point has
+    assert parts[0].residual_floor is None
+    assert total.residual_floor == parts[1].residual_floor > 0
+    assert solver.RunStats.total([]).residual_floor is None
 
 
 def test_multistart_promotion_passes_residual(reference_pinning):
@@ -620,17 +785,6 @@ def test_residual_rejects_rows_of_another_width(reference_pinning):
     assert reference_pinning.residual(np.zeros(6)).shape == (1, reference_pinning.n_equations)
 
 
-def _spy_newton(monkeypatch):
-    seen, newton = [], solver._newton_batch
-
-    def spy(*args):
-        seen.append(newton(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(solver, "_newton_batch", spy)
-    return seen
-
-
 def _multistart_record(caplog, *args, **kwargs):
     with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
         branch_set = multistart(*args, **kwargs)
@@ -643,7 +797,7 @@ def _multistart_record(caplog, *args, **kwargs):
 
 
 def test_multistart_logs_counts(reference_pinning, caplog, monkeypatch):
-    seen = _spy_newton(monkeypatch)
+    seen = _spy(monkeypatch, "_newton_batch")
     branch_set, record = _multistart_record(caplog, reference_pinning, 120,
                                             seed_rng=3)
     ((_, reason, *_),) = seen
@@ -662,7 +816,7 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     system, _ = solver.build_named_system("coeffs2")
     sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
-    seen = _spy_newton(monkeypatch)
+    seen = _spy(monkeypatch, "_newton_batch")
     branch_set, record = _multistart_record(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
     ((_, reason, iters, hinf, solves, fallbacks, evaluated, passes, step_s,
@@ -755,7 +909,10 @@ def test_stall_exit_keeps_long_steps(quadratic_system, monkeypatch):
     got = multistart(sysn, 300, seed_rng=5)
     monkeypatch.setattr(solver, "_STALL_FLOOR", 0.0)
     deep = multistart(sysn, 300, seed_rng=5)
-    assert got.to_json() == deep.to_json()
+    # the same roots and stop counts; the deeper search evaluates more candidates
+    assert deep.stats.candidate_rows > got.stats.candidate_rows
+    same_work = dataclasses.replace(deep.stats, candidate_rows=got.stats.candidate_rows)
+    assert got.to_json() == dataclasses.replace(deep, stats=same_work).to_json()
     # a floor on the step factor alone loses some of them
     monkeypatch.setattr(solver, "_STALL_FLOOR", 2.0 ** -30)
     monkeypatch.setattr(solver, "_STALL_MOVE", np.inf)
@@ -1522,14 +1679,15 @@ def test_classify_matches_per_root_rule(pinned, patterns):
     values = np.array([0.0, -0.0, 1e-8, -1e-8, 1.0000001e-8, -2e-8, 0.7, -3.0])
     weights = np.array([8, 4, 2, 2, 1, 1, 1, 1]) / 20
     roots = rng.choice(values, p=weights, size=(600, len(unknowns)))
-    got = solver._classify(unknowns, pinned, roots)
+    got = [solver._PATTERNS[c] for c in solver._classify(unknowns, pinned, roots)]
     ref = [_classify_reference({**pinned, **dict(zip(unknowns, row))})
            for row in roots.tolist()]
     assert got == ref and set(got) == patterns
     # the columns above 8 alone never make a profile live
     high = np.zeros((1, len(unknowns)))
     high[0, [unknowns.index(u) for u in ("j9", "j10", "k12")]] = 5.0
-    assert solver._classify(unknowns, pinned, high) == [_classify_reference(pinned)]
+    (code,) = solver._classify(unknowns, pinned, high)
+    assert solver._PATTERNS[code] == _classify_reference(pinned)
 
 
 # -- non-existence sweeps ------------------------------------------------------
