@@ -26,7 +26,7 @@ import numpy as np
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from . import __version__
-from .errors import AbcdWavesError, ConstraintError, UsageError
+from .errors import AbcdWavesError, ConstraintError, DomainError, UsageError
 from .families import (FAMILIES, ParameterSet, SolutionParams, _frac, build_family,
                        check_physical_constraint)
 from .reduction import classify_ansatz, verify_termination
@@ -249,12 +249,19 @@ def cmd_solve(parser, args) -> int:
         _reject_unread(parser, args, {"starts", "seed", "require_nontrivial"})
     system, pins = build_named_system(
         args.system, {name: getattr(args, name) for name in "abcd"})
+    given = set()
     for chunk in args.pin.split(",") if args.pin else ():
         key, sep, val = chunk.partition("=")
         if not sep:
             raise UsageError(f"--pin entry {chunk!r} is not var=value")
         key = key.strip()
-        pins["lam" if key == "lambda" else key] = _frac(val, f"--pin {key}")
+        name = "lam" if key == "lambda" else key
+        if name in given:
+            raise UsageError(f"--pin gives {name} more than once")
+        given.add(name)
+        exact = _frac(val, f"--pin {key}")
+        if exact != pins.setdefault(name, exact):
+            raise DomainError(f"system {args.system} fixes {name} = {pins[name]}")
     sysn = pin_and_square(system, pins)
 
     if args.seed_from:

@@ -25,6 +25,7 @@ theta-parameterization constraint on (a, b, c, d) -- run
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,8 +44,9 @@ class Record:
     """JSON form of a result dataclass: its fields, in declaration order.
 
     A field holding a Record, or a list of them, is written through that
-    record's own ``to_dict``; every other value is passed as it is, so dicts
-    are shared and tuples stay tuples (``json`` writes them as lists).
+    record's own ``to_dict`` and an enum by its value; every other value is
+    passed as it is, so dicts are shared and tuples stay tuples (``json``
+    writes them as lists).
     ``dataclasses.asdict`` would deep-copy every leaf value, which made
     large reports an order of magnitude slower to serialize, and would
     bypass a nested record's own ``to_dict``.
@@ -62,11 +64,16 @@ def _plain(value):
         return value.to_dict()
     if isinstance(value, list):
         return [_plain(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
     return value
 
 
 def _frac(x: Rational, name: str) -> Fraction:
-    """``x`` exactly; UsageError naming ``name`` unless a finite rational or float."""
+    """``x`` exactly; UsageError naming ``name`` unless a finite rational or
+    float.  A bool is refused, though Fraction(True) is 1."""
+    if isinstance(x, bool):
+        raise UsageError(f"{name} = {x!r} is not a rational")
     try:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

@@ -152,27 +152,16 @@ class DegreeResult(Record):
     ok: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class TerminationReport(Record):
+    """The chains of every degree; ``passed`` when every degree is ok."""
+
     case: str
     shape: AnsatzShape
-    results: list[DegreeResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def to_dict(self):
-        # not asdict: the shape by value, its degrees and the passed property
-        return {
-            "case": self.case,
-            "shape": self.shape.value,
-            "shape_degrees": list(self.shape.degrees),
-            "passed": self.passed,
-            "results": [r.to_dict() for r in self.results],
-            "notes": self.notes,
-        }
+    shape_degrees: list[int]
+    passed: bool
+    results: list[DegreeResult]
+    notes: list[str]
 
 
 class _Chain:
@@ -395,13 +384,14 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         params = {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
         label = f"a={p.a}, b={p.b}, c={p.c}, d={p.d}"
 
-    report = TerminationReport(case=label, shape=shape)
+    notes = []
     if shape in (AnsatzShape.QUARTIC_ETA_QUADRATIC_W, AnsatzShape.TRIVIAL_ONLY):
-        report.notes.append(
+        notes.append(
             "governing split: c = 0 (with b = d = 0 reducing further to the "
             "trivial shape); any labeling of that subcase under c != 0 is a "
             "mislabel -- the c = 0 reading is used here")
 
+    results = []
     for n in range(n_min, n_max + 1):
         t0 = time.perf_counter()
         system = build_coefficient_system(n, n, params=params)
@@ -418,10 +408,11 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         # may close further, e.g. a = b = d = 0 kills the w series too)
         expected = (min(shape.max_eta_degree, n), min(shape.max_w_degree, n))
         ok = case is None or realized == expected
-        report.results.append(DegreeResult(n, branches, realized, ok))
+        results.append(DegreeResult(n, branches, realized, ok))
         logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s "
                      "(build %.3f s, chains %.3f s, %d states, %d memo hits)",
                      label, n, len(branches), sum(len(b.events) for b in branches),
                      time.perf_counter() - t0, t_built - t0, t_chains - t_built,
                      len(memo.states), memo.hits)
-    return report
+    return TerminationReport(label, shape, list(shape.degrees),
+                             all(r.ok for r in results), results, notes)

@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -853,52 +853,31 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
 
 @dataclass
 class NonexistencePoint(Record):
+    """One grid point.  ``n_converged_roots`` counts the roots kept after
+    dedup, not the converged starts (those are ``stats.converged``)."""
+
     pins: dict[str, float]
     n_converged_roots: int
     roots: list[dict]
     stats: RunStats
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonexistenceReport(Record):
+    """A sweep: ``total_roots`` sums the points' kept roots, ``upheld`` means no
+    counterexample, and ``stats`` is ``RunStats.total`` of the points' stats."""
+
     constrained: str
     value: float
     delta: float
     sigma_free: bool
     n_starts: int
     seed: int
-    points: list[NonexistencePoint] = field(default_factory=list)
-    counterexamples: list[dict] = field(default_factory=list)
-
-    @property
-    def total_roots(self) -> int:
-        return sum(pt.n_converged_roots for pt in self.points)
-
-    @property
-    def upheld(self) -> bool:
-        return not self.counterexamples
-
-    @property
-    def stats(self) -> RunStats:
-        """The points' run statistics summed; the floor is the lowest one."""
-        return RunStats.total([pt.stats for pt in self.points])
-
-    def to_dict(self):
-        # not asdict: the total_roots and upheld properties go before
-        # counterexamples, and the summed stats go last
-        return {
-            "constrained": self.constrained,
-            "value": self.value,
-            "delta": self.delta,
-            "sigma_free": self.sigma_free,
-            "n_starts": self.n_starts,
-            "seed": self.seed,
-            "total_roots": self.total_roots,
-            "upheld": self.upheld,
-            "counterexamples": self.counterexamples,
-            "points": [pt.to_dict() for pt in self.points],
-            "stats": self.stats.to_dict(),
-        }
+    total_roots: int
+    upheld: bool
+    counterexamples: list[dict]
+    points: list[NonexistencePoint]
+    stats: RunStats
 
 
 def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]],
@@ -934,8 +913,7 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
             raise UsageError(f"grid point {i} ({dict(point)}) lacks {missing}")
     t0 = time.perf_counter()
     system, _ = build_named_system("coeffs2")
-    report = NonexistenceReport(constrained, float(value), _DELTA,
-                                sigma_free, n_starts, seed)
+    points, counterexamples = [], []
     for i, point in enumerate(grid):
         pins = {"a": point["a"], "b": point["b"], "d": point["d"],
                 "lam": point["lam"], "m": point["m"], constrained: value}
@@ -952,11 +930,14 @@ def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]
                      "sigma": values.get("sigma", pinned.get("sigma", 0.0))}
             roots.append(entry)
             if not sigma_free or abs(entry["sigma"]) > _SIGMA_TOL:
-                report.counterexamples.append({"pins": pinned, **entry})
-        report.points.append(NonexistencePoint(pinned, len(roots), roots,
-                                               branch_set.stats))
+                counterexamples.append({"pins": pinned, **entry})
+        points.append(NonexistencePoint(pinned, len(roots), roots, branch_set.stats))
+    total_roots = sum(pt.n_converged_roots for pt in points)
     logger.debug("nonexistence %s: %d points x %d starts, %d roots, "
-                 "%d counterexamples; %.3f s", constrained, len(report.points),
-                 n_starts, report.total_roots, len(report.counterexamples),
+                 "%d counterexamples; %.3f s", constrained, len(points),
+                 n_starts, total_roots, len(counterexamples),
                  time.perf_counter() - t0)
-    return report
+    return NonexistenceReport(constrained, float(value), _DELTA, sigma_free,
+                              n_starts, seed, total_roots, not counterexamples,
+                              counterexamples, points,
+                              RunStats.total([pt.stats for pt in points]))

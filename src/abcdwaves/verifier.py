@@ -190,8 +190,8 @@ def limit_a_to_zero(b, d, lam, sigma, m) -> ConvergenceTable:
     """S422 at a = 0 against S43 (single row; exact)."""
     sol = build_s422(ParameterSet.make(0, b, 0, d), lam, sigma, m)
     target = build_s43(d, lam, sigma, m)
-    return ConvergenceTable("a_to_zero", "a", (0.0,), (_coef_diff(sol, target),),
-                            (), True, target.to_dict())
+    return _convergence_table("a_to_zero", "a", (0.0,), (_coef_diff(sol, target),),
+                              target)
 
 
 def limit_m_to_one(family: str, **builder_args) -> ConvergenceTable:

@@ -109,6 +109,8 @@ def test_family_verify_round_trip(tmp_path, capsys):
     (lambda out: out["run_config"].update(a="one"), "run_config a = 'one'"),
     (lambda out: out["run_config"].update(d=[1, 3]), "run_config d = [1, 3]"),
     (lambda out: out.update(run_config=["a", 1]), "run_config must be a JSON object"),
+    # true is not read as a = 1
+    (lambda out: out["run_config"].update(a=True), "run_config a = True is not a rational"),
     # an integer too large for a float
     (lambda out: out["solution"]["j"].__setitem__(0, 10**400), "malformed stored solution"),
     (lambda out: out["solution"].update(m=0), "m = 0"),
@@ -127,7 +129,7 @@ def test_family_verify_round_trip(tmp_path, capsys):
     (lambda out: out["solution"].update(family_tag=[5]), "a string family_tag"),
     (lambda out: out["solution"].update(origin=[5]), "a string or null origin"),
 ], ids=["missing-k", "six-j", "four-k", "nan-sigma", "zero-lambda",
-        "non-rational-a", "list-d", "list-run-config", "huge-j", "zero-m", "zero-sigma",
+        "non-rational-a", "list-d", "list-run-config", "boolean-a", "huge-j", "zero-m", "zero-sigma",
         "string-j", "object-k", "tau1-7", "pm-sideways", "boolean-j", "boolean-lambda",
         "boolean-tau1", "float-tau1", "list-family-tag", "list-origin"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
@@ -142,6 +144,20 @@ def test_verify_rejects_malformed_solution(tmp_path, capsys, edit, message):
     code, _, stderr = run_cli(["verify", "--input", str(out) + ".json"], capsys)
     assert code == 2
     assert message in stderr
+
+
+def test_verify_reads_an_integer_run_config_value(tmp_path, capsys):
+    out = tmp_path / "int"
+    run_cli(["family", "--set", "4.2.1", "--a", "1", "--b", "-1", "--d", "1/3",
+             "--lambda", "1/2", "--sigma", "-2", "--m", "1/2",
+             "--out", str(out), "--samples", "128"], capsys)
+    payload = json.loads((tmp_path / "int.json").read_text())
+    payload["run_config"]["a"] = 1
+    (tmp_path / "int.json").write_text(json.dumps(payload))
+    code, stdout, _ = run_cli(["verify", "--input", str(out) + ".json",
+                               "--samples", "128"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["residual"]["relative"] <= 1e-9
 
 
 @pytest.mark.parametrize("content,message", [
@@ -186,6 +202,29 @@ def test_negative_seed_or_budget_exits_2(capsys, argv, message):
     code, stdout, stderr = run_cli(argv, capsys)
     assert code == 2 and stdout == ""
     assert stderr == f"error: {message}\n"
+
+
+REDUCED = ["solve", "--system", "coeffs2red", "--a", "1", "--b", "1/6", "--d", "1/6",
+           "--starts", "20", "--pin"]
+
+
+@pytest.mark.parametrize("pin, message", [
+    ("m=1/2,lambda=1,sigma=1,j1=1/2", "system coeffs2red fixes j1 = 0"),
+    ("m=1/2,m=3/4,lambda=1,sigma=1", "--pin gives m more than once"),
+    ("m=1/2,lambda=1,lam=2,sigma=1", "--pin gives lam more than once"),
+    ("m=1/2,lambda=1,sigma=1,k1=0,k1=0", "--pin gives k1 more than once"),
+], ids=["fixed-j1", "repeated-m", "lambda-and-lam", "repeated-fixed-k1"])
+def test_solve_rejects_conflicting_pins_exit_2(capsys, pin, message):
+    code, stdout, stderr = run_cli([*REDUCED, pin], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+def test_solve_accepts_a_pin_equal_to_a_fixed_one(capsys):
+    # coeffs2red fixes j1 = 0 anyway: the same run as without the pin
+    plain = run_cli([*REDUCED, "m=1/2,lambda=1,sigma=1"], capsys)
+    repeated = run_cli([*REDUCED, "m=1/2,lambda=1,sigma=1,j1=0"], capsys)
+    assert plain[0] == 0 and repeated == plain
 
 
 def test_solve_pins_leaving_no_unknown_exit_2(capsys):

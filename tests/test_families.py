@@ -13,6 +13,7 @@ from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
                                 build_s411, build_s412, build_s421, build_s422,
                                 check_physical_constraint, m1_limit)
 from abcdwaves.ratpoly import RationalPoly
+from abcdwaves.solver import pin_and_square
 from abcdwaves.verifier import ode_residual
 
 
@@ -138,11 +139,24 @@ def test_s411_takes_only_integer_signs(reference_cases, tau):
         build_s411(reference_cases["s411_a"]["p"], F(3, 4), 1, tau)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1]],
-                         ids=["inf", "nan", "zero-denominator", "word", "list"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0", "one", [1], True, False],
+                         ids=["inf", "nan", "zero-denominator", "word", "list", "true", "false"])
 def test_parameter_set_rejects_non_rationals(value):
     with pytest.raises(UsageError, match="a = .* is not a rational"):
         ParameterSet.make(value, 0, 0, 0)
+
+
+def test_booleans_are_not_rationals_anywhere():
+    # Fraction(True) is 1, but no entry point reads true as 1
+    p = ParameterSet.make(1, -1, 0, F(1, 3))
+    with pytest.raises(UsageError, match="lam = True is not a rational"):
+        build_s421(p, True, 1, F(1, 2))
+    with pytest.raises(UsageError, match="m = False is not a rational"):
+        build_s422(p, 1, 1, False)
+    with pytest.raises(UsageError, match="c = False is not a rational"):
+        build_coefficient_system(2, 2, params={"c": False})
+    with pytest.raises(UsageError, match="sigma = True is not a rational"):
+        pin_and_square(build_coefficient_system(2, 2), {"m": F(1, 2), "lam": 1, "sigma": True})
 
 
 def test_s412_negative_radicand():
@@ -355,7 +369,8 @@ def s411_exact(p, m, tau1, tau2):
 
 def reduce_radicals(poly, squares):
     """``poly`` with each power v^e of a radical v written as
-    (v^2)^(e // 2) v^(e % 2), v^2 taken from ``squares``."""
+    (v^2)^(e // 2) v^(e % 2), v^2 taken from ``squares`` (a rational or a
+    polynomial)."""
     out = RationalPoly.const(0)
     for mono, coef in poly.terms.items():
         kept = []
@@ -365,7 +380,7 @@ def reduce_radicals(poly, squares):
                 exp %= 2
             if exp:
                 kept.append((name, exp))
-        out = out + RationalPoly.monomial(coef, kept)
+        out = out + coef * RationalPoly.monomial(1, kept)
     return out
 
 
@@ -425,6 +440,154 @@ def test_s411_outputs_are_rounded_once():
                      x.denominator << 4000)
             exact = math.copysign(float(q * root), q)    # a zero keeps the sign of q
             assert sol[name].hex() == exact.hex(), (name, p, m, tau1, tau2)
+
+
+# -- S412, S421, S422 and S43 as exact identities ------------------------------
+#
+# Each closed form is checked the way S411 is: test-side exact formulas make
+# every equation of build_coefficient_system vanish.  Inputs that a formula
+# only multiplies by stay symbolic, so one check covers every value of them;
+# the ones it divides by take a few rational values (sigma of both signs).
+
+A, B, D, LAM, M, SIGMA = (RationalPoly.var(name) for name in ("a", "b", "d", "lam", "m", "sigma"))
+
+
+def s412_exact(a, b, c, d, lam, sigma, m, s_pm, s_mp):
+    """S412 as pairs (P, Q), the value P + Q sqrt(disc), and disc.  ``s_pm``
+    is the sign of the root in k2 and j2, ``-s_mp`` its sign in k0 and j0;
+    the branches are coherent when s_mp = -s_pm.  c is a rational; the others
+    may be polynomials."""
+    b2, sig2, cc = b - 2 * d, sigma * sigma, F(c)
+    scale = 3 * lam * lam * m * m
+    e = 4 * cc * lam * lam * (2 * m * m - 1)
+    even = 4 * a * cc + b * b2 * sig2
+    values = {
+        "j0": ((e * even - 4 * a * cc - b2 * b2 * sig2 + 8 * cc * cc) * (-1 / (8 * cc * cc)),
+               s_mp * sigma * (b * e - b2) * (1 / (8 * cc * cc))),
+        "j2": (scale * even * (1 / (2 * cc)), s_pm * scale * b * sigma * (1 / (2 * cc))),
+        "k0": (sigma * ((b + 2 * d) * e + b2 - 4 * cc) * (-1 / (4 * cc)),
+               s_mp * (e + 1) * (1 / (4 * cc))),
+        "k2": (scale * sigma * (b + 2 * d), s_pm * scale),
+    }
+    return values, 8 * a * cc + sig2 * b2 * b2
+
+
+def s412_equations(c, s_pm, s_mp):
+    """Every h[p, q] of the quadratic system at the exact S412 values, with
+    a, b, d, lam, m and sigma symbolic and the root r = sqrt(disc) reduced."""
+    values, disc = s412_exact(A, B, c, D, LAM, SIGMA, M, s_pm, s_mp)
+    subs = {name: p + q * RationalPoly.var("r") for name, (p, q) in values.items()}
+    subs.update(j1=0, k1=0)
+    system = build_coefficient_system(2, 2, params={"c": c})
+    return [reduce_radicals(poly.substitute(subs), {"r": disc})
+            for poly in system.equations.values()]
+
+
+@pytest.mark.parametrize("c", [1, F(-2, 3), F(1, 1000)])
+def test_s412_is_an_exact_solution(c):
+    for s in (1, -1):
+        assert all(eq.is_zero() for eq in s412_equations(c, s, -s)), (c, s)
+        # negative control: incoherent signs are no solution
+        assert not all(eq.is_zero() for eq in s412_equations(c, s, s)), (c, s)
+
+
+def s421_exact(a, b, d, lam, sigma, m, lead=-8):
+    """S421's j and k; sigma, b and d rationals (the formulas divide by sigma
+    and 4b - d), a, lam and m rationals or polynomials.  ``lead`` is the
+    leading coefficient of j0."""
+    q, pfac, ecc = 4 * b - d, 5 * b - 3 * d, 2 * m * m - 1
+    lam2, m2, sig2 = lam * lam, m * m, sigma * sigma
+    return {
+        "j0": (lead * b * lam2 * lam2 * sig2 * sig2 * q * q * pfac * (11 * m2 * m2 - 11 * m2 - 4)
+               + 3 * sig2 * q * (3 * d - 4 * b * (3 + 5 * a * lam2 * ecc)) + 9 * a * a)
+              * (1 / (9 * sig2 * q * q)),
+        "j1": 0, "j2": 20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc) * (1 / (3 * q)),
+        "j3": 0, "j4": -40 * b * lam2 * lam2 * m2 * m2 * sig2 * pfac,
+        "k0": (-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) * (1 / (3 * sigma * q)),
+        "k1": 0, "k2": 20 * b * lam2 * m2 * sigma,
+    }
+
+
+def s422_exact(a, b, d, lam, sigma, m):
+    """S422's j and k; sigma, b and d rationals (the formulas divide by sigma
+    and b - 2d), a, lam and m rationals or polynomials."""
+    b2, ecc, lam2, m2, sig2 = b - 2 * d, 2 * m * m - 1, lam * lam, m * m, sigma * sigma
+    return {
+        "j0": (a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc))) * (1 / (sig2 * b2 * b2)),
+        "j1": 0, "j2": -12 * a * d * lam2 * m2 * (1 / b2),
+        "k0": (a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) * (1 / (sigma * b2)),
+        "k1": 0, "k2": 12 * d * lam2 * m2 * sigma,
+    }
+
+
+def s43_exact(d, lam, sigma, m):
+    """S43's j and k; every input a rational or a polynomial."""
+    return {"j0": -1, "j1": 0, "j2": 0,
+            "k0": sigma * (1 + 4 * d * lam * lam * (1 - 2 * m * m)), "k1": 0,
+            "k2": 12 * d * lam * lam * m * m * sigma}
+
+
+def quartic_draws(seed, family_ok):
+    """Seeded rational (b, d, sigma) with sigma of both signs, where
+    ``family_ok(b, d)`` holds."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < 6:
+        b, d = (F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in "bd")
+        sigma = (-1) ** len(draws) * F(rng.randint(1, 12), rng.randint(1, 6))
+        if family_ok(b, d):
+            draws.append((b, d, sigma))
+    return draws
+
+
+S421_DRAWS = quartic_draws(421, lambda b, d: 4 * b != d)
+S422_DRAWS = quartic_draws(422, lambda b, d: b != 2 * d)
+
+
+def vanishes(values, n_eta, params):
+    """Whether ``values`` make every equation of the (n_eta, 2) system vanish."""
+    system = build_coefficient_system(n_eta, 2, params=params)
+    return all(poly.substitute(values).is_zero() for poly in system.equations.values())
+
+
+def test_s421_is_an_exact_solution():
+    # a, lam and m symbolic; sigma, b and d drawn
+    for b, d, sigma in S421_DRAWS:
+        params = {"b": b, "c": 0, "d": d}
+        values = {**s421_exact(A, b, d, LAM, sigma, M), "sigma": sigma}
+        assert vanishes(values, 4, params), (b, d, sigma)
+        # negative control: the leading coefficient -32 is no solution
+        values = {**s421_exact(A, b, d, LAM, sigma, M, lead=-32), "sigma": sigma}
+        assert not vanishes(values, 4, params), (b, d, sigma)
+
+
+def test_s422_is_an_exact_solution():
+    for b, d, sigma in S422_DRAWS:
+        values = {**s422_exact(A, b, d, LAM, sigma, M), "sigma": sigma}
+        assert vanishes(values, 2, {"b": b, "c": 0, "d": d}), (b, d, sigma)
+
+
+def test_s43_is_an_exact_solution():
+    # b, c, d, lam, m and sigma all symbolic; a = 0
+    assert vanishes(s43_exact(D, LAM, SIGMA, M), 2, {"a": 0})
+
+
+def test_s421_s422_s43_outputs_are_rounded_once():
+    # each output is the float of its exact value
+    rng = random.Random(4243)
+    for (b, d, sigma), exact, builder in [
+            *((draw, s421_exact, build_s421) for draw in S421_DRAWS),
+            *((draw, s422_exact, build_s422) for draw in S422_DRAWS)]:
+        a, lam = F(rng.randint(-12, 12), rng.randint(1, 4)), F(rng.randint(1, 12), rng.randint(1, 6))
+        m = F(rng.randint(5, 100), 100)
+        sol = builder(ParameterSet.make(a, b, 0, d), lam, sigma, m).coefficient_map()
+        values = {**exact(a, b, d, lam, sigma, m), "lam": lam, "m": m, "sigma": sigma}
+        for name, value in values.items():
+            assert sol[name].hex() == float(value).hex(), (builder.__name__, name, a, b, d)
+        sol = build_s43(d, lam, sigma, m).coefficient_map()
+        values = {**s43_exact(d, lam, sigma, m), "lam": lam, "m": m, "sigma": sigma}
+        for name, value in values.items():
+            assert sol[name].hex() == float(value).hex(), ("build_s43", name, d)
 
 
 # -- m -> 1 solitary limits --------------------------------------------------
