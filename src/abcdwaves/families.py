@@ -326,15 +326,22 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((n * d) << (2 * _GUARD_BITS)), d << _GUARD_BITS)
 
 
-def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
-                       m: Fraction, s_pm: int, s_mp: int):
-    """Raw S412 coefficients, each an exact P + Q sqrt(disc) in the quadratic
-    extension by the validity radicand: the root, to _GUARD_BITS bits, is the
-    only inexact step, and c = 0 the only pole.  ``s_pm`` is the sign of
-    sqrt(disc) in k2 and j2, ``-s_mp`` its sign within k0 = -[...] / 4c and
-    j0 = -[...] / 8c^2.  The public constructor ties s_mp = -s_pm (coherent
-    signs); the slots are apart so incoherent combinations can be shown to fail.
+def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
+               sign: str = "top") -> SolutionParams:
+    """Even quadratic family (j1 = k1 = 0) with free lam, sigma, m.
+
+    ``sign`` chooses the coherent top or bottom branch of the +-/-+ pairs:
+    root = s sqrt(disc), s = +1 for top and -1 for bottom.  Each coefficient
+    is an exact P + Q root in the quadratic extension by the validity
+    radicand disc: the root, to _GUARD_BITS bits, is the only inexact step,
+    and c = 0 the only pole.  Validity: c != 0 and 8ac + sigma^2 (b-2d)^2 > 0.
     """
+    if sign not in ("top", "bottom"):
+        raise UsageError(f"sign must be 'top' or 'bottom', got {sign!r}")
+    if p.c == 0:
+        raise DomainError("family S412 requires c != 0")
+    m = _require_m(m)
+    lam, sigma = _require_lam_sigma(lam, sigma)
     a, b, c, d = p.a, p.b, p.c, p.d
     sig2 = sigma * sigma
     b2 = b - 2 * d
@@ -343,36 +350,18 @@ def _s412_coefficients(p: ParameterSet, lam: Fraction, sigma: Fraction,
     if not disc > 0:
         raise DomainError("validity 8ac + sigma^2 (b-2d)^2 > 0 fails: "
                           f"{_float(disc, '8ac + sigma^2 (b-2d)^2')}")
-    root = _sqrt_fraction(disc)
+    root = (1 if sign == "top" else -1) * _sqrt_fraction(disc)
     scale = 3 * lam * lam * m * m
     e = 4 * c * lam * lam * (2 * m * m - 1)
 
-    k2 = _float(scale * (sigma * (b + 2 * d) + s_pm * root), "k2")
-    j2 = _float(scale * (ac4 + b * b2 * sig2 + s_pm * b * sigma * root) / (2 * c), "j2")
-    k0 = _float(-(sigma * ((b + 2 * d) * e + b2 - 4 * c) - s_mp * (e + 1) * root) / (4 * c), "k0")
+    k2 = _float(scale * (sigma * (b + 2 * d) + root), "k2")
+    j2 = _float(scale * (ac4 + b * b2 * sig2 + b * sigma * root) / (2 * c), "j2")
+    k0 = _float(-(sigma * ((b + 2 * d) * e + b2 - 4 * c) + (e + 1) * root) / (4 * c), "k0")
     j0 = _float(-(e * (ac4 + b * b2 * sig2) - ac4 - b2 * b2 * sig2 + 8 * c * c
-                  - s_mp * sigma * (b * e - b2) * root) / (8 * c * c), "j0")
-    return j0, j2, k0, k2
-
-
-def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
-               sign: str = "top") -> SolutionParams:
-    """Even quadratic family (j1 = k1 = 0) with free lam, sigma, m.
-
-    ``sign`` chooses the coherent top or bottom branch of the +-/-+ pairs.
-    Validity: c != 0 and 8ac + sigma^2 (b-2d)^2 > 0.
-    """
-    if sign not in ("top", "bottom"):
-        raise UsageError(f"sign must be 'top' or 'bottom', got {sign!r}")
-    if p.c == 0:
-        raise DomainError("family S412 requires c != 0")
-    mf = _require_m(m)
-    lamf, sigf = _require_lam_sigma(lam, sigma)
-    s_pm = 1 if sign == "top" else -1
-    j0, j2, k0, k2 = _s412_coefficients(p, lamf, sigf, mf, s_pm, -s_pm)
+                  + sigma * (b * e - b2) * root) / (8 * c * c), "j0")
     return SolutionParams(
         (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S412", Branch(pm=sign),
+        _float(lam, "lam"), float(m), _float(sigma, "sigma"), "S412", Branch(pm=sign),
     )
 
 

@@ -54,9 +54,8 @@ root that no earlier root reaches is kept without any array work.
 Classification is one array pass over the kept roots.  The BranchSet
 keeps the kept roots as the arrays dedup and classification give, and
 writes its JSON from them; RootRecords are built only for the roots a
-caller reads.  Its RunStats (also per point and summed in a
-NonexistenceReport) say how the starts ended and count the engine's work,
-with no seconds, so the JSON stays deterministic.
+caller reads.  Its RunStats come from the engine; the seconds stay in the
+engine's and multistart's DEBUG records.
 """
 
 from __future__ import annotations
@@ -330,7 +329,7 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
     if not np.isfinite(x).all():
         raise UsageError(f"seed {x.tolist()} is not finite")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
-    X, reason, iters, hinf, *_ = _newton_batch(sysn, x[None, :], max_iter, escape)
+    X, reason, iters, hinf, _ = _newton_batch(sysn, x[None, :], max_iter, escape)
     return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
 
 
@@ -465,35 +464,29 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   escape: float = _ESCAPE
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                             int, int, int, int, float, float]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RunStats]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, reason, iterations, hinf, solves, fallbacks, evaluated,
-    passes, step_s, search_s): the final iterates (a (rows, n) view of a
-    row-last array), each row's stop reason
-    from _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the
-    final iterate, then the number of Gauss-Newton steps computed over all
-    rows, how many of them fell back from QR to the pseudoinverse, how many
-    candidate rows the line searches evaluated, in how many batched
-    evaluations, and the seconds spent in _gauss_newton_step and in
-    _line_search.  One pass, run max_iter + 1 times, labels every row still
-    active: converged when ||h||_inf <= _TOL and x
-    is finite (wherever x lies), else overflow when h is not finite or
-    ||x||_inf >= escape; the rest take a step while fewer than max_iter
-    passes have run and keep "budget" after the last.  A row whose line
-    search accepts no step stops as stalled at its last iterate.  The
-    search goes down to _MIN_STEP, but below _STALL_FLOOR only while
-    alpha * ||dx||_inf exceeds _STALL_MOVE * max(||x||_inf, 1): a row
-    crawling at steps that barely move x stops instead of spending the
-    iteration budget.  The residual is evaluated once, at X0; after that
-    each row keeps the residual its line search computed at the step it
-    accepted.  A row's line search first tries, in one pass, every step
-    down to the one it accepted last time.  The state holds only the
-    active rows, row-last (iterates and steps (n, rows), residuals (m,
-    rows), Jacobians (m, n, rows)), so each per-row test reduces across
-    rows; a row's iterate is written out when it stops.  max_iter < 0 is a
-    UsageError.
+    Returns (X, reason, iterations, hinf, stats): the final iterates (a
+    (rows, n) view of a row-last array), each row's stop reason from
+    _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the final
+    iterate, then the rows' RunStats, which one DEBUG record logs with the
+    seconds of _gauss_newton_step and of _line_search.  One pass, run
+    max_iter + 1 times, labels every row still active: converged when
+    ||h||_inf <= _TOL and x is finite (wherever x lies), else overflow when
+    h is not finite or ||x||_inf >= escape; the rest take a step while
+    fewer than max_iter passes have run and keep "budget" after the last.
+    A row whose line search accepts no step stops as stalled at its last
+    iterate.  The search goes down to _MIN_STEP, but below _STALL_FLOOR
+    only while alpha * ||dx||_inf exceeds _STALL_MOVE * max(||x||_inf, 1):
+    a row crawling at steps that barely move x stops instead of spending
+    the iteration budget.  The residual is evaluated once, at X0; after
+    that each row keeps the residual its line search computed at the step
+    it accepted, and its next search first tries, in one pass, every step
+    down to that one.  The state holds only the active rows, row-last
+    (iterates and steps (n, rows), residuals (m, rows), Jacobians (m, n,
+    rows)), so each per-row test reduces across rows; a row's iterate is
+    written out when it stops.  max_iter < 0 is a UsageError.
     """
     if max_iter < 0:
         raise UsageError(f"max_iter = {max_iter} must be >= 0")
@@ -549,8 +542,16 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         idx, Ha, last = idx[settled], Hs.compress(settled, axis=1), taken[settled]
         iters[idx] += 1
     X[:, idx] = Xa
-    return (X.T, reason, iters, hinf, solves, fallbacks, evaluated, passes,
-            step_s, search_s)
+    conv = reason == "converged"
+    rest = reason[~conv].tolist()
+    # NaN residuals are skipped; inf means no unconverged row has a finite one
+    least = float(np.fmin.reduce(hinf[~conv], initial=np.inf))
+    stats = RunStats(B, B - len(rest), *map(rest.count, _STOP_REASONS[1:]),
+                     least if least < np.inf else None, int(iters.sum()), solves,
+                     fallbacks, evaluated, passes)
+    logger.debug("newton: %s; %.3f s in Gauss-Newton steps and %.3f s in line "
+                 "searches", stats, step_s, search_s)
+    return X.T, reason, iters, hinf, stats
 
 
 @dataclass
@@ -770,7 +771,7 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     1e-9) and classified trivial / semi-trivial / non-trivial from the
     zero-pattern of the j_r, k_r with r >= 1 (pinned values included).
     The BranchSet holds the kept roots as arrays, straight from dedup and
-    classification, and the run's RunStats; no per-root object is built
+    classification, and the engine's RunStats; no per-root object is built
     here.  Deterministic for fixed seed_rng; an empty BranchSet is a valid
     result.  UsageError for n_starts < 1, seed_rng < 0 or max_iter < 0.
     """
@@ -785,10 +786,8 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    (X, reason, iters, hinf_all, solves, fallbacks, evaluated, passes, step_s,
-     search_s) = _newton_batch(sysn, X0, max_iter)
-    conv = reason == "converged"
-    found = np.flatnonzero(conv)
+    X, reason, _, hinf_all, stats = _newton_batch(sysn, X0, max_iter)
+    found = np.flatnonzero(reason == "converged")
     t1 = time.perf_counter()
     rep, hits, first, widest = _dedup(X[found], hinf_all[found])
     t2 = time.perf_counter()
@@ -797,28 +796,15 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     rows = found[rep]
     roots = X[rows]
     codes = _classify(sysn.unknowns, pinned_f, roots)
-    # NaN residuals are skipped; inf means no unconverged start has a finite one
-    floor = float(np.fmin.reduce(hinf_all[~conv], initial=np.inf))
-    unconverged = reason[~conv]
-    stats = RunStats(n_starts, found.size,
-                     *(int(np.count_nonzero(unconverged == r)) for r in _STOP_REASONS[1:]),
-                     floor if floor < np.inf else None, int(iters.sum()), solves,
-                     fallbacks, evaluated, passes)
     branch_set = BranchSet(list(sysn.unknowns), roots, hinf_all[rows], hits,
                            found[first], codes, pinned_f, n_starts, found.size,
                            seed_rng, stats)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("multistart: %d starts (%d converged, %d overflow, %d stalled, "
-                     "%d budget), %d kept, %d non-trivial; residual floor of the "
-                     "unconverged %.3e; newton %.3f s, dedup %.3f s, classify and "
-                     "records %.3f s; %d Gauss-Newton solves, %d fell back to the SVD; "
-                     "dedup window at most %d; line search %d candidate rows in "
-                     "%d passes; of the newton time %.3f s in Gauss-Newton steps "
-                     "and %.3f s in line searches",
-                     n_starts, stats.converged, stats.overflow, stats.stalled,
-                     stats.budget, codes.size, int(np.count_nonzero(codes == _NONTRIVIAL)),
-                     floor, t1 - t0, t2 - t1, time.perf_counter() - t2, solves,
-                     fallbacks, widest, evaluated, passes, step_s, search_s)
+        logger.debug("multistart: %d starts, %d converged, %d kept, %d non-trivial; "
+                     "newton %.3f s, dedup %.3f s, classify %.3f s; dedup window "
+                     "at most %d", n_starts, found.size, codes.size,
+                     int(np.count_nonzero(codes == _NONTRIVIAL)), t1 - t0, t2 - t1,
+                     time.perf_counter() - t2, widest)
     return branch_set
 
 

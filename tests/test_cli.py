@@ -53,6 +53,20 @@ def test_family_semi_trivial_flat_eta(tmp_path, capsys, monkeypatch):
     assert all(v == 0.0 for v in payload["solution"]["j"][1:])
 
 
+def test_family_flat_profiles_plot(tmp_path, capsys, monkeypatch):
+    # eta = w = -1 everywhere: the plot widens the empty value range
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(["family", "--set", "4.3", "--d", "0", "--sigma", "-1",
+                          "--m", "1/2", "--samples", "64", "--out", "flat"], capsys)
+    assert code == 0
+    solution = json.loads((tmp_path / "flat.json").read_text())["solution"]
+    assert solution["j"] == [-1.0, 0.0, 0.0, 0.0, 0.0] and solution["k"] == [-1.0, 0.0, 0.0]
+    svg = (tmp_path / "flat.svg").read_text()
+    assert svg.startswith("<svg") and "nan" not in svg.lower()
+    # the widened range [-2, 0], padded by 5%, labels the axis
+    assert '>-2.1</text>' in svg and '>0.1</text>' in svg
+
+
 def test_family_m_zero_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, stderr = run_cli([
@@ -366,6 +380,13 @@ def test_classify_output(capsys):
     data = json.loads(stdout)
     assert data["shape"] == "SemiTrivialEtaConstant"
     assert data["max_w_degree"] == 2
+
+
+def test_classify_rejects_a_non_rational_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--a", "x"])
+    assert exc.value.code == 2
+    assert "argument --a: not a rational: 'x'" in capsys.readouterr().err
 
 
 def test_classify_negative_a_fifth_shape(capsys):
@@ -690,3 +711,31 @@ def test_cli_logs_one_record(argv, code, capsys, caplog):
     assert record.levelno == logging.DEBUG
     assert record.args[:2] == (argv[0], code) and record.args[2] >= 0.0
 
+
+
+def test_debug_records_format(tmp_path, capsys, caplog, monkeypatch):
+    # every record's arguments fit its format: a mismatch would print
+    # "--- Logging error ---" at run time, not fail a test that reads args
+    monkeypatch.chdir(tmp_path)
+    pins = ["--system", "coeffs1", "--pin", "m=0.70710678,lambda=1,sigma=1",
+            "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1"]
+    runs = [["family", "--set", "4.1.2", "--lambda", "1", "--m", "0.70710678",
+             "--sigma", "1", "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+             "--samples", "64", "--out", "wave"],
+            ["solve", *pins, "--starts", "50"],
+            ["solve", *pins, "--seed-from", "wave.json"],
+            ["nonexistence", "--var", "j1", "--grid-a", "1", "--grid-b", "1/6",
+             "--grid-d", "-1/2", "--m", "3/4", "--starts", "20"],
+            ["reduce", "--case", "c-zero", "--nmax", "4"]]
+    with caplog.at_level(logging.DEBUG, logger="abcdwaves"):
+        for argv in runs:
+            assert run_cli(argv, capsys)[0] == 0, argv
+    messages = [(r.funcName, r.getMessage()) for r in caplog.records]
+    funcs = [func for func, _ in messages]
+    assert funcs.count("main") == len(runs)
+    # two multistarts (solve and one grid point) and the seeded solve
+    assert funcs.count("_newton_batch") == 3 and funcs.count("multistart") == 2
+    assert "reproduce_nonexistence" in funcs and "verify_termination" in funcs
+    newton = [text for func, text in messages if func == "_newton_batch"]
+    assert newton[0].startswith("newton: RunStats(starts=50, converged=50, ")
+    assert newton[1].startswith("newton: RunStats(starts=1, converged=1, ")

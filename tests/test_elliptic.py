@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from abcdwaves.elliptic import (complete_k, cn_power_derivative, jacobi_eval)
+from abcdwaves.elliptic import (complete_k, cn_power_derivative, eval_cn_series,
+                                jacobi_eval)
 from abcdwaves.errors import DomainError, UsageError
 
 M_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0]
@@ -190,3 +191,8 @@ def test_derivative_argument_validation():
         cn_power_derivative(2, 4, 1.0, 0.5, 0.3)
     with pytest.raises(UsageError):
         cn_power_derivative(0, 1, 1.0, 0.5, 0.3)
+
+
+def test_series_order_validation():
+    with pytest.raises(UsageError, match=r"^derivative order must be 0, 1, 2 or 3, got 4$"):
+        eval_cn_series([1.0, 2.0], jacobi_eval(0.3, 0.5), 1.0, order=4)

@@ -8,8 +8,7 @@ import pytest
 
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import ConstraintError, DomainError, UsageError
-from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
-                                _s412_coefficients, build_family, build_s43,
+from abcdwaves.families import (ParameterSet, SolutionParams, build_family, build_s43,
                                 build_s411, build_s412, build_s421, build_s422,
                                 check_physical_constraint, m1_limit)
 from abcdwaves.ratpoly import RationalPoly
@@ -44,6 +43,12 @@ def test_constraint_violation():
     with pytest.raises(ConstraintError) as err:
         check_physical_constraint(ParameterSet.make(1, 1, 1, 1))
     assert any("1/3" in v for v in err.value.violations)
+
+
+def test_constraint_violation_of_c_plus_d():
+    with pytest.raises(ConstraintError) as err:
+        check_physical_constraint(ParameterSet.make(F(1, 3), F(1, 3), F(-1, 6), F(-1, 6)))
+    assert err.value.violations == ["c+d = -1/3 < 0 violates c+d >= 0"]
 
 
 # -- reference parameter sets ----------------------------------------------
@@ -181,17 +186,6 @@ def test_s412_sign_validation(reference_cases):
         build_s412(case["p"], 1, 1, 0.5, "middle")
 
 
-def test_branch_coherence_negative(reference_cases):
-    # mixing the +- and -+ sign slots must break the solution badly
-    case = reference_cases["s412_a"]
-    j0, j2, k0, k2 = _s412_coefficients(
-        case["p"], F(1), F(1), F(case["m"]), 1, 1)
-    mixed = SolutionParams((j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-                           1.0, case["m"], 1.0, "S412", Branch(pm="top"))
-    rel = ode_residual(mixed, case["p"], 256).relative
-    assert rel > 1e-6
-
-
 # (a, b, c, d), lam, sigma, m with ac = b d sigma^2: j0 and k0 written as
 # quotients of two elements of Q(sqrt(disc)) divide by an element of norm zero
 # there, but the coefficients themselves have no pole
@@ -268,6 +262,11 @@ def test_s421_degenerate_denominator():
 def test_s421_requires_c_zero():
     with pytest.raises(DomainError, match="c = 0"):
         build_s421(ParameterSet.make(1, -1, 1, F(1, 3)), 1, 1, F(1, 2))
+
+
+def test_s422_requires_c_zero():
+    with pytest.raises(DomainError, match="^family S422 requires c = 0$"):
+        build_s422(ParameterSet.make(1, 2, 1, -1), 1, 1, F(1, 2))
 
 
 def test_s422_degenerate_denominator():

@@ -176,6 +176,16 @@ def test_public_constructor_normalises():
     assert RationalPoly({(("a", 1),): 1, (("a", 1), ("b", 0)): -1}).is_zero()
 
 
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="^negative powers not supported$"):
+        RationalPoly.var("x") ** -1
+
+
+def test_to_text_prints_a_constant_term():
+    assert (RationalPoly.var("x") - 3).to_text() == "x - 3"
+    assert RationalPoly.const(F(-3, 2)).to_text() == "-3/2"
+
+
 SYSTEM_SHA256 = {
     2: "bcbdac608f141e0690d2eb26b5df4c96b924188afdf0e7157ee4041383b3e118",
     3: "1b6c47b85eba42d5c8bab7afd321d5965392293914fd90b2240ee4c7684d4cb1",

@@ -486,9 +486,8 @@ def test_splitting_a_batch_changes_no_bit(reference_pinning):
     rng = np.random.default_rng(42)
     X0 = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0), (2000, n)) \
         * rng.choice([-1.0, 1.0], (2000, n))
-    X, reason, iters, hinf, solves, fallbacks, *_ = solver._newton_batch(
-        reference_pinning, X0, 200)
-    assert solves > fallbacks > 0
+    X, reason, iters, hinf, stats = solver._newton_batch(reference_pinning, X0, 200)
+    assert stats.solves > stats.pinv_fallbacks > 0
     ends = np.cumsum([1, 2, 3, 500, 1494])
     parts = [solver._newton_batch(reference_pinning, X0[i:j], 200)
              for i, j in zip(np.r_[0, ends[:-1]], ends)]
@@ -496,7 +495,11 @@ def test_splitting_a_batch_changes_no_bit(reference_pinning):
     assert list(np.concatenate([p[1] for p in parts])) == list(reason)
     assert np.concatenate([p[2] for p in parts]).tobytes() == iters.tobytes()
     assert np.concatenate([p[3] for p in parts]).tobytes() == hinf.tobytes()
-    assert sum(p[5] for p in parts) == fallbacks
+    # every count is one of rows, so the parts add up to the whole, but for
+    # the line-search passes, which every part's batches make on their own
+    total = solver.RunStats.total([p[4] for p in parts])
+    assert dataclasses.replace(total, passes=stats.passes) == stats
+    assert total.passes > stats.passes
 
 
 # -- multistart --------------------------------------------------------------
@@ -576,11 +579,12 @@ def test_branch_set_json_is_the_record_built_json(reference_pinning, monkeypatch
     assert len(branch_set.nontrivial()) == 2
     assert_stats_add_up(branch_set)
     assert branch_set.stats.residual_floor is None      # every start converges
-    # the counts are those of the Newton batch
-    X, reason, iters, hinf, solves, fallbacks, evaluated, passes, *_ = newton[0]
-    assert dataclasses.astuple(branch_set.stats) == (
+    # the stats are the Newton batch's own
+    X, reason, iters, hinf, stats = newton[0]
+    assert branch_set.stats is stats
+    assert dataclasses.astuple(stats)[:7] == (
         2000, *(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS),
-        None, int(iters.sum()), solves, fallbacks, evaluated, passes)
+        None, int(iters.sum()))
 
 
 def test_empty_branch_set(reference_pinning, monkeypatch):
@@ -785,30 +789,27 @@ def test_residual_rejects_rows_of_another_width(reference_pinning):
     assert reference_pinning.residual(np.zeros(6)).shape == (1, reference_pinning.n_equations)
 
 
-def _multistart_record(caplog, *args, **kwargs):
+def _multistart_records(caplog, *args, **kwargs):
+    """The BranchSet of one multistart and its engine and multistart records."""
     with caplog.at_level(logging.DEBUG, logger="abcdwaves.solver"):
         branch_set = multistart(*args, **kwargs)
-    (record,) = [r for r in caplog.records if r.name == "abcdwaves.solver"]
-    assert record.levelno == logging.DEBUG
-    assert all(t >= 0.0 for t in record.args[8:])
-    # the third time covers the classification and the root records
-    assert "classify and records %.3f s" in record.msg
-    return branch_set, record
+    newton, record = [r for r in caplog.records if r.name == "abcdwaves.solver"]
+    assert (newton.funcName, record.funcName) == ("_newton_batch", "multistart")
+    assert newton.levelno == record.levelno == logging.DEBUG
+    assert newton.args[0] is branch_set.stats
+    assert all(t >= 0.0 for t in newton.args[1:] + record.args[4:7])
+    return branch_set, newton, record
 
 
-def test_multistart_logs_counts(reference_pinning, caplog, monkeypatch):
-    seen = _spy(monkeypatch, "_newton_batch")
-    branch_set, record = _multistart_record(caplog, reference_pinning, 120,
-                                            seed_rng=3)
-    ((_, reason, *_),) = seen
-    counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
-    assert record.args[:7] == (120, *counts, len(branch_set.roots),
+def test_multistart_logs_counts(reference_pinning, caplog):
+    branch_set, _, record = _multistart_records(caplog, reference_pinning, 120,
+                                                seed_rng=3)
+    assert record.args[:4] == (120, branch_set.n_converged, len(branch_set.roots),
                                len(branch_set.nontrivial()))
-    assert record.args[1] == branch_set.n_converged > 0
     assert len(branch_set.roots) > len(branch_set.nontrivial()) > 0
     # every start converges, so no unconverged residual floor
-    assert record.args[1] == 120 and record.args[7] == np.inf
-    assert 1 <= record.args[13] <= len(branch_set.roots)
+    assert record.args[1] == 120 and branch_set.stats.residual_floor is None
+    assert 1 <= record.args[7] <= len(branch_set.roots)
 
 
 def test_multistart_logs_stop_reasons(caplog, monkeypatch):
@@ -817,29 +818,28 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
     seen = _spy(monkeypatch, "_newton_batch")
-    branch_set, record = _multistart_record(
+    branch_set, newton, record = _multistart_records(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
-    ((_, reason, iters, hinf, solves, fallbacks, evaluated, passes, step_s,
-      search_s),) = seen
+    ((_, reason, iters, hinf, stats),) = seen
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
+    assert dataclasses.astuple(stats)[:5] == (120, *counts)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
     assert counts[2] > 100 and counts[3] > 0          # stalled, budget
-    assert record.args[:7] == (120, *counts, 0, 0)
+    assert record.args[:4] == (120, 0, 0, 0)
     # the residual floor of the unconverged starts sits just below j1 = 1/10
-    assert record.args[7] == np.nanmin(hinf[reason != "converged"])
-    assert 0.09 < record.args[7] < 0.1
+    assert stats.residual_floor == np.nanmin(hinf[reason != "converged"])
+    assert 0.09 < stats.residual_floor < 0.1
     # one solve per accepted step and one more for each stalled row
-    assert record.args[11:13] == (solves, fallbacks)
-    # then the widest dedup window, at most the kept count
-    assert record.args[13] <= len(branch_set.roots)
-    assert solves == iters.sum() + counts[2] and 0 <= fallbacks <= solves
-    # then the line search's candidate rows and evaluation passes
-    assert record.args[14:16] == (evaluated, passes)
-    assert evaluated >= solves >= passes > 0
-    # last, the seconds of the Gauss-Newton steps and the line searches,
-    # parts of the newton seconds
-    assert record.args[16:] == (step_s, search_s)
-    assert 0.0 <= step_s + search_s <= record.args[8]
+    assert stats.iterations == iters.sum()
+    assert stats.solves == iters.sum() + counts[2]
+    assert 0 <= stats.pinv_fallbacks <= stats.solves
+    assert stats.candidate_rows >= stats.solves >= stats.passes > 0
+    # the widest dedup window, at most the kept count
+    assert record.args[7] <= len(branch_set.roots)
+    # the seconds of the Gauss-Newton steps and the line searches are parts
+    # of the newton seconds
+    step_s, search_s = newton.args[1:]
+    assert 0.0 <= step_s + search_s <= record.args[4]
 
 
 def test_multistart_builds_no_debug_arguments_when_silent(reference_pinning, caplog,
@@ -1347,8 +1347,8 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
     """_newton_batch with its state row-major: X (rows, n), H (rows, m)
     and dx (rows, n), every per-row test a reduction along a row; the QR
     step and the line search, which take and return their arrays row-last,
-    are transposed at the call.  Returns the outputs of _newton_batch but
-    the two timings."""
+    are transposed at the call.  Returns the first four outputs of
+    _newton_batch, then the last four counts of its RunStats."""
     X = X0.astype(float).copy()
     B = X.shape[0]
     active = np.ones(B, dtype=bool)
@@ -1398,12 +1398,12 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
 
 
 def _assert_same_newton(sysn, X0, max_iter, escape=solver._ESCAPE):
-    X, reason, iters, hinf, *counts = solver._newton_batch(sysn, X0, max_iter, escape)
+    X, reason, iters, hinf, stats = solver._newton_batch(sysn, X0, max_iter, escape)
     ref = _newton_batch_reference(sysn, X0, max_iter, escape)
     assert X.shape == X0.shape and X.tobytes() == ref[0].tobytes()
     assert list(reason) == list(ref[1])
     assert iters.tobytes() == ref[2].tobytes() and hinf.tobytes() == ref[3].tobytes()
-    assert tuple(counts[:4]) == ref[4:]
+    assert dataclasses.astuple(stats)[-4:] == ref[4:]
     return reason
 
 
