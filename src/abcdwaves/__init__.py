@@ -2,8 +2,10 @@
 
 Subpackages by role:
 
-- ``elliptic``:  Jacobi sn/cn/dn and K(m) from scratch (AGM), modulus
-  convention (m enters identities as m^2)
+- ``elliptic``:  Jacobi sn/cn/dn and K(m) from scratch (one cached AGM
+  table; Bulirsch's sncndn, one sine and one cosine per argument),
+  modulus convention (m enters identities as m^2), and the cn-series
+  derivatives as one Horner polynomial in cn per order
 - ``ratpoly`` / ``cnexpr``:  exact rational polynomial engine and the
   coefficient systems of the traveling-wave equations, collected from
   their once-integrated cn polynomials

@@ -96,6 +96,8 @@ _STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
 _ESCAPE = 1e7               # multistart iterates this large never return to
                             # figure-scale roots
 _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
+# the Newton engine's int8 stop codes: indices into _STOP_REASONS
+_CONVERGED, _OVERFLOW, _STALLED, _BUDGET = range(len(_STOP_REASONS))
 
 
 class _Compiled(NamedTuple):
@@ -329,8 +331,8 @@ def solve_newton(sysn: HSystemNumeric, seed: Sequence[float],
     if not np.isfinite(x).all():
         raise UsageError(f"seed {x.tolist()} is not finite")
     escape = _ESCAPE * float(np.max(np.abs(x), initial=1.0))
-    X, reason, iters, hinf, _ = _newton_batch(sysn, x[None, :], max_iter, escape)
-    return NewtonResult(str(reason[0]), X[0], int(iters[0]), float(hinf[0]))
+    X, code, iters, hinf, _ = _newton_batch(sysn, x[None, :], max_iter, escape)
+    return NewtonResult(_STOP_REASONS[code[0]], X[0], int(iters[0]), float(hinf[0]))
 
 
 def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.ndarray,
@@ -467,15 +469,17 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RunStats]:
     """Vectorized damped Newton over all rows of X0.
 
-    Returns (X, reason, iterations, hinf, stats): the final iterates (a
-    (rows, n) view of a row-last array), each row's stop reason from
-    _STOP_REASONS, its accepted Newton steps and its ||h||_inf at the final
-    iterate, then the rows' RunStats, which one DEBUG record logs with the
-    seconds of _gauss_newton_step and of _line_search.  One pass, run
-    max_iter + 1 times, labels every row still active: converged when
-    ||h||_inf <= _TOL and x is finite (wherever x lies), else overflow when
-    h is not finite or ||x||_inf >= escape; the rest take a step while
-    fewer than max_iter passes have run and keep "budget" after the last.
+    Returns (X, code, iterations, hinf, stats): the final iterates (a
+    (rows, n) view of a row-last array), each row's int8 stop code (its
+    index in _STOP_REASONS; only NewtonResult turns it into a label), its
+    accepted Newton steps and its ||h||_inf at the final iterate, then the
+    rows' RunStats, whose stop counts are a bincount of the codes and which
+    one DEBUG record logs with the seconds of _gauss_newton_step and of
+    _line_search.  One pass, run max_iter + 1 times, labels every row
+    still active: converged when ||h||_inf <= _TOL and x is finite
+    (wherever x lies), else overflow when h is not finite or
+    ||x||_inf >= escape; the rest take a step while fewer than max_iter
+    passes have run and keep "budget" after the last.
     A row whose line search accepts no step stops as stalled at its last
     iterate.  The search goes down to _MIN_STEP, but below _STALL_FLOOR
     only while alpha * ||dx||_inf exceeds _STALL_MOVE * max(||x||_inf, 1):
@@ -492,7 +496,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         raise UsageError(f"max_iter = {max_iter} must be >= 0")
     X = np.array(X0.T, dtype=float, order="C")
     B = X.shape[1]
-    reason = np.full(B, "budget", dtype=object)
+    code = np.full(B, _BUDGET, dtype=np.int8)
     iters = np.zeros(B, dtype=np.int64)
     hinf = np.empty(B)
     solves = fallbacks = evaluated = passes = 0
@@ -508,8 +512,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         xmax = np.abs(Xa).max(axis=0)
         conv = (ha <= _TOL) & np.isfinite(Xa).all(axis=0)
         over = ~conv & ~(np.isfinite(ha) & (xmax < escape))
-        reason[idx[conv]] = "converged"
-        reason[idx[over]] = "overflow"
+        code[idx[conv]] = _CONVERGED
+        code[idx[over]] = _OVERFLOW
         keep = ~(conv | over)
         if it == max_iter or not keep.any():
             break
@@ -534,7 +538,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         step_s, search_s = step_s + t1 - t0, search_s + time.perf_counter() - t2
         evaluated, passes = evaluated + rows, passes + n_passes
         settled = alpha > 0
-        reason[idx[~settled]] = "stalled"
+        code[idx[~settled]] = _STALLED
         X[:, idx[~settled]] = Xa.compress(~settled, axis=1)
         # the rows that took no step have alpha = 0 and are dropped here
         with np.errstate(all="ignore"):
@@ -542,16 +546,14 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
         idx, Ha, last = idx[settled], Hs.compress(settled, axis=1), taken[settled]
         iters[idx] += 1
     X[:, idx] = Xa
-    conv = reason == "converged"
-    rest = reason[~conv].tolist()
     # NaN residuals are skipped; inf means no unconverged row has a finite one
-    least = float(np.fmin.reduce(hinf[~conv], initial=np.inf))
-    stats = RunStats(B, B - len(rest), *map(rest.count, _STOP_REASONS[1:]),
-                     least if least < np.inf else None, int(iters.sum()), solves,
-                     fallbacks, evaluated, passes)
+    least = float(np.fmin.reduce(hinf[code != _CONVERGED], initial=np.inf))
+    counts = np.bincount(code, minlength=len(_STOP_REASONS)).tolist()
+    stats = RunStats(B, *counts, least if least < np.inf else None, int(iters.sum()),
+                     solves, fallbacks, evaluated, passes)
     logger.debug("newton: %s; %.3f s in Gauss-Newton steps and %.3f s in line "
                  "searches", stats, step_s, search_s)
-    return X.T, reason, iters, hinf, stats
+    return X.T, code, iters, hinf, stats
 
 
 @dataclass
@@ -786,8 +788,8 @@ def multistart(sysn: HSystemNumeric, n_starts: int, seed_rng: int = 0,
     X0 = mags * signs
 
     t0 = time.perf_counter()
-    X, reason, _, hinf_all, stats = _newton_batch(sysn, X0, max_iter)
-    found = np.flatnonzero(reason == "converged")
+    X, code, _, hinf_all, stats = _newton_batch(sysn, X0, max_iter)
+    found = np.flatnonzero(code == _CONVERGED)
     t1 = time.perf_counter()
     rep, hits, first, widest = _dedup(X[found], hinf_all[found])
     t2 = time.perf_counter()

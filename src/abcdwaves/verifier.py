@@ -65,7 +65,7 @@ def ode_residual(s: SolutionParams, p: ParameterSet, n_samples: int = 1024) -> R
     Samples n_samples (>= 64) points plus the four quarter-period points;
     ``relative`` is max residual over the largest individual term seen.
     A constant pair gives residual exactly zero; DomainError on float overflow.
-    Float sums cancel on a large state: S412 at |c| ~ 1e-8 (j0 ~ 1e16) reads ~3.5e-8.
+    Float sums cancel on a large state: S412 at |c| ~ 1e-8 (j0 ~ 1e16) reads up to ~8e-8.
     """
     if n_samples < 64:
         raise UsageError(f"n_samples must be >= 64, got {n_samples}")

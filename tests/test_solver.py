@@ -18,6 +18,11 @@ from abcdwaves.solver import (multistart, pin_and_square, promote_root,
 from abcdwaves.verifier import ode_residual
 
 
+def labels(code):
+    """The stop reasons that _newton_batch's int8 stop codes stand for."""
+    return np.array(solver._STOP_REASONS, dtype=object)[code]
+
+
 @pytest.fixture(scope="module")
 def quadratic_system():
     return build_coefficient_system(2, 2)
@@ -403,9 +408,9 @@ def test_escape_radius_scales_with_the_seed(reference_pinning, closed_forms):
     # gets a radius of 1e7 * ||seed||_inf and walks back to the root
     root = seed_vector(reference_pinning, closed_forms["top"])
     far = root * 1e8
-    _, reason, iters, *_ = solver._newton_batch(
+    _, code, iters, *_ = solver._newton_batch(
         reference_pinning, far[None, :], 200)
-    assert (reason[0], iters[0]) == ("overflow", 0)
+    assert (labels(code)[0], iters[0]) == ("overflow", 0)
     result = solve_newton(reference_pinning, far)
     assert result.converged and result.iterations > 0
     assert np.max(np.abs(result.x - root)) <= 1e-8
@@ -463,7 +468,8 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     X0[0, 0] = np.inf
     # a finite seed far past the escape radius overflows in either
     X0 = np.vstack([X0, np.full(sysn.n_unknowns, 1e300)])
-    X, reason, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
+    X, code, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
+    reason = labels(code)
     for i, x0 in enumerate(X0):
         if i == 0:
             # the batch stops a non-finite start as overflow; solve_newton
@@ -486,13 +492,13 @@ def test_splitting_a_batch_changes_no_bit(reference_pinning):
     rng = np.random.default_rng(42)
     X0 = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0), (2000, n)) \
         * rng.choice([-1.0, 1.0], (2000, n))
-    X, reason, iters, hinf, stats = solver._newton_batch(reference_pinning, X0, 200)
+    X, code, iters, hinf, stats = solver._newton_batch(reference_pinning, X0, 200)
     assert stats.solves > stats.pinv_fallbacks > 0
     ends = np.cumsum([1, 2, 3, 500, 1494])
     parts = [solver._newton_batch(reference_pinning, X0[i:j], 200)
              for i, j in zip(np.r_[0, ends[:-1]], ends)]
     assert np.concatenate([p[0] for p in parts]).tobytes() == X.tobytes()
-    assert list(np.concatenate([p[1] for p in parts])) == list(reason)
+    assert np.concatenate([p[1] for p in parts]).tobytes() == code.tobytes()
     assert np.concatenate([p[2] for p in parts]).tobytes() == iters.tobytes()
     assert np.concatenate([p[3] for p in parts]).tobytes() == hinf.tobytes()
     # every count is one of rows, so the parts add up to the whole, but for
@@ -537,9 +543,9 @@ def _spy(monkeypatch, name):
 def _record_built(sysn, n_starts, seed, newton, dedup):
     """The BranchSet JSON as RootRecords wrote it, from the Newton and
     dedup outputs of one multistart, with the roots as RootRecords."""
-    X, reason, _, hinf, *_ = newton
+    X, code, _, hinf, *_ = newton
     rep, hits, first, _ = dedup
-    found = np.flatnonzero(reason == "converged")
+    found = np.flatnonzero(labels(code) == "converged")
     rows = found[rep]
     pinned = {k: float(v) for k, v in sysn.pinned.items()}
     kinds = [solver._PATTERNS[c] for c in solver._classify(sysn.unknowns, pinned, X[rows])]
@@ -580,10 +586,10 @@ def test_branch_set_json_is_the_record_built_json(reference_pinning, monkeypatch
     assert_stats_add_up(branch_set)
     assert branch_set.stats.residual_floor is None      # every start converges
     # the stats are the Newton batch's own
-    X, reason, iters, hinf, stats = newton[0]
+    X, code, iters, hinf, stats = newton[0]
     assert branch_set.stats is stats
     assert dataclasses.astuple(stats)[:7] == (
-        2000, *(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS),
+        2000, *(int(np.count_nonzero(labels(code) == r)) for r in solver._STOP_REASONS),
         None, int(iters.sum()))
 
 
@@ -820,7 +826,8 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     seen = _spy(monkeypatch, "_newton_batch")
     branch_set, newton, record = _multistart_records(
         caplog, sysn, 120, seed_rng=0, max_iter=80)
-    ((_, reason, iters, hinf, stats),) = seen
+    ((_, code, iters, hinf, stats),) = seen
+    reason = labels(code)
     counts = tuple(int(np.count_nonzero(reason == r)) for r in solver._STOP_REASONS)
     assert dataclasses.astuple(stats)[:5] == (120, *counts)
     assert sum(counts) == 120 and counts[0] == branch_set.n_converged == 0
@@ -857,7 +864,9 @@ def test_newton_batch_stop_reasons(reference_pinning):
     X0 = np.random.default_rng(4).uniform(-10.0, 10.0,
                                           (200, reference_pinning.n_unknowns))
     X0[0, 0] = np.inf
-    _, reason, iters, hinf, *_ = solver._newton_batch(reference_pinning, X0, 5)
+    _, code, iters, hinf, *_ = solver._newton_batch(reference_pinning, X0, 5)
+    assert code.dtype == np.int8
+    reason = labels(code)
     assert set(reason) <= set(solver._STOP_REASONS)
     assert reason[0] == "overflow" and iters[0] == 0
     conv = reason == "converged"
@@ -892,8 +901,8 @@ def test_inconsistent_system_stalls():
     x = RationalPoly.var("x")
     sysn = solver.HSystemNumeric(["x"], [x - 1, x + 1], {})
     X0 = np.random.default_rng(0).uniform(-10.0, 10.0, (50, 1))
-    X, reason, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
-    assert list(reason) == ["stalled"] * 50
+    X, code, iters, hinf, *_ = solver._newton_batch(sysn, X0, 200)
+    assert list(labels(code)) == ["stalled"] * 50
     assert np.all(iters <= 2) and np.all(np.abs(X) < 1e-8) and np.allclose(hinf, 1.0)
     branch_set = multistart(sysn, 50, seed_rng=0)
     assert branch_set.n_converged == 0 and branch_set.roots == []
@@ -1398,9 +1407,10 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
 
 
 def _assert_same_newton(sysn, X0, max_iter, escape=solver._ESCAPE):
-    X, reason, iters, hinf, stats = solver._newton_batch(sysn, X0, max_iter, escape)
+    X, code, iters, hinf, stats = solver._newton_batch(sysn, X0, max_iter, escape)
     ref = _newton_batch_reference(sysn, X0, max_iter, escape)
     assert X.shape == X0.shape and X.tobytes() == ref[0].tobytes()
+    reason = labels(code)
     assert list(reason) == list(ref[1])
     assert iters.tobytes() == ref[2].tobytes() and hinf.tobytes() == ref[3].tobytes()
     assert dataclasses.astuple(stats)[-4:] == ref[4:]
