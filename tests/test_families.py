@@ -245,6 +245,46 @@ def test_s412_golden():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == S412_SHA256
 
 
+# sha256 of golden_lines(family) joined by newlines, as S412_SHA256.  The
+# builders round exact rationals once, so no digest depends on the box.
+GOLDEN_SHA256 = {
+    "S411": "b668d3df5af9cd202617b60d1e4c2418c36cc3bd37a49ef34d5697e206cc3199",
+    "S421": "2ca3cfbff5867f5365637eda9acad627687c3c11af5a920a810271f887cdc1a8",
+    "S422": "2b0f3e6891395b688657e4a64fa3eb12abe1556c1fd84403f51f290869c398a8",
+    "S43": "0e759c4af5dca855491ed53ac298522c68f073f19a3844bfb252f8770402e871",
+}
+
+
+def golden_lines(family):
+    """The family's builder on 300 seeded criterion-9 draws, S411 on all four
+    sign branches, a fifth of the others with the c (S421, S422) or a (S43)
+    they refuse: each build's JSON, or the text of the DomainError it raises."""
+    rng = random.Random(family)
+    lines = []
+    for _ in range(300):
+        a, b, c, d = (F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in "abcd")
+        lam = F(rng.randint(1, 12), rng.randint(1, 6))
+        sigma = F(rng.randint(-12, 12), rng.randint(1, 6))
+        m = F(rng.randint(5, 100), 100)
+        if family != "S411" and rng.random() < 0.8:
+            a, c = (0, c) if family == "S43" else (a, 0)
+        p = ParameterSet.make(a, b, c, d)
+        calls = {"S411": [((p, m, tau1, tau2), {}) for tau1 in (1, -1) for tau2 in (1, -1)],
+                 "S43": [((d, lam, sigma, m), {"a": a})]}.get(family, [((p, lam, sigma, m), {})])
+        for args, kwargs in calls:
+            try:
+                lines.append(build_family(family, *args, **kwargs).to_json())
+            except DomainError as exc:
+                lines.append(f"DomainError: {exc}")
+    return lines
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SHA256))
+def test_family_golden(family):
+    lines = golden_lines(family)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_SHA256[family]
+
+
 def test_s421_quartic_coefficient(reference_cases):
     case = reference_cases["s421_a"]
     sol = build_s421(case["p"], case["lam"], case["sigma"], case["m"])
