@@ -11,8 +11,8 @@ Subpackages by role:
   their once-integrated cn polynomials
 - ``reduction``:  ansatz-shape classification and machine-checked series
   termination chains
-- ``families``:  the five closed-form solution families, validity
-  predicates, and the m -> 1 solitary limits
+- ``families``:  exact formula functions of the five closed-form families,
+  builders that validate and round them once, and the m -> 1 solitary limits
 - ``solver``:  pinned numeric systems, damped Newton, multistart branch
   rediscovery, non-existence sweeps
 - ``verifier``:  ODE residual, periodicity, BBM reduction, limit tables

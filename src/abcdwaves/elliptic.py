@@ -114,14 +114,14 @@ def jacobi_eval(v: Real, m: float) -> JacobiPoint:
             sech = 1.0 / np.cosh(x)
         sn, cn, dn = np.tanh(x), sech, sech
     else:
-        # Reduce into [-2K, 2K]; cn/sn/dn are 4K-periodic so this is exact
-        # up to rounding of the reduction itself.
+        # Reduce into [-2K, 2K], exact up to the rounding of the reduction; the
+        # + 0.0 turns a quotient of -0.0 into +0.0, so that u(-0.0) = -0.0.
         period = 4.0 * complete_k(m)
         if x_max > _MAX_PERIODS * period:
             raise DomainError(f"elliptic argument beyond {_MAX_PERIODS:.0f} periods "
                               f"4K(m) = {period!r}: the reduction loses accuracy")
         a_seq, b_seq = _agm_tables(m)
-        u = x - period * np.rint(x / period)
+        u = x - period * (np.rint(x / period) + 0.0)
         sin_u, cos_u = np.sin(a_seq[-1] * u), np.cos(a_seq[-1] * u)
         # Bulirsch's sncndn at |u|: c = a_N cot(a_N |u|) climbs the AGM table
         # to cot(am |u|), and each level's dn follows from c^2 alone.  Where

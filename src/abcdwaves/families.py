@@ -15,12 +15,13 @@ family labels:
     S422  quadratic even; c = 0, b != 2d
     S43   semi-trivial eta = -1; a = 0
 
-Rational sub-expressions are computed exactly (``fractions.Fraction``), so
-sign tests and degeneracy tests are exact for rational inputs.  S411 and
-S412 take their square roots as rationals to ``_GUARD_BITS`` bits, so every
-output is one rounding of an exact value.  Constructors do not enforce the
-theta-parameterization constraint on (a, b, c, d) -- run
-``check_physical_constraint`` separately when that matters.
+Each builder validates its input with exact sign and degeneracy tests
+(``fractions.Fraction``), calls its family's exact formula function
+(``s411_formula`` .. ``s43_formula``; all but S411's also take polynomials)
+and rounds each value once.  S411 and S412 take their square roots as
+rationals to ``_GUARD_BITS`` bits, so every output is one rounding of an
+exact value.  Builders do not enforce the theta-parameterization constraint
+on (a, b, c, d) -- run ``check_physical_constraint`` separately.
 """
 
 from __future__ import annotations
@@ -244,19 +245,65 @@ def _is_sign(tau) -> bool:
     return type(tau) is int and tau in (1, -1)
 
 
-def _root_times(q: Fraction, x: Fraction, name: str) -> float:
-    """q sqrt(x), x >= 0, rounded once from the exact q^2 x; a zero keeps q's sign."""
-    value = _float(_sqrt_fraction(q * q * x), name)
-    return value if q >= 0 else -value
+def _round(value, name: str, squares: Optional[dict]) -> float:
+    """An exact value rounded once: a Fraction, or (q, radicals), q times the roots
+    of the named ``squares``, rounded from the exact q^2 times them; 0 keeps q's sign."""
+    q, radicals = value if type(value) is tuple else (value, ())
+    if not radicals:
+        return _float(q, name)
+    root = _float(_sqrt_fraction(math.prod((squares[v] for v in radicals), start=q * q)), name)
+    return root if q >= 0 else -root
+
+
+def _solution(tag: str, values: dict, lam, m: Fraction, sigma,
+              branch: Branch = Branch(), squares: Optional[dict] = None) -> SolutionParams:
+    """The exact ``values`` of a family's nonzero j and k, lam, m and sigma
+    rounded once, in that order, so an overflow names the first output too
+    large for a float.  A lam that is a root (S411's) may not round to zero."""
+    out = {name: _round(value, name, squares) for name, value in values.items()}
+    lam_out = _round(lam, "lam", squares)
+    if lam_out == 0.0 and type(lam) is tuple:
+        raise DomainError("computed lam is not positive")
+    return SolutionParams(tuple([out.get(name, 0.0) for name in ("j0", "j1", "j2", "j3", "j4")]),
+                          tuple([out.get(name, 0.0) for name in ("k0", "k1", "k2")]),
+                          lam_out, float(m), _round(sigma, "sigma", squares), tag, branch)
+
+
+def _s411_factors(p: ParameterSet, m: Fraction) -> tuple[Fraction, ...]:
+    b, d = p.b, p.d
+    return b - 6 * d, 3 * b - 2 * d, 3 * b + 2 * d, b + 2 * d, 2 * m * m - 1
+
+
+def s411_formula(p: ParameterSet, m: Fraction, tau1: int = 1, tau2: int = 1,
+                 factors: Optional[tuple[Fraction, ...]] = None) -> tuple[dict, dict]:
+    """S411 exactly at rational p and m: name -> (q, radicals), the value q
+    times the roots of the named squares, and the squares r = R, g = G and
+    lam = lam^2.  ``factors`` are ``_s411_factors(p, m)`` if the caller has them."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    d1, d2, s1, s2, ecc = factors or _s411_factors(p, m)
+    cdd = c * d1 * d2
+    den = cdd * ecc
+    squares = {"r": -2 * a * cdd, "g": ecc * s1 * (b - d), "lam": -6 * s1 / (4 * c * ecc * s2)}
+    return {
+        "j0": (-(a * s1 * (21 * b - 46 * d) + 2 * cdd) / (2 * cdd), ()),
+        "j1": (-tau1 * tau2 * 12 * a * m * s1 / den, ("g",)),
+        "j2": (9 * a * m * m * s1 / (c * d2 * ecc), ()),
+        "k0": (tau1 * (21 * b + 8 * c + 14 * d) / (2 * cdd), ("r",)),
+        "k1": (tau2 * 6 * m / den, ("r", "g")),
+        "k2": (-tau1 * 9 * m * m * s1 / den, ("r",)),
+        "lam": (1, ("lam",)),
+        "sigma": (tau1 * 4 / (d1 * d2), ("r",)),
+    }, squares
 
 
 def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> SolutionParams:
     """Mixed-term quadratic family; sigma and lam are outputs.
 
     Validity: a*c*(b-6d)*(3b-2d) < 0, c*(2m^2-1)*(b+2d)*(3b+2d) < 0 and
-    (2m^2-1)*(3b+2d)*(b-d) >= 0 with equality only when b = d.  Each output
-    is a rational times sqrt(R), sqrt(G) or sqrt(RG), rounded once, where
-    R = -2ac(b-6d)(3b-2d) > 0 and G = (2m^2-1)(3b+2d)(b-d) >= 0.
+    (2m^2-1)*(3b+2d)*(b-d) >= 0 with equality only when b = d.  Then
+    ``s411_formula`` gives each output as a rational times sqrt(R), sqrt(G)
+    or sqrt(RG), rounded once, where R = -2ac(b-6d)(3b-2d) > 0 and
+    G = (2m^2-1)(3b+2d)(b-d) >= 0; lam^2 = -6(3b+2d) / (4c(2m^2-1)(b+2d)) > 0.
     """
     if not (_is_sign(tau1) and _is_sign(tau2)):
         raise UsageError("tau1 and tau2 must be +1 or -1")
@@ -265,11 +312,7 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
     if c == 0:
         raise DomainError("family S411 requires c != 0")
 
-    d1 = b - 6 * d
-    d2 = 3 * b - 2 * d
-    s1 = 3 * b + 2 * d
-    s2 = b + 2 * d
-    ecc = 2 * mf * mf - 1
+    factors = d1, d2, s1, s2, ecc = _s411_factors(p, mf)
     for val, what in ((d1, "b-6d"), (d2, "3b-2d"), (s2, "b+2d")):
         if val == 0:
             raise DomainError(f"denominator factor {what} vanishes")
@@ -291,25 +334,9 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
             f"validity (2m^2-1)*(3b+2d)*(b-d) >= 0 (equality only at b=d) "
             f"fails: {_float(cond3, '(2m^2-1)*(3b+2d)*(b-d)')}")
 
-    r, g = -2 * cond1, cond3
-    cdd = c * d1 * d2
-    den = cdd * ecc
-    j0 = _float(-(a * s1 * (21 * b - 46 * d) + 2 * cdd) / (2 * cdd), "j0")
-    j1 = _root_times(-tau1 * tau2 * 12 * a * mf * s1 / den, g, "j1")
-    j2 = _float(9 * a * mf * mf * s1 / (c * d2 * ecc), "j2")
-    k0 = _root_times(tau1 * (21 * b + 8 * c + 14 * d) / (2 * cdd), r, "k0")
-    k1 = _root_times(tau2 * 6 * mf / den, r * g, "k1")
-    k2 = _root_times(-tau1 * 9 * mf * mf * s1 / den, r, "k2")
-    # lam^2 = -6(3b+2d) / (4c(2m^2-1)(b+2d)) > 0 by the second validity test
-    lam = _float(_sqrt_fraction(-6 * s1 / (4 * c * ecc * s2)), "lam")
-    if lam == 0.0:
-        raise DomainError("computed lam is not positive")
-    sigma = _root_times(tau1 * 4 / (d1 * d2), r, "sigma")
-
-    return SolutionParams(
-        (j0, j1, j2, 0.0, 0.0), (k0, k1, k2), lam, float(mf), sigma,
-        "S411", Branch(tau1=tau1, tau2=tau2),
-    )
+    values, squares = s411_formula(p, mf, tau1, tau2, factors)
+    lam, sigma = values.pop("lam"), values.pop("sigma")
+    return _solution("S411", values, lam, mf, sigma, Branch(tau1=tau1, tau2=tau2), squares)
 
 
 def _sqrt_fraction(x: Fraction) -> Fraction:
@@ -326,15 +353,29 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((n * d) << (2 * _GUARD_BITS)), d << _GUARD_BITS)
 
 
+def s412_formula(a, b, c, d, lam, sigma, m, root):
+    """S412's k2, j2, k0 and j0 exactly, each P + Q root, root = +-sqrt(disc);
+    c a nonzero rational, the others rationals or polynomials."""
+    sig2, b2, ac4 = sigma * sigma, b - 2 * d, 4 * a * c
+    scale, e = 3 * lam * lam * m * m, 4 * c * lam * lam * (2 * m * m - 1)
+    return {
+        "k2": scale * (sigma * (b + 2 * d) + root),
+        "j2": scale * (ac4 + b * b2 * sig2 + b * sigma * root) / (2 * c),
+        "k0": -(sigma * ((b + 2 * d) * e + b2 - 4 * c) + (e + 1) * root) / (4 * c),
+        "j0": -(e * (ac4 + b * b2 * sig2) - ac4 - b2 * b2 * sig2 + 8 * c * c
+                + sigma * (b * e - b2) * root) / (8 * c * c),
+    }
+
+
 def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
                sign: str = "top") -> SolutionParams:
     """Even quadratic family (j1 = k1 = 0) with free lam, sigma, m.
 
-    ``sign`` chooses the coherent top or bottom branch of the +-/-+ pairs:
-    root = s sqrt(disc), s = +1 for top and -1 for bottom.  Each coefficient
-    is an exact P + Q root in the quadratic extension by the validity
-    radicand disc: the root, to _GUARD_BITS bits, is the only inexact step,
-    and c = 0 the only pole.  Validity: c != 0 and 8ac + sigma^2 (b-2d)^2 > 0.
+    Validity: c != 0 and disc = 8ac + sigma^2 (b-2d)^2 > 0.  ``sign`` chooses
+    the coherent top or bottom branch of the +-/-+ pairs: root = s sqrt(disc),
+    s = +1 for top and -1 for bottom, to _GUARD_BITS bits, the only inexact
+    step.  ``s412_formula`` gives each coefficient as an exact P + Q root,
+    c = 0 its only pole, and each is rounded once.
     """
     if sign not in ("top", "bottom"):
         raise UsageError(f"sign must be 'top' or 'bottom', got {sign!r}")
@@ -343,91 +384,79 @@ def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
     m = _require_m(m)
     lam, sigma = _require_lam_sigma(lam, sigma)
     a, b, c, d = p.a, p.b, p.c, p.d
-    sig2 = sigma * sigma
-    b2 = b - 2 * d
-    ac4 = 4 * a * c
-    disc = 2 * ac4 + sig2 * b2 * b2
+    disc = 8 * a * c + sigma * sigma * (b - 2 * d) ** 2
     if not disc > 0:
         raise DomainError("validity 8ac + sigma^2 (b-2d)^2 > 0 fails: "
                           f"{_float(disc, '8ac + sigma^2 (b-2d)^2')}")
     root = (1 if sign == "top" else -1) * _sqrt_fraction(disc)
-    scale = 3 * lam * lam * m * m
-    e = 4 * c * lam * lam * (2 * m * m - 1)
+    return _solution("S412", s412_formula(a, b, c, d, lam, sigma, m, root),
+                     lam, m, sigma, Branch(pm=sign))
 
-    k2 = _float(scale * (sigma * (b + 2 * d) + root), "k2")
-    j2 = _float(scale * (ac4 + b * b2 * sig2 + b * sigma * root) / (2 * c), "j2")
-    k0 = _float(-(sigma * ((b + 2 * d) * e + b2 - 4 * c) + (e + 1) * root) / (4 * c), "k0")
-    j0 = _float(-(e * (ac4 + b * b2 * sig2) - ac4 - b2 * b2 * sig2 + 8 * c * c
-                  + sigma * (b * e - b2) * root) / (8 * c * c), "j0")
-    return SolutionParams(
-        (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        _float(lam, "lam"), float(m), _float(sigma, "sigma"), "S412", Branch(pm=sign),
-    )
+
+def s421_formula(a, b, d, lam, sigma, m):
+    """S421's j0, j2, j4, k0 and k2 exactly; b, d and sigma rationals with
+    4b != d and sigma != 0, a, lam and m rationals or polynomials."""
+    q, pfac = 4 * b - d, 5 * b - 3 * d
+    lam2, m2, sig2 = lam * lam, m * m, sigma * sigma
+    ecc = 2 * m2 - 1
+    # leading coefficient -8: solving the reduced coefficient system pins it
+    # (a -32 here fails the residual check by O(1))
+    return {
+        "j0": (-8 * b * lam2**2 * sig2**2 * q**2 * pfac * (11 * m2**2 - 11 * m2 - 4)
+               + 3 * sig2 * q * (3 * d - 4 * b * (3 + 5 * a * lam2 * ecc))
+               + 9 * a * a) / (9 * sig2 * q * q),
+        "j2": 20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc) / (3 * q),
+        "j4": -40 * b * lam2**2 * m2**2 * sig2 * pfac,
+        "k0": (-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) / (3 * sigma * q),
+        "k2": 20 * b * lam2 * m2 * sigma,
+    }
 
 
 def build_s421(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> SolutionParams:
-    """Quartic-eta family for the c = 0 case; requires 4b != d."""
+    """Quartic-eta family for the c = 0 case, 4b != d: ``s421_formula`` rounded once."""
     if p.c != 0:
         raise DomainError("family S421 requires c = 0")
-    a, b, d = p.a, p.b, p.d
-    q = 4 * b - d
-    if q == 0:
+    if 4 * p.b == p.d:
         raise DomainError("family S421 requires 4b - d != 0")
     mf = _require_m(m)
     lamf, sigf = _require_lam_sigma(lam, sigma)
-    lam2 = lamf * lamf
-    m2 = mf * mf
-    sig2 = sigf * sigf
-    pfac = 5 * b - 3 * d
-    ecc = 2 * m2 - 1
+    return _solution("S421", s421_formula(p.a, p.b, p.d, lamf, sigf, mf), lamf, mf, sigf)
 
-    # leading coefficient -8: solving the reduced coefficient system pins it
-    # (a -32 here fails the residual check by O(1))
-    j0 = _float(
-        (-8 * b * lam2**2 * sig2**2 * q**2 * pfac * (11 * m2**2 - 11 * m2 - 4)
-         + 3 * sig2 * q * (3 * d - 4 * b * (3 + 5 * a * lam2 * ecc))
-         + 9 * a * a)
-        / (9 * sig2 * q * q), "j0")
-    j2 = _float(20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc)
-                / (3 * q), "j2")
-    j4 = _float(-40 * b * lam2**2 * m2**2 * sig2 * pfac, "j4")
-    k0 = _float((-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) / (3 * sigf * q), "k0")
-    k2 = _float(20 * b * lam2 * m2 * sigf, "k2")
-    return SolutionParams(
-        (j0, 0.0, j2, 0.0, j4), (k0, 0.0, k2),
-        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S421",
-    )
+
+def s422_formula(a, b, d, lam, sigma, m):
+    """S422's j0, j2, k0 and k2 exactly; b, d and sigma rationals with
+    b != 2d and sigma != 0, a, lam and m rationals or polynomials."""
+    lam2, m2, sig2 = lam * lam, m * m, sigma * sigma
+    b2, ecc = b - 2 * d, 2 * m2 - 1
+    return {
+        "j0": (a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc))) / (sig2 * b2 * b2),
+        "j2": -12 * a * d * lam2 * m2 / b2,
+        "k0": (a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) / (sigma * b2),
+        "k2": 12 * d * lam2 * m2 * sigma,
+    }
 
 
 def build_s422(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> SolutionParams:
-    """Even quadratic family for the c = 0 case; requires b != 2d."""
+    """Even quadratic family for the c = 0 case, b != 2d: ``s422_formula`` rounded once."""
     if p.c != 0:
         raise DomainError("family S422 requires c = 0")
-    a, b, d = p.a, p.b, p.d
-    b2 = b - 2 * d
-    if b2 == 0:
+    if p.b == 2 * p.d:
         raise DomainError("family S422 requires b - 2d != 0")
     mf = _require_m(m)
     lamf, sigf = _require_lam_sigma(lam, sigma)
-    lam2 = lamf * lamf
-    m2 = mf * mf
-    sig2 = sigf * sigf
-    ecc = 2 * m2 - 1
+    return _solution("S422", s422_formula(p.a, p.b, p.d, lamf, sigf, mf), lamf, mf, sigf)
 
-    j0 = _float((a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc)))
-                / (sig2 * b2 * b2), "j0")
-    j2 = _float(-12 * a * d * lam2 * m2 / b2, "j2")
-    k0 = _float((a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) / (sigf * b2), "k0")
-    k2 = _float(12 * d * lam2 * m2 * sigf, "k2")
-    return SolutionParams(
-        (j0, 0.0, j2, 0.0, 0.0), (k0, 0.0, k2),
-        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S422",
-    )
+
+def s43_formula(d, lam, sigma, m):
+    """S43's j0 = -1, k0 and k2 exactly; each input a rational or a polynomial."""
+    lam2, m2 = lam * lam, m * m
+    return {"j0": -1, "k0": -8 * d * lam2 * m2 * sigma + 4 * d * lam2 * sigma + sigma,
+            "k2": 12 * d * lam2 * m2 * sigma}
 
 
 def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational, *,
               a: Rational = 0) -> SolutionParams:
-    """Semi-trivial family eta = -1; requires a = 0.
+    """Semi-trivial family eta = -1, a = 0: ``s43_formula`` rounded once.
 
     At eta = -1 the first equation's residual is exactly a*w''', and b and
     c multiply derivatives of the constant eta, so they play no part.
@@ -438,14 +467,7 @@ def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational, *,
     df = _frac(d, "d")
     mf = _require_m(m)
     lamf, sigf = _require_lam_sigma(lam, sigma)
-    lam2 = lamf * lamf
-    m2 = mf * mf
-    k0 = _float(-8 * df * lam2 * m2 * sigf + 4 * df * lam2 * sigf + sigf, "k0")
-    k2 = _float(12 * df * lam2 * m2 * sigf, "k2")
-    return SolutionParams(
-        (-1.0, 0.0, 0.0, 0.0, 0.0), (k0, 0.0, k2),
-        _float(lamf, "lam"), float(mf), _float(sigf, "sigma"), "S43",
-    )
+    return _solution("S43", s43_formula(df, lamf, sigf, mf), lamf, mf, sigf)
 
 
 # set label: the family's builder.  The family tag is "S" plus the label's

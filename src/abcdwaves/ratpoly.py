@@ -177,6 +177,13 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        return RationalPoly._of({mono: coef / other for mono, coef in self.terms.items()})
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")

@@ -153,12 +153,18 @@ def test_kernel_against_mpmath(m):
 
 def test_kernel_tiny_arguments():
     # below |sin| = 1e-150 the kernel returns (v, cos, 1) and never forms
-    # the overflowing cotangent
+    # the overflowing cotangent; sn is odd, so a zero keeps its sign, on the
+    # scalar and the array path and through the 4K reduction
+    vs = (1e-200, -1e-200, 5e-324, 0.0, -0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v in (1e-200, -1e-200, 5e-324, -0.0):
-            pt = jacobi_eval(v, 0.5)
-            assert (pt.sn, pt.cn, pt.dn) == (v, 1.0, 1.0)
+        for m in (0.0, 0.5, 1.0):
+            arr = jacobi_eval(np.array(vs), m)
+            for i, v in enumerate(vs):
+                pt = jacobi_eval(v, m)
+                for sn, cn, dn in ((pt.sn, pt.cn, pt.dn), (arr.sn[i], arr.cn[i], arr.dn[i])):
+                    assert (sn, cn, dn) == (v, 1.0, 1.0)
+                    assert math.copysign(1.0, sn) == math.copysign(1.0, v), (m, v)
 
 
 # -- closed-form cn-power derivatives ------------------------------------

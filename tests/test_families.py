@@ -10,7 +10,8 @@ from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import ConstraintError, DomainError, UsageError
 from abcdwaves.families import (ParameterSet, SolutionParams, build_family, build_s43,
                                 build_s411, build_s412, build_s421, build_s422,
-                                check_physical_constraint, m1_limit)
+                                check_physical_constraint, m1_limit, s43_formula,
+                                s411_formula, s412_formula, s421_formula, s422_formula)
 from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.solver import pin_and_square
 from abcdwaves.verifier import ode_residual
@@ -285,15 +286,6 @@ def test_family_golden(family):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_SHA256[family]
 
 
-def test_s421_quartic_coefficient(reference_cases):
-    case = reference_cases["s421_a"]
-    sol = build_s421(case["p"], case["lam"], case["sigma"], case["m"])
-    expected_j4 = float(-40 * (-1) * F(1, 2) ** 4 * F(1, 2) ** 4 * 4
-                        * (5 * (-1) - 3 * F(1, 3)))
-    assert sol.j[4] == pytest.approx(expected_j4, rel=1e-15)
-    assert sol.j[1] == sol.j[3] == sol.k[1] == 0.0
-
-
 def test_s421_degenerate_denominator():
     with pytest.raises(DomainError, match="4b - d"):
         build_s421(ParameterSet.make(1, F(1, 4), 0, 1), 1, 1, F(1, 2))
@@ -382,34 +374,21 @@ def test_s411_all_four_sign_branches_are_solutions(reference_cases, tau1, tau2):
         assert sol.sigma * tau1 * build_s411(case["p"], case["m"], 1, 1).sigma > 0
 
 
-# -- S411 as an exact identity ------------------------------------------------
+# -- the formula functions as exact identities ---------------------------------
+#
+# Each builder rounds the values of its family's formula function once.  Here
+# those values make every equation of build_coefficient_system vanish, and a
+# perturbed value per family (the negative control) does not.  Inputs that a
+# formula only multiplies by stay symbolic, so one check covers every value of
+# them; the ones it divides by take a few rational values (sigma of both signs).
 
-def s411_exact(p, m, tau1, tau2):
-    """S411 as exact pairs (q, radicals), the value q times the product of the
-    radicals, and the squares of the radicals: r = sqrt(R), g = sqrt(G) and
-    lam = sqrt(L)."""
-    a, b, c, d, m = p.a, p.b, p.c, p.d, F(m)
-    d1, d2, s1, s2, ecc = b - 6 * d, 3 * b - 2 * d, 3 * b + 2 * d, b + 2 * d, 2 * m * m - 1
-    den = c * ecc * d1 * d2
-    squares = {"r": -2 * a * c * d1 * d2, "g": ecc * s1 * (b - d),
-               "lam": -6 * s1 / (4 * c * ecc * s2)}
-    values = {
-        "j0": (-(a * s1 * (21 * b - 46 * d) + 2 * c * d2 * d1) / (2 * c * d2 * d1), ()),
-        "j1": (-tau1 * tau2 * 12 * a * m * s1 / den, ("g",)),
-        "j2": (9 * a * m * m * s1 / (c * d2 * ecc), ()),
-        "k0": (tau1 * (21 * b + 8 * c + 14 * d) / (2 * c * d1 * d2), ("r",)),
-        "k1": (tau2 * 6 * m / den, ("r", "g")),
-        "k2": (-tau1 * 9 * m * m * s1 / den, ("r",)),
-        "lam": (F(1), ("lam",)),
-        "sigma": (tau1 * 4 / (d1 * d2), ("r",)),
-    }
-    return values, squares
+A, B, D, LAM, M, SIGMA, R = (RationalPoly.var(name)
+                             for name in ("a", "b", "d", "lam", "m", "sigma", "r"))
 
 
 def reduce_radicals(poly, squares):
-    """``poly`` with each power v^e of a radical v written as
-    (v^2)^(e // 2) v^(e % 2), v^2 taken from ``squares`` (a rational or a
-    polynomial)."""
+    """``poly`` with each power v^e of a radical v written as (v^2)^(e // 2)
+    v^(e % 2), v^2 taken from ``squares`` (a rational or a polynomial)."""
     out = RationalPoly.const(0)
     for mono, coef in poly.terms.items():
         kept = []
@@ -421,6 +400,13 @@ def reduce_radicals(poly, squares):
                 kept.append((name, exp))
         out = out + coef * RationalPoly.monomial(1, kept)
     return out
+
+
+def assert_rounded_once(sol, exact):
+    """Each output of ``sol`` is the float of its value in ``exact``, and each
+    j and k that ``exact`` leaves out is +0.0."""
+    for name, value in sol.coefficient_map().items():
+        assert value.hex() == float(exact.get(name, 0)).hex(), (sol.family_tag, name, exact)
 
 
 def s411_draws():
@@ -446,10 +432,10 @@ def s411_draws():
 
 
 def s411_equations(p, m, tau1, tau2, flip_k1=1):
-    """Every h[p, q] of the quadratic system at the exact S411 values, with
-    the radicals reduced; ``flip_k1`` = -1 flips tau2 in k1 alone."""
-    values, squares = s411_exact(p, m, tau1, tau2)
-    subs = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "m": F(m)}
+    """Every h[p, q] of the quadratic system at the S411 values, with the
+    radicals reduced; ``flip_k1`` = -1 flips tau2 in k1 alone."""
+    values, squares = s411_formula(p, m, tau1, tau2)
+    subs = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "m": m}
     for name, (q, radicals) in values.items():
         if name != "lam":    # lam enters the system as lam^2 only
             subs[name] = RationalPoly.monomial(q, [(v, 1) for v in radicals])
@@ -471,99 +457,36 @@ def test_s411_is_an_exact_solution():
 def test_s411_outputs_are_rounded_once():
     # each output is the float of its exact value, the root taken to 4000 bits
     for p, m, tau1, tau2 in s411_draws():
-        values, squares = s411_exact(p, m, tau1, tau2)
-        sol = build_s411(p, m, tau1, tau2).coefficient_map()
+        values, squares = s411_formula(p, m, tau1, tau2)
+        exact = {"m": m}
         for name, (q, radicals) in values.items():
             x = math.prod((squares[v] for v in radicals), start=F(1))
             root = F(math.isqrt((x.numerator * x.denominator) << 8000),
                      x.denominator << 4000)
-            exact = math.copysign(float(q * root), q)    # a zero keeps the sign of q
-            assert sol[name].hex() == exact.hex(), (name, p, m, tau1, tau2)
+            exact[name] = math.copysign(float(q * root), q)    # a zero keeps the sign of q
+        assert_rounded_once(build_s411(p, m, tau1, tau2), exact)
 
 
-# -- S412, S421, S422 and S43 as exact identities ------------------------------
-#
-# Each closed form is checked the way S411 is: test-side exact formulas make
-# every equation of build_coefficient_system vanish.  Inputs that a formula
-# only multiplies by stay symbolic, so one check covers every value of them;
-# the ones it divides by take a few rational values (sigma of both signs).
-
-A, B, D, LAM, M, SIGMA = (RationalPoly.var(name) for name in ("a", "b", "d", "lam", "m", "sigma"))
-
-
-def s412_exact(a, b, c, d, lam, sigma, m, s_pm, s_mp):
-    """S412 as pairs (P, Q), the value P + Q sqrt(disc), and disc.  ``s_pm``
-    is the sign of the root in k2 and j2, ``-s_mp`` its sign in k0 and j0;
-    the branches are coherent when s_mp = -s_pm.  c is a rational; the others
-    may be polynomials."""
-    b2, sig2, cc = b - 2 * d, sigma * sigma, F(c)
-    scale = 3 * lam * lam * m * m
-    e = 4 * cc * lam * lam * (2 * m * m - 1)
-    even = 4 * a * cc + b * b2 * sig2
-    values = {
-        "j0": ((e * even - 4 * a * cc - b2 * b2 * sig2 + 8 * cc * cc) * (-1 / (8 * cc * cc)),
-               s_mp * sigma * (b * e - b2) * (1 / (8 * cc * cc))),
-        "j2": (scale * even * (1 / (2 * cc)), s_pm * scale * b * sigma * (1 / (2 * cc))),
-        "k0": (sigma * ((b + 2 * d) * e + b2 - 4 * cc) * (-1 / (4 * cc)),
-               s_mp * (e + 1) * (1 / (4 * cc))),
-        "k2": (scale * sigma * (b + 2 * d), s_pm * scale),
-    }
-    return values, 8 * a * cc + sig2 * b2 * b2
-
-
-def s412_equations(c, s_pm, s_mp):
-    """Every h[p, q] of the quadratic system at the exact S412 values, with
-    a, b, d, lam, m and sigma symbolic and the root r = sqrt(disc) reduced."""
-    values, disc = s412_exact(A, B, c, D, LAM, SIGMA, M, s_pm, s_mp)
-    subs = {name: p + q * RationalPoly.var("r") for name, (p, q) in values.items()}
-    subs.update(j1=0, k1=0)
+def s412_equations(c, s, incoherent=False):
+    """Every h[p, q] of the quadratic system at the S412 values, with a, b, d,
+    lam, m and sigma symbolic, root = s r and r^2 = disc reduced.
+    ``incoherent`` flips the root's sign in j0 and k0 only."""
+    values = {**s412_formula(A, B, c, D, LAM, SIGMA, M, s * R), "j1": 0, "k1": 0}
+    if incoherent:
+        flipped = s412_formula(A, B, c, D, LAM, SIGMA, M, -s * R)
+        values.update(j0=flipped["j0"], k0=flipped["k0"])
+    disc = 8 * A * c + SIGMA * SIGMA * (B - 2 * D) ** 2
     system = build_coefficient_system(2, 2, params={"c": c})
-    return [reduce_radicals(poly.substitute(subs), {"r": disc})
+    return [reduce_radicals(poly.substitute(values), {"r": disc})
             for poly in system.equations.values()]
 
 
 @pytest.mark.parametrize("c", [1, F(-2, 3), F(1, 1000)])
 def test_s412_is_an_exact_solution(c):
     for s in (1, -1):
-        assert all(eq.is_zero() for eq in s412_equations(c, s, -s)), (c, s)
+        assert all(eq.is_zero() for eq in s412_equations(c, s)), (c, s)
         # negative control: incoherent signs are no solution
-        assert not all(eq.is_zero() for eq in s412_equations(c, s, s)), (c, s)
-
-
-def s421_exact(a, b, d, lam, sigma, m, lead=-8):
-    """S421's j and k; sigma, b and d rationals (the formulas divide by sigma
-    and 4b - d), a, lam and m rationals or polynomials.  ``lead`` is the
-    leading coefficient of j0."""
-    q, pfac, ecc = 4 * b - d, 5 * b - 3 * d, 2 * m * m - 1
-    lam2, m2, sig2 = lam * lam, m * m, sigma * sigma
-    return {
-        "j0": (lead * b * lam2 * lam2 * sig2 * sig2 * q * q * pfac * (11 * m2 * m2 - 11 * m2 - 4)
-               + 3 * sig2 * q * (3 * d - 4 * b * (3 + 5 * a * lam2 * ecc)) + 9 * a * a)
-              * (1 / (9 * sig2 * q * q)),
-        "j1": 0, "j2": 20 * b * lam2 * m2 * (3 * a + 4 * lam2 * sig2 * q * pfac * ecc) * (1 / (3 * q)),
-        "j3": 0, "j4": -40 * b * lam2 * lam2 * m2 * m2 * sig2 * pfac,
-        "k0": (-3 * a + sig2 * q * (3 - 20 * b * lam2 * ecc)) * (1 / (3 * sigma * q)),
-        "k1": 0, "k2": 20 * b * lam2 * m2 * sigma,
-    }
-
-
-def s422_exact(a, b, d, lam, sigma, m):
-    """S422's j and k; sigma, b and d rationals (the formulas divide by sigma
-    and b - 2d), a, lam and m rationals or polynomials."""
-    b2, ecc, lam2, m2, sig2 = b - 2 * d, 2 * m * m - 1, lam * lam, m * m, sigma * sigma
-    return {
-        "j0": (a * a - sig2 * b2 * (b - 2 * d * (1 + 2 * a * lam2 * ecc))) * (1 / (sig2 * b2 * b2)),
-        "j1": 0, "j2": -12 * a * d * lam2 * m2 * (1 / b2),
-        "k0": (a + sig2 * b2 * (1 - 4 * d * lam2 * ecc)) * (1 / (sigma * b2)),
-        "k1": 0, "k2": 12 * d * lam2 * m2 * sigma,
-    }
-
-
-def s43_exact(d, lam, sigma, m):
-    """S43's j and k; every input a rational or a polynomial."""
-    return {"j0": -1, "j1": 0, "j2": 0,
-            "k0": sigma * (1 + 4 * d * lam * lam * (1 - 2 * m * m)), "k1": 0,
-            "k2": 12 * d * lam * lam * m * m * sigma}
+        assert not all(eq.is_zero() for eq in s412_equations(c, s, incoherent=True)), (c, s)
 
 
 def quartic_draws(seed, family_ok):
@@ -584,49 +507,55 @@ S422_DRAWS = quartic_draws(422, lambda b, d: b != 2 * d)
 
 
 def vanishes(values, n_eta, params):
-    """Whether ``values`` make every equation of the (n_eta, 2) system vanish."""
+    """Whether ``values``, with the j and k they leave out zero, make every
+    equation of the (n_eta, 2) system vanish."""
+    zeros = {f"{v}{r}": 0 for v, n in (("j", n_eta), ("k", 2)) for r in range(n + 1)}
     system = build_coefficient_system(n_eta, 2, params=params)
-    return all(poly.substitute(values).is_zero() for poly in system.equations.values())
+    return all(poly.substitute({**zeros, **values}).is_zero()
+               for poly in system.equations.values())
 
 
 def test_s421_is_an_exact_solution():
     # a, lam and m symbolic; sigma, b and d drawn
     for b, d, sigma in S421_DRAWS:
         params = {"b": b, "c": 0, "d": d}
-        values = {**s421_exact(A, b, d, LAM, sigma, M), "sigma": sigma}
+        values = {**s421_formula(A, b, d, LAM, sigma, M), "sigma": sigma}
         assert vanishes(values, 4, params), (b, d, sigma)
-        # negative control: the leading coefficient -32 is no solution
-        values = {**s421_exact(A, b, d, LAM, sigma, M, lead=-32), "sigma": sigma}
+        # negative control: -32 for the leading -8 of j0
+        values["j0"] += (-F(8, 3) * b * LAM ** 4 * sigma ** 2 * (5 * b - 3 * d)
+                         * (11 * M ** 4 - 11 * M ** 2 - 4))
         assert not vanishes(values, 4, params), (b, d, sigma)
 
 
 def test_s422_is_an_exact_solution():
     for b, d, sigma in S422_DRAWS:
-        values = {**s422_exact(A, b, d, LAM, sigma, M), "sigma": sigma}
-        assert vanishes(values, 2, {"b": b, "c": 0, "d": d}), (b, d, sigma)
+        params = {"b": b, "c": 0, "d": d}
+        values = {**s422_formula(A, b, d, LAM, sigma, M), "sigma": sigma}
+        assert vanishes(values, 2, params), (b, d, sigma)
+        # negative controls: j0 + 1, and k2 doubled
+        for bad in ({"j0": values["j0"] + 1}, {"k2": 2 * values["k2"]}):
+            assert not vanishes({**values, **bad}, 2, params), (b, d, sigma, bad)
 
 
 def test_s43_is_an_exact_solution():
     # b, c, d, lam, m and sigma all symbolic; a = 0
-    assert vanishes(s43_exact(D, LAM, SIGMA, M), 2, {"a": 0})
+    values = s43_formula(D, LAM, SIGMA, M)
+    assert vanishes(values, 2, {"a": 0})
+    for bad in ({"j0": values["j0"] + 1}, {"k2": 2 * values["k2"]}):   # negative controls
+        assert not vanishes({**values, **bad}, 2, {"a": 0}), bad
 
 
 def test_s421_s422_s43_outputs_are_rounded_once():
-    # each output is the float of its exact value
     rng = random.Random(4243)
-    for (b, d, sigma), exact, builder in [
-            *((draw, s421_exact, build_s421) for draw in S421_DRAWS),
-            *((draw, s422_exact, build_s422) for draw in S422_DRAWS)]:
+    for (b, d, sigma), formula, builder in [
+            *((draw, s421_formula, build_s421) for draw in S421_DRAWS),
+            *((draw, s422_formula, build_s422) for draw in S422_DRAWS)]:
         a, lam = F(rng.randint(-12, 12), rng.randint(1, 4)), F(rng.randint(1, 12), rng.randint(1, 6))
         m = F(rng.randint(5, 100), 100)
-        sol = builder(ParameterSet.make(a, b, 0, d), lam, sigma, m).coefficient_map()
-        values = {**exact(a, b, d, lam, sigma, m), "lam": lam, "m": m, "sigma": sigma}
-        for name, value in values.items():
-            assert sol[name].hex() == float(value).hex(), (builder.__name__, name, a, b, d)
-        sol = build_s43(d, lam, sigma, m).coefficient_map()
-        values = {**s43_exact(d, lam, sigma, m), "lam": lam, "m": m, "sigma": sigma}
-        for name, value in values.items():
-            assert sol[name].hex() == float(value).hex(), ("build_s43", name, d)
+        free = {"lam": lam, "m": m, "sigma": sigma}
+        assert_rounded_once(builder(ParameterSet.make(a, b, 0, d), lam, sigma, m),
+                            {**formula(a, b, d, lam, sigma, m), **free})
+        assert_rounded_once(build_s43(d, lam, sigma, m), {**s43_formula(d, lam, sigma, m), **free})
 
 
 # -- m -> 1 solitary limits --------------------------------------------------

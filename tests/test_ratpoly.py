@@ -64,9 +64,11 @@ def test_ring_operations_match_evaluation(rng):
         vp, vq = value(p, point), value(q, point)
         scalar = F(rng.randint(-5, 5), rng.randint(1, 3))
         k = rng.randint(0, 3)
+        n, frac = rng.choice([-3, -1, 2, 5]), F(rng.choice([-7, -2, 3, 4]), rng.randint(2, 6))
         cases = [(p + q, vp + vq), (p - q, vp - vq), (-p, -vp),
                  (p * q, vp * vq), (p ** k, vp ** k), (scalar * p, scalar * vp),
-                 (p + scalar, vp + scalar), (scalar - p, scalar - vp)]
+                 (p + scalar, vp + scalar), (scalar - p, scalar - vp),
+                 (p / n, vp / n), (p / frac, vp / frac)]
         for got, want in cases:
             assert_canonical(got)
             assert value(got, point) == want
@@ -179,6 +181,18 @@ def test_public_constructor_normalises():
 def test_negative_power_is_refused():
     with pytest.raises(ValueError, match="^negative powers not supported$"):
         RationalPoly.var("x") ** -1
+
+
+def test_division_is_by_a_nonzero_int_or_fraction_only():
+    x = RationalPoly.var("x")
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    for divisor in (x, RationalPoly.const(2), 0.5):
+        with pytest.raises(TypeError):
+            x / divisor
+    with pytest.raises(TypeError):
+        2 / x
 
 
 def test_to_text_prints_a_constant_term():
