@@ -1,6 +1,6 @@
 """Exact cnoidal traveling-wave solutions of the abcd-Boussinesq system.
 
-Subpackages by role:
+Modules by role:
 
 - ``elliptic``:  Jacobi sn/cn/dn and K(m) from scratch (one cached AGM
   table; Bulirsch's sncndn, one sine and one cosine per argument),

@@ -259,14 +259,16 @@ def _solution(tag: str, values: dict, lam, m: Fraction, sigma,
               branch: Branch = Branch(), squares: Optional[dict] = None) -> SolutionParams:
     """The exact ``values`` of a family's nonzero j and k, lam, m and sigma
     rounded once, in that order, so an overflow names the first output too
-    large for a float.  A lam that is a root (S411's) may not round to zero."""
+    large for a float, and a lam, m or sigma that rounds to zero names itself."""
     out = {name: _round(value, name, squares) for name, value in values.items()}
-    lam_out = _round(lam, "lam", squares)
-    if lam_out == 0.0 and type(lam) is tuple:
-        raise DomainError("computed lam is not positive")
+    scalars = []
+    for name, value in (("lam", lam), ("m", m), ("sigma", sigma)):
+        scalars.append(_round(value, name, squares))
+        if scalars[-1] == 0.0:
+            raise DomainError(f"{name} rounds to 0.0, too small for a float")
     return SolutionParams(tuple([out.get(name, 0.0) for name in ("j0", "j1", "j2", "j3", "j4")]),
                           tuple([out.get(name, 0.0) for name in ("k0", "k1", "k2")]),
-                          lam_out, float(m), _round(sigma, "sigma", squares), tag, branch)
+                          *scalars, tag, branch)
 
 
 def _s411_factors(p: ParameterSet, m: Fraction) -> tuple[Fraction, ...]:

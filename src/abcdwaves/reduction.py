@@ -25,8 +25,9 @@ zero, in every branch, or ChainBrokenError is raised.
 
 Both sides of a branch often reach the same state later: the same unknowns
 set to zero and the same eliminations.  Within one degree each such state
-is explored once and its branches are copied under the events that led to
-it again, so the report lists every branch as if each had been explored.
+is explored once, and every path that reaches it takes its branches, held
+as the events from that state on, so the report lists every branch as if
+each had been explored.
 """
 
 from __future__ import annotations
@@ -166,15 +167,13 @@ class TerminationReport(Record):
 
 class _Chain:
     """One exploration state: the live equations, the unknowns set to zero
-    and the eliminations (name, definition) in the order they were made,
-    with the event log that records how the state was reached."""
+    and the eliminations (name, definition) in the order they were made."""
 
     def __init__(self, eqs, allowed):
         self.eqs: dict[tuple[int, int], RationalPoly] = eqs
         self.allowed = allowed
         self.zeros: set[str] = set()
         self.eliminations: list[tuple[str, RationalPoly]] = []
-        self.events: list[ChainEvent] = []
         # the keys never change, so neither does the scan order
         self.order = sorted(eqs, key=lambda k: (-k[1], k[0]))
         # key -> (poly, _factor(poly)), valid while the key still holds poly
@@ -185,7 +184,6 @@ class _Chain:
         sub.eqs = dict(self.eqs)
         sub.zeros = set(self.zeros)
         sub.eliminations = list(self.eliminations)
-        sub.events = list(self.events)
         sub.verdicts = dict(self.verdicts)
         return sub
 
@@ -199,10 +197,9 @@ class _Chain:
         self._substitute({n: Fraction(0) for n in names})
 
     def eliminate(self, name: str, key: tuple[int, int], definition: RationalPoly):
-        self.events.append(ChainEvent(name, key, "eliminate",
-                                      f"{name} := {definition.to_text()}"))
         self.eliminations.append((name, definition))
         self._substitute({name: definition})
+        return ChainEvent(name, key, "eliminate", f"{name} := {definition.to_text()}")
 
     def live_degrees(self, n: int) -> tuple[int, int]:
         """The highest j and k indices not identically zero.  A definition
@@ -237,8 +234,10 @@ class _Chain:
         return None
 
     def scan(self):
+        """The forced moves [(key, unknown, poly)] and the first split
+        (key, unknowns, poly), or None."""
         forced: list[tuple[tuple[int, int], str, RationalPoly]] = []
-        branches = []
+        split = None
         for key in self.order:
             poly = self.eqs[key]
             if poly.is_zero():
@@ -254,9 +253,9 @@ class _Chain:
                 continue
             if len(unknowns) == 1:
                 forced.append((key, unknowns[0], poly))
-            else:
-                branches.append((key, unknowns, poly))
-        return forced, branches
+            elif split is None:
+                split = (key, unknowns, poly)
+        return forced, split
 
     def elimination_candidate(self):
         """(name, key, definition) from an equation linear in a j/k unknown
@@ -279,16 +278,17 @@ class _Chain:
 @dataclass
 class _ChainMemo:
     """The branches below every chain state _run_chain has explored in one
-    degree, each as (event suffix, eta degree, w degree), and the number of
-    states found there again."""
+    degree, each as (events from that state, eta degree, w degree), and the
+    number of states found there again."""
     states: dict = field(default_factory=dict)
     hits: int = 0
 
 
-def _run_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo,
-               depth: int = 0) -> list[ChainBranch]:
-    if depth > 64:
-        raise ChainBrokenError("branch recursion exceeded its bound")
+def _run_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo):
+    """The branches below the chain's state, each as (events from this
+    state, eta degree, w degree).  The same tuple is stored in the memo, so
+    a state reached again returns it as it is.  The recursion is at most 2n
+    deep: each split zeroes one of j1..jn, k1..kn for good."""
     # the live equations are a function of this key: zero substitutions
     # commute with each other and with every elimination whose definition
     # lacks the zeroed name, and different definitions give different keys
@@ -296,53 +296,47 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo,
     below = memo.states.get(state)
     if below is not None:
         memo.hits += 1
-        return [ChainBranch([*chain.events, *suffix], eta_deg, w_deg)
-                for suffix, eta_deg, w_deg in below]
-    start = len(chain.events)
-    branches = _close_chain(chain, n, shape, memo, depth)
-    memo.states[state] = tuple((tuple(b.events[start:]), b.eta_degree, b.w_degree)
-                               for b in branches)
-    return branches
-
-
-def _close_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo,
-                 depth: int) -> list[ChainBranch]:
+        return below
+    events = []
     while True:
-        forced, branch_eqs = chain.scan()
+        forced, split = chain.scan()
         if forced:
             newly = []
             for key, var, poly in forced:
                 if var in newly:
                     continue
                 newly.append(var)
-                chain.events.append(
-                    ChainEvent(var, key, "forced", poly.to_text()))
+                events.append(ChainEvent(var, key, "forced", poly.to_text()))
             chain.substitute_zero(newly)
             continue
-        if branch_eqs:
-            key, unknowns, poly = branch_eqs[0]
-            out = []
+        if split is not None:
+            key, unknowns, poly = split
+            text = poly.to_text()
+            below = []
             for var in unknowns:
                 sub = chain.clone()
-                sub.events.append(
-                    ChainEvent(var, key, "branch", poly.to_text()))
                 sub.substitute_zero([var])
-                out.extend(_run_chain(sub, n, shape, memo, depth + 1))
-            return out
+                head = (*events, ChainEvent(var, key, "branch", text))
+                below.extend(((*head, *tail), eta_deg, w_deg) for tail, eta_deg, w_deg
+                             in _run_chain(sub, n, shape, memo))
+            break
         # Elimination is the endgame move for chains that must close all
         # the way down (the trivial shape); while the live degrees already
         # sit at the target the chain is done.
         eta_deg, w_deg = chain.live_degrees(n)
         if eta_deg <= shape.max_eta_degree and w_deg <= shape.max_w_degree:
-            return [ChainBranch(chain.events, eta_deg, w_deg)]
+            below = [(tuple(events), eta_deg, w_deg)]
+            break
         elim = chain.elimination_candidate()
         if elim is None:
             raise ChainBrokenError(
                 f"chain stalled at degrees ({eta_deg}, {w_deg}) above the "
                 f"classified shape {shape.degrees} for n={n}; "
-                f"last events: {[e.to_dict() for e in chain.events[-3:]]}"
+                f"last events: {[e.to_dict() for e in events[-3:]]}"
             )
-        chain.eliminate(*elim)
+        events.append(chain.eliminate(*elim))
+    below = memo.states[state] = tuple(below)
+    return below
 
 
 _SYMBOLIC_CASES = {
@@ -398,7 +392,8 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         t_built = time.perf_counter()
         chain = _Chain(dict(system.nonzero()), extra_allowed)
         memo = _ChainMemo()
-        branches = _run_chain(chain, n, shape, memo)
+        branches = [ChainBranch(list(events), eta_deg, w_deg)
+                    for events, eta_deg, w_deg in _run_chain(chain, n, shape, memo)]
         t_chains = time.perf_counter()
         realized = (max(b.eta_degree for b in branches),
                     max(b.w_degree for b in branches))

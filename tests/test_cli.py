@@ -435,6 +435,17 @@ def test_family_rational_too_large_for_a_float_exits_2(tmp_path, capsys, monkeyp
     assert stderr.startswith(f"error: {name} is about 1e") and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("flag, name", [("--lambda", "lam"), ("--m", "m")])
+def test_family_output_that_rounds_to_zero_exits_2(tmp_path, capsys, monkeypatch, flag, name):
+    # an exact 1e-400 is accepted, but its float would be 0.0: no wave is written
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(["family", "--set", "4.2.2", "--a", "1", "--b", "2",
+                                    "--d", "-1", "--m", "1/2", flag, "1e-400",
+                                    "--out", "tiny"], capsys)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert stderr == f"error: {name} rounds to 0.0, too small for a float\n"
+
+
 
 def test_family_residual_that_overflows_exits_2(tmp_path, capsys, monkeypatch):
     # every coefficient is a finite float, but the residual check overflows

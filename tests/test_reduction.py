@@ -252,9 +252,13 @@ def test_memo_key_holds_the_eliminations():
     eliminated.eliminations.append(("j1", RationalPoly.const(0)))
     runs = [reduction._run_chain(chain, 1, AnsatzShape.TRIVIAL_ONLY, memo)
             for chain in (plain, eliminated)]
-    assert [[e.var for e in branches[0].events] for branches in runs] == \
+    assert [[e.var for e in below[0][0]] for below in runs] == \
         [["k1", "j1"], ["k1"]]
     assert (len(memo.states), memo.hits) == (2, 0)
+    # an equal state found again returns the memo's own tuple, not a copy
+    again = reduction._Chain({(0, 1): 4 * k1 ** 2, (1, 1): 2 * j1 ** 2}, frozenset())
+    assert reduction._run_chain(again, 1, AnsatzShape.TRIVIAL_ONLY, memo) is runs[0]
+    assert (len(memo.states), memo.hits) == (2, 1)
 
 
 @pytest.mark.parametrize("case", ["c_nonzero", "c_zero"])
