@@ -21,8 +21,7 @@ Modules by role:
 
 __version__ = "0.1.0"
 
-from .elliptic import (JacobiPoint, complete_k, cn_power_derivative,
-                       eval_cn_series, jacobi_eval)
+from .elliptic import JacobiPoint, complete_k, eval_cn_series, jacobi_eval
 from .errors import (AbcdWavesError, ChainBrokenError, ConstraintError,
                      DomainError, UnderdeterminedError, UsageError)
 from .families import (Branch, ParameterSet, SolutionParams, build_family,

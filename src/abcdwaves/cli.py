@@ -184,8 +184,7 @@ def cmd_family(parser, args) -> int:
 
     report = ode_residual(sol, p, args.samples)
     span = 24.0 / sol.lam if solitary else args.periods * report.period
-    n_rows = max(args.samples, 2)
-    xs = span * np.arange(n_rows) / (n_rows - 1)
+    xs = span * np.arange(args.samples) / (args.samples - 1)
     etas, ws = sol.profiles(xs)
 
     out = args.out or f"family_{args.set.replace('.', '_')}"
@@ -234,11 +233,12 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     shape = classify_ansatz(_params_from(args))
+    max_eta, max_w = shape.degrees
     out = {
         "run_config": _echo_config(args),
         "shape": shape.value,
-        "max_eta_degree": shape.max_eta_degree,
-        "max_w_degree": shape.max_w_degree,
+        "max_eta_degree": max_eta,
+        "max_w_degree": max_w,
     }
     print(_dumps(out, indent=2))
     return EXIT_OK
@@ -270,7 +270,7 @@ def cmd_solve(parser, args) -> int:
         missing = [u for u in sysn.unknowns if u not in seed_map]
         if missing:
             raise UsageError(f"seed file does not cover unknowns {missing}")
-        result = solve_newton(sysn, sysn.vector_from_map(seed_map),
+        result = solve_newton(sysn, [seed_map[u] for u in sysn.unknowns],
                               args.max_iter)
         out = {
             "run_config": _echo_config(args),

@@ -196,17 +196,3 @@ def eval_cn_series(coeffs: Sequence[float], pt: JacobiPoint, lam: float,
         total *= pt.sn * pt.dn
     return total if total.ndim else float(total)
 
-
-def cn_power_derivative(r: int, order: int, lam: float, m: float, xi: Real) -> Real:
-    """d^order/dxi^order of cn^r(lam*xi, m), by closed formula.
-
-    ``order`` must be 1, 2 or 3 (UsageError otherwise); ``r`` must be a
-    positive integer.  ``xi`` is a float or a numpy array.
-    """
-    r = int(r)
-    if r < 1:
-        raise UsageError(f"cn power r must be >= 1, got {r!r}")
-    if order not in (1, 2, 3):
-        raise UsageError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    lam = float(lam)
-    return eval_cn_series((0.0,) * r + (1.0,), jacobi_eval(lam * xi, m), lam, order)

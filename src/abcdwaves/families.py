@@ -240,6 +240,13 @@ def _require_lam_sigma(lam: Rational, sigma: Rational) -> tuple[Fraction, Fracti
     return lamf, sigf
 
 
+def _require_nonzero(value: float, name: str) -> float:
+    """The rounded ``value`` of a nonzero lam, m or sigma; DomainError if it is 0.0."""
+    if value == 0.0:
+        raise DomainError(f"{name} rounds to 0.0, too small for a float")
+    return value
+
+
 def _is_sign(tau) -> bool:
     """Whether ``tau`` is a branch selector the builders take: the int +1 or -1."""
     return type(tau) is int and tau in (1, -1)
@@ -261,11 +268,8 @@ def _solution(tag: str, values: dict, lam, m: Fraction, sigma,
     rounded once, in that order, so an overflow names the first output too
     large for a float, and a lam, m or sigma that rounds to zero names itself."""
     out = {name: _round(value, name, squares) for name, value in values.items()}
-    scalars = []
-    for name, value in (("lam", lam), ("m", m), ("sigma", sigma)):
-        scalars.append(_round(value, name, squares))
-        if scalars[-1] == 0.0:
-            raise DomainError(f"{name} rounds to 0.0, too small for a float")
+    scalars = [_require_nonzero(_round(value, name, squares), name)
+               for name, value in (("lam", lam), ("m", m), ("sigma", sigma))]
     return SolutionParams(tuple([out.get(name, 0.0) for name in ("j0", "j1", "j2", "j3", "j4")]),
                           tuple([out.get(name, 0.0) for name in ("k0", "k1", "k2")]),
                           *scalars, tag, branch)

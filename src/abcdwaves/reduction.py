@@ -52,7 +52,7 @@ _POSITIVE_VARS = frozenset({"lam", "m"})
 # Largest series degree verify_termination accepts.  The branch count, and
 # with it the size of the flat report, doubles every second degree; the
 # chains themselves do not, since each state is explored once per degree.
-# Both symbolic cases at n = 3..N_MAX take about 0.6 s on a 2-core box.
+# Both symbolic cases at n = 3..N_MAX take about 0.3 s on a 2-core box.
 N_MAX = 23
 
 
@@ -62,14 +62,6 @@ class AnsatzShape(enum.Enum):
     QUARTIC_ETA_QUADRATIC_W = "QuarticEtaQuadraticW"
     QUADRATIC_ETA_LINEAR_W = "QuadraticEtaLinearW"
     TRIVIAL_ONLY = "TrivialOnly"
-
-    @property
-    def max_eta_degree(self) -> int:
-        return _SHAPE_DEGREES[self][0]
-
-    @property
-    def max_w_degree(self) -> int:
-        return _SHAPE_DEGREES[self][1]
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -324,7 +316,8 @@ def _run_chain(chain: _Chain, n: int, shape: AnsatzShape, memo: _ChainMemo):
         # the way down (the trivial shape); while the live degrees already
         # sit at the target the chain is done.
         eta_deg, w_deg = chain.live_degrees(n)
-        if eta_deg <= shape.max_eta_degree and w_deg <= shape.max_w_degree:
+        max_eta, max_w = shape.degrees
+        if eta_deg <= max_eta and w_deg <= max_w:
             below = [(tuple(events), eta_deg, w_deg)]
             break
         elim = chain.elimination_candidate()
@@ -401,7 +394,7 @@ def verify_termination(p: Optional[ParameterSet] = None, n_max: int = 5, *,
         # equality with the bound is additionally demanded in the symbolic
         # runs, where the coefficients are generic (special rational points
         # may close further, e.g. a = b = d = 0 kills the w series too)
-        expected = (min(shape.max_eta_degree, n), min(shape.max_w_degree, n))
+        expected = tuple(min(deg, n) for deg in shape.degrees)
         ok = case is None or realized == expected
         results.append(DegreeResult(n, branches, realized, ok))
         logger.debug("verify_termination %s: n=%d, %d branches, %d events, %.3f s "

@@ -72,7 +72,7 @@ import numpy as np
 from .cnexpr import CoefficientSystem, build_coefficient_system
 from .errors import DomainError, UnderdeterminedError, UsageError
 from .families import (Branch, Record, SolutionParams, _float, _frac,
-                       _require_lam_sigma, _require_m)
+                       _require_lam_sigma, _require_m, _require_nonzero)
 from .ratpoly import RationalPoly, var_sort_key
 from .reduction import AnsatzShape
 
@@ -233,9 +233,6 @@ class HSystemNumeric:
                              f"of {self.n_unknowns} values ({', '.join(self.unknowns)})")
         return np.ascontiguousarray(_eval_polys(self._f, X.T).T)
 
-    def vector_from_map(self, values: Mapping[str, Number]) -> np.ndarray:
-        return np.array([float(values[u]) for u in self.unknowns])
-
 
 # name: (eta degree, w degree, the (a, b, c, d) values the system fixes,
 # the series coefficients it pins)
@@ -277,8 +274,8 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
     when fewer equations than unknowns remain (the caller must pin enough
     variables), and DomainError for a pin too large for a float, for a
     pinned lam, m or sigma outside the family builders' domain lam > 0,
-    m in (0, 1], sigma != 0, and for a coefficient of the pinned system
-    too large for a float.
+    m in (0, 1], sigma != 0 or whose float is 0.0, and for a coefficient
+    of the pinned system too large for a float.
     """
     unknown = sorted(set(pins) - system.variables())
     if unknown:
@@ -290,6 +287,9 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSy
         _require_m(exact["m"])
     # an unpinned lam or sigma is checked as 1, which the rule accepts
     _require_lam_sigma(exact.get("lam", 1), exact.get("sigma", 1))
+    for name in ("lam", "m", "sigma"):
+        if name in exact:
+            _require_nonzero(float(exact[name]), name)
 
     polys = []
     for key in sorted(system.equations, key=lambda k: (k[0], -k[1])):

@@ -471,6 +471,20 @@ def test_solve_rational_too_large_for_a_float_exits_2(capsys, argv, message):
     assert code == 2 and stdout == ""
     assert stderr == f"error: {message}, too large for a float\n"
 
+@pytest.mark.parametrize("pin, name", [
+    ("m=1e-400,lambda=1,sigma=1", "m"),
+    ("m=1/2,lambda=1e-400,sigma=1", "lam"),
+    ("m=1/2,lambda=1,sigma=1e-400", "sigma"),
+], ids=["m", "lambda", "sigma"])
+def test_solve_pin_that_rounds_to_zero_exits_2(tmp_path, capsys, pin, name):
+    out = tmp_path / "o.json"
+    code, stdout, stderr = run_cli(["solve", "--system", "coeffs1", "--pin", pin,
+                                    "--a", "1", "--b", "-8/3", "--c", "1", "--d", "1",
+                                    "--starts", "20", "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr == f"error: {name} rounds to 0.0, too small for a float\n"
+
+
 def test_solve_multistart_finds_branches(capsys):
     code, stdout, _ = run_cli([
         "solve", "--system", "coeffs1",
@@ -689,6 +703,17 @@ def test_nonexistence_command(tmp_path, capsys):
     assert data["stats"] == stats == report["points"][0]["stats"]
     assert stats["starts"] == 80 and stats["converged"] == 0
     assert stats["overflow"] + stats["stalled"] + stats["budget"] == 80
+
+
+@pytest.mark.parametrize("flag, name", [("--lambda", "lam"), ("--m", "m"),
+                                        ("--sigma", "sigma")])
+def test_nonexistence_value_that_rounds_to_zero_exits_2(tmp_path, capsys, flag, name):
+    out = tmp_path / "ne.json"
+    code, stdout, stderr = run_cli(["nonexistence", "--var", "j1", "--grid-a", "1",
+                                    "--grid-b", "-1", "--grid-d", "1/3", flag, "1e-400",
+                                    "--starts", "20", "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr == f"error: {name} rounds to 0.0, too small for a float\n"
 
 
 def test_nonexistence_k1_rejects_unread_sigma(tmp_path, capsys):

@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from abcdwaves.elliptic import (complete_k, cn_power_derivative, eval_cn_series,
-                                jacobi_eval)
+from abcdwaves.elliptic import complete_k, eval_cn_series, jacobi_eval
 from abcdwaves.errors import DomainError, UsageError
 
 M_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0]
@@ -184,6 +183,10 @@ def central_diff(f, x, order, h):
             + 13 * f(x - h) - 8 * f(x - 2 * h) + f(x - 3 * h)) / (8 * h ** 3)
 
 
+def cn_power_derivative(r, order, lam, m, xi):
+    return eval_cn_series((0.0,) * r + (1.0,), jacobi_eval(lam * xi, m), lam, order)
+
+
 def test_first_derivative_at_origin():
     assert cn_power_derivative(1, 1, 1.7, 0.5, 0.0) == 0.0
 
@@ -226,13 +229,6 @@ def test_derivatives_vs_finite_differences(r, order):
         h = {1: 1e-5, 2: 1e-4, 3: 2e-3}[order]
         ref = central_diff(lambda x: cn_pow(r, lam, m, x), xi, order, h)
         assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
-
-
-def test_derivative_argument_validation():
-    with pytest.raises(UsageError):
-        cn_power_derivative(2, 4, 1.0, 0.5, 0.3)
-    with pytest.raises(UsageError):
-        cn_power_derivative(0, 1, 1.0, 0.5, 0.3)
 
 
 def test_series_order_validation():

@@ -126,12 +126,12 @@ def test_chain_agrees_with_classification_on_grid():
         report = verify_termination(p, 3)
         assert report.passed, (p, shape)
         eta_d, w_d = report.results[0].realized_degrees
-        assert eta_d <= shape.max_eta_degree and w_d <= shape.max_w_degree
+        assert eta_d <= shape.degrees[0] and w_d <= shape.degrees[1]
     for p, shape in GENERIC_GRID_POINTS:
         report = verify_termination(p, 3)
         realized = report.results[0].realized_degrees
-        assert realized == (min(shape.max_eta_degree, 3),
-                            min(shape.max_w_degree, 3)), (p, shape)
+        assert realized == (min(shape.degrees[0], 3),
+                            min(shape.degrees[1], 3)), (p, shape)
 
 
 def test_trivial_region_needs_positive_a():

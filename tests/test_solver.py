@@ -44,7 +44,8 @@ def closed_forms():
 
 
 def seed_vector(sysn, sol):
-    return sysn.vector_from_map(sol.coefficient_map())
+    values = sol.coefficient_map()
+    return np.array([values[u] for u in sysn.unknowns])
 
 
 # -- pinning -----------------------------------------------------------------
@@ -100,6 +101,18 @@ def test_pin_validation(quadratic_system):
     with pytest.raises(UsageError, match="lamda"):
         pin_and_square(quadratic_system, {"a": 1, "b": F(-8, 3), "c": 1, "d": 1,
                                           "m": F(1, 2), "lamda": 1, "sigma": 1})
+
+
+@pytest.mark.parametrize("name", ["lam", "m", "sigma"])
+def test_pin_that_rounds_to_zero_is_refused(quadratic_system, name):
+    # an exact 1e-400 passes the domain rule, but its float would be 0.0
+    pins = {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, "m": F(1, 2), "lam": 1, "sigma": 1}
+    with pytest.raises(DomainError, match=rf"^{name} rounds to 0\.0, too small for a float$"):
+        pin_and_square(quadratic_system, {**pins, name: F(1, 10 ** 400)})
+    # a negative one still fails the domain rule first
+    if name != "sigma":
+        with pytest.raises(DomainError, match=r"-0\.0"):
+            pin_and_square(quadratic_system, {**pins, name: F(-1, 10 ** 400)})
 
 
 def test_underdetermined_rejected(quadratic_system):
@@ -274,10 +287,10 @@ def test_left_to_right_sums_of_1_to_300_terms():
     assert part.tobytes() == got[35:48].tobytes()
 
 
-def test_summation_plan_matches_reduceat():
+def test_term_sums_match_reduceat():
     # 300 polynomials of 1..longest terms, each term one unknown
-    # (coefficient 1), listed in shuffled order, summed by the plan and by
-    # np.add.reduceat, whose order is pairwise.  The two orders give the
+    # (coefficient 1), listed in shuffled order, summed by the compiled
+    # residual kernel and by np.add.reduceat, whose order is pairwise.  The two orders give the
     # same NaNs, infinities and signed zeros, the same bits up to two terms,
     # and finite sums within the rounding bound of any order of n terms
     unknowns = [f"x{i:03d}" for i in range(300)]
@@ -289,7 +302,9 @@ def test_summation_plan_matches_reduceat():
                    else rng.integers(1, 9, 300))
         picks = [np.sort(rng.choice(300, n, replace=False)) for n in lengths]
         polys = [RationalPoly({((unknowns[i], 1),): 1 for i in pick}) for pick in picks]
-        sysn = solver.HSystemNumeric(unknowns, polys, {})
+        # the residual alone: HSystemNumeric would also compile a 300 x 300
+        # Jacobian that this test never evaluates
+        compiled = solver._compile(polys, unknowns)
         assert max(lengths) == longest
         rows = []
         for share, decades in ((0.0, 0.0), (0.0, 3.0), (0.0, 20.0), (0.002, 1.0),
@@ -307,7 +322,7 @@ def test_summation_plan_matches_reduceat():
         with np.errstate(all="ignore"):
             ref = np.add.reduceat(terms, offsets, axis=1)
             size = np.add.reduceat(np.abs(terms), offsets, axis=1)
-            got = sysn.residual(X)
+            got = np.ascontiguousarray(solver._eval_polys(compiled, X.T).T)
         assert got.shape == ref.shape and got.flags.c_contiguous
         assert np.isnan(ref).any(axis=1).sum() >= 12
         finite = np.isfinite(ref)
@@ -328,7 +343,7 @@ def test_summation_plan_matches_reduceat():
             assert (got[finite] != ref[finite]).any()
 
 
-def test_summation_plan_up_to_eight_terms():
+def test_eight_and_nine_term_sums_run_left_to_right():
     # a longest polynomial of 8 terms and one of 9 are laid out alike, one
     # block per term position, and both give the left-to-right bits
     unknowns = [f"x{i}" for i in range(9)]

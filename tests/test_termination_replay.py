@@ -5,13 +5,21 @@ report's branches as a trie, event by event, with its own substitutions
 and its own sign test; it reads nothing of the chain engine but the
 report's JSON.  A change to the engine is then judged by whether its
 report still proves the degree bound, not only by frozen bytes.
+
+Run as a script, with abcdwaves importable, it replays the JSON files
+that ``abcdwaves reduce`` wrote and fails on the first event that does not
+follow:
+
+    PYTHONPATH=src python tests/test_termination_replay.py reduce.json reduce_c0.json
 """
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from abcdwaves.cli import main
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.families import ParameterSet
 from abcdwaves.ratpoly import RationalPoly
@@ -112,6 +120,18 @@ def replay(report, params, nonzero):
         assert all(r <= s for r, s in zip(realized, report["shape_degrees"]))
 
 
+def replay_file(path):
+    """Replay a saved ``abcdwaves reduce`` report against the symbolic case
+    or the a, b, c, d of its run_config."""
+    with open(path) as fh:
+        report = json.load(fh)
+    cfg = report["run_config"]
+    if cfg["case"]:
+        replay(report, *CASES[cfg["case"].replace("-", "_")])
+    else:
+        replay(report, {key: F(cfg[key]) for key in "abcd"}, set())
+
+
 def symbolic(case, n_min, n_max):
     return json.loads(verify_termination(case=case, n_min=n_min, n_max=n_max).to_json())
 
@@ -126,6 +146,21 @@ def test_replay_rational_points(a, n_max):
     # the two points the CLI step of CI reduces
     report = json.loads(verify_termination(ParameterSet.make(a, 0, 0, 0), n_max).to_json())
     replay(report, {"a": F(a), "b": 0, "c": 0, "d": 0}, set())
+
+
+@pytest.mark.parametrize("argv", [["--case", "c-zero", "--nmax", "5"],
+                                  ["--a", "1/3", "--b", "0", "--c", "0", "--d", "0",
+                                   "--nmax", "5"]], ids=["case", "point"])
+def test_replay_a_reduce_output_file(tmp_path, capsys, argv):
+    assert main(["reduce", *argv]) == 0
+    path = tmp_path / "reduce.json"
+    path.write_text(capsys.readouterr().out)
+    replay_file(path)
+    report = json.loads(path.read_text())
+    report["results"][-1]["branches"][0]["eta_degree"] += 1
+    path.write_text(json.dumps(report))
+    with pytest.raises(AssertionError):
+        replay_file(path)
 
 
 # each mutation at n = 8 must be caught: a dropped event (the shared
@@ -148,3 +183,9 @@ def test_replay_rejects_a_mutated_report(case, mutation):
     MUTATIONS[mutation](report["results"][0]["branches"])
     with pytest.raises(AssertionError):
         replay(report, *CASES[case])
+
+
+if __name__ == "__main__":
+    for path in sys.argv[1:]:
+        replay_file(path)
+        print(f"{path}: every event replays")

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from abcdwaves.elliptic import cn_power_derivative, complete_k, jacobi_eval
+from abcdwaves.elliptic import complete_k, eval_cn_series, jacobi_eval
 from abcdwaves.errors import DomainError, UsageError
 from abcdwaves.families import (Branch, ParameterSet, SolutionParams,
                                 build_s43, build_s411, build_s412, build_s421,
@@ -48,6 +48,10 @@ def test_residual_of_a_parameter_too_large_for_a_float():
     p = ParameterSet.make(10 ** 400, 0, 1, 1)
     with pytest.raises(DomainError, match="^a is about 1e400, too large"):
         ode_residual(make_constant(1, 1), p, 128)
+
+
+def cn_power_derivative(r, order, lam, m, xi):
+    return eval_cn_series((0.0,) * r + (1.0,), jacobi_eval(lam * xi, m), lam, order)
 
 
 def loop_residual(sol, p, n_samples):
