@@ -3,7 +3,9 @@
 Subcommands: family, verify, classify, solve, reduce, limit, nonexistence.
 Every run echoes its configuration into the JSON output so results are
 reproducible from the file alone.  Exit codes: 0 ok, 2 domain/usage error,
-3 solver non-convergence where a result was required.
+3 solver non-convergence where a result was required, 141 (128 + SIGPIPE,
+as a shell reports a process that signal ends) when the reader of stdout
+closed it early, as ``| head`` does.
 
 a, b, c, d accept exact rationals ("-8/3"); lam, sigma, m accept floats.
 """
@@ -15,6 +17,7 @@ import functools
 import inspect
 import json
 import logging
+import os
 import re
 import sys
 import time
@@ -40,6 +43,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _SubParser(argparse.ArgumentParser):
@@ -470,9 +474,17 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()          # a closed stdout fails here, not at exit
     except AbcdWavesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DOMAIN
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointed at os.devnull, that
+        # flush cannot fail (the SIGPIPE note of the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
     logger.debug("%s: exit %d, %.3f s", args.command, code,
                  time.perf_counter() - t0)
     return code

@@ -95,6 +95,13 @@ _STALL_FLOOR = 2.0 ** -30   # batch line search: below this step factor ...
 _STALL_MOVE = 2.0 ** -40    # ... a step must move x by more than this, relative
 _ESCAPE = 1e7               # multistart iterates this large never return to
                             # figure-scale roots
+# the line search's step factors 1, 1/2, ..., 2**-49, their Armijo factors
+# and their negatives (ascending, for searchsorted), computed in Python
+# floats: the same values by numpy ufuncs raised the peak RSS of a process
+# that imports the solver by about 0.1-0.2 MB
+_STEPS = np.array([0.5 ** k for k in range(50)])
+_ARMIJO_FACTORS = np.array([1 - _ARMIJO * step for step in _STEPS.tolist()])
+_NEG_STEPS = np.array([-step for step in _STEPS.tolist()])
 _STOP_REASONS = ("converged", "overflow", "stalled", "budget")
 # the Newton engine's int8 stop codes: indices into _STOP_REASONS
 _CONVERGED, _OVERFLOW, _STALLED, _BUDGET = range(len(_STOP_REASONS))
@@ -353,13 +360,12 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     was accepted; the residual at Xa + alpha * dx, row-last (m, rows),
     for the rows with alpha > 0 (NaN for the others); the index of the
     accepted step (-1 for none); then the candidate rows evaluated and the
-    passes.
+    passes.  A candidate may overflow: the caller sets np.errstate (the
+    engine holds one around its whole loop).
     """
-    steps = 0.5 ** np.arange(50)
-    factor = 1 - _ARMIJO * steps
     H = np.full((compiled.sums.size, Xa.shape[1]), np.nan)
     taken = np.full(Xa.shape[1], -1)
-    limit = np.searchsorted(-steps, -floor, side="right")     # steps >= floor
+    limit = _NEG_STEPS.searchsorted(-floor, side="right")   # steps >= floor
     pending = np.flatnonzero(limit)
     limit = limit[pending]
     start = np.zeros(pending.size, dtype=np.intp)
@@ -367,19 +373,18 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
     evaluated = passes = 0
     while pending.size:
         count = np.minimum(size, limit - start)
-        heads = np.cumsum(count) - count
-        rows = np.repeat(pending, count)
-        k = np.repeat(start - heads, count)
+        heads = count.cumsum() - count
+        rows = pending.repeat(count)
+        k = (start - heads).repeat(count)
         k += np.arange(k.size)
-        with np.errstate(all="ignore"):
-            Xc = dx.take(rows, axis=1)
-            np.multiply(steps.take(k), Xc, out=Xc)
-            Hc = _eval_polys(compiled, np.add(Xa.take(rows, axis=1), Xc, out=Xc))
-            # the sum of squares over a row-major copy: einsum sums a
-            # contiguous row in another order than a strided one
-            Hr = np.ascontiguousarray(Hc.T)
-            dec = np.einsum("bi,bi->b", Hr, Hr) <= factor.take(k) * base.take(rows)
-        dec &= np.isfinite(Hc).all(axis=0)
+        Xc = dx.take(rows, axis=1)
+        np.multiply(_STEPS.take(k), Xc, out=Xc)
+        Hc = _eval_polys(compiled, np.add(Xa.take(rows, axis=1), Xc, out=Xc))
+        # the sum of squares over a row-major copy: einsum sums a
+        # contiguous row in another order than a strided one
+        Hr = np.ascontiguousarray(Hc.T)
+        dec = np.einsum("bi,bi->b", Hr, Hr) <= _ARMIJO_FACTORS.take(k) * base.take(rows)
+        dec &= np.logical_and.reduce(np.isfinite(Hc), axis=0)
         win = np.minimum.reduceat(np.where(dec, np.arange(k.size), k.size), heads)
         hit = win < k.size
         win = win[hit]
@@ -389,8 +394,17 @@ def _line_search(compiled: _Compiled, Xa: np.ndarray, dx: np.ndarray, base: np.n
         start += count
         more = ~hit & (start < limit)
         pending, limit, start, size = pending[more], limit[more], start[more], 2 ** passes
-    alpha = np.where(taken >= 0, steps[taken], 0.0)
+    alpha = np.where(taken >= 0, _STEPS[taken], 0.0)
     return alpha, H, taken, evaluated, passes
+
+
+@functools.lru_cache(maxsize=None)
+def _below_diagonal(m: int, n: int) -> np.ndarray:
+    """The (m, n + 1) mask of the entries of [J | h] below R's diagonal."""
+    mask = np.tri(m, n + 1, -1, dtype=bool)
+    mask[:, n] = False
+    mask.flags.writeable = False        # one cached mask serves every call
+    return mask
 
 
 def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
@@ -424,40 +438,46 @@ def _gauss_newton_step(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     A = np.zeros((m, n + 1, B + 1))
     A[:, :n, :B] = J
     A[:, n, :B] = H
-    svd = np.isfinite(A[:, :n, :B]).all(axis=(0, 1))
+    svd = np.logical_and.reduce(np.isfinite(A[:, :n, :B]), axis=(0, 1))
     # a zero column divides 0 by 0 and a non-finite row spreads NaN; the
     # finite and nonzero-diagonal test below sends both to the fallback
     with np.errstate(all="ignore"):
         for k in range(n):
             x = A[k:, k]
-            s = np.abs(x).max(axis=0)
+            x0, r0, r1 = x[0], A[k, k + 1:], A[k + 1:, k + 1:]
+            s = np.maximum.reduce(np.abs(x), axis=0)
             y = x / s
-            beta = np.copysign(s * np.sqrt(np.einsum("ib,ib->b", y, y)), x[0])
+            beta = np.copysign(s * np.sqrt(np.einsum("ib,ib->b", y, y)), x0)
             # I - tau u u^T with u = (1, x[1:] / (x0 + beta)) maps x to -beta e1
-            u0 = x[0] + beta
+            u0 = x0 + beta
             tau = u0 / beta
             u = np.divide(x[1:], u0, out=y[1:])
-            rest = A[k:, k + 1:]
-            w = np.einsum("ib,ijb->jb", u, rest[1:])
-            w += rest[0]
+            w = np.einsum("ib,ijb->jb", u, r1)
+            w += r0
             w *= tau
-            rest[0] -= w
-            rest[1:] -= u[:, None] * w
-            x[0] = -beta
-            x[1:] = 0.0
+            r0 -= w
+            r1 -= u[:, None] * w
+            np.negative(beta, out=x0)
+        # the reflections never read a column again, so its entries below
+        # the diagonal are zeroed once, all columns of J together
+        A[_below_diagonal(m, n)] = 0.0
         R = A[:n, :n]
-        ok = np.isfinite(A).all(axis=(0, 1)) & (np.diagonal(R) != 0).all(axis=1)
+        diagonal = R.diagonal()             # (rows, n)
+        ok = (np.logical_and.reduce(np.isfinite(A), axis=(0, 1))
+              & np.logical_and.reduce(diagonal != 0, axis=1))
+        # R^-1's diagonal is the reciprocal of R's; the entries right of it
+        # come row by row, bottom up, by back substitution
         Rinv = np.zeros((n, n, B + 1))
-        for i in range(n - 1, -1, -1):
-            r = np.divide(1.0, R[i, i], out=Rinv[i, i])
-            if i + 1 < n:
-                np.multiply(np.einsum("kb,kjb->jb", R[i, i + 1:], Rinv[i + 1:, i + 1:]),
-                            -r, out=Rinv[i, i + 1:])
-        kappa = np.abs(R).sum(axis=0).max(axis=0) * np.abs(Rinv).sum(axis=0).max(axis=0)
+        minus_r = -np.divide(1.0, diagonal.T, out=Rinv.reshape(n * n, B + 1)[::n + 1])
+        for i in range(n - 2, -1, -1):
+            np.multiply(np.einsum("kb,kjb->jb", R[i, i + 1:], Rinv[i + 1:, i + 1:]),
+                        minus_r[i], out=Rinv[i, i + 1:])
+        kappa = (np.maximum.reduce(np.add.reduce(np.abs(R), axis=0), axis=0)
+                 * np.maximum.reduce(np.add.reduce(np.abs(Rinv), axis=0), axis=0))
         qr = (ok & (kappa <= 1 / (2 * n * _RCOND)))[:B]
         dx = np.where(qr, -np.einsum("ijb,jb->ib", Rinv, A[:n, n])[:, :B], np.nan)
         svd &= ~qr
-        if svd.any():       # seldom: even an empty batched pinv costs tens of us
+        if np.logical_or.reduce(svd):   # seldom: even an empty pinv costs tens of us
             # einsum sums a contiguous row of h in another order than a strided one
             pinv = np.linalg.pinv(np.moveaxis(J[:, :, svd], 2, 0), rcond=_RCOND)
             dx[:, svd] = -np.einsum("bij,bj->bi", pinv, np.ascontiguousarray(H[:, svd].T)).T
@@ -475,11 +495,12 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     accepted Newton steps and its ||h||_inf at the final iterate, then the
     rows' RunStats, whose stop counts are a bincount of the codes and which
     one DEBUG record logs with the seconds of _gauss_newton_step and of
-    _line_search.  One pass, run max_iter + 1 times, labels every row
-    still active: converged when ||h||_inf <= _TOL and x is finite
-    (wherever x lies), else overflow when h is not finite or
-    ||x||_inf >= escape; the rest take a step while fewer than max_iter
-    passes have run and keep "budget" after the last.
+    _line_search and the number of batch iterations.  One pass, run
+    max_iter + 1 times, labels every row still active: converged when
+    ||h||_inf <= _TOL and x is finite (wherever x lies), else overflow
+    when h is not finite or ||x||_inf >= escape; the rest take a step
+    while fewer than max_iter passes have run and keep "budget" after the
+    last.
     A row whose line search accepts no step stops as stalled at its last
     iterate.  The search goes down to _MIN_STEP, but below _STALL_FLOOR
     only while alpha * ||dx||_inf exceeds _STALL_MOVE * max(||x||_inf, 1):
@@ -490,7 +511,8 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     down to that one.  The state holds only the active rows, row-last
     (iterates and steps (n, rows), residuals (m, rows), Jacobians (m, n,
     rows)), so each per-row test reduces across rows; a row's iterate is
-    written out when it stops.  max_iter < 0 is a UsageError.
+    written out when it stops, and an iteration in which no row stops
+    skips that bookkeeping.  max_iter < 0 is a UsageError.
     """
     if max_iter < 0:
         raise UsageError(f"max_iter = {max_iter} must be >= 0")
@@ -499,52 +521,63 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     code = np.full(B, _BUDGET, dtype=np.int8)
     iters = np.zeros(B, dtype=np.int64)
     hinf = np.empty(B)
-    solves = fallbacks = evaluated = passes = 0
+    solves = fallbacks = evaluated = passes = batch_iters = 0
     step_s = search_s = 0.0
     # the active rows, compacted: their rows of X, iterates, residuals and
     # last accepted step indices; X takes a row's iterate when it stops
     idx, Xa, last = np.arange(B), X, np.zeros(B, dtype=np.intp)
+    # one errstate for the whole loop: residuals overflow and steps divide
+    # by zero by design, and the stop tests read the results
     with np.errstate(all="ignore"):
         Ha = _eval_polys(sysn._f, X)
-    for it in range(max_iter + 1):
-        ha = np.abs(Ha).max(axis=0)
-        hinf[idx] = ha
-        xmax = np.abs(Xa).max(axis=0)
-        conv = (ha <= _TOL) & np.isfinite(Xa).all(axis=0)
-        over = ~conv & ~(np.isfinite(ha) & (xmax < escape))
-        code[idx[conv]] = _CONVERGED
-        code[idx[over]] = _OVERFLOW
-        keep = ~(conv | over)
-        if it == max_iter or not keep.any():
-            break
-        X[:, idx[~keep]] = Xa.compress(~keep, axis=1)
-        idx, Xa, Ha = idx[keep], Xa.compress(keep, axis=1), Ha.compress(keep, axis=1)
-        xmax, last = xmax[keep], last[keep]
-        J = _eval_polys(sysn._j, Xa).reshape(sysn.n_equations, sysn.n_unknowns,
-                                             idx.size)
-        t0 = time.perf_counter()
-        dx, svd = _gauss_newton_step(J, Ha)
-        t1 = time.perf_counter()
-        with np.errstate(all="ignore"):
-            move = _STALL_MOVE * np.maximum(xmax, 1.0) / np.abs(dx).max(axis=0)
-        solves, fallbacks = solves + idx.size, fallbacks + svd
-        # over a row-major copy, as the line search sums its squares
-        Hr = np.ascontiguousarray(Ha.T)
-        base = np.einsum("bi,bi->b", Hr, Hr)
-        floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
-        t2 = time.perf_counter()
-        alpha, Hs, taken, rows, n_passes = _line_search(sysn._f, Xa, dx, base, floor,
-                                                        last + 1)
-        step_s, search_s = step_s + t1 - t0, search_s + time.perf_counter() - t2
-        evaluated, passes = evaluated + rows, passes + n_passes
-        settled = alpha > 0
-        code[idx[~settled]] = _STALLED
-        X[:, idx[~settled]] = Xa.compress(~settled, axis=1)
-        # the rows that took no step have alpha = 0 and are dropped here
-        with np.errstate(all="ignore"):
-            Xa = np.add(Xa, alpha * dx, out=dx).compress(settled, axis=1)
-        idx, Ha, last = idx[settled], Hs.compress(settled, axis=1), taken[settled]
-        iters[idx] += 1
+        for it in range(max_iter + 1):
+            ha = np.maximum.reduce(np.abs(Ha), axis=0)
+            hinf[idx] = ha
+            xmax = np.maximum.reduce(np.abs(Xa), axis=0)
+            conv = (ha <= _TOL) & np.logical_and.reduce(np.isfinite(Xa), axis=0)
+            stop = conv | ~(np.isfinite(ha) & (xmax < escape))
+            # most iterations stop no row, and skip this bookkeeping
+            if np.logical_or.reduce(stop):
+                code[idx[conv]] = _CONVERGED
+                code[idx[stop & ~conv]] = _OVERFLOW
+                if it == max_iter or np.logical_and.reduce(stop):
+                    break
+                keep = ~stop
+                X[:, idx[stop]] = Xa.compress(stop, axis=1)
+                idx, Xa = idx[keep], Xa.compress(keep, axis=1)
+                Ha, xmax, last = Ha.compress(keep, axis=1), xmax[keep], last[keep]
+            elif it == max_iter:
+                break
+            J = _eval_polys(sysn._j, Xa).reshape(sysn.n_equations, sysn.n_unknowns,
+                                                 idx.size)
+            t0 = time.perf_counter()
+            dx, svd = _gauss_newton_step(J, Ha)
+            t1 = time.perf_counter()
+            dmax = np.maximum.reduce(np.abs(dx), axis=0)
+            move = _STALL_MOVE * np.maximum(xmax, 1.0) / dmax
+            solves, fallbacks, batch_iters = solves + idx.size, fallbacks + svd, it + 1
+            # over a row-major copy, as the line search sums its squares
+            Hr = np.ascontiguousarray(Ha.T)
+            base = np.einsum("bi,bi->b", Hr, Hr)
+            floor = np.maximum(_MIN_STEP, np.fmin(_STALL_FLOOR, move))
+            t2 = time.perf_counter()
+            alpha, Hs, taken, rows, n_passes = _line_search(sysn._f, Xa, dx, base, floor,
+                                                            last + 1)
+            step_s, search_s = step_s + t1 - t0, search_s + time.perf_counter() - t2
+            evaluated, passes = evaluated + rows, passes + n_passes
+            settled = alpha > 0
+            if np.logical_and.reduce(settled):
+                Xa, Ha, last = np.add(Xa, alpha * dx, out=dx), Hs, taken
+            else:
+                # the rows that took no step stop as stalled at their iterate
+                stalled = ~settled
+                code[idx[stalled]] = _STALLED
+                X[:, idx[stalled]] = Xa.compress(stalled, axis=1)
+                Xa = np.add(Xa, alpha * dx, out=dx).compress(settled, axis=1)
+                idx, Ha, last = idx[settled], Hs.compress(settled, axis=1), taken[settled]
+                if not idx.size:        # every row stalled
+                    break
+            iters[idx] += 1
     X[:, idx] = Xa
     # NaN residuals are skipped; inf means no unconverged row has a finite one
     least = float(np.fmin.reduce(hinf[code != _CONVERGED], initial=np.inf))
@@ -552,7 +585,7 @@ def _newton_batch(sysn: HSystemNumeric, X0: np.ndarray, max_iter: int,
     stats = RunStats(B, *counts, least if least < np.inf else None, int(iters.sum()),
                      solves, fallbacks, evaluated, passes)
     logger.debug("newton: %s; %.3f s in Gauss-Newton steps and %.3f s in line "
-                 "searches", stats, step_s, search_s)
+                 "searches; %d batch iterations", stats, step_s, search_s, batch_iters)
     return X.T, code, iters, hinf, stats
 
 

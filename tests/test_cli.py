@@ -1,14 +1,18 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 
 from fractions import Fraction as F
 
 import pytest
 
+import abcdwaves
 from abcdwaves import solver
-from abcdwaves.cli import main
+from abcdwaves.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(argv, capsys):
@@ -775,3 +779,21 @@ def test_debug_records_format(tmp_path, capsys, caplog, monkeypatch):
     newton = [text for func, text in messages if func == "_newton_batch"]
     assert newton[0].startswith("newton: RunStats(starts=50, converged=50, ")
     assert newton[1].startswith("newton: RunStats(starts=1, converged=1, ")
+    assert all(text.endswith(" batch iterations") for text in newton)
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # about 300 kB of JSON, more than a pipe holds: the CLI is still writing
+    # when the reader closes its end
+    src = os.path.dirname(os.path.dirname(abcdwaves.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "abcdwaves.cli", "reduce", "--case",
+                             "c-nonzero", "--nmax", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()

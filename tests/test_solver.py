@@ -500,17 +500,32 @@ def test_solve_newton_is_one_batch_row(quadratic_system, pins):
     assert {"converged", "overflow"} <= set(reason[1:])
 
 
-def test_splitting_a_batch_changes_no_bit(reference_pinning):
-    # the criterion-4 starts, sampled as multistart samples them: most rows
-    # take QR steps, and those that reach the trivial plane take pinv steps
-    n = reference_pinning.n_unknowns
-    rng = np.random.default_rng(42)
-    X0 = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0), (2000, n)) \
-        * rng.choice([-1.0, 1.0], (2000, n))
-    X, code, iters, hinf, stats = solver._newton_batch(reference_pinning, X0, 200)
-    assert stats.solves > stats.pinv_fallbacks > 0
-    ends = np.cumsum([1, 2, 3, 500, 1494])
-    parts = [solver._newton_batch(reference_pinning, X0[i:j], 200)
+@pytest.mark.parametrize("name", ["criterion-4", "j1", "k1"])
+def test_splitting_a_batch_changes_no_bit(reference_pinning, name):
+    if name == "criterion-4":
+        # the criterion-4 starts, sampled as multistart samples them: most
+        # rows take QR steps, and those that reach the trivial plane take
+        # pinv steps
+        sysn, max_iter, sizes = reference_pinning, 200, [1, 2, 3, 500, 1494]
+        rng = np.random.default_rng(42)
+        X0 = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(10.0), (2000, sysn.n_unknowns)) \
+            * rng.choice([-1.0, 1.0], (2000, sysn.n_unknowns))
+    else:
+        # criterion-6 starts on the sweeps' budget: the j1 rows stall or
+        # spend it, the k1 rows converge or spend it, so rows leave the
+        # batch after the line search as well as before the step
+        sysn, max_iter, sizes = _coeffs2_pinning(name), solver._SWEEP_MAX_ITER, \
+            [1, 2, 3, 94, 200]
+        X0 = _seeded_starts(sysn, 300, 7)
+    X, code, iters, hinf, stats = solver._newton_batch(sysn, X0, max_iter)
+    if name == "criterion-4":
+        assert stats.solves > stats.pinv_fallbacks > 0
+    elif name == "j1":
+        assert stats.stalled > 250 and stats.budget > 0 and stats.converged == 0
+    else:
+        assert stats.converged > 250 and stats.budget > 0
+    ends = np.cumsum(sizes)
+    parts = [solver._newton_batch(sysn, X0[i:j], max_iter)
              for i, j in zip(np.r_[0, ends[:-1]], ends)]
     assert np.concatenate([p[0] for p in parts]).tobytes() == X.tobytes()
     assert np.concatenate([p[1] for p in parts]).tobytes() == code.tobytes()
@@ -860,8 +875,11 @@ def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     assert record.args[7] <= len(branch_set.roots)
     # the seconds of the Gauss-Newton steps and the line searches are parts
     # of the newton seconds
-    step_s, search_s = newton.args[1:]
+    step_s, search_s, batch_iters = newton.args[1:]
     assert 0.0 <= step_s + search_s <= record.args[4]
+    # the budget rows keep the batch iterating to the end of the budget; a
+    # stalled row's batch ran the step it could not take
+    assert batch_iters == max(iters + (code == solver._STALLED)) == 80
 
 
 def test_multistart_builds_no_debug_arguments_when_silent(reference_pinning, caplog,
@@ -1237,6 +1255,12 @@ def _line_search_reference(compiled, Xa, dx, base, armijo, min_step):
     return alpha, settled, H
 
 
+def _search(*args):
+    """solver._line_search under the errstate its caller holds."""
+    with np.errstate(all="ignore"):
+        return solver._line_search(*args)
+
+
 def _search_batch(sysn, rows=800, seed=5):
     # random directions over eight decades, a base a little above ||h||^2
     # (so steps shrink until the first-order change fits under it), and
@@ -1256,8 +1280,7 @@ def test_line_search_matches_reference(reference_pinning, min_step):
     Xa, dx, base = _search_batch(reference_pinning)
     f = reference_pinning._f
     floor = np.full(Xa.shape[0], min_step)
-    alpha, *_ = solver._line_search(f, Xa.T, dx.T, base, floor,
-                                    np.ones(Xa.shape[0], dtype=np.intp))
+    alpha, *_ = _search(f, Xa.T, dx.T, base, floor, np.ones(Xa.shape[0], dtype=np.intp))
     ref_alpha, ref_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, min_step)
     assert np.array_equal(alpha > 0, ref_settled)
     assert alpha[ref_settled].tobytes() == ref_alpha[ref_settled].tobytes()
@@ -1278,8 +1301,7 @@ def test_line_search_stops_at_row_floor(reference_pinning):
     Xa, dx, base = _search_batch(reference_pinning, seed=6)
     f = reference_pinning._f
     floor = 2.0 ** -np.random.default_rng(7).integers(0, 47, Xa.shape[0])
-    alpha, *_ = solver._line_search(f, Xa.T, dx.T, base, floor,
-                                    np.ones(Xa.shape[0], dtype=np.intp))
+    alpha, *_ = _search(f, Xa.T, dx.T, base, floor, np.ones(Xa.shape[0], dtype=np.intp))
     deep_alpha, deep_settled, _ = _line_search_reference(f, Xa, dx, base, 1e-4, 1e-14)
     past = deep_settled & (deep_alpha < floor)
     assert past.sum() >= 50 and (deep_settled & ~past).sum() >= 300
@@ -1292,8 +1314,8 @@ def test_line_search_returns_accepted_residuals(reference_pinning, min_step):
     # _newton_batch keeps these rows as the residual of the next iterate
     Xa, dx, base = _search_batch(reference_pinning, seed=8)
     f = reference_pinning._f
-    alpha, H, *_ = solver._line_search(f, Xa.T, dx.T, base, np.full(Xa.shape[0], min_step),
-                                       np.ones(Xa.shape[0], dtype=np.intp))
+    alpha, H, *_ = _search(f, Xa.T, dx.T, base, np.full(Xa.shape[0], min_step),
+                           np.ones(Xa.shape[0], dtype=np.intp))
     H = H.T
     ok = alpha > 0
     assert ok.sum() >= 250 and (~ok).sum() >= 30
@@ -1319,9 +1341,8 @@ def test_line_search_sums_squares_as_a_row_major_einsum(reference_pinning):
         base = np.where(factor * base < squares, np.nextafter(base, np.inf), base)
         lower = np.nextafter(base, -np.inf)
         base = np.where(factor * lower >= squares, lower, base)
-    alpha, H, *_ = solver._line_search(reference_pinning._f, Xa.T, dx.T, base,
-                                       np.zeros(Xa.shape[0]),
-                                       np.ones(Xa.shape[0], dtype=np.intp))
+    alpha, H, *_ = _search(reference_pinning._f, Xa.T, dx.T, base, np.zeros(Xa.shape[0]),
+                           np.ones(Xa.shape[0], dtype=np.intp))
     assert (alpha == 1.0).all() and H.T.tobytes() == H1.tobytes()
 
 
@@ -1342,8 +1363,7 @@ def test_line_search_first_block_gives_the_same_steps(reference_pinning, first):
              "random": rng.integers(0, 51, limit.size),
              "past the floor": limit + rng.integers(1, 5, limit.size),
              "50": np.full_like(limit, 50)}[first]
-    alpha, H, taken, evaluated, passes = solver._line_search(f, Xa.T, dx.T, base, floor,
-                                                             sizes)
+    alpha, H, taken, evaluated, passes = _search(f, Xa.T, dx.T, base, floor, sizes)
     H = H.T
     deep_alpha, deep_settled, deep_H = _line_search_reference(f, Xa, dx, base, 1e-4,
                                                               1e-14)
@@ -1408,7 +1428,7 @@ def _newton_batch_reference(sysn, X0, max_iter, escape=solver._ESCAPE):
         solves, fallbacks = solves + idx.size, fallbacks + svd
         base = np.einsum("bi,bi->b", Ha, Ha)
         floor = np.maximum(solver._MIN_STEP, np.fmin(solver._STALL_FLOOR, move))
-        alpha, Hs, taken, rows, n_passes = solver._line_search(
+        alpha, Hs, taken, rows, n_passes = _search(
             sysn._f, Xa.T, dx.T, base, floor, last[idx] + 1)
         evaluated, passes = evaluated + rows, passes + n_passes
         settled = alpha > 0
