@@ -23,20 +23,16 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 # lets "-8/3" pass as an option value rather than being read as a flag
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
+# numpy, solver and verifier load in the commands that use them, not for reduce or classify
 from . import __version__
+from .cnexpr import SYSTEMS, build_named_system
 from .errors import AbcdWavesError, ConstraintError, DomainError, UsageError
 from .families import (FAMILIES, ParameterSet, SolutionParams, _frac, build_family,
                        check_physical_constraint)
 from .reduction import classify_ansatz, verify_termination
-from .solver import (SYSTEMS, build_named_system, multistart, pin_and_square,
-                     reproduce_nonexistence, solve_newton)
-from .verifier import (limit_a_to_zero, limit_c_to_zero, limit_m_to_one,
-                       ode_residual, periodicity_check)
 
 logger = logging.getLogger(__name__)
 
@@ -166,6 +162,8 @@ def _echo_config(args):
 
 # ---------------------------------------------------------------- commands
 def cmd_family(parser, args) -> int:
+    import numpy as np
+    from .verifier import ode_residual
     p = _params_from(args)
     inputs = _family_inputs(args, p)
     # every builder takes m, and the residual check reads a, b, c, d
@@ -219,6 +217,7 @@ def _load_solution(path):
 
 
 def cmd_verify(args) -> int:
+    from .verifier import ode_residual, periodicity_check
     sol, cfg = _load_solution(args.input)
     if not isinstance(cfg, dict):
         raise UsageError("run_config must be a JSON object")
@@ -249,6 +248,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(parser, args) -> int:
+    from .solver import multistart, pin_and_square, solve_newton
     if args.seed_from:
         _reject_unread(parser, args, {"starts", "seed", "require_nontrivial"})
     system, pins = build_named_system(
@@ -324,6 +324,7 @@ def cmd_reduce(parser, args) -> int:
 
 
 def cmd_limit(parser, args) -> int:
+    from .verifier import limit_a_to_zero, limit_c_to_zero, limit_m_to_one
     if args.kind == "c-to-zero":
         _reject_unread(parser, args, {"c", "set", "sign"})
         table = limit_c_to_zero(args.a, args.b, args.d, args.lam, args.sigma, args.m)
@@ -346,6 +347,7 @@ def cmd_limit(parser, args) -> int:
 
 
 def cmd_nonexistence(parser, args) -> int:
+    from .solver import reproduce_nonexistence
     if args.var == "k1":
         # the k1 sweep leaves sigma free
         _reject_unread(parser, args, {"sigma"})

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .families import Rational, _frac
 from .ratpoly import Monomial, RationalPoly
 
@@ -158,7 +158,35 @@ def build_coefficient_system(
     return CoefficientSystem(equations)
 
 
-__all__ = [
-    "CoefficientSystem",
-    "build_coefficient_system",
-]
+# name: (eta degree, w degree, the a, b, c, d values it fixes, the coefficients it pins)
+SYSTEMS = {
+    "coeffs1": (2, 2, {}, {}),
+    "coeffs2": (4, 2, {"c": 0}, {}),
+    "coeffs2red": (4, 2, {"c": 0}, {"j1": 0, "j3": 0, "k1": 0}),
+}
+
+
+def build_named_system(name: str, params: Mapping[str, Rational] | None = None
+                       ) -> tuple[CoefficientSystem, dict[str, Rational]]:
+    """The coefficient system registered as ``name`` and the pins it imposes.
+
+    ``params`` substitutes values of a, b, c, d on top of those the system
+    fixes; contradicting a fixed value raises DomainError.  UsageError for
+    a name that is not in SYSTEMS and for a ``params`` key other than a, b,
+    c, d.
+    """
+    if name not in SYSTEMS:
+        raise UsageError(f"no system named {name!r}; the systems are {sorted(SYSTEMS)}")
+    stray = sorted(set(params or {}) - set("abcd"))
+    if stray:
+        raise UsageError(f"params {stray} are not among a, b, c, d")
+    n_eta, n_w, fixed, pins = SYSTEMS[name]
+    merged = dict(fixed)
+    for key, val in (params or {}).items():
+        exact = _frac(val, key)
+        if exact != merged.setdefault(key, exact):
+            raise DomainError(f"system {name} fixes {key} = {merged[key]}")
+    return build_coefficient_system(n_eta, n_w, params=merged), dict(pins)
+
+
+__all__ = ["CoefficientSystem", "SYSTEMS", "build_coefficient_system", "build_named_system"]

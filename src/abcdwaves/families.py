@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .elliptic import Real, eval_cn_series, jacobi_eval
 from .errors import ConstraintError, DomainError, UsageError
 
 Rational = Union[int, float, Fraction]
@@ -151,8 +150,9 @@ class SolutionParams(Record):
     branch: Branch = field(default_factory=Branch)
     origin: Optional[str] = None
 
-    def profiles(self, xi: Real) -> tuple[Real, Real]:
-        """(eta, w) at ``xi`` from one kernel evaluation."""
+    def profiles(self, xi) -> tuple:
+        """(eta, w) at ``xi``, a float or a numpy array, from one kernel evaluation."""
+        from .elliptic import eval_cn_series, jacobi_eval
         pt = jacobi_eval(self.lam * xi, self.m)
         return eval_cn_series(self.j, pt, self.lam), eval_cn_series(self.k, pt, self.lam)
 
@@ -280,13 +280,13 @@ def _s411_factors(p: ParameterSet, m: Fraction) -> tuple[Fraction, ...]:
     return b - 6 * d, 3 * b - 2 * d, 3 * b + 2 * d, b + 2 * d, 2 * m * m - 1
 
 
-def s411_formula(p: ParameterSet, m: Fraction, tau1: int = 1, tau2: int = 1,
-                 factors: Optional[tuple[Fraction, ...]] = None) -> tuple[dict, dict]:
+def s411_formula(p: ParameterSet, m: Fraction, tau1: int = 1,
+                 tau2: int = 1) -> tuple[dict, dict]:
     """S411 exactly at rational p and m: name -> (q, radicals), the value q
     times the roots of the named squares, and the squares r = R, g = G and
-    lam = lam^2.  ``factors`` are ``_s411_factors(p, m)`` if the caller has them."""
+    lam = lam^2."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    d1, d2, s1, s2, ecc = factors or _s411_factors(p, m)
+    d1, d2, s1, s2, ecc = _s411_factors(p, m)
     cdd = c * d1 * d2
     den = cdd * ecc
     squares = {"r": -2 * a * cdd, "g": ecc * s1 * (b - d), "lam": -6 * s1 / (4 * c * ecc * s2)}
@@ -318,7 +318,7 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
     if c == 0:
         raise DomainError("family S411 requires c != 0")
 
-    factors = d1, d2, s1, s2, ecc = _s411_factors(p, mf)
+    d1, d2, s1, s2, ecc = _s411_factors(p, mf)
     for val, what in ((d1, "b-6d"), (d2, "3b-2d"), (s2, "b+2d")):
         if val == 0:
             raise DomainError(f"denominator factor {what} vanishes")
@@ -340,7 +340,7 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
             f"validity (2m^2-1)*(3b+2d)*(b-d) >= 0 (equality only at b=d) "
             f"fails: {_float(cond3, '(2m^2-1)*(3b+2d)*(b-d)')}")
 
-    values, squares = s411_formula(p, mf, tau1, tau2, factors)
+    values, squares = s411_formula(p, mf, tau1, tau2)
     lam, sigma = values.pop("lam"), values.pop("sigma")
     return _solution("S411", values, lam, mf, sigma, Branch(tau1=tau1, tau2=tau2), squares)
 

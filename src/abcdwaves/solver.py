@@ -65,18 +65,16 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cnexpr import CoefficientSystem, build_coefficient_system
-from .errors import DomainError, UnderdeterminedError, UsageError
-from .families import (Branch, Record, SolutionParams, _float, _frac,
+from .cnexpr import CoefficientSystem, build_named_system
+from .errors import UnderdeterminedError, UsageError
+from .families import (Branch, Rational, Record, SolutionParams, _float, _frac,
                        _require_lam_sigma, _require_m, _require_nonzero)
 from .ratpoly import RationalPoly, var_sort_key
 from .reduction import AnsatzShape
-
-Number = Union[int, float, Fraction]
 
 logger = logging.getLogger(__name__)
 
@@ -241,39 +239,7 @@ class HSystemNumeric:
         return np.ascontiguousarray(_eval_polys(self._f, X.T).T)
 
 
-# name: (eta degree, w degree, the (a, b, c, d) values the system fixes,
-# the series coefficients it pins)
-SYSTEMS = {
-    "coeffs1": (2, 2, {}, {}),
-    "coeffs2": (4, 2, {"c": 0}, {}),
-    "coeffs2red": (4, 2, {"c": 0}, {"j1": 0, "j3": 0, "k1": 0}),
-}
-
-
-def build_named_system(name: str, params: Optional[Mapping[str, Number]] = None
-                       ) -> tuple[CoefficientSystem, dict[str, Number]]:
-    """The coefficient system registered as ``name`` and the pins it imposes.
-
-    ``params`` substitutes values of a, b, c, d on top of those the system
-    fixes; contradicting a fixed value raises DomainError.  UsageError for
-    a name that is not in SYSTEMS and for a ``params`` key other than a, b,
-    c, d.
-    """
-    if name not in SYSTEMS:
-        raise UsageError(f"no system named {name!r}; the systems are {sorted(SYSTEMS)}")
-    stray = sorted(set(params or {}) - set("abcd"))
-    if stray:
-        raise UsageError(f"params {stray} are not among a, b, c, d")
-    n_eta, n_w, fixed, pins = SYSTEMS[name]
-    merged = dict(fixed)
-    for key, val in (params or {}).items():
-        exact = _frac(val, key)
-        if exact != merged.setdefault(key, exact):
-            raise DomainError(f"system {name} fixes {key} = {merged[key]}")
-    return build_coefficient_system(n_eta, n_w, params=merged), dict(pins)
-
-
-def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Number]) -> HSystemNumeric:
+def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Rational]) -> HSystemNumeric:
     """Substitute pinned values exactly and drop identically-zero equations.
 
     Raises UsageError for a pin that is not a variable of the system or not
@@ -901,7 +867,7 @@ class NonexistenceReport(Record):
     stats: RunStats
 
 
-def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Number]],
+def reproduce_nonexistence(constrained: str, grid: Sequence[Mapping[str, Rational]],
                            *, value: float = 0.1,
                            n_starts: int = 500, seed: int = 0) -> NonexistenceReport:
     """Multistart sweeps of the full quartic-case system with one series

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import abcdwaves
-from abcdwaves import solver
+from abcdwaves import cnexpr, solver
 from abcdwaves.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -290,7 +290,7 @@ def test_solve_multistart_out_holds_the_branch_set(tmp_path, capsys, monkeypatch
     code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert stdout.endswith(f"wrote {out}\n")
-    system, _ = solver.build_named_system("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1})
+    system, _ = cnexpr.build_named_system("coeffs1", {"a": 1, "b": F(-8, 3), "c": 1, "d": 1})
     sysn = solver.pin_and_square(system, {"m": F("0.70710678"), "lam": 1, "sigma": 1})
     branch_set = solver.multistart(sysn, 60, seed_rng=3, max_iter=200)
     branches = json.loads(out.read_text())["branches"]
@@ -782,18 +782,62 @@ def test_debug_records_format(tmp_path, capsys, caplog, monkeypatch):
     assert all(text.endswith(" batch iterations") for text in newton)
 
 
+def _env() -> dict:
+    """This process's environment with this checkout's abcdwaves first on the path."""
+    src = os.path.dirname(os.path.dirname(abcdwaves.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_closed_stdout_exits_without_a_traceback():
     # about 300 kB of JSON, more than a pipe holds: the CLI is still writing
     # when the reader closes its end
-    src = os.path.dirname(os.path.dirname(abcdwaves.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.Popen([sys.executable, "-m", "abcdwaves.cli", "reduce", "--case",
                              "c-nonzero", "--nmax", "12"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
     assert proc.stdout.read(100).startswith(b"{")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+
+# imports the exact modules and runs reduce and classify; with the argument
+# "blocked" any import of numpy fails
+_EXACT_RUN = """
+import sys
+if sys.argv[1:] == ["blocked"]:
+    sys.modules["numpy"] = None
+import abcdwaves.cnexpr, abcdwaves.families, abcdwaves.ratpoly, abcdwaves.reduction
+from abcdwaves.cli import main
+assert main(["reduce", "--case", "c-zero", "--nmax", "5"]) == 0
+assert main(["classify", "--a", "-1"]) == 0
+"""
+
+
+def test_exact_layer_and_commands_run_without_numpy():
+    blocked, plain = (subprocess.run([sys.executable, "-c", _EXACT_RUN, *argv],
+                                     capture_output=True, env=_env(), timeout=60)
+                      for argv in (["blocked"], []))
+    assert blocked.returncode == plain.returncode == 0, blocked.stderr.decode()
+    assert blocked.stdout == plain.stdout
+    assert b'"shape": "QuadraticEtaLinearW"' in blocked.stdout
+
+
+def test_nonexistence_counterexample_exits_0(capsys):
+    # at b = c = d = 0 the QuadraticEtaLinearW roots (k1^2 = -4 a lam^2 m^2,
+    # k0 = sigma, j0 = -1 + a lam^2 (1 - 2m^2), j2 = -k1^2 / 2) have sigma free
+    code, stdout, stderr = run_cli([
+        "nonexistence", "--var", "k1", "--value", "1/10", "--grid-a", "-1/100",
+        "--grid-b", "0", "--grid-d", "0", "--m", "1/2", "--starts", "50"], capsys)
+    assert code == 0
+    assert stderr == "counterexample found; see report\n"
+    data = json.loads(stdout)
+    assert data["upheld"] is False and data["counterexamples"]
+    for root in data["counterexamples"]:
+        values = root["values"]
+        assert abs(root["sigma"]) > 1e-10
+        assert abs(values["k0"] - root["sigma"]) <= 1e-5
+        assert values["j0"] == pytest.approx(-1.005, abs=1e-9)
+        assert values["j2"] == pytest.approx(-0.005, abs=1e-9)

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from abcdwaves import cnexpr, families, ratpoly, reduction
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.elliptic import eval_cn_series, jacobi_eval
 from abcdwaves.errors import UsageError
@@ -240,3 +243,18 @@ def test_canonical_text_dump():
     assert "h[2,3] = -24*d*lam^2*m^2*sigma*k2 - 24*c*lam^2*m^2*j2 + 2*k2^2" in text
     # dump is deterministic
     assert text == build_coefficient_system(2, 2).to_text()
+
+
+def test_exact_layer_holds_no_float():
+    # the exact modules and the families' exact functions never make a float
+    exact = [ratpoly, cnexpr, reduction, families._s411_factors, families.s411_formula,
+             families.s412_formula, families.s421_formula, families.s422_formula,
+             families.s43_formula]
+    found = []
+    for obj in exact:
+        for node in ast.walk(ast.parse(inspect.getsource(obj))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                found.append((obj.__name__, ast.unparse(node)))
+    assert found == []

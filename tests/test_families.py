@@ -52,6 +52,11 @@ def test_constraint_violation_of_c_plus_d():
     assert err.value.violations == ["c+d = -1/3 < 0 violates c+d >= 0"]
 
 
+def test_constraint_boundary_theta_zero():
+    # c + d = 1/2 gives theta^2 = 0, the edge of theta in [0, 1]
+    assert check_physical_constraint(ParameterSet.make(F(-1, 6), 0, F(1, 2), 0)) == 0.0
+
+
 # -- reference parameter sets ----------------------------------------------
 
 @pytest.mark.parametrize("key,builder", [
@@ -192,6 +197,12 @@ def test_s412_negative_radicand():
     p = ParameterSet.make(-10, 2, 10, 1)   # 8ac < 0, b = 2d
     with pytest.raises(DomainError, match="8ac"):
         build_s412(p, 1, F(1, 10), F(1, 2), "top")
+
+
+def test_s412_zero_radicand():
+    p = ParameterSet.make(F(-1, 8), 1, 1, 0)   # 8ac + sigma^2 (b-2d)^2 = -1 + 1 = 0
+    with pytest.raises(DomainError, match="8ac"):
+        build_s412(p, 1, 1, F(1, 2))
 
 
 def test_s412_bottom_branch_is_semi_trivial_at_a0(reference_cases):
@@ -383,6 +394,12 @@ def test_json_round_trip(reference_cases):
     sol = build_s411(case["p"], case["m"], case["tau1"], case["tau2"])
     back = SolutionParams.from_dict(sol.to_dict())
     assert back == sol
+
+
+def test_json_round_trip_below_unit_lambda():
+    sol = build_s412(ParameterSet.make(1, F(-8, 3), 1, 1), F(1, 2), 1, F(1, 2))
+    assert sol.lam == 0.5
+    assert SolutionParams.from_dict(sol.to_dict()) == sol
 
 
 @pytest.mark.parametrize("tau1", [1, -1])

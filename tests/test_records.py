@@ -13,10 +13,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from abcdwaves.cnexpr import build_named_system
 from abcdwaves.families import ParameterSet, Record, build_s412
 from abcdwaves.reduction import verify_termination
-from abcdwaves.solver import (build_named_system, multistart, pin_and_square,
-                              reproduce_nonexistence)
+from abcdwaves.solver import multistart, pin_and_square, reproduce_nonexistence
 from abcdwaves.verifier import (limit_m_to_one, ode_residual,
                                 periodicity_check)
 

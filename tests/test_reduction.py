@@ -185,6 +185,19 @@ def test_argument_validation():
         verify_termination(case="sideways")
 
 
+def test_termination_degrees_reach_n_max_and_no_further():
+    assert verify_termination(case="c_zero", n_min=reduction.N_MAX,
+                              n_max=reduction.N_MAX).passed
+    with pytest.raises(UsageError):
+        verify_termination(case="c_zero", n_max=reduction.N_MAX + 1)
+
+
+def test_sign_definite_takes_any_positive_coefficient():
+    # 2 lam^2 + j1^2 / 2 > 0 for lam > 0: one coefficient is below 1
+    lam, j1 = RationalPoly.var("lam"), RationalPoly.var("j1")
+    assert reduction._is_sign_definite(2 * lam * lam + F(1, 2) * j1 * j1, frozenset())
+
+
 @pytest.mark.parametrize("p", ["c_zero", (1, 1, 1, 1)])
 def test_p_must_be_a_parameter_set(p):
     # the case passed positionally lands in p

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abcdwaves import solver
-from abcdwaves.cnexpr import build_coefficient_system
+from abcdwaves.cnexpr import build_coefficient_system, build_named_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
 from abcdwaves.families import (FAMILIES, ParameterSet, build_s412, build_s421,
                                 build_s422)
@@ -226,7 +226,7 @@ _KERNEL_PINNINGS = {
 @pytest.mark.parametrize("name", list(_KERNEL_PINNINGS))
 def test_sparse_kernel_matches_dense_reference(name):
     system_name, pins = _KERNEL_PINNINGS[name]
-    system, _ = solver.build_named_system(system_name)
+    system, _ = build_named_system(system_name)
     sysn = pin_and_square(system, pins)
     jac_polys = [p.derivative(u) for p in sysn.polys for u in sysn.unknowns]
     rng = np.random.default_rng(12)
@@ -640,7 +640,7 @@ def test_empty_branch_set(reference_pinning, monkeypatch):
 
 def test_run_stats_add_up(reference_pinning):
     # runs that end in each of the four ways
-    system, _ = solver.build_named_system("coeffs2")
+    system, _ = build_named_system("coeffs2")
     j1_point = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                        "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
     x = RationalPoly.var("x")
@@ -662,7 +662,7 @@ def test_nonexistence_report_is_the_record_built_report():
     point = {"a": F(-1, 100), "b": F(1, 6), "d": F(-1, 2), "lam": 1, "m": F(1, 2),
              "sigma": 1}
     report = reproduce_nonexistence("k1", [point], n_starts=300, seed=5)
-    system, _ = solver.build_named_system("coeffs2")
+    system, _ = build_named_system("coeffs2")
     pins = {k: v for k, v in point.items() if k != "sigma"}
     branch_set = multistart(pin_and_square(system, {**pins, "k1": 0.1}), 300,
                             seed_rng=5, max_iter=solver._SWEEP_MAX_ITER)
@@ -763,7 +763,7 @@ def test_promote_root_tags_the_even_root_s422_at_c_zero(quadratic_system):
 
 
 def test_coeffs2red_finds_the_s421_root():
-    system, pins = solver.build_named_system(
+    system, pins = build_named_system(
         "coeffs2red", {"a": 1, "b": F(1, 6), "d": F(1, 6)})
     assert pins == {"j1": 0, "j3": 0, "k1": 0}
     sysn = pin_and_square(system, {**pins, "lam": 1, "sigma": 1, "m": F(1, 2)})
@@ -773,19 +773,19 @@ def test_coeffs2red_finds_the_s421_root():
                for rec in multistart(sysn, 300, seed_rng=0).nontrivial())
     assert best <= 1e-8
     with pytest.raises(DomainError):
-        solver.build_named_system("coeffs2red", {"c": 1})
+        build_named_system("coeffs2red", {"c": 1})
 
 
 def test_unknown_system_name_lists_the_systems():
     with pytest.raises(UsageError, match=r"'coeffs3'.*\['coeffs1', 'coeffs2', 'coeffs2red'\]"):
-        solver.build_named_system("coeffs3")
+        build_named_system("coeffs3")
 
 
 def test_named_system_rejects_params_other_than_abcd():
     with pytest.raises(UsageError, match=r"\['lam', 'x'\]"):
-        solver.build_named_system("coeffs1", {"x": 1, "lam": 2})
+        build_named_system("coeffs1", {"x": 1, "lam": 2})
     with pytest.raises(UsageError, match=r"\['sigma'\]"):
-        solver.build_named_system("coeffs2", {"a": 1, "sigma": 1})
+        build_named_system("coeffs2", {"a": 1, "sigma": 1})
 
 
 def test_multistart_empty_when_invalid(quadratic_system):
@@ -850,7 +850,7 @@ def test_multistart_logs_counts(reference_pinning, caplog):
 
 def test_multistart_logs_stop_reasons(caplog, monkeypatch):
     # a criterion-6 point: j1 = 1/10 pinned, no root exists
-    system, _ = solver.build_named_system("coeffs2")
+    system, _ = build_named_system("coeffs2")
     sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
     seen = _spy(monkeypatch, "_newton_batch")
@@ -977,7 +977,7 @@ def _step(J, H):
 
 def test_gauss_newton_step_matches_pinv_on_well_conditioned_rows():
     # the criterion-6 j1 pinning at 500 multistart-style seeds
-    system, _ = solver.build_named_system("coeffs2")
+    system, _ = build_named_system("coeffs2")
     sysn = pin_and_square(system, {"a": 1, "b": -1, "d": F(1, 3), "lam": 1,
                                    "m": F(3, 4), "sigma": 1, "j1": F(1, 10)})
     rng = np.random.default_rng(0)
@@ -1120,7 +1120,7 @@ def _check_step(J, H):
 
 def _coeffs2_pinning(var):
     """The j1, j3 and k1 pinnings of the criterion-6 sweeps (k1: sigma free)."""
-    system, _ = solver.build_named_system("coeffs2")
+    system, _ = build_named_system("coeffs2")
     if var == "k1":
         return pin_and_square(system, {"a": F(-1, 100), "b": F(1, 6), "d": 1,
                                        "lam": 1, "m": F(1, 2), "k1": F(1, 10)})
