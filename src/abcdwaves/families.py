@@ -92,16 +92,20 @@ def _float(x: Fraction, name: str) -> float:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """The dispersion constants (a, b, c, d), exact rationals."""
+    """The dispersion constants (a, b, c, d), each made an exact rational by ``_frac``."""
 
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
+    def __post_init__(self):
+        for name in "abcd":
+            object.__setattr__(self, name, _frac(getattr(self, name), name))
+
     @staticmethod
     def make(a: Rational, b: Rational, c: Rational, d: Rational) -> "ParameterSet":
-        return ParameterSet(_frac(a, "a"), _frac(b, "b"), _frac(c, "c"), _frac(d, "d"))
+        return ParameterSet(a, b, c, d)
 
 
 def check_physical_constraint(p: ParameterSet) -> float:
@@ -126,11 +130,18 @@ def check_physical_constraint(p: ParameterSet) -> float:
 
 @dataclass(frozen=True)
 class Branch(Record):
-    """Sign selectors: tau1/tau2 for S411, pm in {top, bottom} for S412."""
+    """Sign selectors: tau1/tau2 for S411, pm in {top, bottom} for S412; UsageError
+    unless tau1 and tau2 are each the int +1 or -1 and pm is None, top or bottom."""
 
     tau1: int = 1
     tau2: int = 1
     pm: Optional[str] = None
+
+    def __post_init__(self):
+        if not (type(self.tau1) is type(self.tau2) is int and self.tau1 in (1, -1)
+                and self.tau2 in (1, -1) and self.pm in (None, "top", "bottom")):
+            raise UsageError(f"branch {self} needs tau1 and tau2 of +1 or -1 "
+                             "and pm of top, bottom or null")
 
 
 @dataclass(frozen=True)
@@ -182,9 +193,8 @@ class SolutionParams(Record):
         lambda, m or sigma that is not a JSON number (true and false are not),
         family_tag not a string, origin neither a string nor null, a nonzero
         coefficient beyond j4 or k2, a non-finite value, lam <= 0 and a branch
-        selector the builders do not take (tau1, tau2 other than the integers
-        +1 or -1, pm other than top, bottom or null); DomainError for m outside
-        (0, 1] or sigma = 0, as the family builders.
+        selector ``Branch`` refuses; DomainError for m outside (0, 1] or
+        sigma = 0, as the family builders.
         """
         if not isinstance(data, dict):
             raise UsageError("stored solution must be a JSON object")
@@ -206,38 +216,33 @@ class SolutionParams(Record):
             branch = Branch(**(data.get("branch") or {}))
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"malformed stored solution: {exc}") from None
-        if (not (_is_sign(branch.tau1) and _is_sign(branch.tau2))
-                or branch.pm not in (None, "top", "bottom")):
-            raise UsageError(f"stored branch {branch} needs tau1 and tau2 of +1 or -1 "
-                             "and pm of top, bottom or null")
         if any(j[5:]) or any(k[3:]):
             raise UsageError("stored solution has a nonzero coefficient beyond j4 or k2")
         if not all(map(math.isfinite, (*j, *k, lam, m, sigma))) or lam <= 0:
             raise UsageError("stored solution needs finite values and lambda > 0")
-        _require_m(m)
-        _require_lam_sigma(lam, sigma)
+        _require_wave(lam, m, sigma)
         return SolutionParams(tuple(j[:5]), tuple(k[:3]), lam, m, sigma,
                               tag, branch, origin)
 
 
-def _require_m(m: Rational) -> Fraction:
-    mf = _frac(m, "m")
-    if mf == 0:
-        raise DomainError("m = 0 is excluded (the cn series degenerates to "
-                          "a cosine series); need m in (0, 1]")
-    if not 0 < mf <= 1:
-        raise DomainError(f"m = {_float(mf, 'm')} outside (0, 1]")
-    return mf
-
-
-def _require_lam_sigma(lam: Rational, sigma: Rational) -> tuple[Fraction, Fraction]:
-    lamf = _frac(lam, "lam")
-    sigf = _frac(sigma, "sigma")
-    if lamf <= 0:
-        raise DomainError(f"lam must be > 0, got {_float(lamf, 'lam')}")
-    if sigf == 0:
+def _require_wave(lam: Optional[Rational] = None, m: Optional[Rational] = None,
+                  sigma: Optional[Rational] = None) -> tuple:
+    """The wave inputs of cn(lam xi, m) as exact Fractions, None passed through;
+    DomainError unless m in (0, 1], lam > 0 and sigma != 0, m checked first."""
+    if m is not None:
+        m = _frac(m, "m")
+        if m == 0:
+            raise DomainError("m = 0 is excluded (the cn series degenerates to "
+                              "a cosine series); need m in (0, 1]")
+        if not 0 < m <= 1:
+            raise DomainError(f"m = {_float(m, 'm')} outside (0, 1]")
+    lam = None if lam is None else _frac(lam, "lam")
+    sigma = None if sigma is None else _frac(sigma, "sigma")
+    if lam is not None and lam <= 0:
+        raise DomainError(f"lam must be > 0, got {_float(lam, 'lam')}")
+    if sigma == 0:
         raise DomainError("sigma must be nonzero")
-    return lamf, sigf
+    return lam, m, sigma
 
 
 def _require_nonzero(value: float, name: str) -> float:
@@ -245,11 +250,6 @@ def _require_nonzero(value: float, name: str) -> float:
     if value == 0.0:
         raise DomainError(f"{name} rounds to 0.0, too small for a float")
     return value
-
-
-def _is_sign(tau) -> bool:
-    """Whether ``tau`` is a branch selector the builders take: the int +1 or -1."""
-    return type(tau) is int and tau in (1, -1)
 
 
 def _round(value, name: str, squares: Optional[dict]) -> float:
@@ -311,9 +311,8 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
     or sqrt(RG), rounded once, where R = -2ac(b-6d)(3b-2d) > 0 and
     G = (2m^2-1)(3b+2d)(b-d) >= 0; lam^2 = -6(3b+2d) / (4c(2m^2-1)(b+2d)) > 0.
     """
-    if not (_is_sign(tau1) and _is_sign(tau2)):
-        raise UsageError("tau1 and tau2 must be +1 or -1")
-    mf = _require_m(m)
+    branch = Branch(tau1=tau1, tau2=tau2)
+    mf = _require_wave(m=m)[1]
     a, b, c, d = p.a, p.b, p.c, p.d
     if c == 0:
         raise DomainError("family S411 requires c != 0")
@@ -342,7 +341,7 @@ def build_s411(p: ParameterSet, m: Rational, tau1: int = 1, tau2: int = 1) -> So
 
     values, squares = s411_formula(p, mf, tau1, tau2)
     lam, sigma = values.pop("lam"), values.pop("sigma")
-    return _solution("S411", values, lam, mf, sigma, Branch(tau1=tau1, tau2=tau2), squares)
+    return _solution("S411", values, lam, mf, sigma, branch, squares)
 
 
 def _sqrt_fraction(x: Fraction) -> Fraction:
@@ -387,8 +386,7 @@ def build_s412(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational,
         raise UsageError(f"sign must be 'top' or 'bottom', got {sign!r}")
     if p.c == 0:
         raise DomainError("family S412 requires c != 0")
-    m = _require_m(m)
-    lam, sigma = _require_lam_sigma(lam, sigma)
+    lam, m, sigma = _require_wave(lam, m, sigma)
     a, b, c, d = p.a, p.b, p.c, p.d
     disc = 8 * a * c + sigma * sigma * (b - 2 * d) ** 2
     if not disc > 0:
@@ -424,8 +422,7 @@ def build_s421(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> 
         raise DomainError("family S421 requires c = 0")
     if 4 * p.b == p.d:
         raise DomainError("family S421 requires 4b - d != 0")
-    mf = _require_m(m)
-    lamf, sigf = _require_lam_sigma(lam, sigma)
+    lamf, mf, sigf = _require_wave(lam, m, sigma)
     return _solution("S421", s421_formula(p.a, p.b, p.d, lamf, sigf, mf), lamf, mf, sigf)
 
 
@@ -448,8 +445,7 @@ def build_s422(p: ParameterSet, lam: Rational, sigma: Rational, m: Rational) -> 
         raise DomainError("family S422 requires c = 0")
     if p.b == 2 * p.d:
         raise DomainError("family S422 requires b - 2d != 0")
-    mf = _require_m(m)
-    lamf, sigf = _require_lam_sigma(lam, sigma)
+    lamf, mf, sigf = _require_wave(lam, m, sigma)
     return _solution("S422", s422_formula(p.a, p.b, p.d, lamf, sigf, mf), lamf, mf, sigf)
 
 
@@ -471,8 +467,7 @@ def build_s43(d: Rational, lam: Rational, sigma: Rational, m: Rational, *,
         raise DomainError("family S43 requires a = 0 (at eta = -1 the first "
                           "equation's residual is a*w''')")
     df = _frac(d, "d")
-    mf = _require_m(m)
-    lamf, sigf = _require_lam_sigma(lam, sigma)
+    lamf, mf, sigf = _require_wave(lam, m, sigma)
     return _solution("S43", s43_formula(df, lamf, sigf, mf), lamf, mf, sigf)
 
 

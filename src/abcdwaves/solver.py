@@ -72,7 +72,7 @@ import numpy as np
 from .cnexpr import CoefficientSystem, build_named_system
 from .errors import UnderdeterminedError, UsageError
 from .families import (Branch, Rational, Record, SolutionParams, _float, _frac,
-                       _require_lam_sigma, _require_m, _require_nonzero)
+                       _require_nonzero, _require_wave)
 from .ratpoly import RationalPoly, var_sort_key
 from .reduction import AnsatzShape
 
@@ -256,10 +256,7 @@ def pin_and_square(system: CoefficientSystem, pins: Mapping[str, Rational]) -> H
     exact = {name: _frac(v, name) for name, v in pins.items()}
     for name, value in exact.items():
         _float(value, name)
-    if "m" in exact:
-        _require_m(exact["m"])
-    # an unpinned lam or sigma is checked as 1, which the rule accepts
-    _require_lam_sigma(exact.get("lam", 1), exact.get("sigma", 1))
+    _require_wave(exact.get("lam"), exact.get("m"), exact.get("sigma"))
     for name in ("lam", "m", "sigma"):
         if name in exact:
             _require_nonzero(float(exact[name]), name)
@@ -816,7 +813,9 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
     selectors are not recoverable from a bare root).  The (2, 1) shape
     (k1 != 0 = k2 = j1) has no builder and is tagged with its shape name;
     S411 has k2 != 0.  The even quadratic root is S412 at c != 0 and S422
-    at c = 0.
+    at c = 0.  cn is even in its argument and depends on m only through m^2,
+    so a root with -lam or -m is the same wave and comes back with |lam| and
+    |m|; DomainError for |m| outside (0, 1] or sigma = 0, as the builders.
     """
     ctx = {**{k: float(v) for k, v in pinned.items()}, **record.values}
     j = tuple(ctx.get(f"j{r}", 0.0) for r in range(5))
@@ -824,6 +823,8 @@ def promote_root(record: RootRecord, pinned: Mapping[str, float]) -> SolutionPar
     lam, m, sigma, c = (ctx.get(name) for name in ("lam", "m", "sigma", "c"))
     if lam is None or m is None or sigma is None or c is None:
         raise UsageError("root does not determine lam, m, sigma and c")
+    lam, m = abs(lam), abs(m)
+    _require_wave(lam, m, sigma)
     if abs(j[4]) > _ZERO_TOL or abs(j[3]) > _ZERO_TOL:
         tag = "S421"
     elif abs(k[1]) > _ZERO_TOL and abs(k[2]) <= _ZERO_TOL and abs(j[1]) <= _ZERO_TOL:

@@ -8,11 +8,12 @@ import pytest
 
 from abcdwaves.cnexpr import build_coefficient_system
 from abcdwaves.errors import ConstraintError, DomainError, UsageError
-from abcdwaves.families import (ParameterSet, SolutionParams, build_family, build_s43,
+from abcdwaves.families import (Branch, ParameterSet, SolutionParams, build_family, build_s43,
                                 build_s411, build_s412, build_s421, build_s422,
                                 check_physical_constraint, m1_limit, s43_formula,
                                 s411_formula, s412_formula, s421_formula, s422_formula)
 from abcdwaves.ratpoly import RationalPoly
+from abcdwaves.reduction import classify_ansatz
 from abcdwaves.solver import pin_and_square
 from abcdwaves.verifier import ode_residual
 
@@ -166,7 +167,7 @@ def test_s411_huge_a_builds_and_its_residual_overflows():
 
 @pytest.mark.parametrize("tau", [True, 1.0], ids=["true", "float"])
 def test_s411_takes_only_integer_signs(reference_cases, tau):
-    # the rule SolutionParams.from_dict applies to a stored branch
+    # Branch refuses them, for a build as for a stored branch
     with pytest.raises(UsageError, match="tau1 and tau2"):
         build_s411(reference_cases["s411_a"]["p"], F(3, 4), tau, 1)
     with pytest.raises(UsageError, match="tau1 and tau2"):
@@ -178,6 +179,35 @@ def test_s411_takes_only_integer_signs(reference_cases, tau):
 def test_parameter_set_rejects_non_rationals(value):
     with pytest.raises(UsageError, match="a = .* is not a rational"):
         ParameterSet.make(value, 0, 0, 0)
+
+
+def test_parameter_set_is_exact_however_it_is_built():
+    # the raw constructor converts each field as make does
+    raw, made = ParameterSet(0.1, 0, 1, 0), ParameterSet.make(0.1, 0, 1, 0)
+    assert raw == made and raw.a == F(0.1) and type(raw.a) is F
+    assert build_s412(raw, 1, 1, 0.5) == build_s412(made, 1, 1, 0.5)
+    assert (classify_ansatz(ParameterSet("1", 0, 0, 0))
+            is classify_ansatz(ParameterSet.make(1, 0, 0, 0)))
+    for value in ("x", True):
+        with pytest.raises(UsageError, match="a = .* is not a rational"):
+            ParameterSet(value, 0, 0, 0)
+
+
+@pytest.mark.parametrize("kwargs", [{"tau1": 0}, {"tau1": True}, {"tau2": 1.0},
+                                    {"pm": "left"}], ids=["zero", "true", "float", "left"])
+def test_branch_refuses_a_selector_no_builder_takes(kwargs):
+    with pytest.raises(UsageError, match="needs tau1 and tau2 of \\+1 or -1 and pm of top"):
+        Branch(**kwargs)
+
+
+def test_wave_inputs_are_checked_m_first():
+    p = ParameterSet.make(1, 2, 0, -1)
+    # m is checked before lam is converted
+    with pytest.raises(DomainError, match="m = 0 is excluded"):
+        build_s422(p, "x", 1, 0)
+    # lam and sigma are both converted before lam is checked
+    with pytest.raises(UsageError, match="sigma = 'y' is not a rational"):
+        build_s422(p, -1, "y", F(1, 2))
 
 
 def test_booleans_are_not_rationals_anywhere():

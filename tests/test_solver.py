@@ -10,12 +10,12 @@ import pytest
 from abcdwaves import solver
 from abcdwaves.cnexpr import build_coefficient_system, build_named_system
 from abcdwaves.errors import DomainError, UnderdeterminedError, UsageError
-from abcdwaves.families import (FAMILIES, ParameterSet, build_s412, build_s421,
-                                build_s422)
+from abcdwaves.families import (FAMILIES, ParameterSet, SolutionParams, build_s412,
+                                build_s421, build_s422)
 from abcdwaves.ratpoly import RationalPoly
 from abcdwaves.solver import (multistart, pin_and_square, promote_root,
                               reproduce_nonexistence, solve_newton)
-from abcdwaves.verifier import ode_residual
+from abcdwaves.verifier import ode_residual, periodicity_check
 
 
 def labels(code):
@@ -83,6 +83,9 @@ def test_pin_validation(quadratic_system):
         pin_and_square(quadratic_system, {"m": 2})
     with pytest.raises(DomainError):
         pin_and_square(quadratic_system, {"sigma": 0})
+    # an unpinned lam is not checked, a pinned sigma still is
+    with pytest.raises(DomainError, match="sigma must be nonzero"):
+        pin_and_square(quadratic_system, {"m": F(1, 2), "sigma": 0})
     # a pin that is not a finite rational is a usage error naming the pin
     for pins in ({"m": float("nan")}, {"lam": float("inf")}, {"sigma": "one"},
                  {"a": "1/0"}, {"j0": [1, 2]}):
@@ -707,6 +710,31 @@ def test_multistart_promotion_passes_residual(reference_pinning):
     for rec in branch_set.nontrivial():
         sol = promote_root(rec, reference_pinning.pinned)
         assert ode_residual(sol, p, 256).relative <= 1e-9
+
+
+def test_promote_root_returns_the_wave_with_positive_lam(quadratic_system):
+    # with lam and sigma free, half the roots have lam < 0: the systems hold
+    # lam and m only squared, so the root with -lam is the same wave
+    pins = {"a": 1, "b": F(-8, 3), "c": 1, "d": 1, "m": F(1, 2)}
+    sysn = pin_and_square(quadratic_system, pins)
+    roots = multistart(sysn, 300, seed_rng=0).nontrivial()
+    assert len(roots) == 144 and sum(rec.values["lam"] < 0 for rec in roots) == 72
+    p = ParameterSet.make(1, F(-8, 3), 1, 1)
+    for rec in roots:
+        sol = promote_root(rec, sysn.pinned)
+        assert sol.lam == abs(rec.values["lam"]) > 0
+        assert SolutionParams.from_dict(sol.to_dict()) == sol
+        assert periodicity_check(sol).period > 0
+        # absolute: some roots are near-trivial waves, whose scale is ~1e-10
+        report = ode_residual(sol, p, 256)
+        assert max(report.max_abs_eq1, report.max_abs_eq2) <= 1e-9
+    # a hand-built root with lam = -1 comes back with lam = 1; sigma = 0 is no wave
+    values = dict(roots[0].values, lam=-1.0)
+    sol = promote_root(solver.RootRecord(values, "non-trivial", 0.0, 1, 0), sysn.pinned)
+    assert sol.lam == 1.0
+    with pytest.raises(DomainError, match="sigma must be nonzero"):
+        promote_root(solver.RootRecord(dict(values, sigma=0.0), "non-trivial", 0.0, 1, 0),
+                     sysn.pinned)
 
 
 @pytest.mark.parametrize("label,case", [
